@@ -1,143 +1,25 @@
 """Hot numeric kernels: RBF Gram matrices and the SMO dual solver.
 
-The accelerated path compiles the loop kernels with numba; setting
-AUGBENCH_NO_NUMBA=1 (or numba being absent) selects a pure-NumPy
-fallback instead. Both paths are always importable by name so they can
-be benchmarked against each other (see benchmarks/bench_kernels.py).
-
-The SMO working-pair selection uses an inline 31-bit LCG rather than a
-library RNG so the compiled and interpreted paths draw identical pair
-sequences from the same seed.
+The solver is SMO with LIBSVM's second-order working-set selection
+(WSS2: Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2011). It
+keeps the gradient of the dual up to date, updates the maximal violator
+in I_up together with the I_low partner that promises the largest
+decrease of the objective, and stops when the maximal-violating-pair
+gap is at most ``tol``. It draws no random numbers, so a solve is a
+function of its inputs alone. Everything is plain NumPy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("AUGBENCH_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
+from .errors import TrainingError
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via AUGBENCH_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-_ALPHA_STEP_MIN = 1e-5  # updates smaller than this are treated as no progress
+_TAU = 1e-12  # curvature floor for pairs of (near-)identical points
 
 
-def _rbf_gram_impl(X: np.ndarray, gamma: float) -> np.ndarray:
-    n, d = X.shape
-    K = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        K[i, i] = 1.0
-        for j in range(i + 1, n):
-            s = 0.0
-            for k in range(d):
-                diff = X[i, k] - X[j, k]
-                s += diff * diff
-            v = np.exp(-gamma * s)
-            K[i, j] = v
-            K[j, i] = v
-    return K
-
-
-def _rbf_cross_gram_impl(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    n, d = A.shape
-    m = B.shape[0]
-    K = np.empty((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for k in range(d):
-                diff = A[i, k] - B[j, k]
-                s += diff * diff
-            K[i, j] = np.exp(-gamma * s)
-    return K
-
-
-def _smo_solve_impl(
-    K: np.ndarray,
-    y: np.ndarray,
-    C: float,
-    tol: float,
-    max_passes: int,
-    seed: int,
-) -> tuple[np.ndarray, float]:
-    """Solve the soft-margin dual on a precomputed Gram matrix.
-
-    Sweeps all points, pairing each KKT violator with a pseudo-random
-    partner, until a sweep finds no violation or max_passes sweeps
-    elapse. Returns (alpha, bias).
-    """
-    n = y.shape[0]
-    alpha = np.zeros(n, dtype=np.float64)
-    ay = np.zeros(n, dtype=np.float64)  # alpha * y, kept in sync
-    b = 0.0
-    state = seed % 2147483647
-    if state < 1:
-        state += 1
-    sweeps = 0
-    while sweeps < max_passes:
-        violations = 0
-        for i in range(n):
-            e_i = np.dot(ay, K[i]) + b - y[i]
-            r_i = y[i] * e_i
-            if not ((r_i < -tol and alpha[i] < C) or (r_i > tol and alpha[i] > 0.0)):
-                continue
-            violations += 1
-            state = (1103515245 * state + 12345) % 2147483648
-            j = state % (n - 1)
-            if j >= i:
-                j += 1
-            e_j = np.dot(ay, K[j]) + b - y[j]
-            ai_old = alpha[i]
-            aj_old = alpha[j]
-            if y[i] != y[j]:
-                lo = max(0.0, aj_old - ai_old)
-                hi = min(C, C + aj_old - ai_old)
-            else:
-                lo = max(0.0, ai_old + aj_old - C)
-                hi = min(C, ai_old + aj_old)
-            if lo == hi:
-                continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0.0:
-                continue
-            aj = aj_old - y[j] * (e_i - e_j) / eta
-            if aj > hi:
-                aj = hi
-            elif aj < lo:
-                aj = lo
-            if abs(aj - aj_old) < _ALPHA_STEP_MIN:
-                continue
-            ai = ai_old + y[i] * y[j] * (aj_old - aj)
-            alpha[i] = ai
-            alpha[j] = aj
-            ay[i] = ai * y[i]
-            ay[j] = aj * y[j]
-            b1 = b - e_i - y[i] * (ai - ai_old) * K[i, i] - y[j] * (aj - aj_old) * K[i, j]
-            b2 = b - e_j - y[i] * (ai - ai_old) * K[i, j] - y[j] * (aj - aj_old) * K[j, j]
-            if 0.0 < ai < C:
-                b = b1
-            elif 0.0 < aj < C:
-                b = b2
-            else:
-                b = 0.5 * (b1 + b2)
-        sweeps += 1
-        if violations == 0:
-            break
-    return alpha, b
-
-
-def rbf_gram_numpy(X: np.ndarray, gamma: float) -> np.ndarray:
-    """Vectorized Gram matrix; unit diagonal pinned exactly."""
+def rbf_gram(X: np.ndarray, gamma: float) -> np.ndarray:
+    """Gram matrix exp(-gamma * ||x_i - x_j||^2); unit diagonal pinned exactly."""
     sq = np.einsum("ij,ij->i", X, X)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -146,7 +28,8 @@ def rbf_gram_numpy(X: np.ndarray, gamma: float) -> np.ndarray:
     return K
 
 
-def rbf_cross_gram_numpy(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def rbf_cross_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """Kernel values between the rows of A and the rows of B."""
     d2 = (
         np.einsum("ij,ij->i", A, A)[:, None]
         + np.einsum("ij,ij->i", B, B)[None, :]
@@ -156,24 +39,128 @@ def rbf_cross_gram_numpy(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
     return np.exp(-gamma * d2)
 
 
-# Interpreted reference for the solver; the numpy dots keep it usable at
-# desk scale even without numba.
-smo_solve_python = _smo_solve_impl
+def smo_solve(
+    K: np.ndarray,
+    y: np.ndarray,
+    C: float,
+    tol: float,
+    *,
+    max_iter: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """Solve the soft-margin SVM dual on a precomputed Gram matrix.
 
-if NUMBA_ENABLED:
-    rbf_gram = njit(cache=True)(_rbf_gram_impl)
-    rbf_cross_gram = njit(cache=True)(_rbf_cross_gram_impl)
-    smo_solve = njit(cache=True)(_smo_solve_impl)
-else:
-    rbf_gram = rbf_gram_numpy
-    rbf_cross_gram = rbf_cross_gram_numpy
-    smo_solve = smo_solve_python
+    Minimises alpha'Q alpha / 2 - sum(alpha) with Q = yy' * K, subject to
+    0 <= alpha <= C and y'alpha = 0, for labels y in {-1, +1}. Returns
+    (alpha, bias); the decision function is K(x, X) @ (alpha * y) + bias.
+
+    The stopping test is m(alpha) - M(alpha) <= tol with
+    m = max(-y G) over I_up and M = min(-y G) over I_low, where
+    G = Q alpha - e. It is checked once more on a gradient recomputed
+    from scratch before returning, so rounding in the running updates
+    cannot report a solve as converged when it is not.
+
+    ``max_iter`` is a safety ceiling on pair updates, by default LIBSVM's
+    max(10_000_000, 100 n). Reaching it raises TrainingError.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0]
+    if max_iter is None:
+        max_iter = max(10_000_000, 100 * n)
+    alpha = np.zeros(n)
+    k_diag = np.ascontiguousarray(np.diag(K))
+    labels = y.tolist()
+    # score = -y * G; with alpha = 0 the gradient is -e, so score = y.
+    score = y.copy()
+    # Additive masks, 0 inside the set and -inf / +inf outside it, so that
+    # a masked max or min is one add and one reduction. I_up holds the
+    # points with alpha < C, y = +1 or alpha > 0, y = -1; I_low those with
+    # alpha < C, y = -1 or alpha > 0, y = +1.
+    masks = np.empty((2, n))
+    up_mask, low_mask = masks
+    up_mask[:] = np.where(y > 0, 0.0, -np.inf)
+    low_mask[:] = np.where(y > 0, np.inf, 0.0)
+    masked = np.empty((2, n))
+    up, low = masked
+    gain = np.empty(n)
+    curve = np.empty(n)
+    row = np.empty(n)
+    iterations = 0
+    while True:
+        np.add(score, masks, out=masked)
+        i = int(up.argmax())
+        g_max = up.item(i)
+        g_min = low.item(int(low.argmin()))
+        if g_max - g_min <= tol:
+            # Confirm on a fresh gradient before stopping.
+            score = y - K @ (alpha * y)
+            np.add(score, masks, out=masked)
+            if up.max() - low.min() <= tol:
+                break
+            continue
+        if iterations >= max_iter:
+            raise TrainingError(
+                f"SMO did not reach tol {tol:g} in {max_iter} iterations "
+                f"(gap {g_max - g_min:.3g})"
+            )
+        iterations += 1
+        # Second-order partner: maximise b^2 / a over I_low with b > 0,
+        # where b = g_max - score_t and a = K_ii + K_tt - 2 K_it.
+        K_i = K[i]
+        np.subtract(g_max, low, out=gain)  # -inf outside I_low
+        np.maximum(gain, 0.0, out=gain)
+        np.square(gain, out=gain)
+        np.multiply(K_i, -2.0, out=curve)
+        curve += k_diag
+        curve += k_diag.item(i)
+        np.maximum(curve, _TAU, out=curve)
+        gain /= curve
+        j = int(gain.argmax())
+        K_j = K[j]
+        # LIBSVM's clipped pair update, as a step t >= 0 along the feasible
+        # direction alpha_i += y_i t, alpha_j -= y_j t; a step stopped by a
+        # bound lands on it exactly.
+        y_i, y_j = labels[i], labels[j]
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        room_i = C - a_i if y_i > 0 else a_i
+        room_j = a_j if y_j > 0 else C - a_j
+        step = min((g_max - score.item(j)) / curve.item(j), room_i, room_j)
+        new_i = min(max(a_i + y_i * step, 0.0), C)
+        new_j = min(max(a_j - y_j * step, 0.0), C)
+        if step == room_i:
+            new_i = C if y_i > 0 else 0.0
+        if step == room_j:
+            new_j = 0.0 if y_j > 0 else C
+        alpha[i], alpha[j] = new_i, new_j
+        # score -= y_i d_i K_i + y_j d_j K_j  (y^2 = 1 folds Q back into K)
+        np.multiply(K_i, y_i * (new_i - a_i), out=row)
+        score -= row
+        np.multiply(K_j, y_j * (new_j - a_j), out=row)
+        score -= row
+        for t, a_t in ((i, new_i), (j, new_j)):
+            below_c = 0.0 if a_t < C else -np.inf
+            above_0 = 0.0 if a_t > 0.0 else -np.inf
+            if labels[t] > 0:
+                up_mask[t], low_mask[t] = below_c, -above_0
+            else:
+                up_mask[t], low_mask[t] = above_0, -below_c
+    return alpha, _bias(alpha, y, score, C)
 
 
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs so timings exclude it."""
-    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    y = np.array([1.0, 1.0, -1.0, -1.0])
-    K = rbf_gram(X, 0.5)
-    rbf_cross_gram(X[:2], X, 0.5)
-    smo_solve(K, y, 1.0, 1e-3, 5, 1)
+def _bias(alpha: np.ndarray, y: np.ndarray, score: np.ndarray, C: float) -> float:
+    """-rho of LIBSVM: the mean of -y G over free points, else the midpoint.
+
+    With no free point, rho lies between the bounds the KKT conditions
+    put on it from the points at 0 and at C.
+    """
+    free = (alpha > 0.0) & (alpha < C)
+    if free.any():
+        return float(score[free].mean())
+    # At a KKT point -y G <= bias on the points only in I_up and >= bias on
+    # those only in I_low.
+    at_upper = alpha >= C
+    lo_side = np.where(at_upper, y < 0, y > 0)  # in I_up only
+    hi_side = ~lo_side
+    lower = score[lo_side].max() if lo_side.any() else -np.inf
+    upper = score[hi_side].min() if hi_side.any() else np.inf
+    return float(0.5 * (lower + upper))

@@ -172,7 +172,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             C=float(svm_raw.get("C", 10.0)),
             gamma=svm_raw.get("gamma", "scale"),
             tol=float(svm_raw.get("tol", 1e-3)),
-            max_passes=int(svm_raw.get("max_passes", 200)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -452,14 +451,7 @@ class GridRunner:
             train = augmented
         try:
             X_train = featurize(train, res.embeddings)
-            model = svm_train(
-                X_train, train.labels(),
-                SvmConfig(
-                    C=config.svm.C, gamma=config.svm.gamma, tol=config.svm.tol,
-                    max_passes=config.svm.max_passes,
-                    seed=derive_seed(config.master_seed, "svm", *cell.key()),
-                ),
-            )
+            model = svm_train(X_train, train.labels(), config.svm)
             preds = svm_predict(model, X_test)
         except TrainingError as exc:
             self._log({"event": "training_failed", "cell": list(cell.key()),

@@ -1,7 +1,7 @@
 """RBF-kernel SVM: one-vs-one training via SMO, and prediction.
 
-Training is deterministic given the config seed; the Gram matrix is
-computed once per fit and shared by all pairwise machines.
+Training is deterministic: the solver draws no random numbers. The Gram
+matrix is computed once per fit and shared by all pairwise machines.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ _SUPPORT_EPS = 1e-8
 class SvmConfig:
     C: float = 10.0
     gamma: float | str = "scale"  # positive float, or "scale"
-    tol: float = 1e-3
-    max_passes: int = 200
-    seed: int = 0
+    tol: float = 1e-3  # SMO stops when the maximal-violating-pair gap is <= tol
 
     def __post_init__(self) -> None:
         if self.C <= 0:
             raise ValueError("C must be positive")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         if isinstance(self.gamma, str):
             if self.gamma != "scale":
                 raise ValueError(f"unknown gamma mode {self.gamma!r}")
@@ -86,8 +86,9 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
 def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmModel:
     """Train one-vs-one RBF machines with the SMO solver.
 
-    Raises TrainingError for single-class input and non-finite features;
-    gamma="scale" additionally requires non-degenerate features.
+    Raises TrainingError for single-class input, non-finite features and
+    a solve that reaches the solver's iteration ceiling; gamma="scale"
+    additionally requires non-degenerate features.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(y):
@@ -103,14 +104,11 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
     K = kernels.rbf_gram(X, gamma)
     y_arr = np.asarray(y)
     machines: list[BinaryMachine] = []
-    for pair_id, (a, bcls) in enumerate(_pairs(classes)):
+    for a, bcls in _pairs(classes):
         idx = np.nonzero((y_arr == a) | (y_arr == bcls))[0]
         y_signed = np.where(y_arr[idx] == a, 1.0, -1.0)
         K_sub = np.ascontiguousarray(K[np.ix_(idx, idx)])
-        machine_seed = (cfg.seed * 1000003 + pair_id + 1) % 2147483647
-        alpha, bias = kernels.smo_solve(
-            K_sub, y_signed, cfg.C, cfg.tol, cfg.max_passes, machine_seed
-        )
+        alpha, bias = kernels.smo_solve(K_sub, y_signed, cfg.C, cfg.tol)
         sv = np.nonzero(alpha > _SUPPORT_EPS)[0]
         if sv.size == 0:
             raise TrainingError(

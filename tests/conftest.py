@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from augbench import kernels
 from augbench.resources import EmbeddingStore, synonym_map_from_dict
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so individual tests time only the work
-    kernels.warmup()
 
 
 @pytest.fixture

@@ -117,24 +117,24 @@ XOR_Y = ["a", "a", "b", "b"]
 class TestSvm:
     def test_separable_blobs(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig(seed=1))
+        model = svm_train(X, y, SvmConfig())
         acc = np.mean([p == t for p, t in zip(svm_predict(model, X), y)])
         assert acc >= 0.99
 
     def test_xor(self):
-        model = svm_train(XOR_X, XOR_Y, SvmConfig(gamma=1.0, seed=2))
+        model = svm_train(XOR_X, XOR_Y, SvmConfig(gamma=1.0))
         assert svm_predict(model, XOR_X) == XOR_Y
 
     def test_dual_coefficients_bounded(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig(C=10.0, seed=3))
+        model = svm_train(X, y, SvmConfig(C=10.0))
         for machine in model.machines:
             assert np.all(np.abs(machine.dual_coef) <= 10.0 + 1e-9)
 
     def test_kkt_conditions(self):
         # complementarity cases within solver tolerance plus slack
         X, y = make_blobs()
-        cfg = SvmConfig(C=10.0, seed=4)
+        cfg = SvmConfig(C=10.0)
         model = svm_train(X, y, cfg)
         machine = model.machines[0]
         y_signed = np.array([1.0 if t == "neg" else -1.0 for t in y])
@@ -157,8 +157,8 @@ class TestSvm:
 
     def test_deterministic(self):
         X, y = make_blobs(seed=7)
-        m1 = svm_train(X, y, SvmConfig(seed=9))
-        m2 = svm_train(X, y, SvmConfig(seed=9))
+        m1 = svm_train(X, y, SvmConfig())
+        m2 = svm_train(X, y, SvmConfig())
         assert np.array_equal(m1.machines[0].dual_coef, m2.machines[0].dual_coef)
         assert m1.machines[0].bias == m2.machines[0].bias
 
@@ -168,19 +168,19 @@ class TestSvm:
         X = np.vstack([rng.normal(0, 0.3, (15, 2)) + c
                        for c in centers.values()])
         y = [lbl for lbl in centers for _ in range(15)]
-        model = svm_train(X, y, SvmConfig(seed=6))
+        model = svm_train(X, y, SvmConfig())
         assert len(model.machines) == 3
         acc = np.mean([p == t for p, t in zip(svm_predict(model, X), y)])
         assert acc >= 0.95
 
     def test_point_deep_inside_class(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig(seed=8))
+        model = svm_train(X, y, SvmConfig())
         assert svm_predict(model, np.array([[3.0, 3.0]])) == ["pos"]
 
     def test_empty_predict(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig(seed=1))
+        model = svm_train(X, y, SvmConfig())
         assert svm_predict(model, np.empty((0, 2))) == []
 
     def test_single_class_rejected(self):
@@ -194,7 +194,7 @@ class TestSvm:
 
     def test_predict_dim_mismatch(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig(seed=1))
+        model = svm_train(X, y, SvmConfig())
         with pytest.raises(ValueError):
             svm_predict(model, np.zeros((2, 5)))
 

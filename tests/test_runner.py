@@ -1,9 +1,12 @@
+import functools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from augbench import report, runner, synthdata
+from augbench import kernels, report, runner, synthdata
 from augbench.errors import ConfigError, DataError
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
@@ -56,6 +59,10 @@ class TestConfig:
         bad = {**demo, "aug_percentages": [0.05, 0.1]}
         with pytest.raises(ConfigError, match="must contain 0"):
             runner.config_from_dict(bad)
+
+    def test_nonpositive_tol_rejected(self, demo):
+        with pytest.raises(ConfigError, match="tol must be positive"):
+            runner.config_from_dict({**demo, "svm": {"tol": 0}})
 
     def test_unknown_group(self, demo):
         bad = {**demo, "groups": ["EDA", "GAN"]}
@@ -260,6 +267,49 @@ class TestFailurePaths:
         })
         rows = runner.run_grid(cfg, str(tmp_path / "out"))
         assert [r.status for r in rows] == ["train_failed"]
+
+    def test_solver_ceiling_marks_train_failed(self, demo, tmp_path, monkeypatch):
+        # an unconverged solve is a failed cell, never a kept model
+        monkeypatch.setattr(
+            kernels, "smo_solve", functools.partial(kernels.smo_solve, max_iter=1)
+        )
+        cfg = runner.config_from_dict({
+            **demo, "groups": ["EDA"], "subset_sizes": [80], "rounds": 1,
+        })
+        rows = runner.run_grid(cfg, str(tmp_path / "out"))
+        assert len(rows) == len(runner.plan_grid(cfg))
+        assert {r.status for r in rows} == {"train_failed"}
+
+
+class TestBlasThreads:
+    def test_results_identical_with_one_blas_thread(self, tmp_path):
+        # X @ X.T rounds differently with one OpenBLAS thread than with
+        # several; the converged solve must absorb those last bits. This
+        # grid's round-1 baseline changed F1 under the capped solver.
+        cfg = synthdata.make_demo(str(tmp_path / "fx"), rows=2000, seed=7)
+        cfg.update(datasets=[d for d in cfg["datasets"] if d["name"] == "synth2"],
+                   groups=["EDA"], subset_sizes=[600], aug_percentages=[0],
+                   rounds=2)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg))
+        src = os.path.dirname(os.path.dirname(runner.__file__))
+        outputs = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in {
+                "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}}
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"out-{threads or 'default'}"
+            done = subprocess.run(
+                [sys.executable, "-m", "augbench.cli", "run-grid",
+                 "--config", str(config_path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((out / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestRunSingleCell:
