@@ -2,7 +2,7 @@
 
 Subcommands: augment, train, run-grid, mcnemar, report. Exit codes map
 error categories: 0 success, 2 usage/config, 3 data, 4 resource,
-5 transport, 1 anything else.
+5 transport, 1 anything else (a failed grid invariant included).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import sys
 from . import report, runner, stats
 from .corpus import Dataset, select_augmentation_targets
 from .errors import (
-    AugbenchError, ConfigError, DataError, ResourceError, TransportError,
+    AugbenchError, ConfigError, DataError, InvariantError, ResourceError,
+    TransportError,
 )
 from .metrics import load_predictions
 from .pipeline import augment_training_set
@@ -26,6 +27,7 @@ _EXIT_CODES = [
     (DataError, 3, "data"),
     (ResourceError, 4, "resource"),
     (TransportError, 5, "transport"),
+    (InvariantError, 1, "invariant"),
     (AugbenchError, 1, "error"),
 ]
 

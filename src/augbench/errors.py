@@ -39,3 +39,7 @@ class EmptySentenceError(AugbenchError):
 
 class MissingBaselineError(AugbenchError):
     """An augmented result has no p=0 baseline to pair with."""
+
+
+class InvariantError(AugbenchError):
+    """A grid invariant failed: train/test overlap or augmentation purity."""

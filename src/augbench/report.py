@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import DataError
-from .results import ExperimentResult
+from .results import ExperimentResult, _fmt
 from .stats import (
     ALPHA, GainRecord, ScreenRow, TestResult, compute_gains, filter_best,
     significance_screen,
@@ -38,14 +38,6 @@ def _group_sort_key(group: str):
         return (0, GROUP_ORDER.index(group))
     except ValueError:
         return (1, group)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:

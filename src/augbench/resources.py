@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +133,10 @@ class EmbeddingStore:
     def vector(self, word: str) -> np.ndarray | None:
         i = self._index.get(word)
         return None if i is None else self.matrix[i]
+
+    def token_ids(self, tokens: Iterable[str]) -> list[int]:
+        """Matrix rows of the in-vocabulary tokens, in order; OOV skipped."""
+        return [i for i in map(self._index.get, tokens) if i is not None]
 
 
 def load_embeddings(path: str) -> EmbeddingStore:

@@ -2,10 +2,11 @@
 
 A grid cell is (dataset, group, subset size, augmentation percentage,
 round). Cells derive their seeds from the master seed by a stable hash
-of their coordinates, so any cell is independently re-runnable. Within
-one (dataset, group, size, round) bucket the p=0 baseline's subset and
-split are reused by the p>0 cells, which keeps McNemar pairs on the
-identical test set.
+of their coordinates, so any cell is independently re-runnable. The
+cells that share a subset key (see ``subset_key``) run as one unit:
+the subset, split, features and p=0 baseline are computed once and
+reused by every group's baseline row and by the p>0 cells, which keeps
+McNemar pairs on the identical test set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .corpus import (
     Dataset, load_dataset, resample_subset, select_augmentation_targets, split,
 )
 from .eda import EdaConfig, eda_augment
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, InvariantError, TrainingError
 from .features import featurize
 from .metrics import evaluate, save_predictions
 from .pipeline import augment_training_set, back_translate, sequential_augment
@@ -147,6 +148,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("aug_percentages must lie in [0, 1]")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
+    workers = raw.get("workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     embeddings_path = resources.get("embeddings")
     if not embeddings_path:
         raise ConfigError("resources.embeddings is required")
@@ -199,7 +203,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raw.get("share_subsets_across_groups", True)
         ),
         cache_path=raw.get("cache_path"),
-        workers=int(raw.get("workers", 1)),
+        workers=workers,
     )
 
 
@@ -311,8 +315,20 @@ def generated_per_target(config: ExperimentConfig, group: str) -> int:
     return config.eda.n_aug if group == "EDA" else 1
 
 
+def subset_key(config: ExperimentConfig, cell: GridCell) -> tuple:
+    """Coordinates that salt a cell's subset and split.
+
+    Cells with the same key draw the same subset and split, so they
+    share one p=0 baseline: (dataset, size, round), plus the group when
+    subsets are not shared across groups.
+    """
+    if config.share_subsets_across_groups:
+        return (cell.dataset, cell.subset_size, cell.round)
+    return (cell.dataset, cell.group, cell.subset_size, cell.round)
+
+
 class GridRunner:
-    """Runs buckets of cells and assembles results in plan order."""
+    """Runs the cells of each subset together and assembles results in plan order."""
 
     def __init__(self, config: ExperimentConfig, out_dir: str,
                  resources: Resources | None = None):
@@ -329,11 +345,9 @@ class GridRunner:
 
     def run(self) -> list[ExperimentResult]:
         cells = plan_grid(self.config)
-        buckets: dict[tuple, list[GridCell]] = {}
+        units: dict[tuple, list[GridCell]] = {}
         for cell in cells:
-            buckets.setdefault(
-                (cell.dataset, cell.group, cell.subset_size, cell.round), []
-            ).append(cell)
+            units.setdefault(subset_key(self.config, cell), []).append(cell)
         if self.config.resource_id:
             self._log({"event": "resources",
                        "resource_id": self.config.resource_id})
@@ -344,15 +358,15 @@ class GridRunner:
             self._log({"event": "dataset", "name": name, "rows": len(ds),
                        "skipped_rows": ds.skipped, "label_histogram": hist})
         results: dict[tuple, ExperimentResult] = {}
-        bucket_lists = list(buckets.values())
+        unit_lists = list(units.values())
         if self.config.workers > 1:
             with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                for rows in pool.map(self._run_bucket, bucket_lists):
+                for rows in pool.map(self._run_unit, unit_lists):
                     for row in rows:
                         results[row.key()] = row
         else:
-            for bucket in bucket_lists:
-                for row in self._run_bucket(bucket):
+            for unit in unit_lists:
+                for row in self._run_unit(unit):
                     results[row.key()] = row
         ordered = [results[c.key()] for c in cells]
         write_results_csv(os.path.join(self.out_dir, "results.csv"), ordered)
@@ -367,103 +381,139 @@ class GridRunner:
         )
         return os.path.join(self.predictions_dir, fname)
 
-    def _run_bucket(self, bucket: list[GridCell]) -> list[ExperimentResult]:
+    def _run_unit(self, cells: list[GridCell]) -> list[ExperimentResult]:
+        """Run the cells of one subset key.
+
+        The subset, split, features and p=0 model are computed once and
+        shared by every group's baseline row and by every p>0 cell, which
+        featurizes only its generated sentences. All of it is local to
+        this call, so it is freed when the unit ends.
+        """
         config, res = self.config, self.resources
-        cells = sorted(bucket, key=lambda c: (c.aug_pct != 0.0, c.aug_pct))
         first = cells[0]
-        dataset = res.datasets[first.dataset]
-        subset_salt = [first.dataset, first.subset_size, first.round]
-        if not config.share_subsets_across_groups:
-            subset_salt.insert(1, first.group)
+        key = subset_key(config, first)
+        started = time.perf_counter()
         subset = resample_subset(
-            dataset, first.subset_size,
-            derive_seed(config.master_seed, "subset", *subset_salt),
+            res.datasets[first.dataset], first.subset_size,
+            derive_seed(config.master_seed, "subset", *key),
         )
         pair = split(
             subset, ratio=config.split_ratio,
-            seed=derive_seed(config.master_seed, "split", *subset_salt),
+            seed=derive_seed(config.master_seed, "split", *key),
         )
-        assert not set(pair.train_indices) & set(pair.test_indices)
+        if set(pair.train_indices) & set(pair.test_indices):
+            raise InvariantError(f"train and test sets overlap in subset {key}")
         X_test = featurize(pair.test, res.embeddings)
+        X_train = featurize(pair.train, res.embeddings)
         y_test = pair.test.labels()
-        rows: list[ExperimentResult] = []
+        baselines = [c for c in cells if c.aug_pct == 0.0]
+        baseline_preds = self._train_predict(
+            X_train, pair.train.labels(), X_test, baselines
+        )
         baseline_f1: float | None = None
-        baseline_preds: list[str] | None = None
+        if baseline_preds is not None:
+            baseline_f1 = evaluate(y_test, baseline_preds).weighted_f1
+        self._log({"event": "baseline", "subset": list(key),
+                   "status": STATUS_OK if baseline_preds is not None
+                   else STATUS_TRAIN_FAILED,
+                   "seconds": round(time.perf_counter() - started, 4)})
+        rows: list[ExperimentResult] = []
         for cell in cells:
             started = time.perf_counter()
-            row, purity_ok, preds = self._run_cell(
-                cell, pair, X_test, y_test, baseline_f1, baseline_preds
-            )
-            if cell.aug_pct == 0.0 and row.status == STATUS_OK:
-                baseline_f1 = row.f1
-                baseline_preds = preds
+            if cell.aug_pct == 0.0:
+                row = self._row(cell)
+                if baseline_preds is None:
+                    row.status = STATUS_TRAIN_FAILED
+                else:
+                    row.f1 = baseline_f1
+                    save_predictions(
+                        self._prediction_path(cell), y_test, baseline_preds
+                    )
+            else:
+                row = self._run_augmented(
+                    cell, pair.train, X_train, X_test, y_test,
+                    baseline_f1, baseline_preds,
+                )
             self._log({
                 "event": "cell", "dataset": cell.dataset, "group": cell.group,
                 "subset_size": cell.subset_size, "aug_pct": cell.aug_pct,
                 "round": cell.round, "status": row.status,
                 "seconds": round(time.perf_counter() - started, 4),
-                "purity_ok": purity_ok,
+                "purity_ok": True,  # a purity violation raises InvariantError
             })
             rows.append(row)
         return rows
 
-    def _run_cell(
-        self,
-        cell: GridCell,
-        pair,
-        X_test: np.ndarray,
-        y_test: list[str],
-        baseline_f1: float | None,
-        baseline_preds: list[str] | None,
-    ) -> tuple[ExperimentResult, bool, list[str] | None]:
-        config, res = self.config, self.resources
-        row = ExperimentResult(
+    @staticmethod
+    def _row(cell: GridCell) -> ExperimentResult:
+        return ExperimentResult(
             dataset=cell.dataset, group=cell.group,
             subset_size=cell.subset_size, aug_pct=cell.aug_pct,
             round=cell.round,
         )
-        train = pair.train
-        purity_ok = True
-        if cell.aug_pct > 0.0:
-            targets = select_augmentation_targets(
-                train, cell.aug_pct,
-                derive_seed(config.master_seed, "targets", *cell.key()),
-            )
-            augmented, failures = augment_training_set(
-                train, targets, make_augmenter(config, res, cell)
-            )
-            if failures:
-                self._log({
-                    "event": "augmentation_failed", "cell": list(cell.key()),
-                    "failed_targets": len(failures),
-                })
-                row.status = STATUS_AUG_FAILED
-                return row, purity_ok, None
-            expected = len(train) + len(targets) * generated_per_target(
-                config, cell.group
-            )
-            # test-set purity: originals verbatim and first, growth bounded
-            purity_ok = (
-                augmented.examples[: len(train)] == train.examples
-                and len(augmented) == expected
-            )
-            assert purity_ok, f"augmentation purity violated for {cell.key()}"
-            train = augmented
+
+    def _train_predict(self, X_train: np.ndarray, y_train: list[str],
+                       X_test: np.ndarray,
+                       cells: list[GridCell]) -> list[str] | None:
+        """Test-set predictions, or None (logged for each cell) on TrainingError."""
         try:
-            X_train = featurize(train, res.embeddings)
-            model = svm_train(X_train, train.labels(), config.svm)
-            preds = svm_predict(model, X_test)
+            model = svm_train(X_train, y_train, self.config.svm)
+            return svm_predict(model, X_test)
         except TrainingError as exc:
-            self._log({"event": "training_failed", "cell": list(cell.key()),
-                       "error": str(exc)})
+            for cell in cells:
+                self._log({"event": "training_failed",
+                           "cell": list(cell.key()), "error": str(exc)})
+            return None
+
+    def _run_augmented(
+        self,
+        cell: GridCell,
+        train: Dataset,
+        X_train: np.ndarray,
+        X_test: np.ndarray,
+        y_test: list[str],
+        baseline_f1: float | None,
+        baseline_preds: list[str] | None,
+    ) -> ExperimentResult:
+        """One p>0 cell: augment, featurize the new rows, train, pair."""
+        config, res = self.config, self.resources
+        row = self._row(cell)
+        targets = select_augmentation_targets(
+            train, cell.aug_pct,
+            derive_seed(config.master_seed, "targets", *cell.key()),
+        )
+        augmented, failures = augment_training_set(
+            train, targets, make_augmenter(config, res, cell)
+        )
+        if failures:
+            self._log({
+                "event": "augmentation_failed", "cell": list(cell.key()),
+                "failed_targets": len(failures),
+            })
+            row.status = STATUS_AUG_FAILED
+            return row
+        # test-set purity: originals verbatim and first, growth bounded
+        expected = len(train) + len(targets) * generated_per_target(
+            config, cell.group
+        )
+        if (augmented.examples[: len(train)] != train.examples
+                or len(augmented) != expected):
+            raise InvariantError(
+                f"augmentation purity violated for {cell.key()}"
+            )
+        generated = Dataset(
+            name=train.name, examples=augmented.examples[len(train):]
+        )
+        X_augmented = np.vstack([X_train, featurize(generated, res.embeddings)])
+        preds = self._train_predict(
+            X_augmented, augmented.labels(), X_test, [cell]
+        )
+        if preds is None:
             row.status = STATUS_TRAIN_FAILED
-            return row, purity_ok, None
-        report = evaluate(y_test, preds)
+            return row
+        row.f1 = evaluate(y_test, preds).weighted_f1
         save_predictions(self._prediction_path(cell), y_test, preds)
-        row.f1 = report.weighted_f1
-        if cell.aug_pct == 0.0:
-            return row, purity_ok, preds
-        if baseline_f1 is not None and baseline_preds is not None:
+        if baseline_preds is not None:
             row.baseline_f1 = baseline_f1
             row.gain = row.f1 - baseline_f1
             if row.gain > 0:
@@ -471,7 +521,7 @@ class GridRunner:
                 test = stats.mcnemar(table)
                 row.b, row.c = table.b, table.c
                 row.chi2, row.p_value = test.chi2, test.p_value
-        return row, purity_ok, preds
+        return row
 
 
 def run_grid(config: ExperimentConfig, out_dir: str) -> list[ExperimentResult]:
@@ -498,10 +548,10 @@ def run_single_cell(
         raise ConfigError(f"dataset {dataset!r} not in config")
     if group not in config.groups:
         raise ConfigError(f"group {group!r} not in config")
-    bucket = [GridCell(dataset, group, subset_size, 0.0, round_index)]
+    cells = [GridCell(dataset, group, subset_size, 0.0, round_index)]
     if aug_pct > 0.0:
-        bucket.append(GridCell(dataset, group, subset_size, aug_pct, round_index))
-    rows = runner._run_bucket(bucket)
+        cells.append(GridCell(dataset, group, subset_size, aug_pct, round_index))
+    rows = runner._run_unit(cells)
     wanted = next(r for r in rows if r.aug_pct == aug_pct)
     write_results_csv(os.path.join(out_dir, "results.csv"), [wanted])
     with open(runner._log_path, "w", encoding="utf-8") as fh:

@@ -107,7 +107,10 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
     for a, bcls in _pairs(classes):
         idx = np.nonzero((y_arr == a) | (y_arr == bcls))[0]
         y_signed = np.where(y_arr[idx] == a, 1.0, -1.0)
-        K_sub = np.ascontiguousarray(K[np.ix_(idx, idx)])
+        # A pair that covers every row (any two-class set) solves on K itself.
+        K_sub = K
+        if idx.size < len(y):
+            K_sub = np.ascontiguousarray(K[np.ix_(idx, idx)])
         alpha, bias = kernels.smo_solve(K_sub, y_signed, cfg.C, cfg.tol)
         sv = np.nonzero(alpha > _SUPPORT_EPS)[0]
         if sv.size == 0:

@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from augbench import kernels
 from augbench.errors import DegenerateFeaturesError, TrainingError
 from augbench.features import featurize, sentence_vector
 from augbench.corpus import Dataset, LabeledExample
@@ -53,6 +56,59 @@ class TestSentenceVector:
         X = featurize(ds, store)
         assert X.shape == (2, 2)
         assert np.array_equal(X[0], [1.0, 0.0])
+
+
+VOCAB = ("bom", "ruim", "filme", "nada")
+OOV = ("zz", "qq")
+finite = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+def reference_vector(tokens, store):
+    """The per-sentence mean featurize computed before it was vectorised."""
+    rows = [store.vector(tok) for tok in tokens]
+    rows = [r for r in rows if r is not None]
+    if not rows:
+        return np.zeros(store.dim, dtype=np.float64)
+    return np.mean(np.stack(rows), axis=0)
+
+
+class TestFeaturizeMatchesPerSentenceMean:
+    @given(
+        vectors=st.lists(st.lists(finite, min_size=3, max_size=3),
+                         min_size=len(VOCAB), max_size=len(VOCAB)),
+        sentences=st.lists(
+            st.lists(st.sampled_from(VOCAB + OOV), max_size=12), max_size=8
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal(self, vectors, sentences):
+        # covers empty, OOV-only and repeated-token sentences and, with
+        # no sentences, an empty dataset
+        store = make_store(dict(zip(VOCAB, vectors)))
+        ds = Dataset(name="d", examples=tuple(
+            LabeledExample(" ".join(toks), "x") for toks in sentences
+        ))
+        X = featurize(ds, store)
+        assert X.shape == (len(sentences), 3)
+        for row, toks in zip(X, sentences):
+            expected = reference_vector(toks, store)
+            assert np.array_equal(row, expected)
+            assert row.tobytes() == expected.tobytes()  # signed zeros too
+            assert sentence_vector(toks, store).tobytes() == expected.tobytes()
+
+    def test_oov_only_and_empty_rows_are_zero(self):
+        store = make_store({"a": [1.0, -2.0]})
+        ds = Dataset(name="d", examples=(
+            LabeledExample("zz qq", "x"), LabeledExample("", "x"),
+            LabeledExample("a a zz", "x"),
+        ))
+        X = featurize(ds, store)
+        assert np.array_equal(X, [[0.0, 0.0], [0.0, 0.0], [1.0, -2.0]])
+
+    def test_empty_dataset(self):
+        store = make_store({"a": [1.0, 2.0]})
+        X = featurize(Dataset(name="d", examples=()), store)
+        assert X.shape == (0, 2) and X.dtype == np.float64
 
 
 class TestGammaScale:
@@ -161,6 +217,18 @@ class TestSvm:
         m2 = svm_train(X, y, SvmConfig())
         assert np.array_equal(m1.machines[0].dual_coef, m2.machines[0].dual_coef)
         assert m1.machines[0].bias == m2.machines[0].bias
+
+    def test_two_class_solves_on_the_gram_matrix_itself(self, monkeypatch):
+        # one pair covers every row, so no n x n copy is made
+        grams, solved = [], []
+        gram, solve = kernels.rbf_gram, kernels.smo_solve
+        monkeypatch.setattr(kernels, "rbf_gram",
+                            lambda *a: grams.append(gram(*a)) or grams[-1])
+        monkeypatch.setattr(kernels, "smo_solve",
+                            lambda K, *a: solved.append(K) or solve(K, *a))
+        X, y = make_blobs()
+        svm_train(X, y, SvmConfig())
+        assert len(solved) == 1 and solved[0] is grams[0]
 
     def test_multiclass_votes(self):
         rng = np.random.default_rng(5)

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from augbench import kernels, report, runner, synthdata
-from augbench.errors import ConfigError, DataError
+from augbench import cli, kernels, report, runner, synthdata
+from augbench.corpus import Dataset, SplitPair
+from augbench.errors import ConfigError, DataError, InvariantError
+from augbench.metrics import load_predictions
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
 )
@@ -81,6 +83,11 @@ class TestConfig:
         bad = {**demo, "providers": {}}
         with pytest.raises(ConfigError, match="translation"):
             runner.config_from_dict(bad)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, demo, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            runner.config_from_dict({**demo, "workers": workers})
 
     def test_eda_requires_ppdb(self, demo):
         bad = {**demo, "resources": {"embeddings": demo["resources"]["embeddings"]}}
@@ -279,6 +286,113 @@ class TestFailurePaths:
         rows = runner.run_grid(cfg, str(tmp_path / "out"))
         assert len(rows) == len(runner.plan_grid(cfg))
         assert {r.status for r in rows} == {"train_failed"}
+
+
+def count_svm_train(monkeypatch) -> list[int]:
+    """Record the training-set size of every svm_train call the runner makes."""
+    sizes: list[int] = []
+    train = runner.svm_train
+
+    def counted(X, y, cfg):
+        sizes.append(len(y))
+        return train(X, y, cfg)
+
+    monkeypatch.setattr(runner, "svm_train", counted)
+    return sizes
+
+
+class TestSharedBaseline:
+    def test_three_groups_train_each_baseline_once(self, demo, tmp_path,
+                                                   monkeypatch):
+        sizes = count_svm_train(monkeypatch)
+        config = runner.config_from_dict(demo)
+        rows = runner.run_grid(config, str(tmp_path / "out"))
+        assert len(config.groups) == 3
+        units = len(config.datasets) * len(config.subset_sizes) * config.rounds
+        augmented = sum(1 for r in rows if r.aug_pct > 0)
+        assert len(sizes) == units + augmented
+        # a baseline trains on the split's 75% train part, nothing more
+        assert sorted(n for n in sizes if n in (60, 105)) == [60, 60, 105, 105]
+
+    def test_baseline_rows_and_files_match_run_single_cell(self, run, tmp_path):
+        config, out, rows = run
+        for row in rows:
+            if row.aug_pct != 0.0:
+                continue
+            single_out = tmp_path / f"{row.dataset}-{row.group}-{row.subset_size}"
+            single = runner.run_single_cell(
+                config, str(single_out), row.dataset, row.group,
+                row.subset_size, 0.0, row.round,
+            )
+            assert single == row
+            name = (f"{row.dataset}_{row.group}_{row.subset_size}_"
+                    f"0.0_{row.round}.jsonl")
+            grid_file = os.path.join(out, "predictions", name)
+            single_file = single_out / "predictions" / name
+            assert single_file.read_bytes() == open(grid_file, "rb").read()
+
+    def test_unshared_subsets_give_each_group_its_own_baseline(
+            self, demo, tmp_path, monkeypatch):
+        sizes = count_svm_train(monkeypatch)
+        config = runner.config_from_dict({
+            **demo, "datasets": demo["datasets"][:1], "subset_sizes": [80],
+            "share_subsets_across_groups": False,
+        })
+        out = tmp_path / "grid"
+        rows = runner.run_grid(config, str(out))
+        # one baseline and one augmented model per group
+        assert len(sizes) == 2 * len(config.groups)
+        assert sorted(sizes)[:3] == [60, 60, 60]
+        truths = set()
+        for row in rows:
+            if row.aug_pct != 0.0:
+                continue
+            single = runner.run_single_cell(
+                config, str(tmp_path / row.group), row.dataset, row.group,
+                row.subset_size, 0.0, row.round,
+            )
+            assert single == row
+            name = f"{row.dataset}_{row.group}_80_0.0_0.jsonl"
+            y_true, _ = load_predictions(str(out / "predictions" / name))
+            truths.add(tuple(y_true))
+        assert len(truths) == len(config.groups)
+
+
+class TestInvariants:
+    def test_dropped_original_row_exits_nonzero(self, demo, tmp_path,
+                                                monkeypatch, capsys):
+        augment = runner.augment_training_set
+
+        def drops_first_original(train, targets, augmenter):
+            augmented, failures = augment(train, targets, augmenter)
+            examples = augmented.examples[1:] + augmented.examples[:1]
+            return Dataset(name=augmented.name, examples=examples), failures
+
+        monkeypatch.setattr(runner, "augment_training_set", drops_first_original)
+        cfg = {**demo, "datasets": demo["datasets"][:1], "groups": ["EDA"],
+               "subset_sizes": [80]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["run-grid", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error[invariant]" in capsys.readouterr().err
+
+    def test_overlapping_split_raises(self, demo, tmp_path, monkeypatch):
+        real_split = runner.split
+
+        def overlapping(subset, ratio, seed):
+            pair = real_split(subset, ratio=ratio, seed=seed)
+            return SplitPair(pair.train, pair.test, pair.train_indices,
+                             pair.test_indices + pair.train_indices[:1])
+
+        monkeypatch.setattr(runner, "split", overlapping)
+        config = runner.config_from_dict({
+            **demo, "datasets": demo["datasets"][:1], "groups": ["EDA"],
+            "subset_sizes": [80],
+        })
+        with pytest.raises(InvariantError, match="overlap"):
+            runner.run_grid(config, str(tmp_path / "out"))
 
 
 class TestBlasThreads:
