@@ -6,7 +6,9 @@ keeps the gradient of the dual up to date, updates the maximal violator
 in I_up together with the I_low partner that promises the largest
 decrease of the objective, and stops when the maximal-violating-pair
 gap is at most ``tol``. It draws no random numbers, so a solve is a
-function of its inputs alone. Everything is plain NumPy.
+function of its inputs alone. Everything is plain NumPy; the curvature
+row of each working-set index is computed once per solve, as LIBSVM
+caches kernel rows.
 """
 
 from __future__ import annotations
@@ -21,22 +23,33 @@ _TAU = 1e-12  # curvature floor for pairs of (near-)identical points
 def rbf_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix exp(-gamma * ||x_i - x_j||^2); unit diagonal pinned exactly."""
     sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    K = np.exp(-gamma * d2)
+    K = _rbf(X, X, sq, sq, gamma)
     np.fill_diagonal(K, 1.0)
     return K
 
 
 def rbf_cross_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel values between the rows of A and the rows of B."""
-    d2 = (
-        np.einsum("ij,ij->i", A, A)[:, None]
-        + np.einsum("ij,ij->i", B, B)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
+    return _rbf(A, B, np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B),
+                gamma)
+
+
+def _rbf(
+    A: np.ndarray, B: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, gamma: float
+) -> np.ndarray:
+    """exp(-gamma * max(sq_a_i + sq_b_j - 2 a_i.b_j, 0)), built in place.
+
+    The same operations in the same order as the plain expression, but
+    only the result and A @ B.T are alive at the peak, not three arrays.
+    """
+    K = np.add.outer(sq_a, sq_b)
+    inner = A @ B.T
+    inner *= 2.0
+    K -= inner
+    del inner
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def smo_solve(
@@ -83,7 +96,7 @@ def smo_solve(
     masked = np.empty((2, n))
     up, low = masked
     gain = np.empty(n)
-    curve = np.empty(n)
+    curves: dict[int, np.ndarray] = {}  # i -> max(K_ii + K_tt - 2 K_it, _TAU)
     row = np.empty(n)
     iterations = 0
     while True:
@@ -110,10 +123,14 @@ def smo_solve(
         np.subtract(g_max, low, out=gain)  # -inf outside I_low
         np.maximum(gain, 0.0, out=gain)
         np.square(gain, out=gain)
-        np.multiply(K_i, -2.0, out=curve)
-        curve += k_diag
-        curve += k_diag.item(i)
-        np.maximum(curve, _TAU, out=curve)
+        # a_it depends on i only; about one iteration in eight sees a new i.
+        curve = curves.get(i)
+        if curve is None:
+            curve = K_i * -2.0
+            curve += k_diag
+            curve += k_diag.item(i)
+            np.maximum(curve, _TAU, out=curve)
+            curves[i] = curve
         gain /= curve
         j = int(gain.argmax())
         K_j = K[j]

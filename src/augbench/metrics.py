@@ -67,15 +67,16 @@ def save_predictions(
     """Persist paired predictions as JSON lines, one record per index."""
     if len(y_true) != len(y_pred):
         raise ValueError("true/predicted length mismatch")
+    # The bytes of json.dumps({...}, ensure_ascii=False) per record, with
+    # each distinct label encoded once.
+    quoted = {s: json.dumps(s, ensure_ascii=False) for s in {*y_true, *y_pred}}
+    lines = [
+        f'{{"index": {i}, "true_label": {quoted[t]}, '
+        f'"predicted_label": {quoted[p]}}}\n'
+        for i, (t, p) in enumerate(zip(y_true, y_pred))
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for i, (t, p) in enumerate(zip(y_true, y_pred)):
-            fh.write(
-                json.dumps(
-                    {"index": i, "true_label": t, "predicted_label": p},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        fh.write("".join(lines))
 
 
 def load_predictions(path: str) -> tuple[list[str], list[str]]:

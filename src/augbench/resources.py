@@ -112,6 +112,11 @@ class EmbeddingStore:
     _index: dict[str, int] = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
     _lex_rank: np.ndarray = field(init=False, repr=False)
+    # (word, k) -> nearest_neighbors result; the store is read-only, so an
+    # entry never goes stale.
+    _neighbors: dict[tuple[str, int], tuple[tuple[str, float], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -123,6 +128,7 @@ class EmbeddingStore:
         rank = np.empty(len(self.words), dtype=np.int64)
         rank[np.argsort(np.asarray(self.words))] = np.arange(len(self.words))
         object.__setattr__(self, "_lex_rank", rank)
+        object.__setattr__(self, "_neighbors", {})
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -196,15 +202,6 @@ def load_embeddings(path: str) -> EmbeddingStore:
     )
 
 
-def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """cos(x, y); undefined (raises) for zero vectors."""
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(np.dot(x, y) / (nx * ny))
-
-
 def nearest_neighbors(
     word: str, k: int, store: EmbeddingStore
 ) -> list[tuple[str, float]]:
@@ -212,24 +209,35 @@ def nearest_neighbors(
 
     The query itself and zero-norm words are excluded; ties break by
     lexicographic word order; an unknown (or zero-vector) query yields
-    an empty list.
+    an empty list. Results are memoised on the store; each call returns
+    a fresh list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    hit = store._neighbors.get((word, k))
+    if hit is None:
+        hit = store._neighbors[word, k] = _nearest(word, k, store)
+    return list(hit)
+
+
+def _nearest(
+    word: str, k: int, store: EmbeddingStore
+) -> tuple[tuple[str, float], ...]:
+    """The query behind nearest_neighbors, computed afresh."""
     qi = store._index.get(word)
     if qi is None:
-        return []
+        return ()
     q = store.matrix[qi]
     qnorm = store._norms[qi]
     if qnorm == 0.0:
-        return []
+        return ()
     sims = store.matrix @ q
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = sims / (store._norms * qnorm)
     mask = (store._norms > 0.0) & (np.arange(len(store)) != qi)
     candidates = np.nonzero(mask)[0]
     if candidates.size == 0:
-        return []
+        return ()
     order = np.lexsort((store._lex_rank[candidates], -sims[candidates]))
     top = candidates[order[:k]]
-    return [(store.words[i], float(sims[i])) for i in top]
+    return tuple((store.words[i], float(sims[i])) for i in top)

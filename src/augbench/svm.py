@@ -6,7 +6,6 @@ matrix is computed once per fit and shared by all pairwise machines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,18 +68,6 @@ def gamma_scale(X: np.ndarray) -> float:
     if var == 0.0:
         raise DegenerateFeaturesError("zero feature variance; gamma undefined")
     return 1.0 / (X.shape[1] * var)
-
-
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = x - y
-    return math.exp(-gamma * float(np.dot(d, d)))
 
 
 def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmModel:

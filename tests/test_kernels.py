@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy import optimize
 
 from augbench import kernels
 from augbench.errors import TrainingError
-from augbench.svm import SvmConfig, rbf_kernel, svm_train
+from augbench.svm import SvmConfig, svm_train
+from oracles import rbf_kernel
 
 
 @pytest.fixture
@@ -67,6 +69,88 @@ def qp_oracle(K, y, C):
     return alpha, float(0.5 * (score[up].max() + score[~up].min()))
 
 
+def reference_smo(K, y, C, tol):
+    """The solver loop before curvature rows were cached: a_it rebuilt on
+    every iteration. The cached solver must give the same bytes."""
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    k_diag = np.ascontiguousarray(np.diag(K))
+    labels = y.tolist()
+    score = y.copy()
+    masks = np.empty((2, n))
+    up_mask, low_mask = masks
+    up_mask[:] = np.where(y > 0, 0.0, -np.inf)
+    low_mask[:] = np.where(y > 0, np.inf, 0.0)
+    masked = np.empty((2, n))
+    up, low = masked
+    gain = np.empty(n)
+    curve = np.empty(n)
+    row = np.empty(n)
+    while True:
+        np.add(score, masks, out=masked)
+        i = int(up.argmax())
+        g_max = up.item(i)
+        g_min = low.item(int(low.argmin()))
+        if g_max - g_min <= tol:
+            score = y - K @ (alpha * y)
+            np.add(score, masks, out=masked)
+            if up.max() - low.min() <= tol:
+                break
+            continue
+        K_i = K[i]
+        np.subtract(g_max, low, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        np.square(gain, out=gain)
+        np.multiply(K_i, -2.0, out=curve)
+        curve += k_diag
+        curve += k_diag.item(i)
+        np.maximum(curve, kernels._TAU, out=curve)
+        gain /= curve
+        j = int(gain.argmax())
+        K_j = K[j]
+        y_i, y_j = labels[i], labels[j]
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        room_i = C - a_i if y_i > 0 else a_i
+        room_j = a_j if y_j > 0 else C - a_j
+        step = min((g_max - score.item(j)) / curve.item(j), room_i, room_j)
+        new_i = min(max(a_i + y_i * step, 0.0), C)
+        new_j = min(max(a_j - y_j * step, 0.0), C)
+        if step == room_i:
+            new_i = C if y_i > 0 else 0.0
+        if step == room_j:
+            new_j = 0.0 if y_j > 0 else C
+        alpha[i], alpha[j] = new_i, new_j
+        np.multiply(K_i, y_i * (new_i - a_i), out=row)
+        score -= row
+        np.multiply(K_j, y_j * (new_j - a_j), out=row)
+        score -= row
+        for t, a_t in ((i, new_i), (j, new_j)):
+            below_c = 0.0 if a_t < C else -np.inf
+            above_0 = 0.0 if a_t > 0.0 else -np.inf
+            if labels[t] > 0:
+                up_mask[t], low_mask[t] = below_c, -above_0
+            else:
+                up_mask[t], low_mask[t] = above_0, -below_c
+    return alpha, kernels._bias(alpha, y, score, C)
+
+
+def reference_gram(A, B, gamma):
+    """The plain expression the in-place Gram build must reproduce."""
+    d2 = (
+        np.einsum("ij,ij->i", A, A)[:, None]
+        + np.einsum("ij,ij->i", B, B)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-gamma * d2)
+
+
+def with_duplicates(n, seed, copies):
+    """make_problem with its first rows repeated: a_it hits the _TAU floor."""
+    X, y = make_problem(n, seed)
+    return np.vstack([X, X[:copies]]), np.concatenate([y, y[:copies]])
+
+
 TINY = [(n, seed, C) for n, seed in ((8, 0), (15, 1), (22, 2), (30, 3))
         for C in (0.5, 10.0)]
 
@@ -98,6 +182,50 @@ class TestGramAgreement:
         X, _ = random_problem
         K = kernels.rbf_gram(X, 1.1)
         assert np.all(K > 0.0) and np.all(K <= 1.0)
+
+    @pytest.mark.parametrize("n,m,dim,seed", [
+        (1, 1, 4, 0), (1, 9, 3, 1), (9, 1, 3, 2), (40, 40, 6, 3),
+        (145, 30, 50, 4), (300, 300, 50, 5),
+    ])
+    def test_byte_equal_to_plain_expression(self, n, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, dim))
+        B = rng.normal(size=(m, dim))
+        gamma = 1.0 / (dim * A.var()) if n > 1 else 0.3
+        expected = reference_gram(A, A, gamma)
+        np.fill_diagonal(expected, 1.0)
+        assert kernels.rbf_gram(A, gamma).tobytes() == expected.tobytes()
+        assert (kernels.rbf_cross_gram(A, B, gamma).tobytes()
+                == reference_gram(A, B, gamma).tobytes())
+
+    def test_repeated_rows_byte_equal(self):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(20, 5))
+        X = np.vstack([base, base[:7], base[:3]])
+        expected = reference_gram(X, X, 0.7)
+        np.fill_diagonal(expected, 1.0)
+        assert kernels.rbf_gram(X, 0.7).tobytes() == expected.tobytes()
+        assert (kernels.rbf_cross_gram(X[:10], X, 0.7).tobytes()
+                == reference_gram(X[:10], X, 0.7).tobytes())
+
+    @pytest.mark.parametrize("build", [
+        lambda X: kernels.rbf_gram(X, 0.1),
+        lambda X: kernels.rbf_cross_gram(X, X, 0.1),
+    ], ids=["gram", "cross"])
+    def test_peak_memory_two_matrices(self, build):
+        # the result and X @ X.T; the plain expression holds three n x n
+        n = 400
+        X = np.random.default_rng(7).normal(size=(n, 50))
+        build(X)  # warm up: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            K = build(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (n, n)
+        assert peak - base <= 2.25 * n * n * 8
 
 
 class TestSmoAgreement:
@@ -132,6 +260,26 @@ class TestSmoAgreement:
         assert kkt_gap(K, y, C, alpha) <= tol
         assert np.all((alpha >= 0.0) & (alpha <= C))
         assert float(alpha @ y) == pytest.approx(0.0, abs=1e-9 * max(1.0, C))
+
+    @pytest.mark.parametrize("X,y,C,tol", [
+        (*make_problem(12, 20), 10.0, 1e-3),
+        (*make_problem(60, 21), 1.0, 1e-3),
+        (*make_problem(150, 22), 10.0, 1e-3),
+        (*make_problem(300, 23), 100.0, 1e-2),
+        (*make_problem(300, 24), 10.0, 1e-5),
+        (*make_problem(80, 25, noise=3.0), 1e-2, 1e-3),  # steps end on C
+        (*make_problem(200, 26, noise=3.0), 0.05, 1e-4),
+        (*with_duplicates(50, 27, 10), 10.0, 1e-3),
+        (*with_duplicates(120, 28, 40), 1.0, 1e-4),
+        (*with_duplicates(250, 29, 50), 100.0, 1e-3),
+    ], ids=["n12", "n60", "n150", "n300-C100", "n300-tol1e-5", "n80-smallC",
+            "n200-smallC", "dup60", "dup160", "dup300"])
+    def test_byte_equal_to_uncached_loop(self, X, y, C, tol):
+        K = kernels.rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
+        alpha, bias = kernels.smo_solve(K, y, C, tol)
+        ref_alpha, ref_bias = reference_smo(K, y, C, tol)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert bias == ref_bias
 
     def test_matches_qp_oracle_on_tiny_problems(self):
         for n, seed, C in TINY:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -12,9 +13,8 @@ from augbench.features import featurize, sentence_vector
 from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
-from augbench.svm import (
-    SvmConfig, gamma_scale, rbf_kernel, svm_predict, svm_train,
-)
+from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
+from oracles import rbf_kernel
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -318,7 +318,33 @@ class TestEvaluate:
             )
 
 
+def reference_save_predictions(path, y_true, y_pred):
+    """The writer before labels were encoded once: one json.dumps per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (t, p) in enumerate(zip(y_true, y_pred)):
+            fh.write(
+                json.dumps(
+                    {"index": i, "true_label": t, "predicted_label": p},
+                    ensure_ascii=False,
+                )
+                + "\n"
+            )
+
+
 class TestPredictionsFile:
+    def test_bytes_match_per_record_writer(self, tmp_path):
+        labels = ["pos", 'say "hi"', "back\\slash", "não", "日本",
+                  "tab\tbell\x07", "", "line\nbreak", "\u2028"]
+        rng = random.Random(4)
+        for n in (0, 1, 7, 200):
+            y_true = [rng.choice(labels) for _ in range(n)]
+            y_pred = [rng.choice(labels) for _ in range(n)]
+            got, want = tmp_path / f"got{n}.jsonl", tmp_path / f"want{n}.jsonl"
+            save_predictions(str(got), y_true, y_pred)
+            reference_save_predictions(str(want), y_true, y_pred)
+            assert got.read_bytes() == want.read_bytes()
+            assert load_predictions(str(got)) == (y_true, y_pred)
+
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "preds.jsonl")
         y_true = ["a", "b", "a"]

@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from augbench.errors import ResourceError
 from augbench.resources import (
-    EmbeddingStore, cosine_similarity, load_embeddings, nearest_neighbors,
-    parse_ppdb,
+    EmbeddingStore, load_embeddings, nearest_neighbors, parse_ppdb,
 )
+from oracles import cosine_similarity
 
 
 def write_lines(path, lines):
@@ -189,14 +189,24 @@ class TestNearestNeighbors:
         words = tuple(f"w{i}" for i in range(40))
         matrix = rng.normal(size=(40, 6))
         store = EmbeddingStore(dim=6, words=words, matrix=matrix)
-        got = nearest_neighbors("w0", 5, store)
-        expected = sorted(
-            (
-                (w, cosine_similarity(matrix[0], matrix[i]))
-                for i, w in enumerate(words) if w != "w0"
-            ),
-            key=lambda ws: (-ws[1], ws[0]),
-        )[:5]
-        assert [w for w, _ in got] == [w for w, _ in expected]
-        for (_, s1), (_, s2) in zip(got, expected):
-            assert s1 == pytest.approx(s2, rel=1e-12)
+        for k in (5, 5, 39, 5):  # repeats are served from the store's memo
+            got = nearest_neighbors("w0", k, store)
+            expected = sorted(
+                (
+                    (w, cosine_similarity(matrix[0], matrix[i]))
+                    for i, w in enumerate(words) if w != "w0"
+                ),
+                key=lambda ws: (-ws[1], ws[0]),
+            )[:k]
+            assert [w for w, _ in got] == [w for w, _ in expected]
+            for (_, s1), (_, s2) in zip(got, expected):
+                assert s1 == pytest.approx(s2, rel=1e-12)
+
+    def test_repeated_call_returns_equal_independent_list(self, tiny_store):
+        first = nearest_neighbors("a", 2, tiny_store)
+        expected = list(first)
+        first.append(("zzz", 9.0))
+        first[0] = ("c", -1.0)
+        second = nearest_neighbors("a", 2, tiny_store)
+        assert second == expected
+        assert second is not first
