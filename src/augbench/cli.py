@@ -152,6 +152,8 @@ def _cmd_mcnemar(args) -> int:
     y_true_a, pred_a = load_predictions(args.augmented)
     if y_true_b != y_true_a:
         raise DataError("prediction files disagree on the true labels")
+    if not y_true_b:
+        raise DataError("prediction files hold no records")
     table = stats.contingency(y_true_b, pred_b, pred_a)
     result = stats.mcnemar(table)
     print(json.dumps({
@@ -196,9 +198,6 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(exc, etype):
                 print(f"error[{label}]: {exc}", file=sys.stderr)
                 return code
-        if isinstance(exc, (ValueError, KeyError, OSError)):
-            print(f"error[data]: {exc}", file=sys.stderr)
-            return 3
         raise
 
 

@@ -1,8 +1,8 @@
 """Dataset ingestion, tokenization, subset resampling and splitting.
 
 Every sampling operation here is a pure function of (input, parameters,
-seed); datasets are immutable after construction and safe to share
-across workers.
+seed); datasets are immutable after construction, so every grid cell
+can share them.
 """
 
 from __future__ import annotations

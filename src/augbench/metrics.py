@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from .errors import DataError
+
 
 @dataclass(frozen=True)
 class ClassScores:
@@ -80,16 +82,18 @@ def save_predictions(
 
 
 def load_predictions(path: str) -> tuple[list[str], list[str]]:
-    """Read a predictions file back into (y_true, y_pred), index order."""
-    records: list[tuple[int, str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            records.append(
-                (int(rec["index"]), str(rec["true_label"]), str(rec["predicted_label"]))
-            )
+    """Read a predictions file back into (y_true, y_pred), index order;
+    DataError for an unreadable file or a line that is not a record."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            records = [
+                (int(rec["index"]), str(rec["true_label"]),
+                 str(rec["predicted_label"]))
+                for rec in map(json.loads, filter(str.strip, fh))
+            ]
+    except OSError as exc:
+        raise DataError(f"cannot open predictions file: {path}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed prediction record: {exc!r}") from exc
     records.sort(key=lambda r: r[0])
     return [r[1] for r in records], [r[2] for r in records]

@@ -2,22 +2,23 @@
 
 Replacement providers back the sequential substitution pipeline; they
 never fail on unknown words, returning an empty candidate list instead.
-Translation providers may be remote: the HTTP client applies bounded
-retries with exponential backoff, an optional per-second rate cap and a
-max-in-flight limit. Credentials come from the environment and are
-never logged or echoed.
+The contextual and translation providers may be remote. Both talk to
+their service through one JSON client, which applies bounded retries
+with exponential backoff and an optional per-second rate cap. Credentials
+come from the environment and are never logged or echoed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
 
-from .errors import ResourceError, TransportError
+from .errors import ConfigError, DataError, ResourceError, TransportError
 from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
 
 
@@ -65,31 +66,25 @@ def contextual_request(context: Sequence[str], position: int) -> dict:
 
 def parse_contextual_response(payload: dict, word: str) -> list[str]:
     """Wire format received back; the query word itself is filtered out."""
-    cands = payload.get("candidates", [])
+    cands = payload.get("candidates", []) if isinstance(payload, dict) else None
     if not isinstance(cands, list):
         raise TransportError("contextual response lacks a candidates list")
     return [str(c) for c in cands if str(c) != word]
 
 
 class HttpContextualProvider(ReplacementProvider):
-    """Client for a remote masked-word service speaking the JSON contract."""
+    """Remote masked-word service speaking the JSON contract; options as
+    in ``http_options``."""
 
-    def __init__(self, url: str, timeout: float = 10.0, name: str = "contextual"):
-        self.url = url
-        self.timeout = timeout
+    def __init__(self, url: str, name: str = "contextual", **options):
         self.name = name
+        self._client = _JsonClient("contextual service", url, **options)
 
     def candidates(self, word, context, position):
-        body = json.dumps(contextual_request(context, position)).encode("utf-8")
-        req = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
+        return self._client.post(
+            contextual_request(context, position),
+            lambda payload: parse_contextual_response(payload, word),
         )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise TransportError(f"contextual service failed: {exc}") from exc
-        return parse_contextual_response(payload, word)
 
 
 class StubContextualProvider(ReplacementProvider):
@@ -115,21 +110,23 @@ class StubContextualProvider(ReplacementProvider):
         return parse_contextual_response(response, word)
 
 
-def load_contextual_table(path: str) -> dict[str, list[str]]:
-    """word<TAB>cand1,cand2,... lines for the contextual stub."""
-    table: dict[str, list[str]] = {}
+def _tab_pairs(path: str, what: str):
+    """Yield (left, right) from each 'left<TAB>right' line; skip the rest."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise ResourceError(f"cannot open contextual table: {path}") from exc
+        raise ResourceError(f"cannot open {what}: {path}") from exc
     with fh:
         for line in fh:
-            line = line.rstrip("\n")
-            if not line or "\t" not in line:
-                continue
-            word, cands = line.split("\t", 1)
-            table[word] = [c for c in cands.split(",") if c]
-    return table
+            left, tab, right = line.rstrip("\n").partition("\t")
+            if tab:
+                yield left, right
+
+
+def load_contextual_table(path: str) -> dict[str, list[str]]:
+    """word<TAB>cand1,cand2,... lines for the contextual stub."""
+    return {word: [c for c in cands.split(",") if c]
+            for word, cands in _tab_pairs(path, "contextual table")}
 
 
 class RateLimiter:
@@ -151,13 +148,86 @@ class RateLimiter:
             time.sleep(delay)
 
 
+class _JsonClient:
+    """POSTs JSON to one URL, retrying with exponential backoff.
+
+    A URL, OS or decode error, or a payload the caller's parser rejects
+    with TransportError, costs one attempt. The key named by ``key_env``
+    is read at call time and sent as a bearer token; errors name only
+    the last failure's type, so they never contain it.
+    """
+
+    def __init__(self, service: str, url: str, key_env: str | None = None,
+                 timeout: float = 10.0, max_retries: int = 3,
+                 backoff_base: float = 0.2, rate_per_second: float = 0.0):
+        self.service = service
+        self.url = url
+        self.key_env = key_env
+        self.timeout = timeout
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
+        self._limiter = RateLimiter(rate_per_second) if rate_per_second else None
+        self.requests = 0
+
+    def post(self, request: dict, parse):
+        """``parse(payload)`` of the first response it accepts."""
+        body = json.dumps(request, ensure_ascii=False).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        key = os.environ.get(self.key_env) if self.key_env else None
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
+        last_error: Exception | None = None
+        for attempt in range(self.max_retries + 1):
+            if self._limiter:
+                self._limiter.wait()
+            self.requests += 1
+            try:
+                req = urllib.request.Request(self.url, data=body, headers=headers)
+                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                    return parse(json.loads(resp.read().decode("utf-8")))
+            except (TransportError, urllib.error.URLError, OSError,
+                    ValueError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error response still holds its socket
+                last_error = exc
+            if attempt < self.max_retries:
+                time.sleep(self.backoff_base * (2 ** attempt))
+        raise TransportError(
+            f"{self.service} failed after {self.max_retries + 1} attempts: "
+            f"{type(last_error).__name__}"
+        )
+
+
+def http_options(spec: dict) -> dict:
+    """JSON-client keyword arguments from a provider's ``{"http": {...}}`` section.
+
+    The one parser of that section, for both remote providers. Keys:
+    url (required), key_env, timeout, max_retries, backoff_base and
+    rate_per_second (absent or 0: no cap); any other key is ignored.
+    """
+    try:
+        http = spec["http"]
+        options = {
+            "url": str(http["url"]),
+            "key_env": http.get("key_env"),
+            "timeout": float(http.get("timeout", 10.0)),
+            "max_retries": int(http.get("max_retries", 3)),
+            "backoff_base": float(http.get("backoff_base", 0.2)),
+            "rate_per_second": float(http.get("rate_per_second") or 0),
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed http provider section: {exc!r}") from exc
+    if (options["timeout"] <= 0 or options["max_retries"] < 0
+            or min(options["backoff_base"], options["rate_per_second"]) < 0):
+        raise ConfigError(f"out-of-range value in http provider section: {http!r}")
+    return options
+
+
 class TranslationProvider:
     """Translates text between language tags; counts outbound requests."""
 
     name: str = "translation"
-
-    def __init__(self) -> None:
-        self.request_count = 0
+    request_count: int = 0
 
     def translate(self, text: str, source: str, target: str) -> str:
         raise NotImplementedError
@@ -184,7 +254,6 @@ class DictTranslationProvider(TranslationProvider):
 
     def __init__(self, mapping: dict[str, str], source_lang: str = "pt",
                  name: str = "dict"):
-        super().__init__()
         self.name = name
         self.source_lang = source_lang
         self.forward = dict(mapping)
@@ -195,18 +264,9 @@ class DictTranslationProvider(TranslationProvider):
     @classmethod
     def from_file(cls, path: str, source_lang: str = "pt") -> "DictTranslationProvider":
         mapping: dict[str, str] = {}
-        try:
-            fh = open(path, encoding="utf-8")
-        except OSError as exc:
-            raise ResourceError(f"cannot open dictionary file: {path}") from exc
-        with fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or "\t" not in line:
-                    continue
-                src, dst = line.split("\t", 1)
-                if src and dst:
-                    mapping.setdefault(src, dst)
+        for src, dst in _tab_pairs(path, "dictionary file"):
+            if src and dst:
+                mapping.setdefault(src, dst)
         if not mapping:
             raise ResourceError(f"{path}: zero dictionary entries")
         return cls(mapping, source_lang=source_lang)
@@ -218,79 +278,29 @@ class DictTranslationProvider(TranslationProvider):
 
 
 class HttpTranslationProvider(TranslationProvider):
-    """Client for a remote translation service.
+    """Remote translation service: request {text, source, target}, response
+    {translated}; options as in ``http_options``."""
 
-    Request body {text, source, target}; response {translated}. The API
-    key is read from the named environment variable at call time and
-    sent as a bearer token; it never appears in logs or errors.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        key_env: str | None = None,
-        timeout: float = 10.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.2,
-        rate_per_second: float | None = None,
-        max_in_flight: int | None = None,
-        name: str = "http",
-    ):
-        super().__init__()
-        self.url = url
-        self.key_env = key_env
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self._limiter = RateLimiter(rate_per_second) if rate_per_second else None
-        self._slots = threading.Semaphore(max_in_flight) if max_in_flight else None
+    def __init__(self, url: str, name: str = "http", **options):
         self.name = name
+        self._client = _JsonClient("translation", url, **options)
 
-    def _headers(self) -> dict[str, str]:
-        import os
-
-        headers = {"Content-Type": "application/json"}
-        if self.key_env:
-            key = os.environ.get(self.key_env)
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
+    @property
+    def request_count(self) -> int:
+        return self._client.requests
 
     def translate(self, text, source, target):
-        body = json.dumps(
+        return self._client.post(
             {"text": text, "source": source, "target": target},
-            ensure_ascii=False,
-        ).encode("utf-8")
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if self._limiter:
-                self._limiter.wait()
-            if self._slots:
-                self._slots.acquire()
-            try:
-                self.request_count += 1
-                req = urllib.request.Request(
-                    self.url, data=body, headers=self._headers()
-                )
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
-                translated = payload.get("translated")
-                if not isinstance(translated, str) or not translated:
-                    raise TransportError("translation response lacks text")
-                return translated
-            except TransportError as exc:
-                last_error = exc
-            except (urllib.error.URLError, OSError, ValueError) as exc:
-                last_error = exc
-            finally:
-                if self._slots:
-                    self._slots.release()
-            if attempt < self.max_retries:
-                time.sleep(self.backoff_base * (2 ** attempt))
-        raise TransportError(
-            f"translation failed after {self.max_retries + 1} attempts: "
-            f"{type(last_error).__name__}"
+            _parse_translation,
         )
+
+
+def _parse_translation(payload) -> str:
+    translated = payload.get("translated") if isinstance(payload, dict) else None
+    if not isinstance(translated, str) or not translated:
+        raise TransportError("translation response lacks text")
+    return translated
 
 
 class TranslationCache:
@@ -318,6 +328,8 @@ class TranslationCache:
                         self._data[key] = rec["translated"]
             except FileNotFoundError:
                 pass
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: malformed cache record: {exc!r}") from exc
 
     def __len__(self) -> int:
         return len(self._data)
@@ -359,14 +371,5 @@ def make_translation_provider(spec_string: str | dict,
             )
         raise ResourceError(f"unknown translation provider {spec_string!r}")
     if isinstance(spec_string, dict) and "http" in spec_string:
-        http = spec_string["http"]
-        return HttpTranslationProvider(
-            url=http["url"],
-            key_env=http.get("key_env"),
-            timeout=float(http.get("timeout", 10.0)),
-            max_retries=int(http.get("max_retries", 3)),
-            backoff_base=float(http.get("backoff_base", 0.2)),
-            rate_per_second=http.get("rate_per_second"),
-            max_in_flight=http.get("max_in_flight"),
-        )
+        return HttpTranslationProvider(**http_options(spec_string))
     raise ResourceError(f"unusable translation provider config: {spec_string!r}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+from .errors import DataError
+
 CSV_COLUMNS = [
     "dataset", "group", "subset_size", "aug_pct", "round", "status",
     "f1", "baseline_f1", "gain", "b", "c", "chi2", "p_value",
@@ -70,15 +72,16 @@ def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
 
 
 def read_results_csv(path: str) -> list[ExperimentResult]:
-    rows: list[ExperimentResult] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(
-                f"{path}: unexpected results header {reader.fieldnames}"
-            )
-        for rec in reader:
-            rows.append(
+    """Parse a results CSV; DataError for an unreadable file, a wrong
+    header or a field that does not parse."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != CSV_COLUMNS:
+                raise DataError(
+                    f"{path}: unexpected results header {reader.fieldnames}"
+                )
+            return [
                 ExperimentResult(
                     dataset=rec["dataset"],
                     group=rec["group"],
@@ -94,5 +97,9 @@ def read_results_csv(path: str) -> list[ExperimentResult]:
                     chi2=_parse(rec["chi2"], float),
                     p_value=_parse(rec["p_value"], float),
                 )
-            )
-    return rows
+                for rec in reader
+            ]
+    except OSError as exc:
+        raise DataError(f"cannot open results file: {path}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: unparseable results row: {exc!r}") from exc

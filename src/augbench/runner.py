@@ -17,7 +17,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .metrics import evaluate, save_predictions
 from .pipeline import augment_training_set, back_translate, sequential_augment
 from .providers import (
     EmbeddingNeighborProvider, HttpContextualProvider, ReplacementProvider,
-    StubContextualProvider, SynonymMapProvider, TranslationCache,
+    StubContextualProvider, SynonymMapProvider, TranslationCache, http_options,
     load_contextual_table, make_translation_provider,
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
@@ -77,7 +76,6 @@ class ExperimentConfig:
     split_ratio: float = 0.75
     share_subsets_across_groups: bool = True
     cache_path: str | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("aug_percentages must lie in [0, 1]")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
-    workers = raw.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     embeddings_path = resources.get("embeddings")
     if not embeddings_path:
         raise ConfigError("resources.embeddings is required")
@@ -167,44 +162,41 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     eda_raw = raw.get("eda", {})
     svm_raw = raw.get("svm", {})
     try:
-        eda_cfg = EdaConfig(
-            alpha=float(eda_raw.get("alpha", 0.1)),
-            n_aug=int(eda_raw.get("n_aug", 1)),
-            op_mode=eda_raw.get("op_mode", "sample"),
+        return ExperimentConfig(
+            datasets=datasets,
+            groups=groups,
+            subset_sizes=sizes,
+            aug_percentages=pcts,
+            rounds=rounds,
+            master_seed=master_seed,
+            embeddings_path=embeddings_path,
+            ppdb_path=ppdb_path,
+            resource_id=resources.get("resource_id"),
+            translation=translation,
+            contextual=contextual,
+            pivot=providers.get("pivot", "en"),
+            source_lang=providers.get("source_lang", "pt"),
+            syn_rate=float(providers.get("syn_rate", 0.1)),
+            syn_stages=tuple(stages),
+            embedding_neighbors_k=int(providers.get("embedding_neighbors_k", 5)),
+            eda=EdaConfig(
+                alpha=float(eda_raw.get("alpha", 0.1)),
+                n_aug=int(eda_raw.get("n_aug", 1)),
+                op_mode=eda_raw.get("op_mode", "sample"),
+            ),
+            svm=SvmConfig(
+                C=float(svm_raw.get("C", 10.0)),
+                gamma=svm_raw.get("gamma", "scale"),
+                tol=float(svm_raw.get("tol", 1e-3)),
+            ),
+            split_ratio=float(raw.get("split_ratio", 0.75)),
+            share_subsets_across_groups=bool(
+                raw.get("share_subsets_across_groups", True)
+            ),
+            cache_path=raw.get("cache_path"),
         )
-        svm_cfg = SvmConfig(
-            C=float(svm_raw.get("C", 10.0)),
-            gamma=svm_raw.get("gamma", "scale"),
-            tol=float(svm_raw.get("tol", 1e-3)),
-        )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        datasets=datasets,
-        groups=groups,
-        subset_sizes=sizes,
-        aug_percentages=pcts,
-        rounds=rounds,
-        master_seed=master_seed,
-        embeddings_path=embeddings_path,
-        ppdb_path=ppdb_path,
-        resource_id=resources.get("resource_id"),
-        translation=translation,
-        contextual=contextual,
-        pivot=providers.get("pivot", "en"),
-        source_lang=providers.get("source_lang", "pt"),
-        syn_rate=float(providers.get("syn_rate", 0.1)),
-        syn_stages=tuple(stages),
-        embedding_neighbors_k=int(providers.get("embedding_neighbors_k", 5)),
-        eda=eda_cfg,
-        svm=svm_cfg,
-        split_ratio=float(raw.get("split_ratio", 0.75)),
-        share_subsets_across_groups=bool(
-            raw.get("share_subsets_across_groups", True)
-        ),
-        cache_path=raw.get("cache_path"),
-        workers=workers,
-    )
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -254,6 +246,8 @@ def load_resources(config: ExperimentConfig) -> Resources:
                 raise ConfigError("syn stage 'ppdb' needs resources.ppdb")
             providers.append(SynonymMapProvider(synmap))
         elif stage == "embedding":
+            if config.embedding_neighbors_k < 1:
+                raise ConfigError("providers.embedding_neighbors_k must be >= 1")
             providers.append(
                 EmbeddingNeighborProvider(embeddings, k=config.embedding_neighbors_k)
             )
@@ -280,10 +274,7 @@ def _make_contextual(spec) -> ReplacementProvider:
     if isinstance(spec, str) and spec.startswith("stub:"):
         return StubContextualProvider(load_contextual_table(spec[len("stub:"):]))
     if isinstance(spec, dict) and "http" in spec:
-        http = spec["http"]
-        return HttpContextualProvider(
-            url=http["url"], timeout=float(http.get("timeout", 10.0))
-        )
+        return HttpContextualProvider(**http_options(spec))
     raise ConfigError(f"unusable contextual provider config: {spec!r}")
 
 
@@ -328,7 +319,7 @@ def subset_key(config: ExperimentConfig, cell: GridCell) -> tuple:
 
 
 class GridRunner:
-    """Runs the cells of each subset together and assembles results in plan order."""
+    """Runs the subset units one after another; returns rows in plan order."""
 
     def __init__(self, config: ExperimentConfig, out_dir: str,
                  resources: Resources | None = None):
@@ -337,11 +328,17 @@ class GridRunner:
         self.predictions_dir = os.path.join(out_dir, "predictions")
         os.makedirs(self.predictions_dir, exist_ok=True)
         self.resources = resources or load_resources(config)
-        self._log_path = os.path.join(out_dir, "run_log.jsonl")
         self._log_lines: list[str] = []
 
     def _log(self, record: dict) -> None:
         self._log_lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
+
+    def _write_outputs(self, rows: list[ExperimentResult]) -> None:
+        """Write results.csv and run_log.jsonl into the output directory."""
+        write_results_csv(os.path.join(self.out_dir, "results.csv"), rows)
+        with open(os.path.join(self.out_dir, "run_log.jsonl"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(self._log_lines) + "\n")
 
     def run(self) -> list[ExperimentResult]:
         cells = plan_grid(self.config)
@@ -358,20 +355,11 @@ class GridRunner:
             self._log({"event": "dataset", "name": name, "rows": len(ds),
                        "skipped_rows": ds.skipped, "label_histogram": hist})
         results: dict[tuple, ExperimentResult] = {}
-        unit_lists = list(units.values())
-        if self.config.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                for rows in pool.map(self._run_unit, unit_lists):
-                    for row in rows:
-                        results[row.key()] = row
-        else:
-            for unit in unit_lists:
-                for row in self._run_unit(unit):
-                    results[row.key()] = row
+        for unit in units.values():
+            for row in self._run_unit(unit):
+                results[row.key()] = row
         ordered = [results[c.key()] for c in cells]
-        write_results_csv(os.path.join(self.out_dir, "results.csv"), ordered)
-        with open(self._log_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self._log_lines) + "\n")
+        self._write_outputs(ordered)
         return ordered
 
     def _prediction_path(self, cell: GridCell) -> str:
@@ -553,7 +541,5 @@ def run_single_cell(
         cells.append(GridCell(dataset, group, subset_size, aug_pct, round_index))
     rows = runner._run_unit(cells)
     wanted = next(r for r in rows if r.aug_pct == aug_pct)
-    write_results_csv(os.path.join(out_dir, "results.csv"), [wanted])
-    with open(runner._log_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(runner._log_lines) + "\n")
+    runner._write_outputs([wanted])
     return wanted

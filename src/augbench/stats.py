@@ -1,7 +1,7 @@
 """Paired-model comparison: contingency tables, the continuity-corrected
 McNemar test, F1 gains and best-model filtering.
 
-All operations are pure and embarrassingly parallel across grid cells.
+All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations

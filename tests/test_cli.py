@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from augbench import synthdata
+from augbench import cli, synthdata
 from augbench.cli import main
 from augbench.metrics import save_predictions
 
@@ -41,6 +41,14 @@ class TestMcnemarCommand:
 
     def test_missing_file_nonzero(self, tmp_path, capsys):
         assert main(["mcnemar", str(tmp_path / "x"), str(tmp_path / "y")]) != 0
+
+    def test_malformed_line_is_data_error(self, tmp_path, capsys):
+        p1, p2 = str(tmp_path / "p1.jsonl"), str(tmp_path / "p2.jsonl")
+        save_predictions(p1, ["a", "b"], ["a", "b"])
+        with open(p2, "w", encoding="utf-8") as fh:
+            fh.write('{"index": 0, "true_label": "a"}\nnot json\n')
+        assert main(["mcnemar", p1, p2]) == 3
+        assert "error[data]" in capsys.readouterr().err
 
 
 class TestRunGridCommand:
@@ -126,6 +134,12 @@ class TestReportCommand:
     def test_missing_results_nonzero(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "no.csv")]) != 0
 
+    def test_wrong_header_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("dataset,group\nsynth3,EDA\n")
+        assert main(["report", "--results", str(path)]) == 3
+        assert "error[data]" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -133,6 +147,14 @@ class TestUsage:
 
     def test_no_subcommand(self):
         assert main([]) == 2
+
+    def test_bare_value_error_propagates(self, tmp_path, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "_cmd_report", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["report", "--results", str(tmp_path / "r.csv")])
 
     def test_seed_override_changes_results(self, tmp_path, demo_config, capsys):
         path, cfg = demo_config

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 import threading
@@ -5,8 +6,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from augbench import runner
 from augbench.corpus import Dataset, LabeledExample
-from augbench.errors import EmptySentenceError, TransportError
+from augbench.errors import (
+    ConfigError, DataError, EmptySentenceError, TransportError,
+)
 from augbench.pipeline import (
     augment_training_set, back_translate, is_degenerate, sequential_augment,
 )
@@ -14,7 +18,8 @@ from augbench.providers import (
     DictTranslationProvider, EmbeddingNeighborProvider,
     HttpContextualProvider, HttpTranslationProvider,
     IdentityTranslationProvider, StubContextualProvider, SynonymMapProvider,
-    TranslationCache, contextual_request, parse_contextual_response,
+    TranslationCache, contextual_request, http_options,
+    make_translation_provider, parse_contextual_response,
 )
 from augbench.resources import synonym_map_from_dict
 
@@ -159,6 +164,15 @@ class TestBackTranslate:
         back_translate(ex, provider2, "en", TranslationCache(path))
         assert provider2.request_count == 0
 
+    def test_truncated_cache_line_is_data_error(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = TranslationCache(str(path))
+        cache.put("p", "pt", "en", "bom", "good")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"provider": "p", "sour')
+        with pytest.raises(DataError, match="malformed cache record"):
+            TranslationCache(str(path))
+
     def test_cache_hits_byte_identical(self):
         cache = TranslationCache()
         cache.put("p", "pt", "en", "bom", "good")
@@ -277,10 +291,23 @@ class TestRateLimiter:
 
 
 class _JsonHandler(BaseHTTPRequestHandler):
+    """Translation and contextual services, plus test paths: /auth echoes
+    the Authorization header back in both wire formats, /flaky answers
+    503 to its first request and /malformed sends a bad candidates field."""
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length).decode("utf-8"))
-        if self.path == "/translate":
+        self.server.hits[self.path] += 1
+        if self.path == "/flaky" and self.server.hits[self.path] == 1:
+            self.send_error(503)
+            return
+        if self.path == "/auth":
+            auth = self.headers.get("Authorization", "")
+            body = {"translated": auth, "candidates": [auth]}
+        elif self.path == "/malformed":
+            body = {"candidates": "nope"}
+        elif self.path == "/translate":
             word_map = {"bom": "good", "good": "bom"}
             translated = " ".join(
                 word_map.get(t, t) for t in request["text"].split()
@@ -305,10 +332,12 @@ class _JsonHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _JsonHandler)
+    server.hits = collections.Counter()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpProviders:
@@ -332,16 +361,69 @@ class TestHttpProviders:
         assert provider.candidates("bom", ["bom", "produto"], 0) == ["otimo"]
         assert provider.candidates("zzz", ["zzz"], 0) == []
 
-    def test_credentials_from_env_not_in_errors(self, monkeypatch):
+    def test_credentials_from_env_not_in_errors(self, http_server, monkeypatch):
         monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
+        provider = HttpTranslationProvider(
+            url=f"{http_server}/auth", key_env="FAKE_KEY_ENV", max_retries=0,
+        )
+        assert provider.translate("oi", "pt", "en") == "Bearer super-secret"
         provider = HttpTranslationProvider(
             url="http://127.0.0.1:1/t", key_env="FAKE_KEY_ENV",
             max_retries=0, backoff_base=0.0,
         )
-        assert provider._headers()["Authorization"] == "Bearer super-secret"
         with pytest.raises(TransportError) as err:
             provider.translate("oi", "pt", "en")
         assert "super-secret" not in str(err.value)
+
+    def test_contextual_retries_after_503(self, http_server):
+        provider = HttpContextualProvider(
+            url=f"{http_server}/flaky", max_retries=1, backoff_base=0.0
+        )
+        assert provider.candidates("bom", ["bom", "produto"], 0) == ["otimo"]
+
+    def test_contextual_bearer_key_not_in_errors(self, http_server, monkeypatch):
+        monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
+        provider = HttpContextualProvider(
+            url=f"{http_server}/auth", key_env="FAKE_KEY_ENV", max_retries=0
+        )
+        assert provider.candidates("x", ["x"], 0) == ["Bearer super-secret"]
+        provider = HttpContextualProvider(
+            url=f"{http_server}/malformed", key_env="FAKE_KEY_ENV",
+            max_retries=0,
+        )
+        with pytest.raises(TransportError) as err:
+            provider.candidates("x", ["x"], 0)
+        assert "super-secret" not in str(err.value)
+
+    def test_contextual_malformed_payload_retried(self, http_server):
+        provider = HttpContextualProvider(
+            url=f"{http_server}/malformed", max_retries=2, backoff_base=0.0
+        )
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            provider.candidates("x", ["x"], 0)
+
+    def test_one_spec_parser_for_both_providers(self, http_server):
+        spec = {"http": {"url": f"{http_server}/flaky", "max_retries": 1,
+                         "backoff_base": 0.0, "timeout": 5,
+                         "max_in_flight": 4}}
+        contextual = runner._make_contextual(spec)
+        assert contextual.candidates("bom", ["bom"], 0) == ["otimo"]
+        spec["http"]["url"] = f"{http_server}/malformed"
+        translation = make_translation_provider(spec)
+        with pytest.raises(TransportError, match="after 2 attempts"):
+            translation.translate("oi", "pt", "en")
+        assert translation.request_count == 2
+
+    @pytest.mark.parametrize("http", [
+        {},
+        {"url": "http://127.0.0.1:1/t", "timeout": "soon"},
+        {"url": "http://127.0.0.1:1/t", "timeout": 0},
+        {"url": "http://127.0.0.1:1/t", "max_retries": -1},
+        {"url": "http://127.0.0.1:1/t", "rate_per_second": -5},
+    ])
+    def test_bad_http_section_is_config_error(self, http):
+        with pytest.raises(ConfigError):
+            http_options({"http": http})
 
     def test_back_translate_through_http(self, http_server):
         provider = HttpTranslationProvider(url=f"{http_server}/translate")
