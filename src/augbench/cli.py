@@ -95,9 +95,12 @@ def _cmd_augment(args) -> int:
         dataset, args.pct,
         runner.derive_seed(config.master_seed, "targets", *cell.key()),
     )
-    augmented, failures = augment_training_set(
-        dataset, targets, runner.make_augmenter(config, resources, cell)
-    )
+    try:
+        augmented, failures = augment_training_set(
+            dataset, targets, runner.make_augmenter(config, resources, cell)
+        )
+    finally:
+        resources.cache.close()
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.dataset}_{args.group}_augmented.csv")
     _write_dataset_csv(out_path, augmented, spec.text_column, spec.label_column)

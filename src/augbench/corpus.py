@@ -85,8 +85,8 @@ def load_dataset(
     """Load a UTF-8 CSV with a header into a Dataset.
 
     Rows whose text or label is empty after trimming are skipped and
-    counted. Raises DataError for a missing file, a header lacking the
-    declared columns, or zero valid rows.
+    counted. Raises DataError for a missing or non-UTF-8 file, a header
+    lacking the declared columns, or zero valid rows.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
@@ -95,20 +95,23 @@ def load_dataset(
     examples: list[LabeledExample] = []
     skipped = 0
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in (text_column, label_column) if c not in header]
-        if missing:
-            raise DataError(
-                f"{path}: header {header} lacks column(s) {missing}"
-            )
-        for row in reader:
-            text = (row.get(text_column) or "").strip()
-            label = (row.get(label_column) or "").strip()
-            if not text or not label:
-                skipped += 1
-                continue
-            examples.append(LabeledExample(text=text, label=label))
+        try:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in (text_column, label_column) if c not in header]
+            if missing:
+                raise DataError(
+                    f"{path}: header {header} lacks column(s) {missing}"
+                )
+            for row in reader:
+                text = (row.get(text_column) or "").strip()
+                label = (row.get(label_column) or "").strip()
+                if not text or not label:
+                    skipped += 1
+                    continue
+                examples.append(LabeledExample(text=text, label=label))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"dataset file is not UTF-8: {path}: {exc}") from exc
     if not examples:
         raise DataError(f"{path}: zero valid rows")
     ds = Dataset(name=name or path, examples=tuple(examples), skipped=skipped)

@@ -117,10 +117,13 @@ def _tab_pairs(path: str, what: str):
     except OSError as exc:
         raise ResourceError(f"cannot open {what}: {path}") from exc
     with fh:
-        for line in fh:
-            left, tab, right = line.rstrip("\n").partition("\t")
-            if tab:
-                yield left, right
+        try:
+            for line in fh:
+                left, tab, right = line.rstrip("\n").partition("\t")
+                if tab:
+                    yield left, right
+        except UnicodeDecodeError as exc:
+            raise ResourceError(f"{what} is not UTF-8: {path}: {exc}") from exc
 
 
 def load_contextual_table(path: str) -> dict[str, list[str]]:
@@ -303,18 +306,28 @@ def _parse_translation(payload) -> str:
     return translated
 
 
+# One encoder for every cache record: the bytes of
+# json.dumps(record, ensure_ascii=False) without a per-call encoder.
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 class TranslationCache:
     """Append-only (provider, source, target, text) -> translation store.
 
-    Backed by a JSON-lines file loaded fully at startup; safe for
-    concurrent read/write (values for identical keys are identical by
-    construction, so last-writer-wins is harmless).
+    Backed by a JSON-lines file loaded fully at startup and appended to
+    through one handle, opened on the first ``put``. Each record is
+    flushed before ``put`` returns, so a fresh cache or a resumed run
+    sees it; nothing is fsynced. ``close`` releases the handle; a later
+    ``put`` reopens it. Safe for concurrent read/write (values for
+    identical keys are identical by construction, so last-writer-wins is
+    harmless).
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._lock = threading.Lock()
         self._data: dict[tuple[str, str, str, str], str] = {}
+        self._fh = None
         if path:
             try:
                 with open(path, encoding="utf-8") as fh:
@@ -343,16 +356,22 @@ class TranslationCache:
         with self._lock:
             self._data[key] = translated
             if self.path:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {"provider": provider, "source": source,
-                             "target": target, "text": text,
-                             "translated": translated},
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
+                if self._fh is None:
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                self._fh.write(
+                    _encode_record({"provider": provider, "source": source,
+                                    "target": target, "text": text,
+                                    "translated": translated})
+                    + "\n"
+                )
+                self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle, if one is open."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 def make_translation_provider(spec_string: str | dict,

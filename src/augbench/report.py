@@ -67,6 +67,11 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
         for r in best
         if r.chi2 is not None and r.p_value is not None
     }
+    untested = [g.key() for g in gains if g.gain > 0 and g.key() not in tests]
+    if untested:
+        raise DataError(
+            f"positive-gain cell(s) without chi2/p_value: {untested}"
+        )
     screen = significance_screen(gains, tests)
     significant = [s for s in screen if s.test is not None and s.test.significant]
 

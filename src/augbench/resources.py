@@ -73,22 +73,27 @@ def parse_ppdb(path: str, symmetrize: bool = False) -> SynonymMap:
             bucket.append(dst)
 
     with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(_PPDB_SEP)]
-            if len(fields) < 3:
-                skipped += 1
-                continue
-            src = fields[1].lower()
-            dst = fields[2].lower()
-            if len(src.split()) != 1 or len(dst.split()) != 1 or not src or not dst:
-                skipped += 1
-                continue
-            add(src, dst)
-            if symmetrize:
-                add(dst, src)
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                fields = [f.strip() for f in line.split(_PPDB_SEP)]
+                if len(fields) < 3:
+                    skipped += 1
+                    continue
+                src = fields[1].lower()
+                dst = fields[2].lower()
+                if (len(src.split()) != 1 or len(dst.split()) != 1
+                        or not src or not dst):
+                    skipped += 1
+                    continue
+                add(src, dst)
+                if symmetrize:
+                    add(dst, src)
+        except UnicodeDecodeError as exc:
+            raise ResourceError(
+                f"paraphrase file is not UTF-8: {path}: {exc}") from exc
     entries = {w: c for w, c in entries.items() if c}
     if not entries:
         raise ResourceError(f"{path}: zero usable paraphrase records")
@@ -155,39 +160,43 @@ def load_embeddings(path: str) -> EmbeddingStore:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ResourceError(f"cannot open embedding file: {path}") from exc
-    with fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ResourceError(f"{path}: header must be '<count> <dim>'")
-        try:
-            _count, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ResourceError(f"{path}: non-integer header {header}") from exc
-        if dim < 1:
-            raise ResourceError(f"{path}: dimension {dim} < 1")
-        words: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        skipped = 0
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1 or not parts[0]:
-                skipped += 1
-                continue
+    try:
+        with fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ResourceError(f"{path}: header must be '<count> <dim>'")
             try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError:
-                skipped += 1
-                continue
-            if not all(math.isfinite(v) for v in values):
-                skipped += 1
-                continue
-            if parts[0] in seen:
-                skipped += 1
-                continue
-            seen.add(parts[0])
-            words.append(parts[0])
-            rows.append(values)
+                _count, dim = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise ResourceError(f"{path}: non-integer header {header}") from exc
+            if dim < 1:
+                raise ResourceError(f"{path}: dimension {dim} < 1")
+            words: list[str] = []
+            rows: list[list[float]] = []
+            seen: set[str] = set()
+            skipped = 0
+            for line in fh:
+                parts = line.rstrip("\n").split(" ")
+                if len(parts) != dim + 1 or not parts[0]:
+                    skipped += 1
+                    continue
+                try:
+                    values = [float(v) for v in parts[1:]]
+                except ValueError:
+                    skipped += 1
+                    continue
+                if not all(math.isfinite(v) for v in values):
+                    skipped += 1
+                    continue
+                if parts[0] in seen:
+                    skipped += 1
+                    continue
+                seen.add(parts[0])
+                words.append(parts[0])
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise ResourceError(
+            f"embedding file is not UTF-8: {path}: {exc}") from exc
     if not words:
         raise ResourceError(f"{path}: zero valid embedding rows")
     logger.info(
@@ -234,10 +243,16 @@ def _nearest(
     sims = store.matrix @ q
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = sims / (store._norms * qnorm)
-    mask = (store._norms > 0.0) & (np.arange(len(store)) != qi)
-    candidates = np.nonzero(mask)[0]
-    if candidates.size == 0:
-        return ()
+    mask = store._norms > 0.0
+    mask[qi] = False
+    candidates = np.flatnonzero(mask)
+    if candidates.size > k:
+        # Keep what can reach the top k: everything not below the k-th
+        # largest similarity, so ties at the boundary all stay (and a NaN,
+        # which the sort puts last, is never the reason a word is dropped).
+        neg = -sims[candidates]
+        kth = np.partition(neg, k - 1)[k - 1]
+        candidates = candidates[~(neg > kth)]
     order = np.lexsort((store._lex_rank[candidates], -sims[candidates]))
     top = candidates[order[:k]]
     return tuple((store.words[i], float(sims[i])) for i in top)

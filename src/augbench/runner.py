@@ -97,7 +97,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot open config: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(raw)
 
@@ -219,7 +219,10 @@ def plan_grid(config: ExperimentConfig) -> list[GridCell]:
 
 @dataclass
 class Resources:
-    """Everything loaded once and shared read-only across cells."""
+    """Everything loaded once and shared read-only across cells.
+
+    Whoever calls ``load_resources`` closes ``cache`` when done with it.
+    """
 
     datasets: dict[str, Dataset]
     embeddings: EmbeddingStore
@@ -514,7 +517,11 @@ class GridRunner:
 
 def run_grid(config: ExperimentConfig, out_dir: str) -> list[ExperimentResult]:
     """Run the full grid and write results.csv plus the run log."""
-    return GridRunner(config, out_dir).run()
+    grid = GridRunner(config, out_dir)
+    try:
+        return grid.run()
+    finally:
+        grid.resources.cache.close()
 
 
 def run_single_cell(
@@ -539,7 +546,10 @@ def run_single_cell(
     cells = [GridCell(dataset, group, subset_size, 0.0, round_index)]
     if aug_pct > 0.0:
         cells.append(GridCell(dataset, group, subset_size, aug_pct, round_index))
-    rows = runner._run_unit(cells)
+    try:
+        rows = runner._run_unit(cells)
+    finally:
+        runner.resources.cache.close()
     wanted = next(r for r in rows if r.aug_pct == aug_pct)
     runner._write_outputs([wanted])
     return wanted

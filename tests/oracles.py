@@ -24,3 +24,26 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     if nx == 0.0 or ny == 0.0:
         raise ValueError("cosine similarity undefined for zero vectors")
     return float(np.dot(x, y) / (nx * ny))
+
+
+def nearest_full_sort(word: str, k: int, store) -> tuple[tuple[str, float], ...]:
+    """Top-k neighbours by one lexsort of every candidate: similarity
+    descending, then word order. The reference for the partitioned query
+    behind ``resources.nearest_neighbors``."""
+    qi = store._index.get(word)
+    if qi is None:
+        return ()
+    q = store.matrix[qi]
+    qnorm = store._norms[qi]
+    if qnorm == 0.0:
+        return ()
+    sims = store.matrix @ q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = sims / (store._norms * qnorm)
+    mask = (store._norms > 0.0) & (np.arange(len(store)) != qi)
+    candidates = np.nonzero(mask)[0]
+    if candidates.size == 0:
+        return ()
+    order = np.lexsort((store._lex_rank[candidates], -sims[candidates]))
+    top = candidates[order[:k]]
+    return tuple((store.words[i], float(sims[i])) for i in top)

@@ -12,6 +12,7 @@ import os
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,14 +207,14 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
     rows2 = runner.run_grid(config, out2)
     assert len(rows1) == len(cells)
 
-    csv1 = open(os.path.join(out1, "results.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "results.csv"), "rb").read()
+    csv1 = Path(out1, "results.csv").read_bytes()
+    csv2 = Path(out2, "results.csv").read_bytes()
     assert csv1 == csv2
 
     for out in (out1, out2):
         cell_lines = [
             json.loads(line)
-            for line in open(os.path.join(out, "run_log.jsonl"))
+            for line in Path(out, "run_log.jsonl").read_text().splitlines()
             if '"cell"' in line
         ]
         cell_lines = [l for l in cell_lines if l.get("event") == "cell"]

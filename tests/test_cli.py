@@ -1,11 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from augbench import cli, synthdata
 from augbench.cli import main
 from augbench.metrics import save_predictions
+from augbench.results import ExperimentResult, write_results_csv
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,12 @@ class TestRunGridCommand:
         assert main(["run-grid", "--config", str(cfg_path)]) == 2
         assert "error[config]" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b'{"datasets": "\xff\xfe"}')
+        assert main(["run-grid", "--config", str(cfg_path)]) == 2
+        assert "error[config]" in capsys.readouterr().err
+
 
 class TestAugmentCommand:
     def test_count_law(self, tmp_path, capsys, demo_config):
@@ -96,6 +104,58 @@ class TestAugmentCommand:
             "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path),
         ])
         assert code == 2
+
+
+    def test_bt_cache_cold_then_warm(self, tmp_path, capsys, demo_config):
+        _, cfg = demo_config
+        cache = tmp_path / "translations.jsonl"
+        cfg_path = tmp_path / "cached.json"
+        cfg_path.write_text(json.dumps({**cfg, "cache_path": str(cache)}))
+        outputs, cache_bytes = [], []
+        for run in ("cold", "warm"):
+            code = main([
+                "augment", "--config", str(cfg_path), "--dataset", "synth3",
+                "--group", "BT", "--pct", "0.2", "--out", str(tmp_path / run),
+            ])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            outputs.append(Path(payload["path"]).read_bytes())
+            cache_bytes.append(cache.read_bytes())
+        assert cache_bytes[0]
+        assert outputs[0] == outputs[1]
+        assert cache_bytes[1] == cache_bytes[0]
+
+    @pytest.mark.parametrize("loader, code, label", [
+        ("dataset", 3, "data"),
+        ("embeddings", 4, "resource"),
+        ("ppdb", 4, "resource"),
+        ("dictionary", 4, "resource"),
+    ])
+    def test_non_utf8_input(self, tmp_path, capsys, demo_config,
+                            loader, code, label):
+        _, cfg = demo_config
+        cfg = json.loads(json.dumps(cfg))
+
+        def corrupt(path):
+            bad = tmp_path / ("bad_" + os.path.basename(path))
+            bad.write_bytes(Path(path).read_bytes() + b"\xff\xfe\n")
+            return str(bad)
+
+        if loader == "dataset":
+            cfg["datasets"][0]["path"] = corrupt(cfg["datasets"][0]["path"])
+        elif loader == "dictionary":
+            dic = cfg["providers"]["translation"][len("dict:"):]
+            cfg["providers"]["translation"] = "dict:" + corrupt(dic)
+        else:
+            cfg["resources"][loader] = corrupt(cfg["resources"][loader])
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path / "o"),
+        ]) == code
+        err = capsys.readouterr().err
+        assert f"error[{label}]" in err and "not UTF-8" in err
 
 
 class TestTrainCommand:
@@ -141,6 +201,18 @@ class TestReportCommand:
         assert "error[data]" in capsys.readouterr().err
 
 
+    def test_positive_gain_without_test_exit_3(self, tmp_path, capsys):
+        path = str(tmp_path / "merged.csv")
+        write_results_csv(path, [
+            ExperimentResult("synth3", "EDA", 80, 0.0, 0, f1=0.7),
+            ExperimentResult("synth3", "EDA", 80, 0.2, 0, f1=0.9,
+                             baseline_f1=0.7, gain=0.2),
+        ])
+        code = main(["report", "--results", path, "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "error[data]" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -167,6 +239,6 @@ class TestUsage:
         main(["run-grid", "--config", str(cfg_path), "--out", out1])
         main(["run-grid", "--config", str(cfg_path), "--out", out2,
               "--seed", "424242"])
-        csv1 = open(os.path.join(out1, "results.csv")).read()
-        csv2 = open(os.path.join(out2, "results.csv")).read()
+        csv1 = Path(out1, "results.csv").read_text()
+        csv2 = Path(out2, "results.csv").read_text()
         assert csv1 != csv2

@@ -158,16 +158,21 @@ class TestBackTranslate:
         path = str(tmp_path / "cache.jsonl")
         provider = IdentityTranslationProvider()
         ex = LabeledExample("bom", "x")
-        back_translate(ex, provider, "en", TranslationCache(path))
+        cache = TranslationCache(path)
+        back_translate(ex, provider, "en", cache)
+        cache.close()
         # a fresh cache instance reloads the file and serves hits
         provider2 = IdentityTranslationProvider()
-        back_translate(ex, provider2, "en", TranslationCache(path))
+        cache2 = TranslationCache(path)
+        back_translate(ex, provider2, "en", cache2)
+        cache2.close()
         assert provider2.request_count == 0
 
     def test_truncated_cache_line_is_data_error(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = TranslationCache(str(path))
         cache.put("p", "pt", "en", "bom", "good")
+        cache.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"provider": "p", "sour')
         with pytest.raises(DataError, match="malformed cache record"):
@@ -177,6 +182,58 @@ class TestBackTranslate:
         cache = TranslationCache()
         cache.put("p", "pt", "en", "bom", "good")
         assert cache.get("p", "pt", "en", "bom") == "good"
+
+
+def reference_put(path, provider, source, target, text, translated):
+    """The cache writer that opened the file for every record; the held
+    append handle must write the same bytes."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(
+            json.dumps(
+                {"provider": provider, "source": source, "target": target,
+                 "text": text, "translated": translated},
+                ensure_ascii=False,
+            )
+            + "\n"
+        )
+
+
+AWKWARD_TEXTS = ['diz "oi"', "barra\\invertida", "ação à côté 日本", "com\ttab",
+                 "duas\nlinhas", "sep\u2028arador", ""]
+
+
+class TestTranslationCacheFile:
+    def test_bytes_equal_open_per_put_writer(self, tmp_path):
+        ref, got = tmp_path / "ref.jsonl", tmp_path / "got.jsonl"
+        cache = TranslationCache(str(got))
+        for text, translated in zip(AWKWARD_TEXTS, reversed(AWKWARD_TEXTS)):
+            cache.put("p", "pt", "en", text, translated)
+            reference_put(str(ref), "p", "pt", "en", text, translated)
+        cache.close()
+        assert got.read_bytes() == ref.read_bytes()
+
+    def test_fresh_cache_sees_records_before_close(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        cache = TranslationCache(path)
+        for text in AWKWARD_TEXTS:
+            cache.put("p", "pt", "en", text, text + "!")
+        fresh = TranslationCache(path)
+        cache.close()
+        assert len(fresh) == len(AWKWARD_TEXTS)
+        for text in AWKWARD_TEXTS:
+            assert fresh.get("p", "pt", "en", text) == text + "!"
+
+    def test_put_after_close_appends(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = TranslationCache(str(path))
+        cache.put("p", "pt", "en", "um", "one")
+        cache.close()
+        cache.put("p", "pt", "en", "dois", "two")
+        cache.close()
+        assert len(path.read_bytes().splitlines()) == 2
+        reloaded = TranslationCache(str(path))
+        assert reloaded.get("p", "pt", "en", "um") == "one"
+        assert reloaded.get("p", "pt", "en", "dois") == "two"
 
 
 class TestAugmentTrainingSet:

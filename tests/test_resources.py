@@ -10,7 +10,7 @@ from augbench.errors import ResourceError
 from augbench.resources import (
     EmbeddingStore, load_embeddings, nearest_neighbors, parse_ppdb,
 )
-from oracles import cosine_similarity
+from oracles import cosine_similarity, nearest_full_sort
 
 
 def write_lines(path, lines):
@@ -210,3 +210,25 @@ class TestNearestNeighbors:
         second = nearest_neighbors("a", 2, tiny_store)
         assert second == expected
         assert second is not first
+
+
+@st.composite
+def grid_stores(draw):
+    """A store whose vectors sit on a small integer grid, so that many
+    similarities tie (at the k-th place too) and some vectors are zero."""
+    words = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                          min_size=1, max_size=14, unique=True))
+    dim = draw(st.integers(1, 3))
+    matrix = draw(hnp.arrays(np.float64, (len(words), dim),
+                             elements=st.integers(-2, 2).map(float)))
+    return EmbeddingStore(dim=dim, words=tuple(words), matrix=matrix)
+
+
+class TestNearestNeighborsOracle:
+    @given(grid_stores(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_sort(self, store, data):
+        word = data.draw(st.sampled_from(store.words))
+        k = data.draw(st.integers(1, len(store) + 2))
+        assert nearest_neighbors(word, k, store) == list(
+            nearest_full_sort(word, k, store))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +178,7 @@ class TestRunGrid:
         config, out, rows = run
         log_lines = [
             json.loads(line)
-            for line in open(os.path.join(out, "run_log.jsonl"))
+            for line in Path(out, "run_log.jsonl").read_text().splitlines()
         ]
         cell_lines = [l for l in log_lines if l["event"] == "cell"]
         assert all(l["purity_ok"] for l in cell_lines)
@@ -190,7 +191,7 @@ class TestRunGrid:
         assert parsed == rows
         second = path + ".again"
         write_results_csv(second, parsed)
-        assert open(path, "rb").read() == open(second, "rb").read()
+        assert Path(path).read_bytes() == Path(second).read_bytes()
 
     def test_mcnemar_only_on_positive_gains(self, run):
         _, _, rows = run
@@ -221,9 +222,29 @@ class TestRunGrid:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         runner.run_grid(config, out1)
         runner.run_grid(config, out2)
-        csv1 = open(os.path.join(out1, "results.csv"), "rb").read()
-        csv2 = open(os.path.join(out2, "results.csv"), "rb").read()
+        csv1 = Path(out1, "results.csv").read_bytes()
+        csv2 = Path(out2, "results.csv").read_bytes()
         assert csv1 == csv2
+
+    def test_cache_file_cold_then_warm(self, demo, tmp_path):
+        # run_grid and run_single_cell close the cache's append handle
+        # (a leaked handle fails the suite as a ResourceWarning)
+        cache = tmp_path / "translations.jsonl"
+        config = runner.config_from_dict(
+            {**demo, "subset_sizes": [80], "groups": ["BT"],
+             "cache_path": str(cache)}
+        )
+        runner.run_grid(config, str(tmp_path / "cold"))
+        cold = cache.read_bytes()
+        runner.run_grid(config, str(tmp_path / "warm"))
+        assert cold
+        assert cache.read_bytes() == cold
+        assert (Path(tmp_path, "cold", "results.csv").read_bytes()
+                == Path(tmp_path, "warm", "results.csv").read_bytes())
+        cache.unlink()
+        runner.run_single_cell(config, str(tmp_path / "single"),
+                               "synth3", "BT", 80, 0.2, 0)
+        assert cache.read_bytes()
 
     def test_shared_subsets_across_groups(self, run):
         # with sharing on (default), the baseline test split is identical
@@ -333,7 +354,7 @@ class TestSharedBaseline:
                     f"0.0_{row.round}.jsonl")
             grid_file = os.path.join(out, "predictions", name)
             single_file = single_out / "predictions" / name
-            assert single_file.read_bytes() == open(grid_file, "rb").read()
+            assert single_file.read_bytes() == Path(grid_file).read_bytes()
 
     def test_unshared_subsets_give_each_group_its_own_baseline(
             self, demo, tmp_path, monkeypatch):
