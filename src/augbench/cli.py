@@ -8,6 +8,7 @@ error categories: 0 success, 2 usage/config, 3 data, 4 resource,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -88,7 +89,9 @@ def _cmd_augment(args) -> int:
     spec = next((d for d in config.datasets if d.name == args.dataset), None)
     if spec is None:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
-    resources = runner.load_resources(config)
+    resources = runner.load_resources(
+        runner.ExperimentConfig(**{**config.__dict__, "datasets": (spec,)})
+    )
     dataset = resources.datasets[args.dataset]
     cell = runner.GridCell(args.dataset, args.group, len(dataset), args.pct, 0)
     targets = select_augmentation_targets(
@@ -114,13 +117,10 @@ def _cmd_augment(args) -> int:
 
 def _write_dataset_csv(path: str, dataset: Dataset,
                        text_column: str, label_column: str) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([text_column, label_column])
-        for ex in dataset:
-            writer.writerow([ex.text, ex.label])
+        writer.writerows((ex.text, ex.label) for ex in dataset.examples)
 
 
 def _cmd_train(args) -> int:

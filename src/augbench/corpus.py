@@ -84,9 +84,12 @@ def load_dataset(
 ) -> Dataset:
     """Load a UTF-8 CSV with a header into a Dataset.
 
-    Rows whose text or label is empty after trimming are skipped and
-    counted. Raises DataError for a missing or non-UTF-8 file, a header
-    lacking the declared columns, or zero valid rows.
+    Fields are read as csv.DictReader would: a repeated column name means
+    its last column, a short row reads "" for what it lacks and a blank
+    line is no row. Rows whose text or label is empty after trimming are
+    skipped and counted. Raises DataError for a missing, non-UTF-8 or
+    malformed file, a header lacking the declared columns, or zero valid
+    rows.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
@@ -95,36 +98,48 @@ def load_dataset(
     examples: list[LabeledExample] = []
     skipped = 0
     with fh:
+        reader = csv.reader(fh)
         try:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            header = next(reader, [])
             missing = [c for c in (text_column, label_column) if c not in header]
             if missing:
                 raise DataError(
                     f"{path}: header {header} lacks column(s) {missing}"
                 )
+            column = {c: i for i, c in enumerate(header)}
+            ti, li = column[text_column], column[label_column]
+            width = max(ti, li) + 1
             for row in reader:
-                text = (row.get(text_column) or "").strip()
-                label = (row.get(label_column) or "").strip()
-                if not text or not label:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [""] * (width - len(row))
+                text = row[ti].strip()
+                label = row[li].strip()
+                if text and label:
+                    examples.append(LabeledExample(text, label))
+                else:
                     skipped += 1
-                    continue
-                examples.append(LabeledExample(text=text, label=label))
         except UnicodeDecodeError as exc:
             raise DataError(f"dataset file is not UTF-8: {path}: {exc}") from exc
+        except csv.Error as exc:
+            raise DataError(
+                f"{path}: malformed CSV at line {reader.line_num}: {exc}"
+            ) from exc
     if not examples:
         raise DataError(f"{path}: zero valid rows")
     ds = Dataset(name=name or path, examples=tuple(examples), skipped=skipped)
-    hist: dict[str, int] = {}
-    for ex in examples:
-        hist[ex.label] = hist.get(ex.label, 0) + 1
-    logger.info(
-        json.dumps(
-            {"event": "load_dataset", "name": ds.name, "rows": len(ds),
-             "skipped": skipped, "label_histogram": hist},
-            ensure_ascii=False, sort_keys=True,
+    if logger.isEnabledFor(logging.INFO):
+        hist: dict[str, int] = {}
+        for ex in examples:
+            hist[ex.label] = hist.get(ex.label, 0) + 1
+        logger.info(
+            json.dumps(
+                {"event": "load_dataset", "name": ds.name, "rows": len(ds),
+                 "skipped": skipped, "label_histogram": hist},
+                ensure_ascii=False, sort_keys=True,
+            )
         )
-    )
     return ds
 
 

@@ -74,15 +74,15 @@ def back_translate(
 ) -> LabeledExample:
     """Translate to the pivot language and back, via the write-through cache.
 
-    A result identical to the input is still returned, flagged as
-    degenerate in the run log. Transport failures propagate after the
-    provider's own retry budget.
+    A result identical to the input is still returned, and flagged as
+    degenerate in an INFO log record when INFO is enabled. Transport
+    failures propagate after the provider's own retry budget.
     """
     if not sentence.text.strip():
         raise EmptySentenceError("cannot back-translate empty text")
     hop = _cached_translate(sentence.text, source_lang, pivot, provider, cache)
     text = _cached_translate(hop, pivot, source_lang, provider, cache)
-    if is_degenerate(sentence.text, text):
+    if logger.isEnabledFor(logging.INFO) and is_degenerate(sentence.text, text):
         logger.info(
             json.dumps(
                 {"event": "back_translate_degenerate", "text": sentence.text},

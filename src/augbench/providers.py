@@ -17,6 +17,7 @@ import time
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
+from json.encoder import encode_basestring
 
 from .errors import ConfigError, DataError, ResourceError, TransportError
 from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
@@ -277,7 +278,8 @@ class DictTranslationProvider(TranslationProvider):
     def translate(self, text, source, target):
         self.request_count += 1
         table = self.forward if source == self.source_lang else self.inverse
-        return " ".join(table.get(tok, tok) for tok in text.split(" "))
+        tokens = text.split(" ")
+        return " ".join(map(table.get, tokens, tokens))
 
 
 class HttpTranslationProvider(TranslationProvider):
@@ -306,9 +308,10 @@ def _parse_translation(payload) -> str:
     return translated
 
 
-# One encoder for every cache record: the bytes of
-# json.dumps(record, ensure_ascii=False) without a per-call encoder.
-_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+# The string encoder of JSONEncoder(ensure_ascii=False): a record built
+# field by field with it has the bytes of json.dumps(record,
+# ensure_ascii=False).
+_q = encode_basestring
 
 
 class TranslationCache:
@@ -359,10 +362,9 @@ class TranslationCache:
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
                 self._fh.write(
-                    _encode_record({"provider": provider, "source": source,
-                                    "target": target, "text": text,
-                                    "translated": translated})
-                    + "\n"
+                    f'{{"provider": {_q(provider)}, "source": {_q(source)}, '
+                    f'"target": {_q(target)}, "text": {_q(text)}, '
+                    f'"translated": {_q(translated)}}}\n'
                 )
                 self._fh.flush()
 

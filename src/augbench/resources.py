@@ -153,8 +153,9 @@ class EmbeddingStore:
 def load_embeddings(path: str) -> EmbeddingStore:
     """Load a text embedding file: header '<count> <dim>', then word rows.
 
-    Rows with the wrong arity or non-finite components are skipped and
-    counted; on duplicate words the first occurrence wins.
+    Trailing whitespace on a row (fastText's closing space, a CR) is
+    ignored. Rows with the wrong arity or non-finite components are
+    skipped and counted; on duplicate words the first occurrence wins.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -176,16 +177,16 @@ def load_embeddings(path: str) -> EmbeddingStore:
             seen: set[str] = set()
             skipped = 0
             for line in fh:
-                parts = line.rstrip("\n").split(" ")
+                parts = line.rstrip().split(" ")
                 if len(parts) != dim + 1 or not parts[0]:
                     skipped += 1
                     continue
                 try:
-                    values = [float(v) for v in parts[1:]]
+                    values = list(map(float, parts[1:]))
                 except ValueError:
                     skipped += 1
                     continue
-                if not all(math.isfinite(v) for v in values):
+                if not all(map(math.isfinite, values)):
                     skipped += 1
                     continue
                 if parts[0] in seen:

@@ -159,6 +159,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     stages = providers.get("syn_stages")
     if stages is None:
         stages = ["ppdb", "embedding"] + (["contextual"] if contextual else [])
+    pivot = providers.get("pivot", "en")
+    source_lang = providers.get("source_lang", "pt")
+    if not (isinstance(pivot, str) and isinstance(source_lang, str)):
+        raise ConfigError("providers.pivot and providers.source_lang must be strings")
     eda_raw = raw.get("eda", {})
     svm_raw = raw.get("svm", {})
     try:
@@ -174,8 +178,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             resource_id=resources.get("resource_id"),
             translation=translation,
             contextual=contextual,
-            pivot=providers.get("pivot", "en"),
-            source_lang=providers.get("source_lang", "pt"),
+            pivot=pivot,
+            source_lang=source_lang,
             syn_rate=float(providers.get("syn_rate", 0.1)),
             syn_stages=tuple(stages),
             embedding_neighbors_k=int(providers.get("embedding_neighbors_k", 5)),

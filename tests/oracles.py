@@ -1,8 +1,14 @@
-"""Scalar reference formulas the vectorised code is checked against."""
+"""Reference implementations the vectorised and bulk code is checked
+against: scalar formulas, and the straightforward loaders and translator
+that the faster ones replaced."""
 
+import csv
 import math
 
 import numpy as np
+
+from augbench.corpus import Dataset, LabeledExample
+from augbench.errors import DataError, ResourceError
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -47,3 +53,66 @@ def nearest_full_sort(word: str, k: int, store) -> tuple[tuple[str, float], ...]
     order = np.lexsort((store._lex_rank[candidates], -sims[candidates]))
     top = candidates[order[:k]]
     return tuple((store.words[i], float(sims[i])) for i in top)
+
+
+def load_dataset_dictreader(path: str, text_column: str = "text",
+                            label_column: str = "label") -> Dataset:
+    """``corpus.load_dataset`` as one csv.DictReader dict per row."""
+    examples: list[LabeledExample] = []
+    skipped = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in (text_column, label_column) if c not in header]
+        if missing:
+            raise DataError(f"{path}: header {header} lacks column(s) {missing}")
+        for row in reader:
+            text = (row.get(text_column) or "").strip()
+            label = (row.get(label_column) or "").strip()
+            if not text or not label:
+                skipped += 1
+                continue
+            examples.append(LabeledExample(text=text, label=label))
+    if not examples:
+        raise DataError(f"{path}: zero valid rows")
+    return Dataset(name=path, examples=tuple(examples), skipped=skipped)
+
+
+def load_embeddings_per_element(path: str):
+    """``resources.load_embeddings`` with one float() and one isfinite()
+    per component; rows keep their trailing whitespace. Returns
+    (words, matrix, skipped)."""
+    with open(path, encoding="utf-8") as fh:
+        _count, dim = (int(v) for v in fh.readline().split())
+        words: list[str] = []
+        rows: list[list[float]] = []
+        seen: set[str] = set()
+        skipped = 0
+        for line in fh:
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != dim + 1 or not parts[0]:
+                skipped += 1
+                continue
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError:
+                skipped += 1
+                continue
+            if not all(math.isfinite(v) for v in values):
+                skipped += 1
+                continue
+            if parts[0] in seen:
+                skipped += 1
+                continue
+            seen.add(parts[0])
+            words.append(parts[0])
+            rows.append(values)
+    if not words:
+        raise ResourceError(f"{path}: zero valid embedding rows")
+    return tuple(words), np.asarray(rows, dtype=np.float64), skipped
+
+
+def translate_per_token(provider, text: str, source: str) -> str:
+    """``DictTranslationProvider.translate`` as a generator over tokens."""
+    table = provider.forward if source == provider.source_lang else provider.inverse
+    return " ".join(table.get(tok, tok) for tok in text.split(" "))

@@ -125,6 +125,33 @@ class TestAugmentCommand:
         assert outputs[0] == outputs[1]
         assert cache_bytes[1] == cache_bytes[0]
 
+    def test_oversized_csv_field_exit_3(self, tmp_path, capsys, demo_config):
+        _, cfg = demo_config
+        data = tmp_path / "big.csv"
+        data.write_text("text,label\nbom,a\n" + "x" * 200_000 + ",b\n",
+                        encoding="utf-8")
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "datasets": [{"name": "synth3", "path": str(data)}]}))
+        assert main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path / "o"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and f"{data}: malformed CSV at line 3" in err
+
+    def test_reads_only_its_own_dataset(self, tmp_path, capsys, demo_config):
+        _, cfg = demo_config
+        absent = {"name": "absent", "path": str(tmp_path / "absent.csv")}
+        cfg_path = tmp_path / "two.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "datasets": cfg["datasets"] + [absent]}))
+        assert main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["input_rows"] == 600
+
     @pytest.mark.parametrize("loader, code, label", [
         ("dataset", 3, "data"),
         ("embeddings", 4, "resource"),

@@ -1,4 +1,9 @@
+import csv
+import json
+import logging
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from augbench.corpus import (
 from augbench.errors import DataError
 
 from conftest import write_csv
+from oracles import load_dataset_dictreader
 
 
 def make_dataset(labels):
@@ -80,6 +86,72 @@ class TestLoadDataset:
     def test_order_stable_across_loads(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [f"t{i},{i % 2}" for i in range(20)])
         assert load_dataset(path).examples == load_dataset(path).examples
+
+    def test_summary_logged_at_info(self, tmp_path, caplog):
+        path = write_csv(tmp_path / "d.csv", ["oi,a", ",b", "bom,a", "tchau,b"])
+        with caplog.at_level(logging.INFO, logger="augbench.corpus"):
+            load_dataset(path, name="d")
+        assert [json.loads(r.message) for r in caplog.records] == [
+            {"event": "load_dataset", "name": "d", "rows": 3, "skipped": 1,
+             "label_histogram": {"a": 2, "b": 1}}]
+
+    def test_repeated_column_last_wins(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a,x,b", "c,y"],
+                         header="text,label,text")
+        ds = load_dataset(path)
+        assert ds.examples == (LabeledExample("b", "x"),)
+        assert ds.skipped == 1  # the short row lacks the last text column
+
+    def test_blank_lines_are_no_rows(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["", "oi,a", "", "", "tchau,b"])
+        ds = load_dataset(path)
+        assert len(ds) == 2 and ds.skipped == 0
+
+
+# Cells are drawn from pieces that exercise the csv dialect: separators,
+# quotes, line breaks and whitespace-only values.
+_cells = st.lists(
+    st.sampled_from(["a", "b", "ç d", ",", '"', "\n", "\r\n", " ", "\t", ""]),
+    min_size=1, max_size=4,
+).map("".join)
+_columns = st.sampled_from(["text", "label", "x", "", " text"])
+
+
+@st.composite
+def csv_files(draw):
+    """(header, rows, terminator) with repeated and missing columns, short
+    and long rows and blank lines (an empty row writes a blank line)."""
+    header = draw(st.lists(_columns, min_size=1, max_size=5))
+    if draw(st.integers(0, 4)):
+        header += ["text", "label"]
+        draw(st.randoms()).shuffle(header)
+    rows = draw(st.lists(
+        st.lists(_cells, max_size=len(header) + 2), max_size=12,
+    ))
+    return header, rows, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _outcome(load, path, errors):
+    try:
+        return load(path)
+    except errors:
+        return "error"
+
+
+class TestLoadDatasetOracle:
+    @given(csv_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dictreader(self, spec):
+        header, rows, terminator = spec
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator=terminator)
+                writer.writerow(header)
+                writer.writerows(rows)
+            got = _outcome(load_dataset, path, DataError)
+            want = _outcome(load_dataset_dictreader, path, (DataError, csv.Error))
+        assert got == want
 
 
 class TestResampleSubset:

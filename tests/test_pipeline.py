@@ -1,10 +1,13 @@
 import collections
 import json
+import logging
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augbench import runner
 from augbench.corpus import Dataset, LabeledExample
@@ -22,6 +25,8 @@ from augbench.providers import (
     make_translation_provider, parse_contextual_response,
 )
 from augbench.resources import synonym_map_from_dict
+
+from oracles import translate_per_token
 
 
 class ListProvider:
@@ -129,6 +134,27 @@ class TestBackTranslate:
             TranslationCache(),
         )
         assert out.text == "bom produto"
+
+    @given(st.lists(st.sampled_from(
+        ["bom", "otimo", "good", "produto", "product", "novo", "", "\t", "é"]),
+        max_size=8), st.sampled_from(["pt", "en"]))
+    @settings(max_examples=200, deadline=None)
+    def test_dictionary_translate_matches_per_token_oracle(self, tokens, source):
+        provider = DictTranslationProvider(
+            {"bom": "good", "otimo": "good", "produto": "product"},
+            source_lang="pt",
+        )
+        text = " ".join(tokens)
+        assert provider.translate(text, source, "x") == translate_per_token(
+            provider, text, source)
+
+    def test_degenerate_round_trip_logged_at_info(self, caplog):
+        with caplog.at_level(logging.INFO, logger="augbench.pipeline"):
+            back_translate(LabeledExample("bom  produto", "pos"),
+                           IdentityTranslationProvider(), "en",
+                           TranslationCache())
+        assert [json.loads(r.message) for r in caplog.records] == [
+            {"event": "back_translate_degenerate", "text": "bom  produto"}]
 
     def test_label_unchanged(self):
         out = back_translate(

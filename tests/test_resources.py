@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from augbench.errors import ResourceError
 from augbench.resources import (
     EmbeddingStore, load_embeddings, nearest_neighbors, parse_ppdb,
 )
-from oracles import cosine_similarity, nearest_full_sort
+from oracles import (
+    cosine_similarity, load_embeddings_per_element, nearest_full_sort,
+)
 
 
 def write_lines(path, lines):
@@ -123,6 +127,84 @@ class TestLoadEmbeddings:
         store = load_embeddings(path)
         assert store.vector("a")[0] == 0.1234567
         assert store.vector("a")[1] == -9e-3
+
+
+PLAIN_VEC = ["3 2", "foo 0.1 0.2", "bar 0.3", "baz -1e-3 4", "foo 5 6"]
+
+
+class TestEmbeddingFileVariants:
+    def load(self, path):
+        store = load_embeddings(path)
+        return store.words, store.matrix.tobytes(), store.skipped
+
+    def test_fasttext_trailing_space(self, tmp_path):
+        plain = write_lines(tmp_path / "plain.vec", PLAIN_VEC)
+        spaced = write_lines(tmp_path / "spaced.vec",
+                             PLAIN_VEC[:1] + [r + " " for r in PLAIN_VEC[1:]])
+        assert self.load(spaced) == self.load(plain)
+        assert load_embeddings(spaced).words == ("foo", "baz")
+
+    def test_crlf(self, tmp_path):
+        plain = write_lines(tmp_path / "plain.vec", PLAIN_VEC)
+        crlf = tmp_path / "crlf.vec"
+        crlf.write_bytes("\r\n".join(PLAIN_VEC + [""]).encode("utf-8"))
+        assert self.load(str(crlf)) == self.load(plain)
+
+
+# Half finite numbers; the rest non-finite, not numbers, or empty.
+_components = st.sampled_from(
+    ["0.5", "-2", "1e-3", "0", "7.25", "-0.0", "nan", "inf", "-inf", "1e999",
+     "x", "", "1,5"] + ["1"] * 7
+)
+
+
+@st.composite
+def embedding_rows(draw):
+    """(dim, lines): rows of wrong arity, non-finite or non-number
+    components, duplicate words and empty words; no trailing whitespace."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        word = draw(st.sampled_from(["a", "b", "ç", "d", ""]))
+        arity = draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+        parts = draw(st.lists(_components, min_size=arity, max_size=arity))
+        if parts and parts[-1] == "":
+            parts[-1] = "1"
+        lines.append(" ".join([word] + parts))
+    return dim, lines
+
+
+def _embedding_outcome(load, path):
+    try:
+        return load(path)
+    except ResourceError:
+        return "error"
+
+
+class TestLoadEmbeddingsOracle:
+    @given(embedding_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_element_loop(self, spec):
+        dim, lines = spec
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(Path(tmp) / "e.vec",
+                               [f"{len(lines)} {dim}"] + lines)
+            got = _embedding_outcome(load_embeddings, path)
+            want = _embedding_outcome(load_embeddings_per_element, path)
+        if got == "error" or want == "error":
+            assert got == want
+        else:
+            assert (got.words, got.matrix.tobytes(), got.skipped) == (
+                want[0], want[1].tobytes(), want[2])
+
+    def test_duplicate_after_non_finite_first_copy(self, tmp_path):
+        path = write_lines(tmp_path / "e.vec",
+                           ["3 2", "a nan 1", "a 1 2", "a 3 4"])
+        store = load_embeddings(path)
+        words, matrix, skipped = load_embeddings_per_element(path)
+        assert store.words == words == ("a",)
+        assert store.matrix.tobytes() == matrix.tobytes()
+        assert store.skipped == skipped == 2
 
 
 class TestCosine:

@@ -92,6 +92,8 @@ class TestConfig:
     @pytest.mark.parametrize("providers", [
         {"embedding_neighbors_k": "five"},
         {"syn_rate": None},
+        {"pivot": 5},
+        {"source_lang": ["pt"]},
     ])
     def test_bad_provider_scalars_rejected(self, demo, providers):
         with pytest.raises(ConfigError):

@@ -18,3 +18,35 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_module_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that nothing else names."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in bound.items() if name not in used]
+
+
+def test_unused_import_check_sees_one():
+    assert _unused_module_imports(
+        "from __future__ import annotations\nimport os\nimport json as j\n"
+        "from a.b import c\nj.dumps(c)\n"
+    ) == ["os:2"]
+
+
+def test_no_unused_module_level_imports_in_package():
+    # __init__.py imports to re-export, so it is left out.
+    found = [
+        f"{path.name}:{entry}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+        for entry in _unused_module_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
