@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -78,9 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> runner.ExperimentConfig:
     config = runner.load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        config = runner.ExperimentConfig(
-            **{**config.__dict__, "master_seed": args.seed}
-        )
+        config = dataclasses.replace(config, master_seed=args.seed)
     return config
 
 
@@ -89,9 +88,10 @@ def _cmd_augment(args) -> int:
     spec = next((d for d in config.datasets if d.name == args.dataset), None)
     if spec is None:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
-    resources = runner.load_resources(
-        runner.ExperimentConfig(**{**config.__dict__, "datasets": (spec,)})
-    )
+    # Narrowed to the one dataset and group it augments, the command
+    # reads only their inputs.
+    config = dataclasses.replace(config, datasets=(spec,), groups=(args.group,))
+    resources = runner.load_resources(config, featurize=False)
     dataset = resources.datasets[args.dataset]
     cell = runner.GridCell(args.dataset, args.group, len(dataset), args.pct, 0)
     targets = select_augmentation_targets(

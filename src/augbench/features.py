@@ -11,15 +11,6 @@ from .corpus import Dataset, tokenize
 from .resources import EmbeddingStore
 
 
-def sentence_vector(tokens: Iterable[str], store: EmbeddingStore) -> np.ndarray:
-    """Component-wise mean of the embeddings of in-vocabulary tokens.
-
-    Out-of-vocabulary tokens are skipped; a sentence with no known token
-    maps to the zero vector.
-    """
-    return _mean_vectors([tokens], store)[0]
-
-
 def featurize(dataset: Dataset, store: EmbeddingStore) -> np.ndarray:
     """Stack sentence vectors for every example into an (n, dim) matrix."""
     return _mean_vectors([tokenize(ex.text) for ex in dataset], store)

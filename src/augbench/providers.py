@@ -17,7 +17,9 @@ import time
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
+from itertools import repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .errors import ConfigError, DataError, ResourceError, TransportError
 from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
@@ -313,6 +315,12 @@ def _parse_translation(payload) -> str:
 # ensure_ascii=False).
 _q = encode_basestring
 
+# Characters of the cache file read and parsed at once: a bound on the
+# memory a load needs besides the loaded cache itself.
+_LOAD_BLOCK = 1 << 20
+_RECORD_KEY = itemgetter("provider", "source", "target", "text")
+_TRANSLATED = itemgetter("translated")
+
 
 class TranslationCache:
     """Append-only (provider, source, target, text) -> translation store.
@@ -334,18 +342,65 @@ class TranslationCache:
         if path:
             try:
                 with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        rec = json.loads(line)
-                        key = (rec["provider"], rec["source"], rec["target"],
-                               rec["text"])
-                        self._data[key] = rec["translated"]
+                    first = 1
+                    while block := fh.readlines(_LOAD_BLOCK):
+                        if not self._load_block(block):
+                            self._load_lines(block, first)
+                        first += len(block)
             except FileNotFoundError:
                 pass
+            except UnicodeDecodeError as exc:
+                raise DataError(f"cache file is not UTF-8: {path}: {exc}") from exc
+
+    def _load_block(self, block: list[str]) -> bool:
+        """Load a block's records with one JSON parse; False where the
+        line-by-line load must decide.
+
+        The stripped lines are parsed as one array, joined by ",\n". The
+        checks make sure each line held exactly one record, as each line
+        parsed alone would:
+        - A JSON string cannot hold a raw newline, so no record spans the
+          join inside a string.
+        - Inside an object a "{" cannot follow a comma, and no record
+          holds an array (five fields, a string translation, and key
+          fields that hash). So a line that starts with "{" starts a
+          record.
+        - With one record per line start, as many records as lines
+          leaves no line with two.
+        A key that does not hash stops the update part-way; the
+        line-by-line load then raises on that record's line.
+        """
+        lines = [line for line in map(str.strip, block) if line]
+        if not all(map(str.startswith, lines, repeat("{"))):
+            return False
+        try:
+            records = json.loads("[" + ",\n".join(lines) + "]")
+            translations = list(map(_TRANSLATED, records))
+        except (KeyError, TypeError, ValueError):
+            return False
+        if (len(records) != len(lines) or set(map(len, records)) - {5}
+                or not all(map(str.__instancecheck__, translations))):
+            return False
+        try:
+            self._data.update(zip(map(_RECORD_KEY, records), translations))
+        except (KeyError, TypeError):
+            return False
+        return True
+
+    def _load_lines(self, block: list[str], first: int) -> None:
+        """Load a block one line at a time; ``first`` numbers its first line."""
+        for number, line in enumerate(block, first):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                key = _RECORD_KEY(rec)
+                self._data[key] = rec["translated"]
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed cache record: {exc!r}") from exc
+                raise DataError(
+                    f"{self.path}: line {number}: malformed cache record: {exc!r}"
+                ) from exc
 
     def __len__(self) -> int:
         return len(self._data)

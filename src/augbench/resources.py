@@ -39,20 +39,7 @@ class SynonymMap:
         return len(self.entries)
 
 
-def synonym_map_from_dict(mapping: dict[str, list[str]]) -> SynonymMap:
-    """Build a SynonymMap in memory, applying the same hygiene as the parser."""
-    entries: dict[str, tuple[str, ...]] = {}
-    for word, cands in mapping.items():
-        seen: list[str] = []
-        for c in cands:
-            if c != word and c not in seen and len(c.split()) == 1:
-                seen.append(c)
-        if seen:
-            entries[word] = tuple(seen)
-    return SynonymMap(entries=entries)
-
-
-def parse_ppdb(path: str, symmetrize: bool = False) -> SynonymMap:
+def parse_ppdb(path: str) -> SynonymMap:
     """Parse a '|||'-separated paraphrase file into a SynonymMap.
 
     Field 2 is the source phrase, field 3 the target. Only pairs where
@@ -66,12 +53,6 @@ def parse_ppdb(path: str, symmetrize: bool = False) -> SynonymMap:
         raise ResourceError(f"cannot open paraphrase file: {path}") from exc
     entries: dict[str, list[str]] = {}
     skipped = 0
-
-    def add(src: str, dst: str) -> None:
-        bucket = entries.setdefault(src, [])
-        if dst != src and dst not in bucket:
-            bucket.append(dst)
-
     with fh:
         try:
             for line in fh:
@@ -88,9 +69,9 @@ def parse_ppdb(path: str, symmetrize: bool = False) -> SynonymMap:
                         or not src or not dst):
                     skipped += 1
                     continue
-                add(src, dst)
-                if symmetrize:
-                    add(dst, src)
+                bucket = entries.setdefault(src, [])
+                if dst != src and dst not in bucket:
+                    bucket.append(dst)
         except UnicodeDecodeError as exc:
             raise ResourceError(
                 f"paraphrase file is not UTF-8: {path}: {exc}") from exc

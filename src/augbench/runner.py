@@ -166,7 +166,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     eda_raw = raw.get("eda", {})
     svm_raw = raw.get("svm", {})
     try:
-        return ExperimentConfig(
+        config = ExperimentConfig(
             datasets=datasets,
             groups=groups,
             subset_sizes=sizes,
@@ -201,6 +201,31 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_syn_stages(config)
+    return config
+
+
+def _check_syn_stages(config: ExperimentConfig) -> None:
+    """Reject a syn stage that ``load_resources`` could not build.
+
+    Checked for every config, whatever its groups, so an augment command
+    that reads no syn stage still rejects the config a grid would.
+    """
+    for stage in config.syn_stages:
+        if stage == "ppdb":
+            if not config.ppdb_path:
+                raise ConfigError("syn stage 'ppdb' needs resources.ppdb")
+        elif stage == "embedding":
+            if config.embedding_neighbors_k < 1:
+                raise ConfigError("providers.embedding_neighbors_k must be >= 1")
+        elif stage == "contextual":
+            spec = config.contextual
+            if isinstance(spec, dict) and "http" in spec:
+                http_options(spec)
+            elif not (isinstance(spec, str) and spec.startswith("stub:")):
+                raise ConfigError(f"unusable contextual provider config: {spec!r}")
+        else:
+            raise ConfigError(f"unknown syn stage {stage!r}")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -225,18 +250,32 @@ def plan_grid(config: ExperimentConfig) -> list[GridCell]:
 class Resources:
     """Everything loaded once and shared read-only across cells.
 
-    Whoever calls ``load_resources`` closes ``cache`` when done with it.
+    An input the run does not read is None (``cache`` is then an empty
+    in-memory cache). Whoever calls ``load_resources`` closes ``cache``
+    when done with it.
     """
 
     datasets: dict[str, Dataset]
-    embeddings: EmbeddingStore
+    embeddings: EmbeddingStore | None
     synmap: SynonymMap | None
     replacement_providers: list[ReplacementProvider]
     translation: object | None
     cache: TranslationCache
 
 
-def load_resources(config: ExperimentConfig) -> Resources:
+def load_resources(config: ExperimentConfig, *,
+                   featurize: bool = True) -> Resources:
+    """Load the inputs a run reads: the one place that decides which.
+
+    A grid (``featurize=True``) featurizes every row, so it reads the
+    embeddings, and it loads every input the config names. An augment
+    command passes ``featurize=False`` with ``config.groups`` narrowed
+    to its group, and reads only what that group uses: EDA the
+    paraphrase map; Syn the inputs of its ``syn_stages``; BT the
+    translation provider and the cache file.
+    """
+    groups = GROUPS if featurize else config.groups
+    stages = config.syn_stages if "Syn" in groups else ()
     datasets = {
         spec.name: load_dataset(
             spec.path, text_column=spec.text_column,
@@ -244,27 +283,29 @@ def load_resources(config: ExperimentConfig) -> Resources:
         )
         for spec in config.datasets
     }
-    embeddings = load_embeddings(config.embeddings_path)
-    synmap = parse_ppdb(config.ppdb_path) if config.ppdb_path else None
+    embeddings = (
+        load_embeddings(config.embeddings_path)
+        if featurize or "embedding" in stages else None
+    )
+    synmap = (
+        parse_ppdb(config.ppdb_path)
+        if config.ppdb_path and ("EDA" in groups or "ppdb" in stages)
+        else None
+    )
     providers: list[ReplacementProvider] = []
-    for stage in config.syn_stages:
+    for stage in stages:  # each checked by config_from_dict
         if stage == "ppdb":
-            if synmap is None:
-                raise ConfigError("syn stage 'ppdb' needs resources.ppdb")
             providers.append(SynonymMapProvider(synmap))
         elif stage == "embedding":
-            if config.embedding_neighbors_k < 1:
-                raise ConfigError("providers.embedding_neighbors_k must be >= 1")
             providers.append(
                 EmbeddingNeighborProvider(embeddings, k=config.embedding_neighbors_k)
             )
         elif stage == "contextual":
             providers.append(_make_contextual(config.contextual))
-        else:
-            raise ConfigError(f"unknown syn stage {stage!r}")
+    back_translates = "BT" in groups
     translation = (
         make_translation_provider(config.translation, source_lang=config.source_lang)
-        if config.translation is not None
+        if back_translates and config.translation is not None
         else None
     )
     return Resources(
@@ -273,16 +314,14 @@ def load_resources(config: ExperimentConfig) -> Resources:
         synmap=synmap,
         replacement_providers=providers,
         translation=translation,
-        cache=TranslationCache(config.cache_path),
+        cache=TranslationCache(config.cache_path if back_translates else None),
     )
 
 
 def _make_contextual(spec) -> ReplacementProvider:
-    if isinstance(spec, str) and spec.startswith("stub:"):
+    if isinstance(spec, str):  # "stub:<path>", as config_from_dict checked
         return StubContextualProvider(load_contextual_table(spec[len("stub:"):]))
-    if isinstance(spec, dict) and "http" in spec:
-        return HttpContextualProvider(**http_options(spec))
-    raise ConfigError(f"unusable contextual provider config: {spec!r}")
+    return HttpContextualProvider(**http_options(spec))
 
 
 def make_augmenter(config: ExperimentConfig, resources: Resources,

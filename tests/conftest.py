@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from augbench.resources import EmbeddingStore, synonym_map_from_dict
+from augbench.resources import EmbeddingStore
+from oracles import synonym_map_from_dict
 
 
 @pytest.fixture

@@ -1,14 +1,18 @@
 """Reference implementations the vectorised and bulk code is checked
 against: scalar formulas, and the straightforward loaders and translator
-that the faster ones replaced."""
+that the faster ones replaced. Also the in-memory builders that only
+tests use."""
 
 import csv
+import json
 import math
 
 import numpy as np
 
 from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import DataError, ResourceError
+from augbench.features import _mean_vectors
+from augbench.resources import SynonymMap
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -116,3 +120,47 @@ def translate_per_token(provider, text: str, source: str) -> str:
     """``DictTranslationProvider.translate`` as a generator over tokens."""
     table = provider.forward if source == provider.source_lang else provider.inverse
     return " ".join(table.get(tok, tok) for tok in text.split(" "))
+
+
+def load_translation_cache_per_line(path: str) -> dict:
+    """``TranslationCache``'s file load as one json.loads per line; a bad
+    record raises DataError naming the file and its 1-based line."""
+    data = {}
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                key = (rec["provider"], rec["source"], rec["target"],
+                       rec["text"])
+                data[key] = rec["translated"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(
+                    f"{path}: line {number}: malformed cache record: {exc!r}"
+                ) from exc
+    return data
+
+
+def synonym_map_from_dict(mapping: dict[str, list[str]]) -> SynonymMap:
+    """Build a SynonymMap in memory, applying the same hygiene as the parser."""
+    entries: dict[str, tuple[str, ...]] = {}
+    for word, cands in mapping.items():
+        seen: list[str] = []
+        for c in cands:
+            if c != word and c not in seen and len(c.split()) == 1:
+                seen.append(c)
+        if seen:
+            entries[word] = tuple(seen)
+    return SynonymMap(entries=entries)
+
+
+def sentence_vector(tokens, store) -> np.ndarray:
+    """Component-wise mean of the embeddings of in-vocabulary tokens, as
+    featurize computes it for one sentence.
+
+    Out-of-vocabulary tokens are skipped; a sentence with no known token
+    maps to the zero vector.
+    """
+    return _mean_vectors([tokens], store)[0]

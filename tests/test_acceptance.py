@@ -28,10 +28,10 @@ from augbench.eda import (
 from augbench.metrics import evaluate
 from augbench.pipeline import augment_training_set, back_translate
 from augbench.providers import DictTranslationProvider, TranslationCache
-from augbench.resources import synonym_map_from_dict
 from augbench.results import ExperimentResult
 from augbench.stats import ContingencyTable, filter_best, mcnemar
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
+from oracles import synonym_map_from_dict
 
 
 def _report(line: str) -> None:

@@ -177,12 +177,55 @@ class TestAugmentCommand:
             cfg["resources"][loader] = corrupt(cfg["resources"][loader])
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
+        group = {"dataset": "EDA", "ppdb": "EDA", "embeddings": "Syn",
+                 "dictionary": "BT"}[loader]  # a group that reads the file
         assert main([
             "augment", "--config", str(cfg_path), "--dataset", "synth3",
-            "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path / "o"),
+            "--group", group, "--pct", "0.1", "--out", str(tmp_path / "o"),
         ]) == code
         err = capsys.readouterr().err
         assert f"error[{label}]" in err and "not UTF-8" in err
+
+    @staticmethod
+    def _augment(tmp_path, cfg, group, out):
+        """Exit code of one augment command and its output bytes, or None."""
+        cfg_path = tmp_path / f"{out}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", group, "--pct", "0.1", "--out", str(tmp_path / out),
+        ])
+        path = tmp_path / out / f"synth3_{group}_augmented.csv"
+        return code, path.read_bytes() if code == 0 else None
+
+    @pytest.mark.parametrize("missing, reads", [
+        ("embeddings", "Syn"),
+        ("dictionary", "BT"),
+    ])
+    def test_group_reads_only_its_inputs(self, tmp_path, capsys, demo_config,
+                                         missing, reads):
+        _, cfg = demo_config
+        absent = str(tmp_path / "absent")
+        if missing == "embeddings":
+            broken = {**cfg, "resources": {**cfg["resources"], "embeddings": absent}}
+        else:
+            broken = {**cfg, "providers": {**cfg["providers"],
+                                           "translation": "dict:" + absent}}
+        for group in ("EDA", "Syn", "BT"):
+            code, got = self._augment(tmp_path, broken, group, f"{group}_broken")
+            if group == reads:
+                assert code == 4
+                assert "error[resource]" in capsys.readouterr().err
+            else:
+                assert code == 0
+                assert got == self._augment(tmp_path, cfg, group, group)[1]
+
+    def test_zero_neighbors_exit_2_for_eda(self, tmp_path, capsys, demo_config):
+        _, cfg = demo_config
+        cfg = {**cfg, "providers": {**cfg["providers"], "embedding_neighbors_k": 0}}
+        assert self._augment(tmp_path, cfg, "EDA", "o")[0] == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "embedding_neighbors_k" in err
 
 
 class TestTrainCommand:

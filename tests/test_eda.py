@@ -11,7 +11,7 @@ from augbench.eda import (
     random_swap, synonym_replacement,
 )
 from augbench.errors import EmptySentenceError
-from augbench.resources import synonym_map_from_dict
+from oracles import synonym_map_from_dict
 
 tokens_strategy = st.lists(
     st.sampled_from(["bom", "otimo", "carro", "produto", "loja", "x", "y"]),

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from augbench import kernels
 from augbench.errors import DegenerateFeaturesError, TrainingError
-from augbench.features import featurize, sentence_vector
+from augbench.features import featurize
 from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
-from oracles import rbf_kernel
+from oracles import rbf_kernel, sentence_vector
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:

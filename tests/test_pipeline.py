@@ -1,15 +1,18 @@
 import collections
 import json
 import logging
+import os
 import random
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augbench import runner
+from augbench import providers, runner
 from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, TransportError,
@@ -24,9 +27,10 @@ from augbench.providers import (
     TranslationCache, contextual_request, http_options,
     make_translation_provider, parse_contextual_response,
 )
-from augbench.resources import synonym_map_from_dict
 
-from oracles import translate_per_token
+from oracles import (
+    load_translation_cache_per_line, synonym_map_from_dict, translate_per_token,
+)
 
 
 class ListProvider:
@@ -260,6 +264,150 @@ class TestTranslationCacheFile:
         reloaded = TranslationCache(str(path))
         assert reloaded.get("p", "pt", "en", "um") == "one"
         assert reloaded.get("p", "pt", "en", "dois") == "two"
+
+
+def _record(text, translated="t", **extra):
+    return {"provider": "p", "source": "pt", "target": "en", "text": text,
+            "translated": translated, **extra}
+
+
+def _line(rec, ensure_ascii=False):
+    return json.dumps(rec, ensure_ascii=ensure_ascii)
+
+
+def _cache_outcome(load, path):
+    try:
+        return "ok", load(path)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def _load_cache(path):
+    return TranslationCache(path)._data
+
+
+_texts = st.sampled_from(AWKWARD_TEXTS + ["bom", "x\u2028y", "fim\r"])
+_valid = st.builds(
+    _line,
+    st.builds(_record, _texts, st.one_of(
+        _texts, st.just([{}, {}]), st.just({"a": [1]}), st.integers())),
+    st.booleans(),
+)
+_cache_lines = st.one_of(
+    _valid,
+    st.sampled_from(["", "  \t", " \u2028 "]),  # blank after strip()
+    st.builds(lambda a, b: a + ", " + b, _valid, _valid),  # two on one line
+    st.sampled_from([  # not an object, or not a usable record
+        "[1, 2]", '"text"', "5", "null", '{"provider": "p"}',
+        _line(_record(["a"])), _line(_record("x", extra=[1])),
+        "{} {}", "\ufeff" + _line(_record("bom")),
+    ]),
+)
+
+
+@st.composite
+def _cache_files(draw):
+    """Cache file bytes with blank, duplicate, split, two-record, non-object
+    and malformed lines, LF or CRLF line ends, and maybe a truncated end."""
+    lines = []
+    for line in draw(st.lists(_cache_lines, max_size=25)):
+        split = draw(st.integers(0, 5))
+        if split == 0 and len(line) > 1:  # in two, anywhere
+            cut = draw(st.integers(1, len(line) - 1))
+            lines += [line[:cut], line[cut:]]
+        elif split == 1 and ", " in line:  # in two, between fields
+            cut = draw(st.sampled_from(
+                [i for i in range(len(line)) if line.startswith(", ", i)]))
+            lines += [line[:cut], line[cut + 2:]]
+        else:
+            lines.append(line)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                   for line in lines)
+    if draw(st.booleans()):
+        text += draw(_valid)[:draw(st.integers(1, 30))]  # truncated last line
+    return text.encode("utf-8")
+
+
+class TestTranslationCacheLoad:
+    """The block-wise load against one json.loads per line."""
+
+    @given(data=_cache_files(), block=st.integers(1, 400))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_line_load(self, data, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with mock.patch.object(providers, "_LOAD_BLOCK", block):
+                got = _cache_outcome(_load_cache, path)
+            assert got == _cache_outcome(load_translation_cache_per_line, path)
+
+    # Each case opens with a line holding two records. The lines that
+    # follow hold one record between them, so the block has one record
+    # per line on the count alone; a check of the bulk load must see it.
+    _PAIR = _line(_record("a")) + ", " + _line(_record("b"))
+    _HEAD = '{"provider": "p", "source": "pt", "target": "en", "text": "c"'
+
+    @pytest.mark.parametrize("rest", [
+        [],  # no compensation: the count differs
+        [_HEAD, '"translated": "y"}'],  # split between two fields
+        [_HEAD + ', "translated": "ab', '{cd"}'],  # split inside a string
+        [_HEAD + ', "translated": [{}', '{}]}'],  # inside an array
+        [_HEAD + ', "translated": "y", "more": [{}', '{}]}'],
+    ], ids=["count", "fields", "string", "array", "extra-field-array"])
+    def test_one_record_per_line_is_checked(self, tmp_path, rest):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n".join([self._PAIR, *rest]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"line 1: malformed cache record"):
+            TranslationCache(str(path))
+
+    def _records_file(self, tmp_path, bad_line, bad):
+        lines = [_line(_record(f"w{i}")) for i in range(1, 61)]
+        lines[bad_line - 1] = bad
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_error_names_line_in_middle_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(providers, "_LOAD_BLOCK", 500)  # about 6 lines
+        path = self._records_file(tmp_path, 37, '{"provider": "p", "sour')
+        with pytest.raises(DataError) as caught:
+            TranslationCache(path)
+        assert str(caught.value).startswith(
+            f"{path}: line 37: malformed cache record: JSONDecodeError(")
+
+    def test_error_names_truncated_last_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(providers, "_LOAD_BLOCK", 500)
+        path = tmp_path / "cache.jsonl"
+        lines = [_line(_record(f"w{i}")) for i in range(1, 61)]
+        path.write_text("\n".join(lines) + "\n" + lines[0][:25],
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: line 61: malformed"):
+            TranslationCache(str(path))
+
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(_line(_record("a")) + "\n\n  \r\n[1]\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="line 4: malformed cache record: "
+                                            "TypeError"):
+            TranslationCache(str(path))
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(_line(_record("a")).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(DataError, match="cache file is not UTF-8"):
+            TranslationCache(str(path))
+
+    def test_last_record_wins_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(providers, "_LOAD_BLOCK", 100)
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(
+            _line(_record("a", translated=str(i))) + "\n" for i in range(20)
+        ), encoding="utf-8")
+        cache = TranslationCache(str(path))
+        assert len(cache) == 1 and cache.get("p", "pt", "en", "a") == "19"
 
 
 class TestAugmentTrainingSet:

@@ -73,11 +73,6 @@ class TestParsePpdb:
         with pytest.raises(ResourceError, match="cannot open"):
             parse_ppdb(str(tmp_path / "absent.txt"))
 
-    def test_symmetrize(self, tmp_path):
-        path = write_lines(tmp_path / "p.txt", ["[X] ||| a ||| b ||| s ||| x"])
-        m = parse_ppdb(path, symmetrize=True)
-        assert m.candidates("b") == ("a",)
-
     def test_idempotent(self, tmp_path):
         path = write_lines(tmp_path / "p.txt", [
             "[X] ||| carro ||| automovel ||| a ||| x",

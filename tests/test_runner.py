@@ -102,12 +102,29 @@ class TestConfig:
             )
 
     def test_zero_neighbors_rejected(self, demo):
-        cfg = runner.config_from_dict(
-            {**demo, "providers": {**demo["providers"],
-                                   "embedding_neighbors_k": 0}}
-        )
         with pytest.raises(ConfigError, match="embedding_neighbors_k"):
-            runner.load_resources(cfg)
+            runner.config_from_dict(
+                {**demo, "providers": {**demo["providers"],
+                                       "embedding_neighbors_k": 0}}
+            )
+
+    @pytest.mark.parametrize("resources, providers, match", [
+        (None, {"syn_stages": ["ppdb", "wordnet"]}, "unknown syn stage"),
+        ({"ppdb": None}, {"syn_stages": ["ppdb"]}, "needs resources.ppdb"),
+        (None, {"syn_stages": ["contextual"]}, "unusable contextual"),
+        (None, {"syn_stages": ["contextual"], "contextual": "table.tsv"},
+         "unusable contextual"),
+        (None, {"syn_stages": ["contextual"], "contextual": {"http": {}}},
+         "malformed http provider section"),
+    ])
+    def test_bad_syn_stage_rejected_when_parsed(self, demo, resources,
+                                                providers, match):
+        raw = {**demo, "groups": ["BT"],
+               "providers": {**demo["providers"], **providers}}
+        if resources:
+            raw["resources"] = {**demo["resources"], **resources}
+        with pytest.raises(ConfigError, match=match):
+            runner.config_from_dict(raw)
 
     def test_eda_requires_ppdb(self, demo):
         bad = {**demo, "resources": {"embeddings": demo["resources"]["embeddings"]}}

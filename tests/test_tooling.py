@@ -50,3 +50,46 @@ def test_no_unused_module_level_imports_in_package():
         for entry in _unused_module_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# The functions that read an input file. Only runner.load_resources calls
+# them, so the rule of which inputs a run reads lives in one function.
+LOADERS = {"load_dataset", "load_embeddings", "parse_ppdb",
+           "make_translation_provider", "TranslationCache"}
+
+
+def _loader_calls(source: str, module: str) -> list[tuple[str, str]]:
+    """(module.top-level definition, loader) for each call to a loader."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in LOADERS:
+                found.append((f"{module}.{getattr(top, 'name', '<module>')}",
+                              name))
+    return found
+
+
+def test_loader_call_check_sees_a_second_site():
+    source = (
+        "def load_resources(config):\n    return parse_ppdb(config.p)\n"
+        "class Other:\n    def f(self):\n"
+        "        return providers.TranslationCache(None)\n"
+    )
+    assert _loader_calls(source, "runner") == [
+        ("runner.load_resources", "parse_ppdb"),
+        ("runner.Other", "TranslationCache"),
+    ]
+
+
+def test_inputs_are_loaded_only_by_load_resources():
+    calls = [
+        call
+        for path in sorted(SRC.glob("*.py"))
+        for call in _loader_calls(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert {site for site, _ in calls} == {"runner.load_resources"}
+    assert {name for _, name in calls} == LOADERS
