@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .corpus import Dataset, LabeledExample, SplitPair, tokenize
 from .metrics import EvalReport, evaluate
 from .resources import EmbeddingStore, SynonymMap
-from .stats import ContingencyTable, GainRecord, TestResult, mcnemar
+from .stats import ContingencyTable, TestResult, mcnemar
 from .svm import SvmConfig, SvmModel, svm_predict, svm_train
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "EmbeddingStore",
     "SynonymMap",
     "ContingencyTable",
-    "GainRecord",
     "TestResult",
     "mcnemar",
     "SvmConfig",

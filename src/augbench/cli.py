@@ -88,6 +88,8 @@ def _cmd_augment(args) -> int:
     spec = next((d for d in config.datasets if d.name == args.dataset), None)
     if spec is None:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
+    if args.group not in config.groups:
+        raise ConfigError(f"group {args.group!r} not in config")
     # Narrowed to the one dataset and group it augments, the command
     # reads only their inputs.
     config = dataclasses.replace(config, datasets=(spec,), groups=(args.group,))
@@ -170,11 +172,8 @@ def _cmd_mcnemar(args) -> int:
 def _cmd_report(args) -> int:
     rows = read_results_csv(args.results)
     summary = report.summarize(rows, args.out)
-    gain_records = sum(
-        n for (ds, _), (_, n) in summary.mean_gain_by_group.items() if ds == "ALL"
-    )
     print(json.dumps({
-        "gain_records": gain_records,
+        "gain_records": len(summary.gains),
         "significant": len(summary.significant),
         "out": args.out,
     }))

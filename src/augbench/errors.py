@@ -37,9 +37,5 @@ class EmptySentenceError(AugbenchError):
     """A sentence tokenized to nothing and cannot be augmented."""
 
 
-class MissingBaselineError(AugbenchError):
-    """An augmented result has no p=0 baseline to pair with."""
-
-
 class InvariantError(AugbenchError):
     """A grid invariant failed: train/test overlap or augmentation purity."""

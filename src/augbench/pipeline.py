@@ -2,8 +2,9 @@
 
 Both generate exactly one new example per source sentence with the
 label copied unchanged. augment_training_set appends generated examples
-after the untouched originals and isolates per-target failures so one
-bad sentence cannot sink a whole grid cell.
+after the untouched originals. A sentence that cannot be augmented
+(EmptySentenceError) is skipped and counted; any other error, a
+provider's TransportError included, propagates.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def augment_training_set(
     """Append generated examples for each target index, in target order.
 
     Originals stay verbatim and first. Returns the grown dataset and the
-    target indices whose augmentation failed (skipped, counted, logged).
+    target indices whose sentence raised EmptySentenceError (skipped,
+    counted, logged); any other exception propagates.
     """
     n = len(train)
     bad = [i for i in targets if not 0 <= i < n]
@@ -123,7 +125,7 @@ def augment_training_set(
     for i in targets:
         try:
             generated.extend(augmenter(train[i]))
-        except Exception as exc:
+        except EmptySentenceError as exc:
             failures.append(i)
             logger.warning(
                 json.dumps(

@@ -1,9 +1,12 @@
 """Summary tables over a results set.
 
-Emits the report bundle as CSV plus a human-readable text summary:
-baseline-F1 grids per dataset, mean gains per group and per
-(group, size), p-value grids with significance flags, and the
--log10(p) series behind significance plots.
+The report pairs nothing itself: each p>0 row carries the pairing
+fields the runner computed for it (``baseline_f1``, ``gain``, and for a
+positive gain the McNemar ``chi2`` and ``p_value``), and every table is
+read from those rows. Emits the report bundle as CSV plus a
+human-readable text summary: baseline-F1 grids per dataset, mean gains
+per group and per (group, size), p-value grids with significance
+flags, and the -log10(p) series behind significance plots.
 """
 
 from __future__ import annotations
@@ -11,14 +14,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError
 from .results import ExperimentResult, _fmt
-from .stats import (
-    ALPHA, GainRecord, ScreenRow, TestResult, compute_gains, filter_best,
-    significance_screen,
-)
+from .stats import ALPHA
 
 GROUP_ORDER = ("EDA", "Syn", "BT")
 
@@ -27,10 +28,10 @@ GROUP_ORDER = ("EDA", "Syn", "BT")
 class Summary:
     mean_gain_by_group: dict[tuple[str, str], tuple[float, int]]
     mean_gain_by_group_size: dict[tuple[str, str, int], tuple[float, int]]
-    screen: list[ScreenRow]
-    best_models: dict[tuple[str, str, int, float], GainRecord]
+    gains: list[ExperimentResult]  # ok p>0 rows with a gain, in row order
+    best_models: dict[tuple[str, str, int, float], ExperimentResult]
     unpaired: list[tuple]
-    significant: list[ScreenRow]
+    significant: list[ExperimentResult]
 
 
 def _group_sort_key(group: str):
@@ -44,43 +45,35 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
     """Build and write the report bundle for a results set."""
     if not rows:
         raise DataError("cannot summarize an empty results set")
+    repeated = [k for k, n in Counter(r.key() for r in rows).items() if n > 1]
+    if repeated:
+        raise DataError(f"repeated cell key(s) in results: {repeated[:5]}")
     os.makedirs(out_dir, exist_ok=True)
     ok_rows = [r for r in rows if r.status == "ok" and r.f1 is not None]
     if not ok_rows:
         raise DataError("no successful cells to summarize")
-    best = filter_best(ok_rows)
 
-    # Augmented cells whose baseline never succeeded cannot be paired;
-    # they are excluded from gains and reported, not silently dropped.
-    baselines = {r.pairing_key() for r in best if r.aug_pct == 0}
-    unpaired = [
-        r.key() for r in best
-        if r.aug_pct > 0 and r.pairing_key() not in baselines
+    # An augmented cell whose baseline failed carries no gain; it is
+    # reported, not silently dropped.
+    augmented = [r for r in ok_rows if r.aug_pct > 0]
+    gains = [r for r in augmented if r.gain is not None]
+    unpaired = [r.key() for r in augmented if r.gain is None]
+    untested = [
+        r.key() for r in gains
+        if r.gain > 0 and (r.chi2 is None or r.p_value is None)
     ]
-    pairable = [
-        r for r in best
-        if r.aug_pct == 0 or r.pairing_key() in baselines
-    ]
-    gains = compute_gains(pairable)
-    tests = {
-        r.key(): TestResult(chi2=r.chi2, p_value=r.p_value)
-        for r in best
-        if r.chi2 is not None and r.p_value is not None
-    }
-    untested = [g.key() for g in gains if g.gain > 0 and g.key() not in tests]
     if untested:
         raise DataError(
             f"positive-gain cell(s) without chi2/p_value: {untested}"
         )
-    screen = significance_screen(gains, tests)
-    significant = [s for s in screen if s.test is not None and s.test.significant]
+    significant = [r for r in gains if r.gain > 0 and r.p_value < ALPHA]
 
     by_group: dict[tuple[str, str], list[float]] = {}
     by_group_size: dict[tuple[str, str, int], list[float]] = {}
-    for g in gains:
-        for ds in (g.dataset, "ALL"):
-            by_group.setdefault((ds, g.group), []).append(g.gain)
-            by_group_size.setdefault((ds, g.group, g.subset_size), []).append(g.gain)
+    for r in gains:
+        for ds in (r.dataset, "ALL"):
+            by_group.setdefault((ds, r.group), []).append(r.gain)
+            by_group_size.setdefault((ds, r.group, r.subset_size), []).append(r.gain)
     mean_by_group = {
         k: (sum(v) / len(v), len(v)) for k, v in by_group.items()
     }
@@ -90,23 +83,23 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
 
     # best augmented model across rounds per combination; ties go to the
     # earliest round so the report is deterministic
-    best_models: dict[tuple[str, str, int, float], GainRecord] = {}
-    for g in gains:
-        combo = (g.dataset, g.group, g.subset_size, g.aug_pct)
+    best_models: dict[tuple[str, str, int, float], ExperimentResult] = {}
+    for r in gains:
+        combo = (r.dataset, r.group, r.subset_size, r.aug_pct)
         cur = best_models.get(combo)
-        if cur is None or (g.augmented_f1, -g.round) > (cur.augmented_f1, -cur.round):
-            best_models[combo] = g
+        if cur is None or (r.f1, -r.round) > (cur.f1, -cur.round):
+            best_models[combo] = r
 
     _write_mean_gains(out_dir, mean_by_group, mean_by_group_size)
-    _write_screen(out_dir, screen)
-    _write_appendix_tables(out_dir, best_models, tests)
+    _write_screen(out_dir, gains)
+    _write_appendix_tables(out_dir, best_models)
     _write_text_summary(
         out_dir, rows, ok_rows, gains, significant, unpaired, mean_by_group
     )
     return Summary(
         mean_gain_by_group=mean_by_group,
         mean_gain_by_group_size=mean_by_group_size,
-        screen=screen,
+        gains=gains,
         best_models=best_models,
         unpaired=unpaired,
         significant=significant,
@@ -145,24 +138,21 @@ def _write_mean_gains(out_dir, mean_by_group, mean_by_group_size) -> None:
     )
 
 
-def _write_screen(out_dir, screen: list[ScreenRow]) -> None:
+def _write_screen(out_dir, gains: list[ExperimentResult]) -> None:
+    """One pvalues.csv row per gain; only a positive gain has a test."""
     p_rows, log_rows = [], []
-    for s in screen:
-        ds, group, size, pct, rnd = s.key
-        if s.test is None:
-            p_rows.append([ds, group, str(size), _fmt(pct), str(rnd),
-                           repr(s.gain), "", "", ""])
+    for r in gains:
+        cell = [r.dataset, r.group, str(r.subset_size), _fmt(r.aug_pct),
+                str(r.round)]
+        if r.gain <= 0:
+            p_rows.append(cell + [repr(r.gain), "", "", ""])
             continue
-        p_rows.append([
-            ds, group, str(size), _fmt(pct), str(rnd), repr(s.gain),
-            repr(s.test.chi2), repr(s.test.p_value),
-            "true" if s.test.significant else "false",
+        p_rows.append(cell + [
+            repr(r.gain), repr(r.chi2), repr(r.p_value),
+            "true" if r.p_value < ALPHA else "false",
         ])
-        if s.test.p_value > 0:
-            log_rows.append([
-                ds, group, str(size), _fmt(pct), str(rnd),
-                repr(-math.log10(s.test.p_value)),
-            ])
+        if r.p_value > 0:
+            log_rows.append(cell + [repr(-math.log10(r.p_value))])
     _write_csv(
         os.path.join(out_dir, "pvalues.csv"),
         ["dataset", "group", "subset_size", "aug_pct", "round", "gain",
@@ -176,7 +166,7 @@ def _write_screen(out_dir, screen: list[ScreenRow]) -> None:
     )
 
 
-def _write_appendix_tables(out_dir, best_models, tests) -> None:
+def _write_appendix_tables(out_dir, best_models) -> None:
     datasets = sorted({combo[0] for combo in best_models})
     groups = sorted({combo[1] for combo in best_models}, key=_group_sort_key)
     pcts = sorted({combo[3] for combo in best_models})
@@ -192,8 +182,10 @@ def _write_appendix_tables(out_dir, best_models, tests) -> None:
                 for p in pcts:
                     rec = best_models.get((ds, g, size, p))
                     base_row.append("" if rec is None else repr(rec.baseline_f1))
-                    test = tests.get(rec.key()) if rec is not None else None
-                    p_row.append("" if test is None else repr(test.p_value))
+                    p_row.append(
+                        "" if rec is None or rec.p_value is None
+                        else repr(rec.p_value)
+                    )
             base_rows.append(base_row)
             p_rows.append(p_row)
         _write_csv(
@@ -222,11 +214,10 @@ def _write_text_summary(
     lines.append("")
     if significant:
         lines.append(f"significant models (p < {ALPHA}):")
-        for s in significant:
-            ds, group, size, pct, rnd = s.key
+        for r in significant:
             lines.append(
-                f"  {ds} {group} N={size} p={pct} round={rnd}: "
-                f"gain={s.gain:+.4f}, p_value={s.test.p_value:.6f}"
+                f"  {r.dataset} {r.group} N={r.subset_size} p={r.aug_pct} "
+                f"round={r.round}: gain={r.gain:+.4f}, p_value={r.p_value:.6f}"
             )
     else:
         lines.append("no significant models")

@@ -41,10 +41,6 @@ class ExperimentResult:
     def key(self) -> tuple[str, str, int, float, int]:
         return (self.dataset, self.group, self.subset_size, self.aug_pct, self.round)
 
-    def pairing_key(self) -> tuple[str, str, int, int]:
-        """Coordinates shared with this cell's p=0 baseline."""
-        return (self.dataset, self.group, self.subset_size, self.round)
-
 
 def _fmt(value) -> str:
     if value is None:

@@ -1,7 +1,9 @@
-"""Paired-model comparison: contingency tables, the continuity-corrected
-McNemar test, F1 gains and best-model filtering.
+"""Paired-model comparison: contingency tables and the
+continuity-corrected McNemar test.
 
-All operations are pure functions of their inputs.
+All operations are pure functions of their inputs. The runner pairs
+each augmented model with its baseline through ``contingency`` and
+``mcnemar`` and stores the result on the row; the report reads it there.
 """
 
 from __future__ import annotations
@@ -9,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
-
-from .errors import MissingBaselineError
-from .results import ExperimentResult
 
 ALPHA = 0.05
 
@@ -42,31 +41,6 @@ class TestResult:
     @property
     def significant(self) -> bool:
         return self.p_value < ALPHA
-
-
-@dataclass(frozen=True)
-class GainRecord:
-    dataset: str
-    group: str
-    subset_size: int
-    aug_pct: float
-    round: int
-    baseline_f1: float
-    augmented_f1: float
-
-    @property
-    def gain(self) -> float:
-        return self.augmented_f1 - self.baseline_f1
-
-    def key(self) -> tuple[str, str, int, float, int]:
-        return (self.dataset, self.group, self.subset_size, self.aug_pct, self.round)
-
-
-@dataclass(frozen=True)
-class ScreenRow:
-    key: tuple[str, str, int, float, int]
-    gain: float
-    test: TestResult | None
 
 
 def contingency(
@@ -113,84 +87,3 @@ def mcnemar(table: ContingencyTable) -> TestResult:
     num = max(abs(b - c) - 1, 0)
     chi2 = (num * num) / (b + c)
     return TestResult(chi2=chi2, p_value=chi2_sf_1dof(chi2))
-
-
-def compute_gains(rows: Sequence[ExperimentResult]) -> list[GainRecord]:
-    """Pair every augmented (p > 0) cell with its p = 0 baseline.
-
-    Cells whose f1 is missing (failed runs) are ignored; an augmented
-    cell without a usable baseline raises MissingBaselineError.
-    """
-    baselines: dict[tuple, float] = {}
-    for r in rows:
-        if r.aug_pct == 0 and r.f1 is not None:
-            baselines[r.pairing_key()] = r.f1
-    gains: list[GainRecord] = []
-    missing: list[tuple] = []
-    for r in rows:
-        if r.aug_pct == 0 or r.f1 is None:
-            continue
-        base = baselines.get(r.pairing_key())
-        if base is None:
-            missing.append(r.key())
-            continue
-        gains.append(
-            GainRecord(
-                dataset=r.dataset,
-                group=r.group,
-                subset_size=r.subset_size,
-                aug_pct=r.aug_pct,
-                round=r.round,
-                baseline_f1=base,
-                augmented_f1=r.f1,
-            )
-        )
-    if missing:
-        raise MissingBaselineError(
-            f"{len(missing)} augmented cell(s) lack a p=0 baseline: "
-            f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
-        )
-    return gains
-
-
-def filter_best(rows: Sequence[ExperimentResult]) -> list[ExperimentResult]:
-    """Keep the best-F1 row per (round, dataset, group, size, percentage).
-
-    Duplicate runs of one combination (retries) collapse to the max-F1
-    row; rows without an F1 never win. Output order follows first
-    appearance of each combination.
-    """
-    best: dict[tuple, ExperimentResult] = {}
-    order: list[tuple] = []
-    for r in rows:
-        if r.f1 is None:
-            continue
-        k = (r.round, r.dataset, r.group, r.subset_size, r.aug_pct)
-        cur = best.get(k)
-        if cur is None:
-            best[k] = r
-            order.append(k)
-        elif r.f1 > cur.f1:
-            best[k] = r
-    return [best[k] for k in order]
-
-
-def significance_screen(
-    gains: Sequence[GainRecord],
-    tests: dict[tuple, TestResult],
-) -> list[ScreenRow]:
-    """Attach McNemar results to strictly positive gains only.
-
-    Rows with gain <= 0 carry a null test; a positive-gain row without a
-    matching test entry is a key mismatch and raises.
-    """
-    out: list[ScreenRow] = []
-    for g in gains:
-        if g.gain > 0:
-            test = tests.get(g.key())
-            if test is None:
-                raise KeyError(f"no test result for positive-gain cell {g.key()}")
-            out.append(ScreenRow(key=g.key(), gain=g.gain, test=test))
-        else:
-            out.append(ScreenRow(key=g.key(), gain=g.gain, test=None))
-    return out

@@ -220,6 +220,38 @@ class TestAugmentCommand:
                 assert code == 0
                 assert got == self._augment(tmp_path, cfg, group, group)[1]
 
+    def test_group_outside_config_exit_2(self, tmp_path, capsys):
+        # the config was checked only for its own groups: BT without a
+        # translation provider must not run
+        cfg = synthdata.make_demo(str(tmp_path / "fx"), rows=60, seed=2)
+        cfg_path = tmp_path / "eda_only.json"
+        cfg_path.write_text(json.dumps({**cfg, "groups": ["EDA"], "providers": {}}))
+        assert main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", "BT", "--pct", "1.0", "--out", str(tmp_path / "o"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "error[config]" in captured.err
+        assert "group 'BT' not in config" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["augment", "train"])
+    def test_unreachable_translator_exit_5(self, tmp_path, capsys, demo_config,
+                                           command):
+        _, cfg = demo_config
+        cfg = {**cfg, "providers": {**cfg["providers"], "translation": {
+            "http": {"url": "http://127.0.0.1:9/t", "max_retries": 0,
+                     "backoff_base": 0.0, "timeout": 0.2}}}}
+        cfg_path = tmp_path / "down.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args = ["--dataset", "synth3", "--group", "BT", "--pct", "0.2"]
+        if command == "train":
+            args += ["--size", "80"]
+        code = main([command, "--config", str(cfg_path), *args,
+                     "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert "error[transport]" in capsys.readouterr().err
+
     def test_zero_neighbors_exit_2_for_eda(self, tmp_path, capsys, demo_config):
         _, cfg = demo_config
         cfg = {**cfg, "providers": {**cfg["providers"], "embedding_neighbors_k": 0}}
@@ -281,6 +313,35 @@ class TestReportCommand:
         code = main(["report", "--results", path, "--out", str(tmp_path / "r")])
         assert code == 3
         assert "error[data]" in capsys.readouterr().err
+
+
+    def test_repeated_key_exit_3(self, tmp_path, capsys):
+        path = str(tmp_path / "twice.csv")
+        baseline = ExperimentResult("synth3", "EDA", 80, 0.0, 0, f1=0.7)
+        write_results_csv(path, [baseline, baseline])
+        code = main(["report", "--results", path, "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and "repeated cell key" in err
+
+    def test_train_csv_reports_its_own_gain(self, tmp_path, capsys,
+                                            demo_config):
+        path, _ = demo_config
+        cell = str(tmp_path / "cell")
+        assert main([
+            "train", "--config", path, "--dataset", "synth3", "--group", "EDA",
+            "--size", "80", "--pct", "0.2", "--out", cell,
+        ]) == 0
+        trained = json.loads(capsys.readouterr().out)
+        rep_dir = tmp_path / "rep"
+        assert main(["report", "--results", os.path.join(cell, "results.csv"),
+                     "--out", str(rep_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["gain_records"] == 1
+        text = (rep_dir / "summary.txt").read_text()
+        assert "gain records: 1\n" in text
+        assert "unpaired augmented cells (no ok baseline): 0\n" in text
+        mean_line = (rep_dir / "mean_gain_by_group.csv").read_text().splitlines()[1]
+        assert mean_line == f"ALL,EDA,{trained['gain']!r},1"
 
 
 class TestUsage:

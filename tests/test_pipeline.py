@@ -457,12 +457,23 @@ class TestAugmentTrainingSet:
 
         def flaky(ex):
             if ex.text.endswith("2"):
-                raise TransportError("boom")
+                raise EmptySentenceError("nothing to augment")
             return [LabeledExample("ok", ex.label)]
 
         out, failures = augment_training_set(train, [0, 2, 4], flaky)
         assert failures == [2]
         assert len(out) == len(train) + 2
+
+    @pytest.mark.parametrize("error", [TransportError("down"),
+                                       ValueError("a bug")])
+    def test_other_errors_propagate(self, error):
+        train = self.make_train()
+
+        def failing(ex):
+            raise error
+
+        with pytest.raises(type(error)):
+            augment_training_set(train, [0, 2], failing)
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):

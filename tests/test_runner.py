@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from augbench import cli, kernels, report, runner, synthdata
+from augbench import cli, kernels, report, runner, stats, synthdata
 from augbench.corpus import Dataset, SplitPair
 from augbench.errors import ConfigError, DataError, InvariantError
-from augbench.metrics import load_predictions
+from augbench.metrics import evaluate, load_predictions
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
 )
@@ -200,7 +200,6 @@ class TestRunGrid:
             for line in Path(out, "run_log.jsonl").read_text().splitlines()
         ]
         cell_lines = [l for l in log_lines if l["event"] == "cell"]
-        assert all(l["purity_ok"] for l in cell_lines)
         assert len(cell_lines) == len(rows)
 
     def test_results_csv_round_trip(self, run):
@@ -211,6 +210,32 @@ class TestRunGrid:
         second = path + ".again"
         write_results_csv(second, parsed)
         assert Path(path).read_bytes() == Path(second).read_bytes()
+
+    def test_pairing_fields_match_prediction_files(self, run):
+        # the runner is the one place that pairs; recompute every field
+        _, out, rows = run
+        preds = {
+            r.key(): load_predictions(os.path.join(
+                out, "predictions",
+                f"{r.dataset}_{r.group}_{r.subset_size}_{r.aug_pct}_{r.round}.jsonl",
+            ))
+            for r in rows if r.status == "ok"
+        }
+        paired = [r for r in rows if r.aug_pct > 0 and r.status == "ok"]
+        assert paired
+        for r in paired:
+            y_true, aug_pred = preds[r.key()]
+            base_true, base_pred = preds[(r.dataset, r.group, r.subset_size,
+                                          0.0, r.round)]
+            assert base_true == y_true
+            assert r.baseline_f1 == evaluate(y_true, base_pred).weighted_f1
+            assert r.gain == r.f1 - r.baseline_f1
+            expected = (None, None, None, None)
+            if r.gain > 0:
+                table = stats.contingency(y_true, base_pred, aug_pred)
+                test = stats.mcnemar(table)
+                expected = (table.b, table.c, test.chi2, test.p_value)
+            assert (r.b, r.c, r.chi2, r.p_value) == expected
 
     def test_mcnemar_only_on_positive_gains(self, run):
         _, _, rows = run
@@ -283,8 +308,10 @@ class TestRunGrid:
 
 
 class TestFailurePaths:
-    def test_unreachable_translator_marks_aug_failed(self, demo, tmp_path):
-        cfg = runner.config_from_dict({
+    def test_unreachable_translator_marks_aug_failed(self, demo, tmp_path,
+                                                     capsys):
+        # an outage is not a failed cell: the grid stops with exit 5
+        cfg = {
             **demo,
             "groups": ["BT"],
             "subset_sizes": [80],
@@ -294,11 +321,14 @@ class TestFailurePaths:
                              "backoff_base": 0.0, "timeout": 0.2}
                 }
             },
-        })
-        rows = runner.run_grid(cfg, str(tmp_path / "out"))
-        assert all(r.status == "aug_failed" for r in rows if r.aug_pct > 0)
-        assert all(r.status == "ok" for r in rows if r.aug_pct == 0)
-        assert len(rows) == len(runner.plan_grid(cfg))
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = cli.main(["run-grid", "--config", str(path), "--out", str(out)])
+        assert code == 5
+        assert "error[transport]" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_all_oov_corpus_marks_train_failed(self, demo, tmp_path):
         # words missing from the embedding file give zero vectors for every
@@ -422,6 +452,22 @@ class TestInvariants:
         assert code == 1
         assert "error[invariant]" in capsys.readouterr().err
 
+    def test_extra_generated_row_breaks_purity(self, demo, tmp_path,
+                                               monkeypatch):
+        make = runner.make_augmenter
+
+        def two_per_target(config, resources, cell):
+            augment = make(config, resources, cell)
+            return lambda ex: augment(ex) * 2
+
+        monkeypatch.setattr(runner, "make_augmenter", two_per_target)
+        config = runner.config_from_dict({
+            **demo, "datasets": demo["datasets"][:1], "groups": ["BT"],
+            "subset_sizes": [80],
+        })
+        with pytest.raises(InvariantError, match="purity"):
+            runner.run_grid(config, str(tmp_path / "out"))
+
     def test_overlapping_split_raises(self, demo, tmp_path, monkeypatch):
         real_split = runner.split
 
@@ -536,14 +582,16 @@ class TestSummarize:
         summary = report.summarize(fixture_rows(), str(tmp_path))
         # only EDA rows gain > 0; round 0 rows carry p = 0.0433 < 0.05
         assert len(summary.significant) == 6
-        assert all(s.key[1] == "EDA" and s.key[4] == 0
-                   for s in summary.significant)
+        assert all(r.group == "EDA" and r.round == 0
+                   for r in summary.significant)
 
     def test_null_tests_for_non_positive_gains(self, tmp_path):
         summary = report.summarize(fixture_rows(), str(tmp_path))
-        for s in summary.screen:
-            if s.gain <= 0:
-                assert s.test is None
+        lines = (tmp_path / "pvalues.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(summary.gains) == 36
+        for r, line in zip(summary.gains, lines):
+            if r.gain <= 0:
+                assert line.endswith(",,,")
 
     def test_emits_bundle_files(self, tmp_path):
         report.summarize(fixture_rows(), str(tmp_path))

@@ -1,15 +1,15 @@
-import math
+import csv
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from augbench.errors import MissingBaselineError
+from augbench import report
+from augbench.errors import DataError
 from augbench.results import ExperimentResult
 from augbench.stats import (
-    ContingencyTable, TestResult, chi2_sf_1dof, compute_gains, contingency,
-    filter_best, mcnemar, significance_screen,
+    ContingencyTable, TestResult, chi2_sf_1dof, contingency, mcnemar,
 )
 
 
@@ -132,108 +132,122 @@ class TestMcnemar:
             assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
+def paired(base_f1, f1, dataset="d", group="EDA", size=500, pct=0.05, rnd=0,
+           **kw):
+    """An augmented row as the runner writes it: gain = f1 - baseline_f1."""
+    return row(dataset=dataset, group=group, size=size, pct=pct, rnd=rnd,
+               f1=f1, baseline_f1=base_f1, gain=f1 - base_f1, **kw)
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestComputeGains:
-    def test_basic_pairing(self):
+    """Gain records, as report.summarize reads them from the rows."""
+
+    def test_basic_pairing(self, tmp_path):
         rows = [
             row(pct=0.0, f1=0.83),
-            row(pct=0.05, f1=0.85),
-            row(pct=0.1, f1=0.83),
+            paired(0.83, 0.85, pct=0.05, b=4, c=1, chi2=0.8, p_value=0.37),
+            paired(0.83, 0.83, pct=0.1),
         ]
-        gains = compute_gains(rows)
-        assert len(gains) == 2
-        assert gains[0].gain == pytest.approx(0.02)
-        assert gains[1].gain == 0.0
+        summary = report.summarize(rows, str(tmp_path))
+        assert summary.gains == rows[1:]
+        assert summary.gains[0].gain == pytest.approx(0.02)
+        assert summary.gains[1].gain == 0.0
+        mean, n = summary.mean_gain_by_group[("d", "EDA")]
+        assert n == 2
+        assert mean == (rows[1].gain + rows[2].gain) / 2
 
-    def test_paper_shaped_fixture(self):
+    def test_paper_shaped_fixture(self, tmp_path):
         # Tweets-like baseline 0.83 at N=500 paired with its augmented run
         rows = [
             row(dataset="tweets", size=500, pct=0.0, f1=0.83),
-            row(dataset="tweets", size=500, pct=0.05, f1=0.84),
+            paired(0.83, 0.84, dataset="tweets", size=500, pct=0.05,
+                   b=3, c=5, chi2=0.125, p_value=0.72),
         ]
-        gains = compute_gains(rows)
-        assert gains[0].baseline_f1 == 0.83
-        assert gains[0].gain == pytest.approx(0.01)
+        summary = report.summarize(rows, str(tmp_path))
+        assert summary.gains[0].baseline_f1 == 0.83
+        assert summary.gains[0].gain == pytest.approx(0.01)
+        table = read_csv(tmp_path / "baseline_table_tweets.csv")
+        assert table == [["subset_size", "EDA_0.05"], ["500", "0.83"]]
 
-    def test_missing_baseline_raises(self):
-        with pytest.raises(MissingBaselineError):
-            compute_gains([row(pct=0.05, f1=0.9)])
+    def test_missing_baseline_is_unpaired(self, tmp_path):
+        # what the runner writes when the unit's baseline failed
+        rows = [row(pct=0.0, f1=None, status="train_failed"),
+                row(pct=0.05, f1=0.9)]
+        summary = report.summarize(rows, str(tmp_path))
+        assert summary.gains == []
+        assert summary.unpaired == [("d", "EDA", 500, 0.05, 0)]
 
-    def test_failed_cells_ignored(self):
+    def test_failed_cells_ignored(self, tmp_path):
         rows = [
             row(pct=0.0, f1=0.8),
             row(pct=0.05, f1=None, status="train_failed"),
         ]
-        assert compute_gains(rows) == []
+        summary = report.summarize(rows, str(tmp_path))
+        assert summary.gains == [] and summary.unpaired == []
 
-    def test_bijection_over_pairable_cells(self):
+    def test_bijection_over_pairable_cells(self, tmp_path):
         rows = [row(pct=0.0, f1=0.8)]
-        rows += [row(pct=p, rnd=r, f1=0.8 + p)
-                 for p in (0.05, 0.1) for r in (0,)]
+        rows += [paired(0.8, 0.8 + p, pct=p, chi2=1.0, p_value=0.3)
+                 for p in (0.05, 0.1)]
         rows += [row(rnd=1, pct=0.0, f1=0.7),
-                 row(rnd=1, pct=0.05, f1=0.75)]
-        gains = compute_gains(rows)
-        keys = {g.key() for g in gains}
+                 paired(0.7, 0.75, rnd=1, pct=0.05, chi2=1.0, p_value=0.3)]
+        summary = report.summarize(rows, str(tmp_path))
+        keys = {g.key() for g in summary.gains}
         expected = {r.key() for r in rows if r.aug_pct > 0}
         assert keys == expected
 
 
-class TestFilterBest:
-    def test_identity_when_unique(self):
-        rows = [row(pct=p, f1=0.8) for p in (0.0, 0.05, 0.1)]
-        assert filter_best(rows) == rows
-
-    def test_max_rule_on_retries(self):
-        r1 = row(f1=0.80)
-        r2 = row(f1=0.82)
-        assert filter_best([r1, r2]) == [r2]
-
-    def test_full_synthetic_round_keeps_180(self):
-        rows = []
-        for d in ("d1", "d2", "d3"):
-            for g in ("EDA", "Syn", "BT"):
-                for n in (500, 1000, 2000, 5000, 10000):
-                    for p in (0.0, 0.05, 0.1, 0.2):
-                        # two retries per combination
-                        rows.append(row(dataset=d, group=g, size=n, pct=p,
-                                        f1=0.5))
-                        rows.append(row(dataset=d, group=g, size=n, pct=p,
-                                        f1=0.6))
-        kept = filter_best(rows)
-        assert len(kept) == 180
-        assert all(r.f1 == 0.6 for r in kept)
-
-    def test_rows_without_f1_never_win(self):
-        rows = [row(f1=None, status="train_failed"), row(f1=0.5)]
-        assert filter_best(rows) == [rows[1]]
-
-
 class TestSignificanceScreen:
-    def test_negative_gain_null_test(self):
-        rows = [row(pct=0.0, f1=0.85), row(pct=0.05, f1=0.84)]
-        gains = compute_gains(rows)
-        screen = significance_screen(gains, {})
-        assert screen[0].test is None
+    """Only a positive gain is tested; pvalues.csv and summary.significant."""
 
-    def test_zero_gain_null_test(self):
-        rows = [row(pct=0.0, f1=0.85), row(pct=0.05, f1=0.85)]
-        screen = significance_screen(compute_gains(rows), {})
-        assert screen[0].test is None
+    def screen(self, tmp_path, rows):
+        summary = report.summarize(rows, str(tmp_path))
+        return summary, read_csv(tmp_path / "pvalues.csv")[1:]
 
-    def test_positive_gain_attached(self):
-        rows = [row(pct=0.0, f1=0.83), row(pct=0.05, f1=0.85)]
-        gains = compute_gains(rows)
+    def test_negative_gain_null_test(self, tmp_path):
+        # a test on the row is not reported for a gain <= 0
+        rows = [row(pct=0.0, f1=0.85),
+                paired(0.85, 0.84, chi2=4.0, p_value=0.01)]
+        summary, screen = self.screen(tmp_path, rows)
+        assert screen[0][6:] == ["", "", ""]
+        assert summary.significant == []
+
+    def test_zero_gain_null_test(self, tmp_path):
+        rows = [row(pct=0.0, f1=0.85), paired(0.85, 0.85)]
+        summary, screen = self.screen(tmp_path, rows)
+        assert screen[0][5:] == ["0.0", "", "", ""]
+        assert summary.significant == []
+
+    def test_positive_gain_attached(self, tmp_path):
         test = mcnemar(ContingencyTable(a=0, b=10, c=2, d=0))
-        screen = significance_screen(gains, {gains[0].key(): test})
-        assert screen[0].test.p_value == pytest.approx(0.0433081428, abs=1e-9)
-        assert screen[0].test.significant
+        rows = [row(pct=0.0, f1=0.83),
+                paired(0.83, 0.85, b=10, c=2, chi2=test.chi2,
+                       p_value=test.p_value)]
+        summary, screen = self.screen(tmp_path, rows)
+        assert float(screen[0][7]) == pytest.approx(0.0433081428, abs=1e-9)
+        assert screen[0][8] == "true"
+        assert summary.significant == [rows[1]]
 
-    def test_positive_gain_missing_test_raises(self):
-        rows = [row(pct=0.0, f1=0.83), row(pct=0.05, f1=0.85)]
-        with pytest.raises(KeyError):
-            significance_screen(compute_gains(rows), {})
+    def test_positive_gain_missing_test_raises(self, tmp_path):
+        rows = [row(pct=0.0, f1=0.83), paired(0.83, 0.85)]
+        with pytest.raises(DataError, match="without chi2/p_value"):
+            report.summarize(rows, str(tmp_path))
 
 
 class TestTestResult:
-    def test_significance_threshold_strict(self):
+    def test_significance_threshold_strict(self, tmp_path):
         assert TestResult(chi2=4.0, p_value=0.0499).significant
         assert not TestResult(chi2=4.0, p_value=0.05).significant
+        rows = [row(pct=0.0, f1=0.8)] + [
+            paired(0.8, 0.9, pct=pct, chi2=4.0, p_value=p)
+            for pct, p in ((0.05, 0.0499), (0.1, 0.05))
+        ]
+        summary = report.summarize(rows, str(tmp_path))
+        assert summary.significant == [rows[1]]
+        flags = [r[8] for r in read_csv(tmp_path / "pvalues.csv")[1:]]
+        assert flags == ["true", "false"]

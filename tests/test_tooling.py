@@ -93,3 +93,57 @@ def test_inputs_are_loaded_only_by_load_resources():
     ]
     assert {site for site, _ in calls} == {"runner.load_resources"}
     assert {name for _, name in calls} == LOADERS
+
+
+# The pairing of an augmented model with its baseline. The runner pairs
+# every grid cell and stores the fields on its row; the mcnemar command
+# compares two prediction files. Nothing else computes a pair.
+PAIRING = {"contingency", "mcnemar"}
+
+
+def _pairing_calls(source: str, module: str) -> list[tuple[str, str]]:
+    """(module.function, callee) for each call to a pairing function; a
+    method is named with its class."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in PAIRING:
+                    found.append((".".join([module, *path]), name))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_pairing_call_check_sees_a_second_site():
+    source = (
+        "class GridRunner:\n    def _run_augmented(self, y, b, a):\n"
+        "        return stats.mcnemar(stats.contingency(y, b, a))\n"
+        "def summarize(rows):\n    return [mcnemar(t) for t in rows]\n"
+    )
+    assert _pairing_calls(source, "runner") == [
+        ("runner.GridRunner._run_augmented", "mcnemar"),
+        ("runner.GridRunner._run_augmented", "contingency"),
+        ("runner.summarize", "mcnemar"),
+    ]
+
+
+def test_pairs_are_computed_only_by_the_runner_and_mcnemar_command():
+    calls = {
+        call
+        for path in sorted(SRC.glob("*.py"))
+        for call in _pairing_calls(path.read_text(encoding="utf-8"), path.stem)
+    }
+    assert calls == {
+        (site, name)
+        for site in ("runner.GridRunner._run_augmented", "cli._cmd_mcnemar")
+        for name in PAIRING
+    }
