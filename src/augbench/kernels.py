@@ -8,7 +8,10 @@ decrease of the objective, and stops when the maximal-violating-pair
 gap is at most ``tol``. It draws no random numbers, so a solve is a
 function of its inputs alone. Everything is plain NumPy; the curvature
 row of each working-set index is computed once per solve, as LIBSVM
-caches kernel rows.
+caches kernel rows. The loop makes each NumPy call cheap to enter (0-d
+scalar operands, positional outputs, bound methods) without changing an
+operation or its order, so its alphas and bias are bit-identical to the
+plain loop that ``tests/test_kernels.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -77,37 +80,52 @@ def smo_solve(
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    C = float(C)  # so that alpha, kept as a list of floats, stays float
     n = y.shape[0]
     if max_iter is None:
         max_iter = max(10_000_000, 100 * n)
-    alpha = np.zeros(n)
+    alpha = [0.0] * n  # a list: its reads and writes are the loop's cheapest
     k_diag = np.ascontiguousarray(np.diag(K))
     labels = y.tolist()
+    rows = list(K)  # row views, so a lookup builds no view
     # score = -y * G; with alpha = 0 the gradient is -e, so score = y.
     score = y.copy()
     # Additive masks, 0 inside the set and -inf / +inf outside it, so that
     # a masked max or min is one add and one reduction. I_up holds the
     # points with alpha < C, y = +1 or alpha > 0, y = -1; I_low those with
     # alpha < C, y = -1 or alpha > 0, y = +1.
-    masks = np.empty((2, n))
-    up_mask, low_mask = masks
-    up_mask[:] = np.where(y > 0, 0.0, -np.inf)
-    low_mask[:] = np.where(y > 0, np.inf, 0.0)
-    masked = np.empty((2, n))
-    up, low = masked
+    up_mask = np.where(y > 0, 0.0, -np.inf)
+    low_mask = np.where(y > 0, np.inf, 0.0)
+    up = np.empty(n)
+    low = np.empty(n)
     gain = np.empty(n)
-    curves: dict[int, np.ndarray] = {}  # i -> max(K_ii + K_tt - 2 K_it, _TAU)
     row = np.empty(n)
+    # Scalar operands live in 0-d arrays, and outputs are passed by
+    # position where NumPy allows it: a ufunc call that converts a Python
+    # float, or parses an out= keyword, costs about 0.5 us more.
+    zero = np.zeros(())
+    minus_two = np.full((), -2.0)
+    tau = np.full((), _TAU)
+    top = np.empty(())  # g_max
+    coef = np.empty(())  # a row's coefficient in the score update
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    maximum, square, divide = np.maximum, np.square, np.divide
+    up_argmax, up_item = up.argmax, up.item
+    low_argmin, low_item = low.argmin, low.item
+    gain_argmax, score_item = gain.argmax, score.item
+    curves: dict[int, np.ndarray] = {}  # i -> max(K_ii + K_tt - 2 K_it, _TAU)
     iterations = 0
     while True:
-        np.add(score, masks, out=masked)
-        i = int(up.argmax())
-        g_max = up.item(i)
-        g_min = low.item(int(low.argmin()))
+        add(score, up_mask, up)
+        add(score, low_mask, low)
+        i = int(up_argmax())
+        g_max = up_item(i)
+        g_min = low_item(low_argmin())
         if g_max - g_min <= tol:
             # Confirm on a fresh gradient before stopping.
-            score = y - K @ (alpha * y)
-            np.add(score, masks, out=masked)
+            subtract(y, K @ (np.array(alpha) * y), score)
+            add(score, up_mask, up)
+            add(score, low_mask, low)
             if up.max() - low.min() <= tol:
                 break
             continue
@@ -119,48 +137,76 @@ def smo_solve(
         iterations += 1
         # Second-order partner: maximise b^2 / a over I_low with b > 0,
         # where b = g_max - score_t and a = K_ii + K_tt - 2 K_it.
-        K_i = K[i]
-        np.subtract(g_max, low, out=gain)  # -inf outside I_low
-        np.maximum(gain, 0.0, out=gain)
-        np.square(gain, out=gain)
+        K_i = rows[i]
+        top[()] = g_max
+        subtract(top, low, gain)  # -inf outside I_low
+        maximum(gain, zero, out=gain)  # NumPy deprecates a positional out here
+        square(gain, gain)
         # a_it depends on i only; about one iteration in eight sees a new i.
         curve = curves.get(i)
         if curve is None:
-            curve = K_i * -2.0
-            curve += k_diag
-            curve += k_diag.item(i)
-            np.maximum(curve, _TAU, out=curve)
+            curve = multiply(K_i, minus_two)
+            add(curve, k_diag, curve)
+            add(curve, k_diag[i], curve)
+            maximum(curve, tau, out=curve)
             curves[i] = curve
-        gain /= curve
-        j = int(gain.argmax())
-        K_j = K[j]
+        divide(gain, curve, gain)
+        j = int(gain_argmax())
         # LIBSVM's clipped pair update, as a step t >= 0 along the feasible
         # direction alpha_i += y_i t, alpha_j -= y_j t; a step stopped by a
-        # bound lands on it exactly.
-        y_i, y_j = labels[i], labels[j]
-        a_i, a_j = alpha.item(i), alpha.item(j)
+        # bound lands on it exactly. The comparisons below pick what
+        # min() and max() would, -0.0 and ties included.
+        y_i = labels[i]
+        y_j = labels[j]
+        a_i = alpha[i]
+        a_j = alpha[j]
         room_i = C - a_i if y_i > 0 else a_i
         room_j = a_j if y_j > 0 else C - a_j
-        step = min((g_max - score.item(j)) / curve.item(j), room_i, room_j)
-        new_i = min(max(a_i + y_i * step, 0.0), C)
-        new_j = min(max(a_j - y_j * step, 0.0), C)
+        step = (g_max - score_item(j)) / curve.item(j)
+        if room_i < step:
+            step = room_i
+        if room_j < step:
+            step = room_j
         if step == room_i:
             new_i = C if y_i > 0 else 0.0
+        else:
+            new_i = a_i + y_i * step
+            if new_i < 0.0:
+                new_i = 0.0
+            if new_i > C:
+                new_i = C
         if step == room_j:
             new_j = 0.0 if y_j > 0 else C
-        alpha[i], alpha[j] = new_i, new_j
+        else:
+            new_j = a_j - y_j * step
+            if new_j < 0.0:
+                new_j = 0.0
+            if new_j > C:
+                new_j = C
+        alpha[i] = new_i
+        alpha[j] = new_j
         # score -= y_i d_i K_i + y_j d_j K_j  (y^2 = 1 folds Q back into K)
-        np.multiply(K_i, y_i * (new_i - a_i), out=row)
-        score -= row
-        np.multiply(K_j, y_j * (new_j - a_j), out=row)
-        score -= row
-        for t, a_t in ((i, new_i), (j, new_j)):
-            below_c = 0.0 if a_t < C else -np.inf
-            above_0 = 0.0 if a_t > 0.0 else -np.inf
-            if labels[t] > 0:
-                up_mask[t], low_mask[t] = below_c, -above_0
-            else:
-                up_mask[t], low_mask[t] = above_0, -below_c
+        coef[()] = y_i * (new_i - a_i)
+        multiply(K_i, coef, row)
+        subtract(score, row, score)
+        coef[()] = y_j * (new_j - a_j)
+        multiply(rows[j], coef, row)
+        subtract(score, row, score)
+        # Mask entries: -inf outside I_up, +inf outside I_low; inside, 0.0
+        # for I_up and -0.0 for I_low.
+        if y_i > 0:
+            up_mask[i] = 0.0 if new_i < C else -np.inf
+            low_mask[i] = -0.0 if new_i > 0.0 else np.inf
+        else:
+            up_mask[i] = 0.0 if new_i > 0.0 else -np.inf
+            low_mask[i] = -0.0 if new_i < C else np.inf
+        if y_j > 0:
+            up_mask[j] = 0.0 if new_j < C else -np.inf
+            low_mask[j] = -0.0 if new_j > 0.0 else np.inf
+        else:
+            up_mask[j] = 0.0 if new_j > 0.0 else -np.inf
+            low_mask[j] = -0.0 if new_j < C else np.inf
+    alpha = np.array(alpha)
     return alpha, _bias(alpha, y, score, C)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -142,14 +141,12 @@ class RateLimiter:
         if max_per_second <= 0:
             raise ValueError("rate must be positive")
         self._interval = 1.0 / max_per_second
-        self._lock = threading.Lock()
         self._next_at = 0.0
 
     def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            delay = self._next_at - now
-            self._next_at = max(now, self._next_at) + self._interval
+        now = time.monotonic()
+        delay = self._next_at - now
+        self._next_at = max(now, self._next_at) + self._interval
         if delay > 0:
             time.sleep(delay)
 
@@ -329,14 +326,11 @@ class TranslationCache:
     through one handle, opened on the first ``put``. Each record is
     flushed before ``put`` returns, so a fresh cache or a resumed run
     sees it; nothing is fsynced. ``close`` releases the handle; a later
-    ``put`` reopens it. Safe for concurrent read/write (values for
-    identical keys are identical by construction, so last-writer-wins is
-    harmless).
+    ``put`` reopens it.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._lock = threading.Lock()
         self._data: dict[tuple[str, str, str, str], str] = {}
         self._fh = None
         if path:
@@ -410,25 +404,22 @@ class TranslationCache:
 
     def put(self, provider: str, source: str, target: str, text: str,
             translated: str) -> None:
-        key = (provider, source, target, text)
-        with self._lock:
-            self._data[key] = translated
-            if self.path:
-                if self._fh is None:
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                self._fh.write(
-                    f'{{"provider": {_q(provider)}, "source": {_q(source)}, '
-                    f'"target": {_q(target)}, "text": {_q(text)}, '
-                    f'"translated": {_q(translated)}}}\n'
-                )
-                self._fh.flush()
+        self._data[(provider, source, target, text)] = translated
+        if self.path:
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(
+                f'{{"provider": {_q(provider)}, "source": {_q(source)}, '
+                f'"target": {_q(target)}, "text": {_q(text)}, '
+                f'"translated": {_q(translated)}}}\n'
+            )
+            self._fh.flush()
 
     def close(self) -> None:
         """Close the append handle, if one is open."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def make_translation_provider(spec_string: str | dict,

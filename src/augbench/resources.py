@@ -1,8 +1,7 @@
 """Lexical resources: paraphrase map and word-embedding store.
 
-Both structures are immutable once loaded and safe for concurrent
-reads. Parsing is strict about shape (single-token pairs, fixed vector
-arity) and counts what it skips.
+Both structures are immutable once loaded. Parsing is strict about
+shape (single-token pairs, fixed vector arity) and counts what it skips.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
         # A pair that covers every row (any two-class set) solves on K itself.
         K_sub = K
         if idx.size < len(y):
-            K_sub = np.ascontiguousarray(K[np.ix_(idx, idx)])
+            K_sub = K[np.ix_(idx, idx)]  # a fresh C-contiguous copy
         alpha, bias = kernels.smo_solve(K_sub, y_signed, cfg.C, cfg.tol)
         sv = np.nonzero(alpha > _SUPPORT_EPS)[0]
         if sv.size == 0:
@@ -125,11 +125,8 @@ def _pairs(classes: tuple[str, ...]):
 
 
 def decision_values(model: SvmModel, machine: BinaryMachine, X: np.ndarray) -> np.ndarray:
-    K = kernels.rbf_cross_gram(
-        np.ascontiguousarray(X, dtype=np.float64),
-        machine.support_vectors,
-        model.gamma,
-    )
+    """f(x) of one machine for the rows of X, a C-contiguous float64 matrix."""
+    K = kernels.rbf_cross_gram(X, machine.support_vectors, model.gamma)
     return K @ machine.dual_coef + machine.bias
 
 
@@ -140,6 +137,7 @@ def svm_predict(model: SvmModel, X: np.ndarray) -> list[str]:
         return []
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"expected (n, {model.dim}) features, got {X.shape}")
+    X = np.ascontiguousarray(X)
     votes = np.zeros((X.shape[0], len(model.classes)), dtype=np.int64)
     for machine in model.machines:
         f = decision_values(model, machine, X)

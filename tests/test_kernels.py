@@ -1,13 +1,18 @@
 import functools
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from augbench import kernels
+from augbench import kernels, synthdata
+from augbench.corpus import load_dataset, resample_subset
 from augbench.errors import TrainingError
-from augbench.svm import SvmConfig, svm_train
+from augbench.features import featurize
+from augbench.resources import load_embeddings
+from augbench.svm import SvmConfig, gamma_scale, svm_train
 from oracles import rbf_kernel
 
 
@@ -329,3 +334,56 @@ class TestSmoAgreement:
         )
         with pytest.raises(TrainingError, match="did not reach tol"):
             svm_train(X, labels, SvmConfig())
+
+
+@pytest.fixture(scope="module")
+def demo_problems(tmp_path_factory):
+    """The one-vs-one solves of make_demo(rows=2000) features, grid-sized.
+
+    Each subset of 300 or 600 rows is cut to a training set of 0.75 of it
+    (a baseline cell) and of 0.9 (a cell with 20% augmentation), as in
+    the demo grid; every pair of classes is one problem, n = 133-540.
+    """
+    cfg = synthdata.make_demo(str(tmp_path_factory.mktemp("demo")), rows=2000)
+    store = load_embeddings(cfg["resources"]["embeddings"])
+    svm = SvmConfig()
+    problems = []
+    for spec, size in itertools.product(cfg["datasets"], (300, 600)):
+        subset = resample_subset(load_dataset(spec["path"]), size, seed=size)
+        X_all, labels_all = featurize(subset, store), np.array(subset.labels())
+        for share in (0.75, 0.9):
+            X, labels = X_all[:round(share * size)], labels_all[:round(share * size)]
+            K = kernels.rbf_gram(X, gamma_scale(X))
+            for a, b in itertools.combinations(sorted(set(labels)), 2):
+                idx = np.nonzero((labels == a) | (labels == b))[0]
+                y = np.where(labels[idx] == a, 1.0, -1.0)
+                problems.append((K[np.ix_(idx, idx)], y, svm.C, svm.tol))
+    return problems
+
+
+class TestSmoOnDemoProblems:
+    def test_problem_sizes(self, demo_problems):
+        sizes = [len(y) for _, y, _, _ in demo_problems]
+        assert len(sizes) == 16 and min(sizes) > 100 and max(sizes) == 540
+
+    def test_byte_equal_to_uncached_loop(self, demo_problems):
+        different = []
+        for number, (K, y, C, tol) in enumerate(demo_problems):
+            alpha, bias = kernels.smo_solve(K, y, C, tol)
+            ref_alpha, ref_bias = reference_smo(K, y, C, tol)
+            if alpha.tobytes() != ref_alpha.tobytes() or bias != ref_bias:
+                different.append((number, len(y)))
+        assert different == []
+
+    def test_inputs_unmodified(self, demo_problems):
+        K, y, C, tol = demo_problems[-1]
+        K_bytes, y_bytes = K.tobytes(), y.tobytes()
+        kernels.smo_solve(K, y, C, tol)
+        assert K.tobytes() == K_bytes and y.tobytes() == y_bytes
+
+    def test_no_warning(self, demo_problems):
+        # a NumPy deprecation (say, of a positional out) would fail here
+        K, y, C, tol = demo_problems[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels.smo_solve(K, y, C, tol)

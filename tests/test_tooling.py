@@ -147,3 +147,41 @@ def test_pairs_are_computed_only_by_the_runner_and_mcnemar_command():
         for site in ("runner.GridRunner._run_augmented", "cli._cmd_mcnemar")
         for name in PAIRING
     }
+
+
+# One solver path in plain NumPy and one thread: the package binds no
+# compiled-code bridge, no JIT, no scipy and no thread machinery.
+FORBIDDEN_IMPORTS = {"ctypes", "cffi", "numba", "scipy", "threading"}
+
+
+def _forbidden_imports(source: str) -> list[str]:
+    """top-level package:line for each import of a forbidden package, at
+    any depth of the module (a function-local import counts too)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name.split('.')[0]}:{node.lineno}" for name in names
+                  if name.split(".")[0] in FORBIDDEN_IMPORTS]
+    return found
+
+
+def test_forbidden_import_check_sees_one():
+    assert _forbidden_imports(
+        "import numpy as np\nfrom . import kernels\nimport os, json\n"
+        "def solve():\n    from scipy.optimize import minimize\n"
+        "    return minimize\n"
+    ) == ["scipy:5"]
+
+
+def test_package_imports_no_compiled_bridge_or_threads():
+    found = [
+        f"{path.name}:{entry}"
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _forbidden_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
