@@ -83,16 +83,21 @@ def _load_config(args) -> runner.ExperimentConfig:
     return config
 
 
-def _cmd_augment(args) -> int:
+def _cell_config(args) -> runner.ExperimentConfig:
+    """The config narrowed to the command's dataset and group, so that the
+    command reads only their inputs."""
     config = _load_config(args)
     spec = next((d for d in config.datasets if d.name == args.dataset), None)
     if spec is None:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
     if args.group not in config.groups:
         raise ConfigError(f"group {args.group!r} not in config")
-    # Narrowed to the one dataset and group it augments, the command
-    # reads only their inputs.
-    config = dataclasses.replace(config, datasets=(spec,), groups=(args.group,))
+    return dataclasses.replace(config, datasets=(spec,), groups=(args.group,))
+
+
+def _cmd_augment(args) -> int:
+    config = _cell_config(args)
+    spec = config.datasets[0]
     resources = runner.load_resources(config, featurize=False)
     dataset = resources.datasets[args.dataset]
     cell = runner.GridCell(args.dataset, args.group, len(dataset), args.pct, 0)
@@ -126,11 +131,12 @@ def _write_dataset_csv(path: str, dataset: Dataset,
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
-    row = runner.run_single_cell(
-        config, args.out, args.dataset, args.group, args.size, args.pct,
-        args.round,
-    )
+    # the cell and its p=0 baseline, which it pairs with
+    cells = [
+        runner.GridCell(args.dataset, args.group, args.size, pct, args.round)
+        for pct in dict.fromkeys((0.0, args.pct))
+    ]
+    row = runner.run_grid(_cell_config(args), args.out, cells)[-1]
     print(json.dumps({
         "dataset": row.dataset, "group": row.group,
         "subset_size": row.subset_size, "aug_pct": row.aug_pct,

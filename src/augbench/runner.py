@@ -3,10 +3,10 @@
 A grid cell is (dataset, group, subset size, augmentation percentage,
 round). Cells derive their seeds from the master seed by a stable hash
 of their coordinates, so any cell is independently re-runnable. The
-cells that share a subset key (see ``subset_key``) run as one unit:
-the subset, split, features and p=0 baseline are computed once and
-reused by every group's baseline row and by the p>0 cells, which keeps
-McNemar pairs on the identical test set.
+cells of one (dataset, size, round) run as one unit (see
+``GridCell.unit_key``): the subset, split, features and p=0 baseline
+are computed once and reused by every group's baseline row and by the
+p>0 cells, which keeps McNemar pairs on the identical test set.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class ExperimentConfig:
     eda: EdaConfig = field(default_factory=EdaConfig)
     svm: SvmConfig = field(default_factory=SvmConfig)
     split_ratio: float = 0.75
-    share_subsets_across_groups: bool = True
     cache_path: str | None = None
 
 
@@ -88,6 +87,11 @@ class GridCell:
 
     def key(self) -> tuple[str, str, int, float, int]:
         return (self.dataset, self.group, self.subset_size, self.aug_pct, self.round)
+
+    def unit_key(self) -> tuple[str, int, int]:
+        """Coordinates that salt the cell's subset and split: the cells
+        of every group that share them share one p=0 baseline."""
+        return (self.dataset, self.subset_size, self.round)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -194,9 +198,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 tol=float(svm_raw.get("tol", 1e-3)),
             ),
             split_ratio=float(raw.get("split_ratio", 0.75)),
-            share_subsets_across_groups=bool(
-                raw.get("share_subsets_across_groups", True)
-            ),
             cache_path=raw.get("cache_path"),
         )
     except (TypeError, ValueError) as exc:
@@ -352,45 +353,28 @@ def generated_per_target(config: ExperimentConfig, group: str) -> int:
     return config.eda.n_aug if group == "EDA" else 1
 
 
-def subset_key(config: ExperimentConfig, cell: GridCell) -> tuple:
-    """Coordinates that salt a cell's subset and split.
-
-    Cells with the same key draw the same subset and split, so they
-    share one p=0 baseline: (dataset, size, round), plus the group when
-    subsets are not shared across groups.
-    """
-    if config.share_subsets_across_groups:
-        return (cell.dataset, cell.subset_size, cell.round)
-    return (cell.dataset, cell.group, cell.subset_size, cell.round)
-
-
 class GridRunner:
-    """Runs the subset units one after another; returns rows in plan order."""
+    """Runs the units of its cells one after another; returns rows in cell order."""
 
     def __init__(self, config: ExperimentConfig, out_dir: str,
-                 resources: Resources | None = None):
+                 resources: Resources):
         self.config = config
         self.out_dir = out_dir
         self.predictions_dir = os.path.join(out_dir, "predictions")
         os.makedirs(self.predictions_dir, exist_ok=True)
-        self.resources = resources or load_resources(config)
+        self.resources = resources
         self._log_lines: list[str] = []
 
     def _log(self, record: dict) -> None:
         self._log_lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
 
-    def _write_outputs(self, rows: list[ExperimentResult]) -> None:
-        """Write results.csv and run_log.jsonl into the output directory."""
-        write_results_csv(os.path.join(self.out_dir, "results.csv"), rows)
-        with open(os.path.join(self.out_dir, "run_log.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(self._log_lines) + "\n")
-
-    def run(self) -> list[ExperimentResult]:
-        cells = plan_grid(self.config)
+    def run(self, cells: list[GridCell] | None = None) -> list[ExperimentResult]:
+        """Run ``cells`` (the whole plan when None); write results.csv and
+        run_log.jsonl into the output directory."""
+        cells = plan_grid(self.config) if cells is None else cells
         units: dict[tuple, list[GridCell]] = {}
         for cell in cells:
-            units.setdefault(subset_key(self.config, cell), []).append(cell)
+            units.setdefault(cell.unit_key(), []).append(cell)
         if self.config.resource_id:
             self._log({"event": "resources",
                        "resource_id": self.config.resource_id})
@@ -405,7 +389,10 @@ class GridRunner:
             for row in self._run_unit(unit):
                 results[row.key()] = row
         ordered = [results[c.key()] for c in cells]
-        self._write_outputs(ordered)
+        write_results_csv(os.path.join(self.out_dir, "results.csv"), ordered)
+        with open(os.path.join(self.out_dir, "run_log.jsonl"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(self._log_lines) + "\n")
         return ordered
 
     def _prediction_path(self, cell: GridCell) -> str:
@@ -416,7 +403,7 @@ class GridRunner:
         return os.path.join(self.predictions_dir, fname)
 
     def _run_unit(self, cells: list[GridCell]) -> list[ExperimentResult]:
-        """Run the cells of one subset key.
+        """Run the cells of one unit key.
 
         The subset, split, features and p=0 model are computed once and
         shared by every group's baseline row and by every p>0 cell, which
@@ -425,7 +412,7 @@ class GridRunner:
         """
         config, res = self.config, self.resources
         first = cells[0]
-        key = subset_key(config, first)
+        key = first.unit_key()
         started = time.perf_counter()
         subset = resample_subset(
             res.datasets[first.dataset], first.subset_size,
@@ -557,41 +544,12 @@ class GridRunner:
         return row
 
 
-def run_grid(config: ExperimentConfig, out_dir: str) -> list[ExperimentResult]:
-    """Run the full grid and write results.csv plus the run log."""
-    grid = GridRunner(config, out_dir)
+def run_grid(config: ExperimentConfig, out_dir: str,
+             cells: list[GridCell] | None = None) -> list[ExperimentResult]:
+    """Run ``cells`` (the full grid when None) with freshly loaded inputs
+    and write results.csv plus the run log."""
+    resources = load_resources(config)
     try:
-        return grid.run()
+        return GridRunner(config, out_dir, resources).run(cells)
     finally:
-        grid.resources.cache.close()
-
-
-def run_single_cell(
-    config: ExperimentConfig,
-    out_dir: str,
-    dataset: str,
-    group: str,
-    subset_size: int,
-    aug_pct: float,
-    round_index: int,
-) -> ExperimentResult:
-    """Re-run one grid cell (plus its baseline, when p > 0, for pairing).
-
-    Seeds derive from coordinates exactly as in a full run, so the cell
-    reproduces its full-grid result.
-    """
-    runner = GridRunner(config, out_dir)
-    if dataset not in runner.resources.datasets:
-        raise ConfigError(f"dataset {dataset!r} not in config")
-    if group not in config.groups:
-        raise ConfigError(f"group {group!r} not in config")
-    cells = [GridCell(dataset, group, subset_size, 0.0, round_index)]
-    if aug_pct > 0.0:
-        cells.append(GridCell(dataset, group, subset_size, aug_pct, round_index))
-    try:
-        rows = runner._run_unit(cells)
-    finally:
-        runner.resources.cache.close()
-    wanted = next(r for r in rows if r.aug_pct == aug_pct)
-    runner._write_outputs([wanted])
-    return wanted
+        resources.cache.close()

@@ -81,7 +81,56 @@ class TestRunGridCommand:
         assert "error[config]" in capsys.readouterr().err
 
 
-class TestAugmentCommand:
+class CellCommandChecks:
+    """What `augment` and `train` share: the dataset and group are
+    checked against the config, and only that dataset is read.
+
+    Each subclass runs these tests with its own ``command``."""
+
+    command: str
+    # fields of the printed line when the command reads synth3 as EDA
+    printed: dict
+
+    def _main(self, config_path, dataset, group, out, pct="0.1") -> int:
+        extra = ["--size", "80"] if self.command == "train" else []
+        return main([
+            self.command, "--config", str(config_path), "--dataset", dataset,
+            "--group", group, "--pct", pct, *extra, "--out", str(out),
+        ])
+
+    def test_unknown_dataset_exit_2(self, tmp_path, capsys, demo_config):
+        path, _ = demo_config
+        assert self._main(path, "nope", "EDA", tmp_path) == 2
+        assert "dataset 'nope' not in config" in capsys.readouterr().err
+
+    def test_reads_only_its_own_dataset(self, tmp_path, capsys, demo_config):
+        _, cfg = demo_config
+        absent = {"name": "absent", "path": str(tmp_path / "absent.csv")}
+        cfg_path = tmp_path / "two.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "datasets": cfg["datasets"] + [absent]}))
+        assert self._main(cfg_path, "synth3", "EDA", tmp_path / "o") == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.items() >= self.printed.items()
+
+    def test_group_outside_config_exit_2(self, tmp_path, capsys):
+        # the config was checked only for its own groups: BT without a
+        # translation provider must not run
+        cfg = synthdata.make_demo(str(tmp_path / "fx"), rows=60, seed=2)
+        cfg_path = tmp_path / "eda_only.json"
+        cfg_path.write_text(json.dumps({**cfg, "groups": ["EDA"], "providers": {}}))
+        assert self._main(cfg_path, "synth3", "BT", tmp_path / "o",
+                          pct="1.0") == 2
+        captured = capsys.readouterr()
+        assert "error[config]" in captured.err
+        assert "group 'BT' not in config" in captured.err
+        assert captured.out == ""
+
+
+class TestAugmentCommand(CellCommandChecks):
+    command = "augment"
+    printed = {"input_rows": 600}
+
     def test_count_law(self, tmp_path, capsys, demo_config):
         path, cfg = demo_config
         out_dir = str(tmp_path / "aug")
@@ -96,15 +145,6 @@ class TestAugmentCommand:
         assert payload["output_rows"] == 720
         with open(payload["path"], encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == 721  # header + rows
-
-    def test_unknown_dataset_exit_2(self, tmp_path, capsys, demo_config):
-        path, _ = demo_config
-        code = main([
-            "augment", "--config", path, "--dataset", "nope",
-            "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path),
-        ])
-        assert code == 2
-
 
     def test_bt_cache_cold_then_warm(self, tmp_path, capsys, demo_config):
         _, cfg = demo_config
@@ -139,18 +179,6 @@ class TestAugmentCommand:
         ]) == 3
         err = capsys.readouterr().err
         assert "error[data]" in err and f"{data}: malformed CSV at line 3" in err
-
-    def test_reads_only_its_own_dataset(self, tmp_path, capsys, demo_config):
-        _, cfg = demo_config
-        absent = {"name": "absent", "path": str(tmp_path / "absent.csv")}
-        cfg_path = tmp_path / "two.json"
-        cfg_path.write_text(json.dumps(
-            {**cfg, "datasets": cfg["datasets"] + [absent]}))
-        assert main([
-            "augment", "--config", str(cfg_path), "--dataset", "synth3",
-            "--group", "EDA", "--pct", "0.1", "--out", str(tmp_path / "o"),
-        ]) == 0
-        assert json.loads(capsys.readouterr().out)["input_rows"] == 600
 
     @pytest.mark.parametrize("loader, code, label", [
         ("dataset", 3, "data"),
@@ -220,21 +248,6 @@ class TestAugmentCommand:
                 assert code == 0
                 assert got == self._augment(tmp_path, cfg, group, group)[1]
 
-    def test_group_outside_config_exit_2(self, tmp_path, capsys):
-        # the config was checked only for its own groups: BT without a
-        # translation provider must not run
-        cfg = synthdata.make_demo(str(tmp_path / "fx"), rows=60, seed=2)
-        cfg_path = tmp_path / "eda_only.json"
-        cfg_path.write_text(json.dumps({**cfg, "groups": ["EDA"], "providers": {}}))
-        assert main([
-            "augment", "--config", str(cfg_path), "--dataset", "synth3",
-            "--group", "BT", "--pct", "1.0", "--out", str(tmp_path / "o"),
-        ]) == 2
-        captured = capsys.readouterr()
-        assert "error[config]" in captured.err
-        assert "group 'BT' not in config" in captured.err
-        assert captured.out == ""
-
     @pytest.mark.parametrize("command", ["augment", "train"])
     def test_unreachable_translator_exit_5(self, tmp_path, capsys, demo_config,
                                            command):
@@ -260,7 +273,10 @@ class TestAugmentCommand:
         assert "error[config]" in err and "embedding_neighbors_k" in err
 
 
-class TestTrainCommand:
+class TestTrainCommand(CellCommandChecks):
+    command = "train"
+    printed = {"dataset": "synth3", "group": "EDA", "status": "ok"}
+
     def test_single_cell(self, tmp_path, capsys, demo_config):
         path, _ = demo_config
         code = main([
@@ -275,6 +291,11 @@ class TestTrainCommand:
         assert payload["gain"] == pytest.approx(
             payload["f1"] - payload["baseline_f1"]
         )
+
+    def test_negative_pct_exit_3(self, tmp_path, capsys, demo_config):
+        path, _ = demo_config
+        assert self._main(path, "synth3", "EDA", tmp_path, pct="-0.1") == 3
+        assert "percentage -0.1 outside [0, 1]" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -46,7 +46,6 @@ class TestConfig:
         assert cfg.svm.C == 10.0
         assert cfg.svm.gamma == "scale"
         assert cfg.eda.alpha == 0.1
-        assert cfg.share_subsets_across_groups
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -88,6 +87,18 @@ class TestConfig:
     def test_leftover_workers_key_ignored(self, demo):
         cfg = runner.config_from_dict({**demo, "workers": 0})
         assert not hasattr(cfg, "workers")
+
+    def test_leftover_share_subsets_key_ignored(self, demo, tmp_path):
+        # every group pairs with the one baseline of its (dataset, size,
+        # round), whatever the key says
+        small = {**demo, "datasets": demo["datasets"][:1], "subset_sizes": [80]}
+        leftover = {**small, "share_subsets_across_groups": False}
+        cfg = runner.config_from_dict(leftover)
+        assert not hasattr(cfg, "share_subsets_across_groups")
+        runner.run_grid(cfg, str(tmp_path / "leftover"))
+        runner.run_grid(runner.config_from_dict(small), str(tmp_path / "plain"))
+        assert (Path(tmp_path, "leftover", "results.csv").read_bytes()
+                == Path(tmp_path, "plain", "results.csv").read_bytes())
 
     @pytest.mark.parametrize("providers", [
         {"embedding_neighbors_k": "five"},
@@ -270,14 +281,13 @@ class TestRunGrid:
         csv2 = Path(out2, "results.csv").read_bytes()
         assert csv1 == csv2
 
-    def test_cache_file_cold_then_warm(self, demo, tmp_path):
-        # run_grid and run_single_cell close the cache's append handle
+    def test_cache_file_cold_then_warm(self, demo, tmp_path, capsys):
+        # run_grid and the train command close the cache's append handle
         # (a leaked handle fails the suite as a ResourceWarning)
         cache = tmp_path / "translations.jsonl"
-        config = runner.config_from_dict(
-            {**demo, "subset_sizes": [80], "groups": ["BT"],
-             "cache_path": str(cache)}
-        )
+        raw = {**demo, "subset_sizes": [80], "groups": ["BT"],
+               "cache_path": str(cache)}
+        config = runner.config_from_dict(raw)
         runner.run_grid(config, str(tmp_path / "cold"))
         cold = cache.read_bytes()
         runner.run_grid(config, str(tmp_path / "warm"))
@@ -286,8 +296,12 @@ class TestRunGrid:
         assert (Path(tmp_path, "cold", "results.csv").read_bytes()
                 == Path(tmp_path, "warm", "results.csv").read_bytes())
         cache.unlink()
-        runner.run_single_cell(config, str(tmp_path / "single"),
-                               "synth3", "BT", 80, 0.2, 0)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(config_path),
+                         "--dataset", "synth3", "--group", "BT", "--size", "80",
+                         "--pct", "0.2", "--out", str(tmp_path / "single")]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
         assert cache.read_bytes()
 
     def test_shared_subsets_across_groups(self, run):
@@ -388,48 +402,36 @@ class TestSharedBaseline:
         # a baseline trains on the split's 75% train part, nothing more
         assert sorted(n for n in sizes if n in (60, 105)) == [60, 60, 105, 105]
 
-    def test_baseline_rows_and_files_match_run_single_cell(self, run, tmp_path):
-        config, out, rows = run
+    def test_train_rows_and_files_match_grid(self, run, demo, tmp_path,
+                                            capsys):
+        # train runs the cell and its baseline through the grid path, so
+        # each of its results.csv lines and prediction files is the grid's
+        _, out, rows = run
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(demo))
+        grid_lines = Path(out, "results.csv").read_text().splitlines()
+        grid_line = {r.key(): line for r, line in zip(rows, grid_lines[1:])}
         for row in rows:
-            if row.aug_pct != 0.0:
-                continue
-            single_out = tmp_path / f"{row.dataset}-{row.group}-{row.subset_size}"
-            single = runner.run_single_cell(
-                config, str(single_out), row.dataset, row.group,
-                row.subset_size, 0.0, row.round,
-            )
-            assert single == row
-            name = (f"{row.dataset}_{row.group}_{row.subset_size}_"
-                    f"0.0_{row.round}.jsonl")
-            grid_file = os.path.join(out, "predictions", name)
-            single_file = single_out / "predictions" / name
-            assert single_file.read_bytes() == Path(grid_file).read_bytes()
-
-    def test_unshared_subsets_give_each_group_its_own_baseline(
-            self, demo, tmp_path, monkeypatch):
-        sizes = count_svm_train(monkeypatch)
-        config = runner.config_from_dict({
-            **demo, "datasets": demo["datasets"][:1], "subset_sizes": [80],
-            "share_subsets_across_groups": False,
-        })
-        out = tmp_path / "grid"
-        rows = runner.run_grid(config, str(out))
-        # one baseline and one augmented model per group
-        assert len(sizes) == 2 * len(config.groups)
-        assert sorted(sizes)[:3] == [60, 60, 60]
-        truths = set()
-        for row in rows:
-            if row.aug_pct != 0.0:
-                continue
-            single = runner.run_single_cell(
-                config, str(tmp_path / row.group), row.dataset, row.group,
-                row.subset_size, 0.0, row.round,
-            )
-            assert single == row
-            name = f"{row.dataset}_{row.group}_80_0.0_0.jsonl"
-            y_true, _ = load_predictions(str(out / "predictions" / name))
-            truths.add(tuple(y_true))
-        assert len(truths) == len(config.groups)
+            train_out = tmp_path / "_".join(map(str, row.key()))
+            assert cli.main([
+                "train", "--config", str(config_path), "--dataset", row.dataset,
+                "--group", row.group, "--size", str(row.subset_size),
+                "--pct", str(row.aug_pct), "--round", str(row.round),
+                "--out", str(train_out),
+            ]) == 0
+            assert json.loads(capsys.readouterr().out)["f1"] == row.f1
+            path = train_out / "results.csv"
+            lines = path.read_text().splitlines()
+            trained = read_results_csv(str(path))
+            # the baseline row, then the augmented one when p > 0
+            assert [r.aug_pct for r in trained] == sorted({0.0, row.aug_pct})
+            assert lines[0] == grid_lines[0]
+            for r, line in zip(trained, lines[1:]):
+                assert line == grid_line[r.key()]
+            files = sorted((train_out / "predictions").iterdir())
+            assert len(files) == len(trained)
+            for f in files:
+                assert f.read_bytes() == Path(out, "predictions", f.name).read_bytes()
 
 
 class TestInvariants:
@@ -516,25 +518,27 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
-class TestRunSingleCell:
-    def test_reproduces_grid_row(self, demo, tmp_path):
-        config = runner.config_from_dict(
-            {**demo, "subset_sizes": [80], "groups": ["Syn"]}
-        )
-        grid_rows = runner.run_grid(config, str(tmp_path / "grid"))
+class TestTrain:
+    def test_reproduces_grid_row(self, demo, tmp_path, capsys):
+        raw = {**demo, "subset_sizes": [80], "groups": ["Syn"]}
+        grid_rows = runner.run_grid(runner.config_from_dict(raw),
+                                    str(tmp_path / "grid"))
         wanted = next(r for r in grid_rows if r.aug_pct > 0)
-        single = runner.run_single_cell(
-            config, str(tmp_path / "single"), wanted.dataset, wanted.group,
-            wanted.subset_size, wanted.aug_pct, wanted.round,
-        )
-        assert single == wanted
-
-    def test_unknown_dataset(self, demo, tmp_path):
-        config = runner.config_from_dict(demo)
-        with pytest.raises(ConfigError):
-            runner.run_single_cell(
-                config, str(tmp_path / "x"), "nope", "EDA", 80, 0.0, 0
-            )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        assert cli.main([
+            "train", "--config", str(config_path), "--dataset", wanted.dataset,
+            "--group", wanted.group, "--size", str(wanted.subset_size),
+            "--pct", str(wanted.aug_pct), "--round", str(wanted.round),
+            "--out", str(tmp_path / "single"),
+        ]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "dataset": wanted.dataset, "group": wanted.group,
+            "subset_size": wanted.subset_size, "aug_pct": wanted.aug_pct,
+            "round": wanted.round, "status": wanted.status, "f1": wanted.f1,
+            "baseline_f1": wanted.baseline_f1, "gain": wanted.gain,
+            "p_value": wanted.p_value,
+        }
 
 
 def fixture_rows():

@@ -95,14 +95,8 @@ def test_inputs_are_loaded_only_by_load_resources():
     assert {name for _, name in calls} == LOADERS
 
 
-# The pairing of an augmented model with its baseline. The runner pairs
-# every grid cell and stores the fields on its row; the mcnemar command
-# compares two prediction files. Nothing else computes a pair.
-PAIRING = {"contingency", "mcnemar"}
-
-
-def _pairing_calls(source: str, module: str) -> list[tuple[str, str]]:
-    """(module.function, callee) for each call to a pairing function; a
+def _calls(source: str, module: str, callees: set[str]) -> list[tuple[str, str]]:
+    """(module.function, callee) for each call to one of ``callees``; a
     method is named with its class."""
     found = []
 
@@ -115,12 +109,26 @@ def _pairing_calls(source: str, module: str) -> list[tuple[str, str]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in PAIRING:
+                if name in callees:
                     found.append((".".join([module, *path]), name))
             visit(child, path)
 
     visit(ast.parse(source), [])
     return found
+
+
+def _package_calls(callees: set[str]) -> set[tuple[str, str]]:
+    return {
+        call
+        for path in sorted(SRC.glob("*.py"))
+        for call in _calls(path.read_text(encoding="utf-8"), path.stem, callees)
+    }
+
+
+# The pairing of an augmented model with its baseline. The runner pairs
+# every grid cell and stores the fields on its row; the mcnemar command
+# compares two prediction files. Nothing else computes a pair.
+PAIRING = {"contingency", "mcnemar"}
 
 
 def test_pairing_call_check_sees_a_second_site():
@@ -129,7 +137,7 @@ def test_pairing_call_check_sees_a_second_site():
         "        return stats.mcnemar(stats.contingency(y, b, a))\n"
         "def summarize(rows):\n    return [mcnemar(t) for t in rows]\n"
     )
-    assert _pairing_calls(source, "runner") == [
+    assert _calls(source, "runner", PAIRING) == [
         ("runner.GridRunner._run_augmented", "mcnemar"),
         ("runner.GridRunner._run_augmented", "contingency"),
         ("runner.summarize", "mcnemar"),
@@ -137,15 +145,34 @@ def test_pairing_call_check_sees_a_second_site():
 
 
 def test_pairs_are_computed_only_by_the_runner_and_mcnemar_command():
-    calls = {
-        call
-        for path in sorted(SRC.glob("*.py"))
-        for call in _pairing_calls(path.read_text(encoding="utf-8"), path.stem)
-    }
-    assert calls == {
+    assert _package_calls(PAIRING) == {
         (site, name)
         for site in ("runner.GridRunner._run_augmented", "cli._cmd_mcnemar")
         for name in PAIRING
+    }
+
+
+# One results writer: run-grid and train both write results.csv from
+# GridRunner.run, so the two cannot write a row differently.
+WRITER = {"write_results_csv"}
+
+
+def test_results_writer_check_sees_a_second_site():
+    source = (
+        "class GridRunner:\n    def run(self, cells=None):\n"
+        "        write_results_csv(self.path, rows)\n"
+        "def run_cell(config):\n"
+        "    results.write_results_csv(config.out, [row])\n"
+    )
+    assert _calls(source, "runner", WRITER) == [
+        ("runner.GridRunner.run", "write_results_csv"),
+        ("runner.run_cell", "write_results_csv"),
+    ]
+
+
+def test_results_csv_is_written_only_by_grid_runner_run():
+    assert _package_calls(WRITER) == {
+        ("runner.GridRunner.run", "write_results_csv"),
     }
 
 
