@@ -85,13 +85,16 @@ def _load_config(args) -> runner.ExperimentConfig:
 
 def _cell_config(args) -> runner.ExperimentConfig:
     """The config narrowed to the command's dataset and group, so that the
-    command reads only their inputs."""
+    command reads only their inputs. The command's arguments are checked
+    here, before any input is read."""
     config = _load_config(args)
     spec = next((d for d in config.datasets if d.name == args.dataset), None)
     if spec is None:
         raise ConfigError(f"dataset {args.dataset!r} not in config")
     if args.group not in config.groups:
         raise ConfigError(f"group {args.group!r} not in config")
+    if not 0.0 <= args.pct <= 1.0:
+        raise ConfigError(f"--pct {args.pct} outside [0, 1]")
     return dataclasses.replace(config, datasets=(spec,), groups=(args.group,))
 
 

@@ -8,15 +8,11 @@ can share them.
 from __future__ import annotations
 
 import csv
-import json
-import logging
 import random
 import re
 from dataclasses import dataclass, field
 
 from .errors import DataError
-
-logger = logging.getLogger(__name__)
 
 # Word = run of word characters, with single hyphens/apostrophes allowed
 # inside (guarda-chuva, d'agua). Leading/trailing punctuation drops out.
@@ -128,19 +124,7 @@ def load_dataset(
             ) from exc
     if not examples:
         raise DataError(f"{path}: zero valid rows")
-    ds = Dataset(name=name or path, examples=tuple(examples), skipped=skipped)
-    if logger.isEnabledFor(logging.INFO):
-        hist: dict[str, int] = {}
-        for ex in examples:
-            hist[ex.label] = hist.get(ex.label, 0) + 1
-        logger.info(
-            json.dumps(
-                {"event": "load_dataset", "name": ds.name, "rows": len(ds),
-                 "skipped": skipped, "label_histogram": hist},
-                ensure_ascii=False, sort_keys=True,
-            )
-        )
-    return ds
+    return Dataset(name=name or path, examples=tuple(examples), skipped=skipped)
 
 
 def _derive_seed(seed: int, salt: int) -> int:

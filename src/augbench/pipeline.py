@@ -9,16 +9,12 @@ provider's TransportError included, propagates.
 
 from __future__ import annotations
 
-import json
-import logging
 import random
 from collections.abc import Callable, Sequence
 
 from .corpus import Dataset, LabeledExample, tokenize
 from .errors import EmptySentenceError
 from .providers import ReplacementProvider, TranslationCache, TranslationProvider
-
-logger = logging.getLogger(__name__)
 
 Augmenter = Callable[[LabeledExample], list[LabeledExample]]
 
@@ -66,6 +62,22 @@ def is_degenerate(original: str, generated: str) -> bool:
     return " ".join(original.split()) == " ".join(generated.split())
 
 
+def count_unchanged(
+    train: Dataset,
+    targets: Sequence[int],
+    failures: Sequence[int],
+    augmented: Dataset,
+    per_target: int,
+) -> int:
+    """Generated rows of augment_training_set that equal their source by
+    is_degenerate; each target outside ``failures`` made ``per_target``."""
+    failed = set(failures)
+    sources = [train[i].text for i in targets if i not in failed
+               for _ in range(per_target)]
+    generated = [ex.text for ex in augmented.examples[len(train):]]
+    return sum(map(is_degenerate, sources, generated))
+
+
 def back_translate(
     sentence: LabeledExample,
     provider: TranslationProvider,
@@ -75,21 +87,14 @@ def back_translate(
 ) -> LabeledExample:
     """Translate to the pivot language and back, via the write-through cache.
 
-    A result identical to the input is still returned, and flagged as
-    degenerate in an INFO log record when INFO is enabled. Transport
-    failures propagate after the provider's own retry budget.
+    A result identical to the input is still returned (count_unchanged
+    counts such rows). Transport failures propagate after the provider's
+    own retry budget.
     """
     if not sentence.text.strip():
         raise EmptySentenceError("cannot back-translate empty text")
     hop = _cached_translate(sentence.text, source_lang, pivot, provider, cache)
     text = _cached_translate(hop, pivot, source_lang, provider, cache)
-    if logger.isEnabledFor(logging.INFO) and is_degenerate(sentence.text, text):
-        logger.info(
-            json.dumps(
-                {"event": "back_translate_degenerate", "text": sentence.text},
-                ensure_ascii=False,
-            )
-        )
     return LabeledExample(text=text, label=sentence.label)
 
 
@@ -113,8 +118,8 @@ def augment_training_set(
     """Append generated examples for each target index, in target order.
 
     Originals stay verbatim and first. Returns the grown dataset and the
-    target indices whose sentence raised EmptySentenceError (skipped,
-    counted, logged); any other exception propagates.
+    target indices whose sentence raised EmptySentenceError (skipped and
+    counted); any other exception propagates.
     """
     n = len(train)
     bad = [i for i in targets if not 0 <= i < n]
@@ -125,14 +130,7 @@ def augment_training_set(
     for i in targets:
         try:
             generated.extend(augmenter(train[i]))
-        except EmptySentenceError as exc:
+        except EmptySentenceError:
             failures.append(i)
-            logger.warning(
-                json.dumps(
-                    {"event": "augment_target_failed", "index": i,
-                     "error": type(exc).__name__},
-                    ensure_ascii=False,
-                )
-            )
     out = Dataset(name=train.name, examples=train.examples + tuple(generated))
     return out, failures

@@ -16,7 +16,7 @@ import time
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 
@@ -326,7 +326,8 @@ class TranslationCache:
     through one handle, opened on the first ``put``. Each record is
     flushed before ``put`` returns, so a fresh cache or a resumed run
     sees it; nothing is fsynced. ``close`` releases the handle; a later
-    ``put`` reopens it.
+    ``put`` reopens it. A file line that is not one record of five
+    string fields, the only record ``put`` writes, is DataError.
     """
 
     def __init__(self, path: str | None = None):
@@ -356,29 +357,24 @@ class TranslationCache:
         - A JSON string cannot hold a raw newline, so no record spans the
           join inside a string.
         - Inside an object a "{" cannot follow a comma, and no record
-          holds an array (five fields, a string translation, and key
-          fields that hash). So a line that starts with "{" starts a
-          record.
+          holds an array (five fields, each a string). So a line that
+          starts with "{" starts a record.
         - With one record per line start, as many records as lines
           leaves no line with two.
-        A key that does not hash stops the update part-way; the
-        line-by-line load then raises on that record's line.
         """
         lines = [line for line in map(str.strip, block) if line]
         if not all(map(str.startswith, lines, repeat("{"))):
             return False
         try:
             records = json.loads("[" + ",\n".join(lines) + "]")
+            keys = list(map(_RECORD_KEY, records))
             translations = list(map(_TRANSLATED, records))
         except (KeyError, TypeError, ValueError):
             return False
         if (len(records) != len(lines) or set(map(len, records)) - {5}
-                or not all(map(str.__instancecheck__, translations))):
+                or set(map(type, chain(translations, *keys))) - {str}):
             return False
-        try:
-            self._data.update(zip(map(_RECORD_KEY, records), translations))
-        except (KeyError, TypeError):
-            return False
+        self._data.update(zip(keys, translations))
         return True
 
     def _load_lines(self, block: list[str], first: int) -> None:
@@ -389,12 +385,14 @@ class TranslationCache:
                 continue
             try:
                 rec = json.loads(line)
-                key = _RECORD_KEY(rec)
-                self._data[key] = rec["translated"]
+                key, translated = _RECORD_KEY(rec), _TRANSLATED(rec)
+                if set(map(type, (*key, translated))) - {str}:
+                    raise TypeError("a field is not a string")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(
                     f"{self.path}: line {number}: malformed cache record: {exc!r}"
                 ) from exc
+            self._data[key] = translated
 
     def __len__(self) -> int:
         return len(self._data)

@@ -6,8 +6,6 @@ shape (single-token pairs, fixed vector arity) and counts what it skips.
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -15,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceError
-
-logger = logging.getLogger(__name__)
 
 _PPDB_SEP = "|||"
 
@@ -77,10 +73,6 @@ def parse_ppdb(path: str) -> SynonymMap:
     entries = {w: c for w, c in entries.items() if c}
     if not entries:
         raise ResourceError(f"{path}: zero usable paraphrase records")
-    logger.info(
-        json.dumps({"event": "parse_ppdb", "path": path,
-                    "entries": len(entries), "skipped": skipped})
-    )
     return SynonymMap(
         entries={w: tuple(c) for w, c in entries.items()}, skipped=skipped
     )
@@ -180,10 +172,6 @@ def load_embeddings(path: str) -> EmbeddingStore:
             f"embedding file is not UTF-8: {path}: {exc}") from exc
     if not words:
         raise ResourceError(f"{path}: zero valid embedding rows")
-    logger.info(
-        json.dumps({"event": "load_embeddings", "path": path, "dim": dim,
-                    "words": len(words), "skipped": skipped})
-    )
     return EmbeddingStore(
         dim=dim,
         words=tuple(words),

@@ -29,7 +29,9 @@ from .eda import EdaConfig, eda_augment
 from .errors import ConfigError, InvariantError, TrainingError
 from .features import featurize
 from .metrics import evaluate, save_predictions
-from .pipeline import augment_training_set, back_translate, sequential_augment
+from .pipeline import (
+    augment_training_set, back_translate, count_unchanged, sequential_augment,
+)
 from .providers import (
     EmbeddingNeighborProvider, HttpContextualProvider, ReplacementProvider,
     StubContextualProvider, SynonymMapProvider, TranslationCache, http_options,
@@ -375,9 +377,14 @@ class GridRunner:
         units: dict[tuple, list[GridCell]] = {}
         for cell in cells:
             units.setdefault(cell.unit_key(), []).append(cell)
-        if self.config.resource_id:
-            self._log({"event": "resources",
-                       "resource_id": self.config.resource_id})
+        emb, synmap = self.resources.embeddings, self.resources.synmap
+        self._log({
+            "event": "resources", "resource_id": self.config.resource_id,
+            "embeddings": {"dim": emb.dim, "words": len(emb),
+                           "skipped": emb.skipped},
+            "ppdb": None if synmap is None else {
+                "entries": len(synmap), "skipped": synmap.skipped},
+        })
         for name, ds in self.resources.datasets.items():
             hist: dict[str, int] = {}
             for ex in ds:
@@ -441,6 +448,7 @@ class GridRunner:
         rows: list[ExperimentResult] = []
         for cell in cells:
             started = time.perf_counter()
+            counts = {}
             if cell.aug_pct == 0.0:
                 row = self._row(cell)
                 if baseline_preds is None:
@@ -451,7 +459,7 @@ class GridRunner:
                         self._prediction_path(cell), y_test, baseline_preds
                     )
             else:
-                row = self._run_augmented(
+                row, counts = self._run_augmented(
                     cell, pair.train, X_train, X_test, y_test,
                     baseline_f1, baseline_preds,
                 )
@@ -459,7 +467,7 @@ class GridRunner:
                 "event": "cell", "dataset": cell.dataset, "group": cell.group,
                 "subset_size": cell.subset_size, "aug_pct": cell.aug_pct,
                 "round": cell.round, "status": row.status,
-                "seconds": round(time.perf_counter() - started, 4),
+                "seconds": round(time.perf_counter() - started, 4), **counts,
             })
             rows.append(row)
         return rows
@@ -494,8 +502,11 @@ class GridRunner:
         y_test: list[str],
         baseline_f1: float | None,
         baseline_preds: list[str] | None,
-    ) -> ExperimentResult:
-        """One p>0 cell: augment, featurize the new rows, train, pair."""
+    ) -> tuple[ExperimentResult, dict[str, int]]:
+        """One p>0 cell: augment, featurize the new rows, train, pair.
+
+        Returns the row and the cell's generated and unchanged row counts.
+        """
         config, res = self.config, self.resources
         row = self._row(cell)
         targets = select_augmentation_targets(
@@ -505,22 +516,27 @@ class GridRunner:
         augmented, failures = augment_training_set(
             train, targets, make_augmenter(config, res, cell)
         )
+        # test-set purity: originals verbatim and first, growth bounded
+        per_target = generated_per_target(config, cell.group)
+        expected = len(train) + (len(targets) - len(failures)) * per_target
+        if (augmented.examples[: len(train)] != train.examples
+                or len(augmented) != expected):
+            raise InvariantError(
+                f"augmentation purity violated for {cell.key()}"
+            )
+        counts = {
+            "generated_rows": len(augmented) - len(train),
+            "unchanged_rows": count_unchanged(
+                train, targets, failures, augmented, per_target
+            ),
+        }
         if failures:
             self._log({
                 "event": "augmentation_failed", "cell": list(cell.key()),
                 "failed_targets": len(failures),
             })
             row.status = STATUS_AUG_FAILED
-            return row
-        # test-set purity: originals verbatim and first, growth bounded
-        expected = len(train) + len(targets) * generated_per_target(
-            config, cell.group
-        )
-        if (augmented.examples[: len(train)] != train.examples
-                or len(augmented) != expected):
-            raise InvariantError(
-                f"augmentation purity violated for {cell.key()}"
-            )
+            return row, counts
         generated = Dataset(
             name=train.name, examples=augmented.examples[len(train):]
         )
@@ -530,7 +546,7 @@ class GridRunner:
         )
         if preds is None:
             row.status = STATUS_TRAIN_FAILED
-            return row
+            return row, counts
         row.f1 = evaluate(y_test, preds).weighted_f1
         save_predictions(self._prediction_path(cell), y_test, preds)
         if baseline_preds is not None:
@@ -541,7 +557,7 @@ class GridRunner:
                 test = stats.mcnemar(table)
                 row.b, row.c = table.b, table.c
                 row.chi2, row.p_value = test.chi2, test.p_value
-        return row
+        return row, counts
 
 
 def run_grid(config: ExperimentConfig, out_dir: str,

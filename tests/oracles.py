@@ -124,7 +124,8 @@ def translate_per_token(provider, text: str, source: str) -> str:
 
 def load_translation_cache_per_line(path: str) -> dict:
     """``TranslationCache``'s file load as one json.loads per line; a bad
-    record raises DataError naming the file and its 1-based line."""
+    record, or one with a field that is not a string, raises DataError
+    naming the file and its 1-based line."""
     data = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -135,11 +136,14 @@ def load_translation_cache_per_line(path: str) -> dict:
                 rec = json.loads(line)
                 key = (rec["provider"], rec["source"], rec["target"],
                        rec["text"])
-                data[key] = rec["translated"]
+                translated = rec["translated"]
+                if not all(isinstance(f, str) for f in (*key, translated)):
+                    raise TypeError("a field is not a string")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(
                     f"{path}: line {number}: malformed cache record: {exc!r}"
                 ) from exc
+            data[key] = translated
     return data
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,24 @@ class CellCommandChecks:
         assert "error[config]" in captured.err
         assert "group 'BT' not in config" in captured.err
         assert captured.out == ""
+
+    def test_pct_outside_unit_interval_exit_2(self, tmp_path, capsys,
+                                              demo_config):
+        # checked before any input is read: reading the missing dataset
+        # file would be exit 3
+        _, cfg = demo_config
+        cfg_path = tmp_path / "missing.json"
+        cfg_path.write_text(json.dumps({**cfg, "datasets": [
+            {"name": "synth3", "path": str(tmp_path / "missing.csv")}]}))
+        assert self._main(cfg_path, "synth3", "EDA", tmp_path / "o") == 3
+        capsys.readouterr()
+        for pct in ("-0.1", "1.5", "nan"):
+            assert self._main(cfg_path, "synth3", "EDA", tmp_path / "o",
+                              pct=pct) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error[config]: --pct {float(pct)} outside [0, 1]\n")
+            assert captured.out == ""
 
 
 class TestAugmentCommand(CellCommandChecks):
@@ -265,6 +285,31 @@ class TestAugmentCommand(CellCommandChecks):
         assert code == 5
         assert "error[transport]" in capsys.readouterr().err
 
+    def test_failed_target_counted_not_written_to_stderr(self, tmp_path,
+                                                         demo_config):
+        # pytest installs logging handlers of its own, so only a fresh
+        # process shows what the command writes to stderr
+        _, cfg = demo_config
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("text,label\nbom produto,a\n!!! ???,b\n",
+                          encoding="utf-8")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "datasets": [{"name": "tiny", "path": str(corpus)}]}))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        done = subprocess.run(
+            [sys.executable, "-m", "augbench.cli", "augment",
+             "--config", str(cfg_path), "--dataset", "tiny", "--group", "EDA",
+             "--pct", "1.0", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["failed_targets"] == 1
+        assert done.stderr == ""
+
     def test_zero_neighbors_exit_2_for_eda(self, tmp_path, capsys, demo_config):
         _, cfg = demo_config
         cfg = {**cfg, "providers": {**cfg["providers"], "embedding_neighbors_k": 0}}
@@ -291,11 +336,6 @@ class TestTrainCommand(CellCommandChecks):
         assert payload["gain"] == pytest.approx(
             payload["f1"] - payload["baseline_f1"]
         )
-
-    def test_negative_pct_exit_3(self, tmp_path, capsys, demo_config):
-        path, _ = demo_config
-        assert self._main(path, "synth3", "EDA", tmp_path, pct="-0.1") == 3
-        assert "percentage -0.1 outside [0, 1]" in capsys.readouterr().err
 
 
 class TestReportCommand:

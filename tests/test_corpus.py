@@ -1,6 +1,4 @@
 import csv
-import json
-import logging
 import os
 import random
 import tempfile
@@ -86,14 +84,6 @@ class TestLoadDataset:
     def test_order_stable_across_loads(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [f"t{i},{i % 2}" for i in range(20)])
         assert load_dataset(path).examples == load_dataset(path).examples
-
-    def test_summary_logged_at_info(self, tmp_path, caplog):
-        path = write_csv(tmp_path / "d.csv", ["oi,a", ",b", "bom,a", "tchau,b"])
-        with caplog.at_level(logging.INFO, logger="augbench.corpus"):
-            load_dataset(path, name="d")
-        assert [json.loads(r.message) for r in caplog.records] == [
-            {"event": "load_dataset", "name": "d", "rows": 3, "skipped": 1,
-             "label_histogram": {"a": 2, "b": 1}}]
 
     def test_repeated_column_last_wins(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,x,b", "c,y"],

@@ -1,6 +1,5 @@
 import collections
 import json
-import logging
 import os
 import random
 import tempfile
@@ -14,11 +13,13 @@ from hypothesis import strategies as st
 
 from augbench import providers, runner
 from augbench.corpus import Dataset, LabeledExample
+from augbench.eda import EdaConfig, eda_augment
 from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, TransportError,
 )
 from augbench.pipeline import (
-    augment_training_set, back_translate, is_degenerate, sequential_augment,
+    augment_training_set, back_translate, count_unchanged, is_degenerate,
+    sequential_augment,
 )
 from augbench.providers import (
     DictTranslationProvider, EmbeddingNeighborProvider,
@@ -151,14 +152,6 @@ class TestBackTranslate:
         text = " ".join(tokens)
         assert provider.translate(text, source, "x") == translate_per_token(
             provider, text, source)
-
-    def test_degenerate_round_trip_logged_at_info(self, caplog):
-        with caplog.at_level(logging.INFO, logger="augbench.pipeline"):
-            back_translate(LabeledExample("bom  produto", "pos"),
-                           IdentityTranslationProvider(), "en",
-                           TranslationCache())
-        assert [json.loads(r.message) for r in caplog.records] == [
-            {"event": "back_translate_degenerate", "text": "bom  produto"}]
 
     def test_label_unchanged(self):
         out = back_translate(
@@ -409,6 +402,20 @@ class TestTranslationCacheLoad:
         cache = TranslationCache(str(path))
         assert len(cache) == 1 and cache.get("p", "pt", "en", "a") == "19"
 
+    @pytest.mark.parametrize("field, value", [("translated", 5), ("text", 7)])
+    def test_field_not_a_string_is_data_error(self, tmp_path, field, value):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            _line(_record("a")) + "\n"
+            + _line({**_record("b"), field: value}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError) as caught:
+            TranslationCache(str(path))
+        assert str(caught.value) == (
+            f"{path}: line 2: malformed cache record: "
+            "TypeError('a field is not a string')")
+
 
 class TestAugmentTrainingSet:
     def make_train(self, n=6):
@@ -478,6 +485,32 @@ class TestAugmentTrainingSet:
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
             augment_training_set(self.make_train(), [99], lambda ex: [ex])
+
+    def test_count_unchanged_matches_direct_count(self, synmap):
+        # two rows per target, and one target that fails: the count must
+        # pair each generated row with its own source
+        cfg = EdaConfig(alpha=0.1, n_aug=2)
+        train = Dataset(name="t", examples=tuple(
+            LabeledExample(text, "a") for text in [
+                "bom produto", "xyz", "!!! ???", "carro novo", "otimo",
+                "produto bom carro", "abc",
+            ]))
+        targets = [0, 1, 2, 3, 4, 6]
+        rng = random.Random(3)
+        augmented, failures = augment_training_set(
+            train, targets, lambda ex: eda_augment(ex, cfg, synmap, rng)
+        )
+        assert failures == [2]
+        replay = random.Random(3)
+        direct = 0
+        for i in targets:
+            try:
+                rows = eda_augment(train[i], cfg, synmap, replay)
+            except EmptySentenceError:
+                continue
+            direct += sum(is_degenerate(train[i].text, r.text) for r in rows)
+        assert 0 < direct < len(augmented) - len(train) == 10
+        assert count_unchanged(train, targets, failures, augmented, 2) == direct
 
     def test_labels_copied(self):
         train = self.make_train()
@@ -575,7 +608,8 @@ class _JsonHandler(BaseHTTPRequestHandler):
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _JsonHandler)
     server.hits = collections.Counter()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()

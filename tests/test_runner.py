@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import os
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from augbench import cli, kernels, report, runner, stats, synthdata
-from augbench.corpus import Dataset, SplitPair
+from augbench.corpus import Dataset, SplitPair, load_dataset
 from augbench.errors import ConfigError, DataError, InvariantError
 from augbench.metrics import evaluate, load_predictions
+from augbench.resources import load_embeddings, parse_ppdb
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
 )
@@ -212,6 +214,13 @@ class TestRunGrid:
         ]
         cell_lines = [l for l in log_lines if l["event"] == "cell"]
         assert len(cell_lines) == len(rows)
+        for line in cell_lines:
+            if line["aug_pct"] > 0:
+                train = int(0.75 * line["subset_size"] + 0.5)
+                assert line["generated_rows"] == int(line["aug_pct"] * train)
+                assert 0 <= line["unchanged_rows"] <= line["generated_rows"]
+            else:
+                assert "generated_rows" not in line
 
     def test_results_csv_round_trip(self, run):
         _, out, rows = run
@@ -516,6 +525,63 @@ class TestBlasThreads:
             assert done.returncode == 0, done.stderr
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _run_log(cfg: dict, out) -> list[dict]:
+    runner.run_grid(runner.config_from_dict(cfg), str(out))
+    text = Path(out, "run_log.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestRunLog:
+    """The run log keeps what the inputs' loaders and the augmenters
+    return: it is the package's one event path."""
+
+    @staticmethod
+    def _demo(tmp_path, **overrides) -> dict:
+        cfg = synthdata.make_demo(str(tmp_path / "fx"), rows=120, seed=4)
+        cfg.update(datasets=cfg["datasets"][:1], subset_sizes=[60],
+                   aug_percentages=[0, 0.2], rounds=1, **overrides)
+        return cfg
+
+    def test_input_summaries_in_run_log(self, tmp_path):
+        cfg = self._demo(tmp_path)
+        cfg["resources"]["resource_id"] = "demo-v1"
+        paths = (cfg["datasets"][0]["path"], cfg["resources"]["embeddings"],
+                 cfg["resources"]["ppdb"])
+        for path, skipped_line in zip(paths, (",neg", "torto 1.0",
+                                              "x ||| so um campo")):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(skipped_line + "\n")
+        events = _run_log(cfg, tmp_path / "out")
+        ds = load_dataset(paths[0])
+        store, synmap = load_embeddings(paths[1]), parse_ppdb(paths[2])
+        assert ds.skipped == store.skipped == synmap.skipped == 1
+        assert [e for e in events if e["event"] == "resources"] == [{
+            "event": "resources", "resource_id": "demo-v1",
+            "embeddings": {"dim": store.dim, "words": len(store),
+                           "skipped": 1},
+            "ppdb": {"entries": len(synmap), "skipped": 1},
+        }]
+        assert [e for e in events if e["event"] == "dataset"] == [{
+            "event": "dataset", "name": "synth3", "rows": len(ds),
+            "skipped_rows": 1,
+            "label_histogram": dict(collections.Counter(ds.labels())),
+        }]
+
+    def test_bijective_bt_rows_all_unchanged(self, tmp_path):
+        # the demo dictionary is a bijection, so every round trip comes
+        # back unchanged; with no paraphrase file the map is not loaded
+        cfg = self._demo(tmp_path, groups=["BT"])
+        del cfg["resources"]["ppdb"]
+        cfg["providers"]["syn_stages"] = ["embedding"]
+        events = _run_log(cfg, tmp_path / "out")
+        assert next(e for e in events if e["event"] == "resources")[
+            "ppdb"] is None
+        cells = [e for e in events if e["event"] == "cell"
+                 and e["aug_pct"] > 0]
+        assert [(c["generated_rows"], c["unchanged_rows"]) for c in cells] == [
+            (9, 9)]  # 0.2 of the 45 training rows
 
 
 class TestTrain:

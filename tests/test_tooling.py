@@ -177,8 +177,10 @@ def test_results_csv_is_written_only_by_grid_runner_run():
 
 
 # One solver path in plain NumPy and one thread: the package binds no
-# compiled-code bridge, no JIT, no scipy and no thread machinery.
-FORBIDDEN_IMPORTS = {"ctypes", "cffi", "numba", "scipy", "threading"}
+# compiled-code bridge, no JIT, no scipy and no thread machinery. One
+# event path: the runner's run log, so no module logs.
+FORBIDDEN_IMPORTS = {"ctypes", "cffi", "logging", "numba", "scipy",
+                     "threading"}
 
 
 def _forbidden_imports(source: str) -> list[str]:
