@@ -8,21 +8,18 @@ error categories: 0 success, 2 usage/config, 3 data, 4 resource,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
 import sys
 
 from . import report, runner, stats
-from .corpus import Dataset, select_augmentation_targets
 from .errors import (
     AugbenchError, ConfigError, DataError, InvariantError, ResourceError,
     TransportError,
 )
 from .metrics import load_predictions
-from .pipeline import augment_training_set
-from .results import read_results_csv
+from .results import read_results_csv, write_csv
 
 _EXIT_CODES = [
     (ConfigError, 2, "config"),
@@ -104,33 +101,20 @@ def _cmd_augment(args) -> int:
     resources = runner.load_resources(config, featurize=False)
     dataset = resources.datasets[args.dataset]
     cell = runner.GridCell(args.dataset, args.group, len(dataset), args.pct, 0)
-    targets = select_augmentation_targets(
-        dataset, args.pct,
-        runner.derive_seed(config.master_seed, "targets", *cell.key()),
-    )
     try:
-        augmented, failures = augment_training_set(
-            dataset, targets, runner.make_augmenter(config, resources, cell)
-        )
+        aug = runner.augment_cell(config, resources, cell, dataset)
     finally:
         resources.cache.close()
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.dataset}_{args.group}_augmented.csv")
-    _write_dataset_csv(out_path, augmented, spec.text_column, spec.label_column)
+    write_csv(out_path, [spec.text_column, spec.label_column],
+              ((ex.text, ex.label) for ex in aug.dataset.examples))
     print(json.dumps({
-        "input_rows": len(dataset), "targets": len(targets),
-        "failed_targets": len(failures), "output_rows": len(augmented),
+        "input_rows": len(dataset), "targets": len(aug.targets),
+        "failed_targets": len(aug.failures), "output_rows": len(aug.dataset),
         "path": out_path,
     }))
     return 0
-
-
-def _write_dataset_csv(path: str, dataset: Dataset,
-                       text_column: str, label_column: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([text_column, label_column])
-        writer.writerows((ex.text, ex.label) for ex in dataset.examples)
 
 
 def _cmd_train(args) -> int:

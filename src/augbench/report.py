@@ -11,17 +11,14 @@ flags, and the -log10(p) series behind significance plots.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError
-from .results import ExperimentResult, _fmt
+from .results import GROUPS, ExperimentResult, _fmt, write_csv
 from .stats import ALPHA
-
-GROUP_ORDER = ("EDA", "Syn", "BT")
 
 
 @dataclass
@@ -36,7 +33,7 @@ class Summary:
 
 def _group_sort_key(group: str):
     try:
-        return (0, GROUP_ORDER.index(group))
+        return (0, GROUPS.index(group))
     except ValueError:
         return (1, group)
 
@@ -106,13 +103,6 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
     )
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_mean_gains(out_dir, mean_by_group, mean_by_group_size) -> None:
     rows = [
         [ds, group, repr(mean), str(n)]
@@ -121,7 +111,7 @@ def _write_mean_gains(out_dir, mean_by_group, mean_by_group_size) -> None:
             key=lambda kv: (kv[0][0], _group_sort_key(kv[0][1])),
         )
     ]
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "mean_gain_by_group.csv"),
         ["dataset", "group", "mean_gain", "n_models"], rows,
     )
@@ -132,7 +122,7 @@ def _write_mean_gains(out_dir, mean_by_group, mean_by_group_size) -> None:
             key=lambda kv: (kv[0][0], _group_sort_key(kv[0][1]), kv[0][2]),
         )
     ]
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "mean_gain_by_group_size.csv"),
         ["dataset", "group", "subset_size", "mean_gain", "n_models"], rows,
     )
@@ -153,13 +143,13 @@ def _write_screen(out_dir, gains: list[ExperimentResult]) -> None:
         ])
         if r.p_value > 0:
             log_rows.append(cell + [repr(-math.log10(r.p_value))])
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "pvalues.csv"),
         ["dataset", "group", "subset_size", "aug_pct", "round", "gain",
          "chi2", "p_value", "significant"],
         p_rows,
     )
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "neg_log_p.csv"),
         ["dataset", "group", "subset_size", "aug_pct", "round", "neg_log10_p"],
         log_rows,
@@ -188,10 +178,10 @@ def _write_appendix_tables(out_dir, best_models) -> None:
                     )
             base_rows.append(base_row)
             p_rows.append(p_row)
-        _write_csv(
+        write_csv(
             os.path.join(out_dir, f"baseline_table_{ds}.csv"), header, base_rows
         )
-        _write_csv(
+        write_csv(
             os.path.join(out_dir, f"pvalue_table_{ds}.csv"), header, p_rows
         )
 

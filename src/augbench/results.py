@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .errors import DataError
 
+GROUPS = ("EDA", "Syn", "BT")  # augmentation groups, in report order
+
 CSV_COLUMNS = [
     "dataset", "group", "subset_size", "aug_pct", "round", "status",
     "f1", "baseline_f1", "gain", "b", "c", "chi2", "p_value",
@@ -54,17 +56,21 @@ def _parse(text: str, kind):
     return None if text == "" else kind(text)
 
 
-def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """The package's one CSV writer: UTF-8, "\n" line ends, RFC 4180 quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.dataset, r.group, str(r.subset_size), _fmt(r.aug_pct),
-                str(r.round), r.status, _fmt(r.f1), _fmt(r.baseline_f1),
-                _fmt(r.gain), _fmt(r.b), _fmt(r.c), _fmt(r.chi2),
-                _fmt(r.p_value),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
+    write_csv(path, CSV_COLUMNS, (
+        [r.dataset, r.group, str(r.subset_size), _fmt(r.aug_pct),
+         str(r.round), r.status, _fmt(r.f1), _fmt(r.baseline_f1),
+         _fmt(r.gain), _fmt(r.b), _fmt(r.c), _fmt(r.chi2), _fmt(r.p_value)]
+        for r in rows
+    ))
 
 
 def read_results_csv(path: str) -> list[ExperimentResult]:

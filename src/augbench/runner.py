@@ -39,12 +39,10 @@ from .providers import (
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
-    STATUS_AUG_FAILED, STATUS_OK, STATUS_TRAIN_FAILED,
+    GROUPS, STATUS_AUG_FAILED, STATUS_OK, STATUS_TRAIN_FAILED,
     ExperimentResult, write_results_csv,
 )
 from .svm import SvmConfig, svm_predict, svm_train
-
-GROUPS = ("EDA", "Syn", "BT")
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_values(config)
     _check_syn_stages(config)
     return config
+
+
+def _check_values(config: ExperimentConfig) -> None:
+    """Reject a value that would fail only once the inputs are read, for
+    every config whatever its groups."""
+    if not 0.0 < config.syn_rate <= 1.0:
+        raise ConfigError(f"providers.syn_rate {config.syn_rate} outside (0, 1]")
+    if not 0.0 < config.split_ratio < 1.0:
+        raise ConfigError(f"split_ratio {config.split_ratio} outside (0, 1)")
+    # open() would take an int for a file descriptor
+    paths = [(f"datasets[{i}].path", d.path)
+             for i, d in enumerate(config.datasets)]
+    paths.append(("resources.embeddings", config.embeddings_path))
+    paths += [(key, path) for key, path in (("resources.ppdb", config.ppdb_path),
+                                            ("cache_path", config.cache_path))
+              if path is not None]
+    for key, path in paths:
+        if not isinstance(path, str):
+            raise ConfigError(f"{key} must be a string path, not {path!r}")
 
 
 def _check_syn_stages(config: ExperimentConfig) -> None:
@@ -270,15 +288,13 @@ def load_resources(config: ExperimentConfig, *,
                    featurize: bool = True) -> Resources:
     """Load the inputs a run reads: the one place that decides which.
 
-    A grid (``featurize=True``) featurizes every row, so it reads the
-    embeddings, and it loads every input the config names. An augment
-    command passes ``featurize=False`` with ``config.groups`` narrowed
-    to its group, and reads only what that group uses: EDA the
+    Each group in ``config.groups`` adds what it uses: EDA the
     paraphrase map; Syn the inputs of its ``syn_stages``; BT the
-    translation provider and the cache file.
+    translation provider and the cache file. A run that featurizes (a
+    grid, ``featurize=True``) reads the embeddings too; the augment
+    command passes ``featurize=False``.
     """
-    groups = GROUPS if featurize else config.groups
-    stages = config.syn_stages if "Syn" in groups else ()
+    stages = config.syn_stages if "Syn" in config.groups else ()
     datasets = {
         spec.name: load_dataset(
             spec.path, text_column=spec.text_column,
@@ -292,7 +308,7 @@ def load_resources(config: ExperimentConfig, *,
     )
     synmap = (
         parse_ppdb(config.ppdb_path)
-        if config.ppdb_path and ("EDA" in groups or "ppdb" in stages)
+        if config.ppdb_path and ("EDA" in config.groups or "ppdb" in stages)
         else None
     )
     providers: list[ReplacementProvider] = []
@@ -305,7 +321,7 @@ def load_resources(config: ExperimentConfig, *,
             )
         elif stage == "contextual":
             providers.append(_make_contextual(config.contextual))
-    back_translates = "BT" in groups
+    back_translates = "BT" in config.groups
     translation = (
         make_translation_provider(config.translation, source_lang=config.source_lang)
         if back_translates and config.translation is not None
@@ -351,8 +367,36 @@ def make_augmenter(config: ExperimentConfig, resources: Resources,
     raise ConfigError(f"unknown group {cell.group!r}")
 
 
-def generated_per_target(config: ExperimentConfig, group: str) -> int:
-    return config.eda.n_aug if group == "EDA" else 1
+@dataclass(frozen=True)
+class CellAugmentation:
+    targets: list[int]
+    dataset: Dataset  # the originals, verbatim and first, then the new rows
+    failures: list[int]  # targets skipped by EmptySentenceError
+    per_target: int  # rows generated by each target outside ``failures``
+
+
+def augment_cell(config: ExperimentConfig, resources: Resources,
+                 cell: GridCell, train: Dataset) -> CellAugmentation:
+    """Draw the cell's targets from ``train`` and augment them.
+
+    The one place a cell is augmented, for the grid and the augment
+    command alike. Raises InvariantError unless the originals come
+    first and verbatim and each target that did not fail added
+    ``per_target`` rows.
+    """
+    targets = select_augmentation_targets(
+        train, cell.aug_pct,
+        derive_seed(config.master_seed, "targets", *cell.key()),
+    )
+    augmented, failures = augment_training_set(
+        train, targets, make_augmenter(config, resources, cell)
+    )
+    per_target = config.eda.n_aug if cell.group == "EDA" else 1
+    expected = len(train) + (len(targets) - len(failures)) * per_target
+    if (augmented.examples[: len(train)] != train.examples
+            or len(augmented) != expected):
+        raise InvariantError(f"augmentation purity violated for {cell.key()}")
+    return CellAugmentation(targets, augmented, failures, per_target)
 
 
 class GridRunner:
@@ -448,21 +492,48 @@ class GridRunner:
         rows: list[ExperimentResult] = []
         for cell in cells:
             started = time.perf_counter()
-            counts = {}
-            if cell.aug_pct == 0.0:
-                row = self._row(cell)
-                if baseline_preds is None:
-                    row.status = STATUS_TRAIN_FAILED
+            row = ExperimentResult(*cell.key())
+            preds, counts = baseline_preds, {}
+            if cell.aug_pct > 0.0:
+                aug = augment_cell(config, res, cell, pair.train)
+                counts = {
+                    "generated_rows": len(aug.dataset) - len(pair.train),
+                    "unchanged_rows": count_unchanged(
+                        pair.train, aug.targets, aug.failures, aug.dataset,
+                        aug.per_target,
+                    ),
+                }
+                if aug.failures:
+                    self._log({
+                        "event": "augmentation_failed",
+                        "cell": list(cell.key()),
+                        "failed_targets": len(aug.failures),
+                    })
+                    row.status, preds = STATUS_AUG_FAILED, None
                 else:
-                    row.f1 = baseline_f1
-                    save_predictions(
-                        self._prediction_path(cell), y_test, baseline_preds
+                    generated = Dataset(
+                        name=pair.train.name,
+                        examples=aug.dataset.examples[len(pair.train):],
                     )
-            else:
-                row, counts = self._run_augmented(
-                    cell, pair.train, X_train, X_test, y_test,
-                    baseline_f1, baseline_preds,
-                )
+                    X_augmented = np.vstack(
+                        [X_train, featurize(generated, res.embeddings)]
+                    )
+                    preds = self._train_predict(
+                        X_augmented, aug.dataset.labels(), X_test, [cell]
+                    )
+            if preds is not None:
+                row.f1 = evaluate(y_test, preds).weighted_f1
+                save_predictions(self._prediction_path(cell), y_test, preds)
+                if cell.aug_pct > 0.0 and baseline_preds is not None:
+                    row.baseline_f1 = baseline_f1
+                    row.gain = row.f1 - baseline_f1
+                    if row.gain > 0:
+                        table = stats.contingency(y_test, baseline_preds, preds)
+                        test = stats.mcnemar(table)
+                        row.b, row.c = table.b, table.c
+                        row.chi2, row.p_value = test.chi2, test.p_value
+            elif row.status == STATUS_OK:
+                row.status = STATUS_TRAIN_FAILED
             self._log({
                 "event": "cell", "dataset": cell.dataset, "group": cell.group,
                 "subset_size": cell.subset_size, "aug_pct": cell.aug_pct,
@@ -471,14 +542,6 @@ class GridRunner:
             })
             rows.append(row)
         return rows
-
-    @staticmethod
-    def _row(cell: GridCell) -> ExperimentResult:
-        return ExperimentResult(
-            dataset=cell.dataset, group=cell.group,
-            subset_size=cell.subset_size, aug_pct=cell.aug_pct,
-            round=cell.round,
-        )
 
     def _train_predict(self, X_train: np.ndarray, y_train: list[str],
                        X_test: np.ndarray,
@@ -492,72 +555,6 @@ class GridRunner:
                 self._log({"event": "training_failed",
                            "cell": list(cell.key()), "error": str(exc)})
             return None
-
-    def _run_augmented(
-        self,
-        cell: GridCell,
-        train: Dataset,
-        X_train: np.ndarray,
-        X_test: np.ndarray,
-        y_test: list[str],
-        baseline_f1: float | None,
-        baseline_preds: list[str] | None,
-    ) -> tuple[ExperimentResult, dict[str, int]]:
-        """One p>0 cell: augment, featurize the new rows, train, pair.
-
-        Returns the row and the cell's generated and unchanged row counts.
-        """
-        config, res = self.config, self.resources
-        row = self._row(cell)
-        targets = select_augmentation_targets(
-            train, cell.aug_pct,
-            derive_seed(config.master_seed, "targets", *cell.key()),
-        )
-        augmented, failures = augment_training_set(
-            train, targets, make_augmenter(config, res, cell)
-        )
-        # test-set purity: originals verbatim and first, growth bounded
-        per_target = generated_per_target(config, cell.group)
-        expected = len(train) + (len(targets) - len(failures)) * per_target
-        if (augmented.examples[: len(train)] != train.examples
-                or len(augmented) != expected):
-            raise InvariantError(
-                f"augmentation purity violated for {cell.key()}"
-            )
-        counts = {
-            "generated_rows": len(augmented) - len(train),
-            "unchanged_rows": count_unchanged(
-                train, targets, failures, augmented, per_target
-            ),
-        }
-        if failures:
-            self._log({
-                "event": "augmentation_failed", "cell": list(cell.key()),
-                "failed_targets": len(failures),
-            })
-            row.status = STATUS_AUG_FAILED
-            return row, counts
-        generated = Dataset(
-            name=train.name, examples=augmented.examples[len(train):]
-        )
-        X_augmented = np.vstack([X_train, featurize(generated, res.embeddings)])
-        preds = self._train_predict(
-            X_augmented, augmented.labels(), X_test, [cell]
-        )
-        if preds is None:
-            row.status = STATUS_TRAIN_FAILED
-            return row, counts
-        row.f1 = evaluate(y_test, preds).weighted_f1
-        save_predictions(self._prediction_path(cell), y_test, preds)
-        if baseline_preds is not None:
-            row.baseline_f1 = baseline_f1
-            row.gain = row.f1 - baseline_f1
-            if row.gain > 0:
-                table = stats.contingency(y_test, baseline_preds, preds)
-                test = stats.mcnemar(table)
-                row.b, row.c = table.b, table.c
-                row.chi2, row.p_value = test.chi2, test.p_value
-        return row, counts
 
 
 def run_grid(config: ExperimentConfig, out_dir: str,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from augbench import cli, synthdata
+from augbench import cli, runner, synthdata
 from augbench.cli import main
 from augbench.metrics import save_predictions
 from augbench.results import ExperimentResult, write_results_csv
@@ -75,6 +75,21 @@ class TestRunGridCommand:
         cfg_path.write_text("{}")
         assert main(["run-grid", "--config", str(cfg_path)]) == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["augment", "run-grid"])
+    def test_int_path_exit_2(self, tmp_path, capsys, demo_config, command):
+        # open() takes an int for a file descriptor: 2 is stderr
+        _, cfg = demo_config
+        cfg_path = tmp_path / "fd.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "resources": {**cfg["resources"], "embeddings": 2}}))
+        args = ["--dataset", "synth3", "--group", "Syn", "--pct", "0.1"]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "augment" else []),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: resources.embeddings must be a string path, "
+            "not 2\n")
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -145,6 +160,25 @@ class CellCommandChecks:
             assert captured.err == (
                 f"error[config]: --pct {float(pct)} outside [0, 1]\n")
             assert captured.out == ""
+
+
+    def test_extra_generated_row_exit_1(self, tmp_path, capsys, demo_config,
+                                        monkeypatch):
+        # both commands augment through the grid's purity check
+        path, _ = demo_config
+        make = runner.make_augmenter
+
+        def two_per_target(config, resources, cell):
+            augment = make(config, resources, cell)
+            return lambda ex: augment(ex) * 2
+
+        monkeypatch.setattr(runner, "make_augmenter", two_per_target)
+        assert self._main(path, "synth3", "EDA", tmp_path / "o") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error[invariant]: augmentation purity violated for ")
+        assert captured.out == ""
+        assert list((tmp_path / "o").glob("*.csv")) == []
 
 
 class TestAugmentCommand(CellCommandChecks):
@@ -336,6 +370,24 @@ class TestTrainCommand(CellCommandChecks):
         assert payload["gain"] == pytest.approx(
             payload["f1"] - payload["baseline_f1"]
         )
+
+
+    @pytest.mark.parametrize("group, code", [("BT", 0), ("EDA", 4)])
+    def test_reads_only_its_groups_inputs(self, tmp_path, capsys, demo_config,
+                                          group, code):
+        _, cfg = demo_config
+        cfg_path = tmp_path / "no_ppdb.json"
+        cfg_path.write_text(json.dumps({**cfg, "resources": {
+            **cfg["resources"], "ppdb": str(tmp_path / "absent.txt")}}))
+        out = tmp_path / "o"
+        assert self._main(cfg_path, "synth3", group, out) == code
+        if code:
+            assert "cannot open paraphrase file" in capsys.readouterr().err
+            return
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+        with open(out / "run_log.jsonl", encoding="utf-8") as fh:
+            first = json.loads(fh.readline())
+        assert first["event"] == "resources" and first["ppdb"] is None
 
 
 class TestReportCommand:

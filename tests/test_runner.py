@@ -107,12 +107,40 @@ class TestConfig:
         {"syn_rate": None},
         {"pivot": 5},
         {"source_lang": ["pt"]},
+        {"syn_rate": 0},
+        {"syn_rate": -0.1},
+        {"syn_rate": 1.5},
+        {"syn_rate": "nan"},
     ])
     def test_bad_provider_scalars_rejected(self, demo, providers):
         with pytest.raises(ConfigError):
             runner.config_from_dict(
                 {**demo, "providers": {**demo["providers"], **providers}}
             )
+
+    @pytest.mark.parametrize("change, message", [
+        ({"split_ratio": 0}, "split_ratio 0.0 outside (0, 1)"),
+        ({"split_ratio": 1}, "split_ratio 1.0 outside (0, 1)"),
+        ({"split_ratio": "nan"}, "split_ratio nan outside (0, 1)"),
+        ({"datasets": [{"name": "d", "path": 3}]},
+         "datasets[0].path must be a string path, not 3"),
+        ({"datasets": [{"name": "d", "path": None}]},
+         "datasets[0].path must be a string path, not None"),
+        ({"resources": {"embeddings": 2, "ppdb": "p.txt"}},
+         "resources.embeddings must be a string path, not 2"),
+        ({"resources": {"embeddings": "e.vec", "ppdb": 0}},
+         "resources.ppdb must be a string path, not 0"),
+        ({"cache_path": 1}, "cache_path must be a string path, not 1"),
+    ], ids=["split_ratio-0", "split_ratio-1", "split_ratio-nan",
+            "dataset_path-3", "dataset_path-null", "embeddings-2", "ppdb-0",
+            "cache_path-1"])
+    def test_bad_values_rejected_whatever_the_groups(self, demo, change,
+                                                     message):
+        # BT alone reads neither the paraphrase file nor a syn stage
+        for groups in (["EDA", "Syn", "BT"], ["BT"]):
+            with pytest.raises(ConfigError) as info:
+                runner.config_from_dict({**demo, "groups": groups, **change})
+            assert str(info.value) == message
 
     def test_zero_neighbors_rejected(self, demo):
         with pytest.raises(ConfigError, match="embedding_neighbors_k"):

@@ -133,13 +133,13 @@ PAIRING = {"contingency", "mcnemar"}
 
 def test_pairing_call_check_sees_a_second_site():
     source = (
-        "class GridRunner:\n    def _run_augmented(self, y, b, a):\n"
+        "class GridRunner:\n    def _run_unit(self, y, b, a):\n"
         "        return stats.mcnemar(stats.contingency(y, b, a))\n"
         "def summarize(rows):\n    return [mcnemar(t) for t in rows]\n"
     )
     assert _calls(source, "runner", PAIRING) == [
-        ("runner.GridRunner._run_augmented", "mcnemar"),
-        ("runner.GridRunner._run_augmented", "contingency"),
+        ("runner.GridRunner._run_unit", "mcnemar"),
+        ("runner.GridRunner._run_unit", "contingency"),
         ("runner.summarize", "mcnemar"),
     ]
 
@@ -147,8 +147,37 @@ def test_pairing_call_check_sees_a_second_site():
 def test_pairs_are_computed_only_by_the_runner_and_mcnemar_command():
     assert _package_calls(PAIRING) == {
         (site, name)
-        for site in ("runner.GridRunner._run_augmented", "cli._cmd_mcnemar")
+        for site in ("runner.GridRunner._run_unit", "cli._cmd_mcnemar")
         for name in PAIRING
+    }
+
+
+# One cell path: the grid and the augment command both augment a cell
+# through runner.augment_cell, so both draw the same targets and both
+# check augmentation purity.
+AUGMENTING = {"select_augmentation_targets", "augment_training_set"}
+
+
+def test_augmenting_call_check_sees_a_second_site():
+    source = (
+        "def augment_cell(config, train, cell):\n"
+        "    targets = select_augmentation_targets(train, cell.p, 1)\n"
+        "    return pipeline.augment_training_set(train, targets, f)\n"
+        "def _cmd_augment(args):\n"
+        "    t = corpus.select_augmentation_targets(d, 1, 2)\n"
+        "    return augment_training_set(d, t, f)\n"
+    )
+    assert _calls(source, "cli", AUGMENTING) == [
+        ("cli.augment_cell", "select_augmentation_targets"),
+        ("cli.augment_cell", "augment_training_set"),
+        ("cli._cmd_augment", "select_augmentation_targets"),
+        ("cli._cmd_augment", "augment_training_set"),
+    ]
+
+
+def test_cells_are_augmented_only_by_augment_cell():
+    assert _package_calls(AUGMENTING) == {
+        ("runner.augment_cell", name) for name in AUGMENTING
     }
 
 
