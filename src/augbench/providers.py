@@ -201,6 +201,19 @@ class _JsonClient:
         )
 
 
+def config_int(value, key: str) -> int:
+    """An integer config value: an int, or a float with no fraction part.
+
+    A bool, a string or any other float is a ConfigError, where ``int()``
+    would quietly run ``true`` as 1, ``"7"`` as 7 and 7.9 as 7.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def http_options(spec: dict) -> dict:
     """JSON-client keyword arguments from a provider's ``{"http": {...}}`` section.
 
@@ -214,7 +227,8 @@ def http_options(spec: dict) -> dict:
             "url": str(http["url"]),
             "key_env": http.get("key_env"),
             "timeout": float(http.get("timeout", 10.0)),
-            "max_retries": int(http.get("max_retries", 3)),
+            "max_retries": config_int(http.get("max_retries", 3),
+                                      "http.max_retries"),
             "backoff_base": float(http.get("backoff_base", 0.2)),
             "rate_per_second": float(http.get("rate_per_second") or 0),
         }

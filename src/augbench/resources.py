@@ -113,10 +113,6 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self.words)
 
-    def vector(self, word: str) -> np.ndarray | None:
-        i = self._index.get(word)
-        return None if i is None else self.matrix[i]
-
     def token_ids(self, tokens: Iterable[str]) -> list[int]:
         """Matrix rows of the in-vocabulary tokens, in order; OOV skipped."""
         return [i for i in map(self._index.get, tokens) if i is not None]

@@ -7,6 +7,8 @@ cells of one (dataset, size, round) run as one unit (see
 ``GridCell.unit_key``): the subset, split, features and p=0 baseline
 are computed once and reused by every group's baseline row and by the
 p>0 cells, which keeps McNemar pairs on the identical test set.
+``run_unit`` runs one unit and writes nothing; ``GridRunner.run`` writes
+what each unit made as the unit ends.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .pipeline import (
 )
 from .providers import (
     EmbeddingNeighborProvider, HttpContextualProvider, ReplacementProvider,
-    StubContextualProvider, SynonymMapProvider, TranslationCache, http_options,
-    load_contextual_table, make_translation_provider,
+    StubContextualProvider, SynonymMapProvider, TranslationCache, config_int,
+    http_options, load_contextual_table, make_translation_provider,
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
@@ -106,14 +108,6 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _dedup(seq):
-    out = []
-    for x in seq:
-        if x not in out:
-            out.append(x)
-    return out
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         datasets = tuple(
@@ -124,11 +118,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             )
             for d in raw["datasets"]
         )
-        groups = tuple(_dedup(raw["groups"]))
-        sizes = tuple(_dedup(int(n) for n in raw["subset_sizes"]))
-        pcts = tuple(_dedup(float(p) for p in raw["aug_percentages"]))
-        rounds = int(raw["rounds"])
-        master_seed = int(raw["master_seed"])
+        groups = tuple(dict.fromkeys(raw["groups"]))
+        sizes = tuple(dict.fromkeys(config_int(n, "subset_sizes")
+                                    for n in raw["subset_sizes"]))
+        pcts = tuple(dict.fromkeys(float(p) for p in raw["aug_percentages"]))
+        rounds = config_int(raw["rounds"], "rounds")
+        master_seed = config_int(raw["master_seed"], "master_seed")
         resources = raw.get("resources", {})
         providers = raw.get("providers", {})
     except (KeyError, TypeError, ValueError) as exc:
@@ -186,10 +181,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             source_lang=source_lang,
             syn_rate=float(providers.get("syn_rate", 0.1)),
             syn_stages=tuple(stages),
-            embedding_neighbors_k=int(providers.get("embedding_neighbors_k", 5)),
+            embedding_neighbors_k=config_int(
+                providers.get("embedding_neighbors_k", 5),
+                "providers.embedding_neighbors_k"),
             eda=EdaConfig(
                 alpha=float(eda_raw.get("alpha", 0.1)),
-                n_aug=int(eda_raw.get("n_aug", 1)),
+                n_aug=config_int(eda_raw.get("n_aug", 1), "eda.n_aug"),
                 op_mode=eda_raw.get("op_mode", "sample"),
             ),
             svm=SvmConfig(
@@ -399,162 +396,162 @@ def augment_cell(config: ExperimentConfig, resources: Resources,
     return CellAugmentation(targets, augmented, failures, per_target)
 
 
+def run_unit(config: ExperimentConfig, resources: Resources,
+             cells: list[GridCell]) -> tuple[list[ExperimentResult],
+                                             list[dict], list[tuple]]:
+    """Run the cells of one unit key; write nothing.
+
+    The subset, split, features and p=0 model are computed once and
+    shared by every group's baseline row and by every p>0 cell, which
+    featurizes only its generated sentences. Returns the rows in cell
+    order, the unit's run-log records and one prediction payload
+    ``(cell, y_true, y_pred)`` per cell that has predictions.
+    """
+    first = cells[0]
+    key = first.unit_key()
+    started = time.perf_counter()
+    subset = resample_subset(
+        resources.datasets[first.dataset], first.subset_size,
+        derive_seed(config.master_seed, "subset", *key),
+    )
+    pair = split(
+        subset, ratio=config.split_ratio,
+        seed=derive_seed(config.master_seed, "split", *key),
+    )
+    if set(pair.train_indices) & set(pair.test_indices):
+        raise InvariantError(f"train and test sets overlap in subset {key}")
+    X_test = featurize(pair.test, resources.embeddings)
+    X_train = featurize(pair.train, resources.embeddings)
+    y_test = pair.test.labels()
+    baseline_preds, baseline_error = _train_predict(
+        config.svm, X_train, pair.train.labels(), X_test
+    )
+    baseline_f1: float | None = None
+    if baseline_preds is not None:
+        baseline_f1 = evaluate(y_test, baseline_preds).weighted_f1
+    records = [{"event": "baseline", "subset": list(key),
+                "status": STATUS_OK if baseline_preds is not None
+                else STATUS_TRAIN_FAILED,
+                "seconds": round(time.perf_counter() - started, 4)}]
+    rows: list[ExperimentResult] = []
+    payloads: list[tuple[GridCell, list[str], list[str]]] = []
+    for cell in cells:
+        started = time.perf_counter()
+        row = ExperimentResult(*cell.key())
+        preds, error, facts = baseline_preds, baseline_error, {}
+        if cell.aug_pct > 0.0:
+            aug = augment_cell(config, resources, cell, pair.train)
+            facts = {
+                "generated_rows": len(aug.dataset) - len(pair.train),
+                "unchanged_rows": count_unchanged(
+                    pair.train, aug.targets, aug.failures, aug.dataset,
+                    aug.per_target,
+                ),
+            }
+            if aug.failures:
+                facts["failed_targets"] = len(aug.failures)
+                row.status, preds = STATUS_AUG_FAILED, None
+            else:
+                generated = Dataset(
+                    name=pair.train.name,
+                    examples=aug.dataset.examples[len(pair.train):],
+                )
+                X_augmented = np.vstack(
+                    [X_train, featurize(generated, resources.embeddings)]
+                )
+                preds, error = _train_predict(
+                    config.svm, X_augmented, aug.dataset.labels(), X_test
+                )
+        if preds is not None:
+            row.f1 = evaluate(y_test, preds).weighted_f1
+            payloads.append((cell, y_test, preds))
+            if cell.aug_pct > 0.0 and baseline_preds is not None:
+                row.baseline_f1 = baseline_f1
+                row.gain = row.f1 - baseline_f1
+                if row.gain > 0:
+                    table = stats.contingency(y_test, baseline_preds, preds)
+                    test = stats.mcnemar(table)
+                    row.b, row.c = table.b, table.c
+                    row.chi2, row.p_value = test.chi2, test.p_value
+        elif row.status == STATUS_OK:
+            row.status = STATUS_TRAIN_FAILED
+            facts["error"] = error
+        records.append({
+            "event": "cell", "dataset": cell.dataset, "group": cell.group,
+            "subset_size": cell.subset_size, "aug_pct": cell.aug_pct,
+            "round": cell.round, "status": row.status,
+            "seconds": round(time.perf_counter() - started, 4), **facts,
+        })
+        rows.append(row)
+    return rows, records, payloads
+
+
+def _train_predict(svm: SvmConfig, X_train: np.ndarray, y_train: list[str],
+                   X_test: np.ndarray) -> tuple[list[str] | None, str | None]:
+    """(test-set predictions, None), or (None, the message) on TrainingError."""
+    try:
+        return svm_predict(svm_train(X_train, y_train, svm), X_test), None
+    except TrainingError as exc:
+        return None, str(exc)
+
+
 class GridRunner:
-    """Runs the units of its cells one after another; returns rows in cell order."""
+    """Runs the units of its cells one after another and writes what they made."""
 
     def __init__(self, config: ExperimentConfig, out_dir: str,
                  resources: Resources):
         self.config = config
         self.out_dir = out_dir
-        self.predictions_dir = os.path.join(out_dir, "predictions")
-        os.makedirs(self.predictions_dir, exist_ok=True)
         self.resources = resources
-        self._log_lines: list[str] = []
-
-    def _log(self, record: dict) -> None:
-        self._log_lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
 
     def run(self, cells: list[GridCell] | None = None) -> list[ExperimentResult]:
-        """Run ``cells`` (the whole plan when None); write results.csv and
-        run_log.jsonl into the output directory."""
+        """Run ``cells`` (the whole plan when None) and write their outputs.
+
+        The only writer of the output directory: each unit's prediction
+        files and run-log records are written when the unit ends, and
+        results.csv, in cell order, after the last unit.
+        """
         cells = plan_grid(self.config) if cells is None else cells
         units: dict[tuple, list[GridCell]] = {}
         for cell in cells:
             units.setdefault(cell.unit_key(), []).append(cell)
         emb, synmap = self.resources.embeddings, self.resources.synmap
-        self._log({
+        inputs = [{
             "event": "resources", "resource_id": self.config.resource_id,
             "embeddings": {"dim": emb.dim, "words": len(emb),
                            "skipped": emb.skipped},
             "ppdb": None if synmap is None else {
                 "entries": len(synmap), "skipped": synmap.skipped},
-        })
+        }]
         for name, ds in self.resources.datasets.items():
             hist: dict[str, int] = {}
             for ex in ds:
                 hist[ex.label] = hist.get(ex.label, 0) + 1
-            self._log({"event": "dataset", "name": name, "rows": len(ds),
-                       "skipped_rows": ds.skipped, "label_histogram": hist})
+            inputs.append({"event": "dataset", "name": name, "rows": len(ds),
+                           "skipped_rows": ds.skipped, "label_histogram": hist})
+        predictions_dir = os.path.join(self.out_dir, "predictions")
+        os.makedirs(predictions_dir, exist_ok=True)
         results: dict[tuple, ExperimentResult] = {}
-        for unit in units.values():
-            for row in self._run_unit(unit):
-                results[row.key()] = row
+        with open(os.path.join(self.out_dir, "run_log.jsonl"), "w",
+                  encoding="utf-8") as log:
+            def append(records: list[dict]) -> None:
+                log.writelines(json.dumps(r, ensure_ascii=False, sort_keys=True)
+                               + "\n" for r in records)
+                log.flush()
+
+            append(inputs)
+            for unit in units.values():
+                rows, records, payloads = run_unit(
+                    self.config, self.resources, unit)
+                for cell, y_true, y_pred in payloads:
+                    name = "_".join(map(str, cell.key())) + ".jsonl"
+                    save_predictions(os.path.join(predictions_dir, name),
+                                     y_true, y_pred)
+                append(records)
+                results.update((row.key(), row) for row in rows)
         ordered = [results[c.key()] for c in cells]
         write_results_csv(os.path.join(self.out_dir, "results.csv"), ordered)
-        with open(os.path.join(self.out_dir, "run_log.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(self._log_lines) + "\n")
         return ordered
-
-    def _prediction_path(self, cell: GridCell) -> str:
-        fname = (
-            f"{cell.dataset}_{cell.group}_{cell.subset_size}_"
-            f"{cell.aug_pct}_{cell.round}.jsonl"
-        )
-        return os.path.join(self.predictions_dir, fname)
-
-    def _run_unit(self, cells: list[GridCell]) -> list[ExperimentResult]:
-        """Run the cells of one unit key.
-
-        The subset, split, features and p=0 model are computed once and
-        shared by every group's baseline row and by every p>0 cell, which
-        featurizes only its generated sentences. All of it is local to
-        this call, so it is freed when the unit ends.
-        """
-        config, res = self.config, self.resources
-        first = cells[0]
-        key = first.unit_key()
-        started = time.perf_counter()
-        subset = resample_subset(
-            res.datasets[first.dataset], first.subset_size,
-            derive_seed(config.master_seed, "subset", *key),
-        )
-        pair = split(
-            subset, ratio=config.split_ratio,
-            seed=derive_seed(config.master_seed, "split", *key),
-        )
-        if set(pair.train_indices) & set(pair.test_indices):
-            raise InvariantError(f"train and test sets overlap in subset {key}")
-        X_test = featurize(pair.test, res.embeddings)
-        X_train = featurize(pair.train, res.embeddings)
-        y_test = pair.test.labels()
-        baselines = [c for c in cells if c.aug_pct == 0.0]
-        baseline_preds = self._train_predict(
-            X_train, pair.train.labels(), X_test, baselines
-        )
-        baseline_f1: float | None = None
-        if baseline_preds is not None:
-            baseline_f1 = evaluate(y_test, baseline_preds).weighted_f1
-        self._log({"event": "baseline", "subset": list(key),
-                   "status": STATUS_OK if baseline_preds is not None
-                   else STATUS_TRAIN_FAILED,
-                   "seconds": round(time.perf_counter() - started, 4)})
-        rows: list[ExperimentResult] = []
-        for cell in cells:
-            started = time.perf_counter()
-            row = ExperimentResult(*cell.key())
-            preds, counts = baseline_preds, {}
-            if cell.aug_pct > 0.0:
-                aug = augment_cell(config, res, cell, pair.train)
-                counts = {
-                    "generated_rows": len(aug.dataset) - len(pair.train),
-                    "unchanged_rows": count_unchanged(
-                        pair.train, aug.targets, aug.failures, aug.dataset,
-                        aug.per_target,
-                    ),
-                }
-                if aug.failures:
-                    self._log({
-                        "event": "augmentation_failed",
-                        "cell": list(cell.key()),
-                        "failed_targets": len(aug.failures),
-                    })
-                    row.status, preds = STATUS_AUG_FAILED, None
-                else:
-                    generated = Dataset(
-                        name=pair.train.name,
-                        examples=aug.dataset.examples[len(pair.train):],
-                    )
-                    X_augmented = np.vstack(
-                        [X_train, featurize(generated, res.embeddings)]
-                    )
-                    preds = self._train_predict(
-                        X_augmented, aug.dataset.labels(), X_test, [cell]
-                    )
-            if preds is not None:
-                row.f1 = evaluate(y_test, preds).weighted_f1
-                save_predictions(self._prediction_path(cell), y_test, preds)
-                if cell.aug_pct > 0.0 and baseline_preds is not None:
-                    row.baseline_f1 = baseline_f1
-                    row.gain = row.f1 - baseline_f1
-                    if row.gain > 0:
-                        table = stats.contingency(y_test, baseline_preds, preds)
-                        test = stats.mcnemar(table)
-                        row.b, row.c = table.b, table.c
-                        row.chi2, row.p_value = test.chi2, test.p_value
-            elif row.status == STATUS_OK:
-                row.status = STATUS_TRAIN_FAILED
-            self._log({
-                "event": "cell", "dataset": cell.dataset, "group": cell.group,
-                "subset_size": cell.subset_size, "aug_pct": cell.aug_pct,
-                "round": cell.round, "status": row.status,
-                "seconds": round(time.perf_counter() - started, 4), **counts,
-            })
-            rows.append(row)
-        return rows
-
-    def _train_predict(self, X_train: np.ndarray, y_train: list[str],
-                       X_test: np.ndarray,
-                       cells: list[GridCell]) -> list[str] | None:
-        """Test-set predictions, or None (logged for each cell) on TrainingError."""
-        try:
-            model = svm_train(X_train, y_train, self.config.svm)
-            return svm_predict(model, X_test)
-        except TrainingError as exc:
-            for cell in cells:
-                self._log({"event": "training_failed",
-                           "cell": list(cell.key()), "error": str(exc)})
-            return None
 
 
 def run_grid(config: ExperimentConfig, out_dir: str,

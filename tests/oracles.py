@@ -168,3 +168,9 @@ def sentence_vector(tokens, store) -> np.ndarray:
     maps to the zero vector.
     """
     return _mean_vectors([tokens], store)[0]
+
+
+def word_vector(store, word: str) -> np.ndarray | None:
+    """The embedding row of ``word``, or None when it is out of vocabulary."""
+    ids = store.token_ids([word])
+    return store.matrix[ids[0]] if ids else None

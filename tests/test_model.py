@@ -14,7 +14,7 @@ from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
-from oracles import rbf_kernel, sentence_vector
+from oracles import rbf_kernel, sentence_vector, word_vector
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -65,7 +65,7 @@ finite = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
 
 def reference_vector(tokens, store):
     """The per-sentence mean featurize computed before it was vectorised."""
-    rows = [store.vector(tok) for tok in tokens]
+    rows = [word_vector(store, tok) for tok in tokens]
     rows = [r for r in rows if r is not None]
     if not rows:
         return np.zeros(store.dim, dtype=np.float64)

@@ -14,6 +14,7 @@ from augbench.resources import (
 )
 from oracles import (
     cosine_similarity, load_embeddings_per_element, nearest_full_sort,
+    word_vector,
 )
 
 
@@ -87,7 +88,7 @@ class TestLoadEmbeddings:
         store = load_embeddings(path)
         assert store.dim == 3
         assert len(store) == 2
-        assert np.array_equal(store.vector("a"), [1.0, 2.0, 3.0])
+        assert np.array_equal(word_vector(store, "a"), [1.0, 2.0, 3.0])
 
     def test_wrong_arity_skipped(self, tmp_path):
         path = write_lines(tmp_path / "e.vec", ["2 3", "a 1 2", "b 4 5 6"])
@@ -103,7 +104,7 @@ class TestLoadEmbeddings:
     def test_duplicate_first_wins(self, tmp_path):
         path = write_lines(tmp_path / "e.vec", ["2 2", "a 1 1", "a 9 9"])
         store = load_embeddings(path)
-        assert np.array_equal(store.vector("a"), [1.0, 1.0])
+        assert np.array_equal(word_vector(store, "a"), [1.0, 1.0])
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(ResourceError, match="header"):
@@ -120,8 +121,8 @@ class TestLoadEmbeddings:
     def test_exact_float_parse(self, tmp_path):
         path = write_lines(tmp_path / "e.vec", ["1 2", "a 0.1234567 -9e-3"])
         store = load_embeddings(path)
-        assert store.vector("a")[0] == 0.1234567
-        assert store.vector("a")[1] == -9e-3
+        assert word_vector(store, "a")[0] == 0.1234567
+        assert word_vector(store, "a")[1] == -9e-3
 
 
 PLAIN_VEC = ["3 2", "foo 0.1 0.2", "bar 0.3", "baz -1e-3 4", "foo 5 6"]

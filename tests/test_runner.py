@@ -10,8 +10,11 @@ import pytest
 
 from augbench import cli, kernels, report, runner, stats, synthdata
 from augbench.corpus import Dataset, SplitPair, load_dataset
-from augbench.errors import ConfigError, DataError, InvariantError
-from augbench.metrics import evaluate, load_predictions
+from augbench.errors import (
+    ConfigError, DataError, EmptySentenceError, InvariantError, TransportError,
+)
+from augbench.metrics import evaluate, load_predictions, save_predictions
+from augbench.providers import http_options
 from augbench.resources import load_embeddings, parse_ppdb
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
@@ -166,6 +169,46 @@ class TestConfig:
             raw["resources"] = {**demo["resources"], **resources}
         with pytest.raises(ConfigError, match=match):
             runner.config_from_dict(raw)
+
+    # every integer field: where it sits in the raw config, and how the
+    # parsed config reads it back
+    INT_FIELDS = {
+        "master_seed": lambda c: c.master_seed,
+        "rounds": lambda c: c.rounds,
+        "subset_sizes": lambda c: c.subset_sizes[0],
+        "eda.n_aug": lambda c: c.eda.n_aug,
+        "providers.embedding_neighbors_k": lambda c: c.embedding_neighbors_k,
+        "providers.contextual.http.max_retries":
+            lambda c: http_options(c.contextual)["max_retries"],
+    }
+
+    @staticmethod
+    def _with_int(demo, field, value) -> dict:
+        raw = json.loads(json.dumps(demo))
+        raw["providers"].update(
+            syn_stages=["ppdb", "contextual"],
+            contextual={"http": {"url": "http://127.0.0.1:9/c"}},
+        )
+        *parents, leaf = field.split(".")
+        node = raw
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = [value] if leaf == "subset_sizes" else value
+        return raw
+
+    @pytest.mark.parametrize("value", [7.9, True, "7"],
+                             ids=["fraction", "bool", "string"])
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_non_integer_rejected(self, demo, field, value):
+        leaf = field.rsplit(".", 1)[-1]
+        with pytest.raises(ConfigError, match=f"{leaf} must be an integer"):
+            runner.config_from_dict(self._with_int(demo, field, value))
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_integral_float_runs_as_int(self, demo, field):
+        config = runner.config_from_dict(self._with_int(demo, field, 7.0))
+        read = self.INT_FIELDS[field](config)
+        assert read == 7 and type(read) is int
 
     def test_eda_requires_ppdb(self, demo):
         bad = {**demo, "resources": {"embeddings": demo["resources"]["embeddings"]}}
@@ -381,6 +424,45 @@ class TestFailurePaths:
         assert "error[transport]" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_outage_in_later_unit_keeps_finished_units_log(
+            self, demo, tmp_path, monkeypatch, capsys):
+        # round 1's back-translations fail; round 0's unit has ended, so
+        # its predictions and run-log records are on disk
+        cfg = {**demo, "datasets": demo["datasets"][:1], "groups": ["BT"],
+               "subset_sizes": [80], "rounds": 2}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rounds = []
+        run_unit, back_translate = runner.run_unit, runner.back_translate
+
+        def recorded_run_unit(config, resources, cells):
+            rounds.append(cells[0].round)
+            return run_unit(config, resources, cells)
+
+        def back_translate_down_in_round_1(*args, **kwargs):
+            if rounds[-1] == 1:
+                raise TransportError("translator down")
+            return back_translate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_unit", recorded_run_unit)
+        monkeypatch.setattr(runner, "back_translate",
+                            back_translate_down_in_round_1)
+        out = tmp_path / "out"
+        code = cli.main(["run-grid", "--config", str(path), "--out", str(out)])
+        assert code == 5
+        assert "error[transport]: translator down" in capsys.readouterr().err
+        assert rounds == [0, 1]
+        assert not (out / "results.csv").exists()
+        events = [json.loads(line) for line in
+                  (out / "run_log.jsonl").read_text().splitlines()]
+        assert [e["event"] for e in events] == [
+            "resources", "dataset", "baseline", "cell", "cell"]
+        assert events[2]["subset"] == ["synth3", 80, 0]
+        assert [(e["aug_pct"], e["round"], e["status"]) for e in events[3:]] == [
+            (0.0, 0, "ok"), (0.2, 0, "ok")]
+        assert sorted(p.name for p in (out / "predictions").iterdir()) == [
+            "synth3_BT_80_0.0_0.jsonl", "synth3_BT_80_0.2_0.jsonl"]
+
     def test_all_oov_corpus_marks_train_failed(self, demo, tmp_path):
         # words missing from the embedding file give zero vectors for every
         # sentence, so gamma=scale is undefined
@@ -469,6 +551,53 @@ class TestSharedBaseline:
             assert len(files) == len(trained)
             for f in files:
                 assert f.read_bytes() == Path(out, "predictions", f.name).read_bytes()
+
+
+class TestRunUnit:
+    def test_writes_nothing_and_matches_grid_runner(self, demo, tmp_path,
+                                                    monkeypatch):
+        config = runner.config_from_dict(demo)
+        plan = runner.plan_grid(config)
+        cells = [c for c in plan if c.unit_key() == plan[0].unit_key()]
+        resources = runner.load_resources(config)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+
+        def no_file(*args, **kwargs):
+            raise AssertionError(f"run_unit opened or made {args[:1]}")
+
+        try:
+            grid = runner.GridRunner(config, "out", resources)
+            with monkeypatch.context() as m:
+                for target in ("builtins.open", "io.open", "os.open",
+                               "os.mkdir", "os.makedirs"):
+                    m.setattr(target, no_file)
+                rows, records, payloads = runner.run_unit(
+                    config, resources, cells)
+            assert list(cwd.iterdir()) == []
+            assert grid.run(cells) == rows
+        finally:
+            resources.cache.close()
+        out = cwd / "out"
+        write_results_csv(str(tmp_path / "unit.csv"), rows)
+        assert ((tmp_path / "unit.csv").read_bytes()
+                == (out / "results.csv").read_bytes())
+        assert len(payloads) == len(cells) == len(
+            list((out / "predictions").iterdir()))
+        for cell, y_true, y_pred in payloads:
+            name = "_".join(map(str, cell.key())) + ".jsonl"
+            save_predictions(str(tmp_path / name), y_true, y_pred)
+            assert ((tmp_path / name).read_bytes()
+                    == (out / "predictions" / name).read_bytes())
+        # after the resources and dataset records, the unit's own
+        logged = [json.loads(line) for line in
+                  (out / "run_log.jsonl").read_text().splitlines()]
+        assert [r["event"] for r in logged] == (
+            ["resources"] + ["dataset"] * len(config.datasets)
+            + ["baseline"] + ["cell"] * len(cells))
+        assert ([{**r, "seconds": 0} for r in logged[-len(records):]]
+                == [{**r, "seconds": 0} for r in records])
 
 
 class TestInvariants:
@@ -610,6 +739,36 @@ class TestRunLog:
                  and e["aug_pct"] > 0]
         assert [(c["generated_rows"], c["unchanged_rows"]) for c in cells] == [
             (9, 9)]  # 0.2 of the 45 training rows
+
+
+    def test_failed_cells_carry_their_facts(self, tmp_path, monkeypatch):
+        # the first EDA target fails, so the EDA cell is aug_failed; the
+        # solver ceiling fails every training, the baseline's included
+        eda_augment, eda_calls = runner.eda_augment, []
+
+        def first_target_empty(sentence, *args):
+            eda_calls.append(sentence)
+            if len(eda_calls) == 1:
+                raise EmptySentenceError("nothing to augment")
+            return eda_augment(sentence, *args)
+
+        monkeypatch.setattr(runner, "eda_augment", first_target_empty)
+        monkeypatch.setattr(kernels, "smo_solve", functools.partial(
+            kernels.smo_solve, max_iter=1))
+        events = _run_log(self._demo(tmp_path, groups=["EDA", "Syn"]),
+                          tmp_path / "out")
+        assert [e["event"] for e in events[2:]] == ["baseline"] + ["cell"] * 4
+        facts = [
+            (e["group"], e["aug_pct"], e["status"], e.get("failed_targets"),
+             isinstance(e.get("error"), str) and e["error"] != "")
+            for e in events[3:]
+        ]
+        assert facts == [
+            ("EDA", 0.0, "train_failed", None, True),
+            ("EDA", 0.2, "aug_failed", 1, False),
+            ("Syn", 0.0, "train_failed", None, True),
+            ("Syn", 0.2, "train_failed", None, True),
+        ]
 
 
 class TestTrain:

@@ -133,13 +133,13 @@ PAIRING = {"contingency", "mcnemar"}
 
 def test_pairing_call_check_sees_a_second_site():
     source = (
-        "class GridRunner:\n    def _run_unit(self, y, b, a):\n"
-        "        return stats.mcnemar(stats.contingency(y, b, a))\n"
+        "def run_unit(y, b, a):\n"
+        "    return stats.mcnemar(stats.contingency(y, b, a))\n"
         "def summarize(rows):\n    return [mcnemar(t) for t in rows]\n"
     )
     assert _calls(source, "runner", PAIRING) == [
-        ("runner.GridRunner._run_unit", "mcnemar"),
-        ("runner.GridRunner._run_unit", "contingency"),
+        ("runner.run_unit", "mcnemar"),
+        ("runner.run_unit", "contingency"),
         ("runner.summarize", "mcnemar"),
     ]
 
@@ -147,7 +147,7 @@ def test_pairing_call_check_sees_a_second_site():
 def test_pairs_are_computed_only_by_the_runner_and_mcnemar_command():
     assert _package_calls(PAIRING) == {
         (site, name)
-        for site in ("runner.GridRunner._run_unit", "cli._cmd_mcnemar")
+        for site in ("runner.run_unit", "cli._cmd_mcnemar")
         for name in PAIRING
     }
 
@@ -181,27 +181,28 @@ def test_cells_are_augmented_only_by_augment_cell():
     }
 
 
-# One results writer: run-grid and train both write results.csv from
-# GridRunner.run, so the two cannot write a row differently.
-WRITER = {"write_results_csv"}
+# One writer: run-grid and train both write results.csv and the
+# prediction files from GridRunner.run, so the two cannot write a row or
+# a file differently, and the function that runs a unit writes nothing.
+WRITER = {"save_predictions", "write_results_csv"}
 
 
 def test_results_writer_check_sees_a_second_site():
     source = (
         "class GridRunner:\n    def run(self, cells=None):\n"
         "        write_results_csv(self.path, rows)\n"
-        "def run_cell(config):\n"
-        "    results.write_results_csv(config.out, [row])\n"
+        "def run_unit(config, cells):\n"
+        "    metrics.save_predictions(config.out, y, p)\n"
     )
     assert _calls(source, "runner", WRITER) == [
         ("runner.GridRunner.run", "write_results_csv"),
-        ("runner.run_cell", "write_results_csv"),
+        ("runner.run_unit", "save_predictions"),
     ]
 
 
 def test_results_csv_is_written_only_by_grid_runner_run():
     assert _package_calls(WRITER) == {
-        ("runner.GridRunner.run", "write_results_csv"),
+        ("runner.GridRunner.run", name) for name in WRITER
     }
 
 
