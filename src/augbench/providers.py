@@ -11,11 +11,13 @@ come from the environment and are never logged or echoed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import urllib.error
 import urllib.request
 from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -214,6 +216,23 @@ def config_int(value, key: str) -> int:
     return value
 
 
+def config_float(value, key: str) -> float:
+    """A real config value: an int or a float, finite as a float.
+
+    A bool, a string, Infinity or NaN (both of which ``json.load`` reads)
+    is a ConfigError, where ``float()`` would run ``true`` as 1.0 and
+    ``"0.5"`` as 0.5.
+    """
+    try:
+        finite = (not isinstance(value, bool)
+                  and isinstance(value, (int, float)) and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def http_options(spec: dict) -> dict:
     """JSON-client keyword arguments from a provider's ``{"http": {...}}`` section.
 
@@ -226,11 +245,13 @@ def http_options(spec: dict) -> dict:
         options = {
             "url": str(http["url"]),
             "key_env": http.get("key_env"),
-            "timeout": float(http.get("timeout", 10.0)),
+            "timeout": config_float(http.get("timeout", 10.0), "http.timeout"),
             "max_retries": config_int(http.get("max_retries", 3),
                                       "http.max_retries"),
-            "backoff_base": float(http.get("backoff_base", 0.2)),
-            "rate_per_second": float(http.get("rate_per_second") or 0),
+            "backoff_base": config_float(http.get("backoff_base", 0.2),
+                                         "http.backoff_base"),
+            "rate_per_second": config_float(http.get("rate_per_second") or 0,
+                                            "http.rate_per_second"),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed http provider section: {exc!r}") from exc
@@ -238,6 +259,30 @@ def http_options(spec: dict) -> dict:
             or min(options["backoff_base"], options["rate_per_second"]) < 0):
         raise ConfigError(f"out-of-range value in http provider section: {http!r}")
     return options
+
+
+@dataclass(frozen=True)
+class ProviderSpec:
+    """A provider config value as ``provider_spec`` parsed it."""
+
+    kind: str  # "identity", "dict", "stub" or "http"
+    path: str = ""  # the file of "dict" and "stub"
+    options: dict | None = None  # the ``http_options`` of "http"
+
+
+# Each provider family's mocks: "identity", or "<kind>:" and a file path.
+_MOCKS = {"translation": ("identity", "dict:"), "contextual": ("stub:",)}
+
+
+def provider_spec(value, family: str) -> ProviderSpec:
+    """The one parser of a provider config value of ``family``."""
+    if isinstance(value, dict) and "http" in value:
+        return ProviderSpec("http", options=http_options(value))
+    if isinstance(value, str):
+        kind, colon, path = value.partition(":")
+        if kind + colon in _MOCKS[family]:
+            return ProviderSpec(kind, path)
+    raise ConfigError(f"unusable {family} provider config: {value!r}")
 
 
 class TranslationProvider:
@@ -434,21 +479,18 @@ class TranslationCache:
             self._fh = None
 
 
-def make_translation_provider(spec_string: str | dict,
+def make_translation_provider(spec: ProviderSpec,
                               source_lang: str = "pt") -> TranslationProvider:
-    """Build a provider from its config value.
+    """Build the translation provider of a parsed spec; "dict" reads its file."""
+    if spec.kind == "identity":
+        return IdentityTranslationProvider()
+    if spec.kind == "dict":
+        return DictTranslationProvider.from_file(spec.path, source_lang=source_lang)
+    return HttpTranslationProvider(**spec.options)
 
-    Strings select mocks: "identity" or "dict:<path>". A mapping with an
-    "http" section selects the remote client.
-    """
-    if isinstance(spec_string, str):
-        if spec_string == "identity":
-            return IdentityTranslationProvider()
-        if spec_string.startswith("dict:"):
-            return DictTranslationProvider.from_file(
-                spec_string[len("dict:"):], source_lang=source_lang
-            )
-        raise ResourceError(f"unknown translation provider {spec_string!r}")
-    if isinstance(spec_string, dict) and "http" in spec_string:
-        return HttpTranslationProvider(**http_options(spec_string))
-    raise ResourceError(f"unusable translation provider config: {spec_string!r}")
+
+def make_contextual_provider(spec: ProviderSpec) -> ReplacementProvider:
+    """Build the contextual provider of a parsed spec; "stub" reads its file."""
+    if spec.kind == "stub":
+        return StubContextualProvider(load_contextual_table(spec.path))
+    return HttpContextualProvider(**spec.options)

@@ -35,9 +35,9 @@ from .pipeline import (
     augment_training_set, back_translate, count_unchanged, sequential_augment,
 )
 from .providers import (
-    EmbeddingNeighborProvider, HttpContextualProvider, ReplacementProvider,
-    StubContextualProvider, SynonymMapProvider, TranslationCache, config_int,
-    http_options, load_contextual_table, make_translation_provider,
+    EmbeddingNeighborProvider, ProviderSpec, ReplacementProvider,
+    SynonymMapProvider, TranslationCache, config_float, config_int,
+    make_contextual_provider, make_translation_provider, provider_spec,
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
@@ -66,8 +66,8 @@ class ExperimentConfig:
     embeddings_path: str
     ppdb_path: str | None = None
     resource_id: str | None = None  # free-form provenance tag, logged only
-    translation: str | dict | None = None
-    contextual: str | dict | None = None
+    translation: ProviderSpec | None = None
+    contextual: ProviderSpec | None = None
     pivot: str = "en"
     source_lang: str = "pt"
     syn_rate: float = 0.1
@@ -121,7 +121,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         groups = tuple(dict.fromkeys(raw["groups"]))
         sizes = tuple(dict.fromkeys(config_int(n, "subset_sizes")
                                     for n in raw["subset_sizes"]))
-        pcts = tuple(dict.fromkeys(float(p) for p in raw["aug_percentages"]))
+        pcts = tuple(dict.fromkeys(config_float(p, "aug_percentages")
+                                   for p in raw["aug_percentages"]))
         rounds = config_int(raw["rounds"], "rounds")
         master_seed = config_int(raw["master_seed"], "master_seed")
         resources = raw.get("resources", {})
@@ -164,6 +165,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("providers.pivot and providers.source_lang must be strings")
     eda_raw = raw.get("eda", {})
     svm_raw = raw.get("svm", {})
+    gamma = svm_raw.get("gamma", "scale")
     try:
         config = ExperimentConfig(
             datasets=datasets,
@@ -175,38 +177,42 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             embeddings_path=embeddings_path,
             ppdb_path=ppdb_path,
             resource_id=resources.get("resource_id"),
-            translation=translation,
-            contextual=contextual,
+            translation=None if translation is None
+            else provider_spec(translation, "translation"),
+            contextual=provider_spec(contextual, "contextual")
+            if "contextual" in stages else None,
             pivot=pivot,
             source_lang=source_lang,
-            syn_rate=float(providers.get("syn_rate", 0.1)),
+            syn_rate=config_float(providers.get("syn_rate", 0.1),
+                                  "providers.syn_rate"),
             syn_stages=tuple(stages),
             embedding_neighbors_k=config_int(
                 providers.get("embedding_neighbors_k", 5),
                 "providers.embedding_neighbors_k"),
             eda=EdaConfig(
-                alpha=float(eda_raw.get("alpha", 0.1)),
+                alpha=config_float(eda_raw.get("alpha", 0.1), "eda.alpha"),
                 n_aug=config_int(eda_raw.get("n_aug", 1), "eda.n_aug"),
                 op_mode=eda_raw.get("op_mode", "sample"),
             ),
             svm=SvmConfig(
-                C=float(svm_raw.get("C", 10.0)),
-                gamma=svm_raw.get("gamma", "scale"),
-                tol=float(svm_raw.get("tol", 1e-3)),
+                C=config_float(svm_raw.get("C", 10.0), "svm.C"),
+                gamma=gamma if isinstance(gamma, str)
+                else config_float(gamma, "svm.gamma"),
+                tol=config_float(svm_raw.get("tol", 1e-3), "svm.tol"),
             ),
-            split_ratio=float(raw.get("split_ratio", 0.75)),
+            split_ratio=config_float(raw.get("split_ratio", 0.75), "split_ratio"),
             cache_path=raw.get("cache_path"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _check_values(config)
-    _check_syn_stages(config)
     return config
 
 
 def _check_values(config: ExperimentConfig) -> None:
     """Reject a value that would fail only once the inputs are read, for
-    every config whatever its groups."""
+    every config whatever its groups: an augment command that reads no
+    syn stage still rejects the syn stages a grid could not build."""
     if not 0.0 < config.syn_rate <= 1.0:
         raise ConfigError(f"providers.syn_rate {config.syn_rate} outside (0, 1]")
     if not 0.0 < config.split_ratio < 1.0:
@@ -221,14 +227,6 @@ def _check_values(config: ExperimentConfig) -> None:
     for key, path in paths:
         if not isinstance(path, str):
             raise ConfigError(f"{key} must be a string path, not {path!r}")
-
-
-def _check_syn_stages(config: ExperimentConfig) -> None:
-    """Reject a syn stage that ``load_resources`` could not build.
-
-    Checked for every config, whatever its groups, so an augment command
-    that reads no syn stage still rejects the config a grid would.
-    """
     for stage in config.syn_stages:
         if stage == "ppdb":
             if not config.ppdb_path:
@@ -236,13 +234,7 @@ def _check_syn_stages(config: ExperimentConfig) -> None:
         elif stage == "embedding":
             if config.embedding_neighbors_k < 1:
                 raise ConfigError("providers.embedding_neighbors_k must be >= 1")
-        elif stage == "contextual":
-            spec = config.contextual
-            if isinstance(spec, dict) and "http" in spec:
-                http_options(spec)
-            elif not (isinstance(spec, str) and spec.startswith("stub:")):
-                raise ConfigError(f"unusable contextual provider config: {spec!r}")
-        else:
+        elif stage != "contextual":  # its spec is parsed with the config
             raise ConfigError(f"unknown syn stage {stage!r}")
 
 
@@ -317,27 +309,17 @@ def load_resources(config: ExperimentConfig, *,
                 EmbeddingNeighborProvider(embeddings, k=config.embedding_neighbors_k)
             )
         elif stage == "contextual":
-            providers.append(_make_contextual(config.contextual))
+            providers.append(make_contextual_provider(config.contextual))
     back_translates = "BT" in config.groups
-    translation = (
-        make_translation_provider(config.translation, source_lang=config.source_lang)
-        if back_translates and config.translation is not None
-        else None
-    )
     return Resources(
         datasets=datasets,
         embeddings=embeddings,
         synmap=synmap,
         replacement_providers=providers,
-        translation=translation,
+        translation=make_translation_provider(
+            config.translation, config.source_lang) if back_translates else None,
         cache=TranslationCache(config.cache_path if back_translates else None),
     )
-
-
-def _make_contextual(spec) -> ReplacementProvider:
-    if isinstance(spec, str):  # "stub:<path>", as config_from_dict checked
-        return StubContextualProvider(load_contextual_table(spec[len("stub:"):]))
-    return HttpContextualProvider(**http_options(spec))
 
 
 def make_augmenter(config: ExperimentConfig, resources: Resources,

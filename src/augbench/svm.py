@@ -6,6 +6,7 @@ matrix is computed once per fit and shared by all pairwise machines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +24,17 @@ class SvmConfig:
     tol: float = 1e-3  # SMO stops when the maximal-violating-pair gap is <= tol
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        # a NaN or an infinity would send SMO toward its iteration ceiling
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, not {self.C!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
         if isinstance(self.gamma, str):
             if self.gamma != "scale":
                 raise ValueError(f"unknown gamma mode {self.gamma!r}")
-        elif self.gamma <= 0:
-            raise ValueError("fixed gamma must be positive")
+        elif not 0 < self.gamma < math.inf:
+            raise ValueError(
+                f"fixed gamma must be positive and finite, not {self.gamma!r}")
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,28 @@ class TestRunGridCommand:
             "error[config]: resources.embeddings must be a string path, "
             "not 2\n")
 
+    @pytest.mark.parametrize("command", ["augment", "train", "run-grid"])
+    def test_bad_translation_spec_exit_2_before_inputs(self, tmp_path, capsys,
+                                                       demo_config, command):
+        # with no dataset to read, exit 3 would mean the inputs were opened
+        _, cfg = demo_config
+        cfg_path = tmp_path / "bogus.json"
+        cfg_path.write_text(json.dumps({
+            **cfg,
+            "datasets": [{**d, "path": str(tmp_path / "absent.csv")}
+                         for d in cfg["datasets"]],
+            "providers": {**cfg["providers"], "translation": "bogus"},
+        }))
+        args = {"augment": ["--dataset", "synth3", "--group", "BT",
+                            "--pct", "0.1"],
+                "train": ["--dataset", "synth3", "--group", "BT",
+                          "--size", "80", "--pct", "0.2"],
+                "run-grid": []}[command]
+        assert main([command, "--config", str(cfg_path), *args,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: unusable translation provider config: 'bogus'\n")
+
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_bytes(b'{"datasets": "\xff\xfe"}')

@@ -266,6 +266,13 @@ class TestSvm:
         with pytest.raises(ValueError):
             svm_predict(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["C", "tol", "gamma"])
+    def test_non_finite_config_rejected(self, field, value):
+        # SMO on a NaN Gram matrix runs toward its iteration ceiling
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SvmConfig(**{field: value})
+
 
 def brute_force_weighted_f1(y_true, y_pred):
     """Independent recount: confusion tallies via pair loops per class."""

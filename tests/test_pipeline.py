@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augbench import providers, runner
+from augbench import providers
 from augbench.corpus import Dataset, LabeledExample
 from augbench.eda import EdaConfig, eda_augment
 from augbench.errors import (
@@ -26,7 +26,8 @@ from augbench.providers import (
     HttpContextualProvider, HttpTranslationProvider,
     IdentityTranslationProvider, StubContextualProvider, SynonymMapProvider,
     TranslationCache, contextual_request, http_options,
-    make_translation_provider, parse_contextual_response,
+    make_contextual_provider, make_translation_provider,
+    parse_contextual_response, provider_spec,
 )
 
 from oracles import (
@@ -682,10 +683,11 @@ class TestHttpProviders:
         spec = {"http": {"url": f"{http_server}/flaky", "max_retries": 1,
                          "backoff_base": 0.0, "timeout": 5,
                          "max_in_flight": 4}}
-        contextual = runner._make_contextual(spec)
+        contextual = make_contextual_provider(provider_spec(spec, "contextual"))
         assert contextual.candidates("bom", ["bom"], 0) == ["otimo"]
         spec["http"]["url"] = f"{http_server}/malformed"
-        translation = make_translation_provider(spec)
+        translation = make_translation_provider(
+            provider_spec(spec, "translation"))
         with pytest.raises(TransportError, match="after 2 attempts"):
             translation.translate("oi", "pt", "en")
         assert translation.request_count == 2

@@ -1,6 +1,7 @@
 import collections
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, InvariantError, TransportError,
 )
 from augbench.metrics import evaluate, load_predictions, save_predictions
-from augbench.providers import http_options
+from augbench.providers import ProviderSpec
 from augbench.resources import load_embeddings, parse_ppdb
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
@@ -124,7 +125,7 @@ class TestConfig:
     @pytest.mark.parametrize("change, message", [
         ({"split_ratio": 0}, "split_ratio 0.0 outside (0, 1)"),
         ({"split_ratio": 1}, "split_ratio 1.0 outside (0, 1)"),
-        ({"split_ratio": "nan"}, "split_ratio nan outside (0, 1)"),
+        ({"split_ratio": "nan"}, "split_ratio must be a finite number, not 'nan'"),
         ({"datasets": [{"name": "d", "path": 3}]},
          "datasets[0].path must be a string path, not 3"),
         ({"datasets": [{"name": "d", "path": None}]},
@@ -170,6 +171,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             runner.config_from_dict(raw)
 
+    @pytest.mark.parametrize("translation, message", [
+        ("bogus", "unusable translation provider config: 'bogus'"),
+        (["x"], "unusable translation provider config: ['x']"),
+        ("dict", "unusable translation provider config: 'dict'"),
+        ({"http": {}}, "malformed http provider section: KeyError('url')"),
+        ({"http": {"url": "http://127.0.0.1:9/t", "max_retries": 2.5}},
+         "http.max_retries must be an integer, not 2.5"),
+    ], ids=["bogus", "list", "dict-no-path", "http-no-url", "max_retries-2.5"])
+    def test_bad_translation_spec_rejected_whatever_the_groups(
+            self, demo, translation, message):
+        # EDA alone never builds the translation provider
+        for groups in (["EDA", "Syn", "BT"], ["EDA"]):
+            raw = {**demo, "groups": groups,
+                   "providers": {**demo["providers"], "translation": translation}}
+            with pytest.raises(ConfigError) as info:
+                runner.config_from_dict(raw)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("family, value, spec", [
+        ("translation", "identity", ProviderSpec("identity")),
+        ("translation", "dict:a:b.tsv", ProviderSpec("dict", "a:b.tsv")),
+        ("contextual", "stub:t.tsv", ProviderSpec("stub", "t.tsv")),
+        ("contextual", {"http": {"url": "u", "timeout": 2}}, ProviderSpec(
+            "http", options={"url": "u", "key_env": None, "timeout": 2.0,
+                             "max_retries": 3, "backoff_base": 0.2,
+                             "rate_per_second": 0.0})),
+    ])
+    def test_provider_specs_parsed_with_the_config(self, demo, family, value,
+                                                   spec):
+        raw = {**demo, "providers": {
+            **demo["providers"], "syn_stages": ["contextual"],
+            "translation": "identity", "contextual": "stub:t.tsv", family: value}}
+        assert getattr(runner.config_from_dict(raw), family) == spec
+
     # every integer field: where it sits in the raw config, and how the
     # parsed config reads it back
     INT_FIELDS = {
@@ -179,21 +214,25 @@ class TestConfig:
         "eda.n_aug": lambda c: c.eda.n_aug,
         "providers.embedding_neighbors_k": lambda c: c.embedding_neighbors_k,
         "providers.contextual.http.max_retries":
-            lambda c: http_options(c.contextual)["max_retries"],
+            lambda c: c.contextual.options["max_retries"],
+        "providers.translation.http.max_retries":
+            lambda c: c.translation.options["max_retries"],
     }
 
     @staticmethod
-    def _with_int(demo, field, value) -> dict:
+    def _with_value(demo, field, value) -> dict:
         raw = json.loads(json.dumps(demo))
         raw["providers"].update(
             syn_stages=["ppdb", "contextual"],
             contextual={"http": {"url": "http://127.0.0.1:9/c"}},
+            translation={"http": {"url": "http://127.0.0.1:9/t"}},
         )
         *parents, leaf = field.split(".")
         node = raw
         for name in parents:
             node = node.setdefault(name, {})
-        node[leaf] = [value] if leaf == "subset_sizes" else value
+        node[leaf] = {"subset_sizes": [value], "aug_percentages": [0, value]
+                      }.get(leaf, value)
         return raw
 
     @pytest.mark.parametrize("value", [7.9, True, "7"],
@@ -202,13 +241,52 @@ class TestConfig:
     def test_non_integer_rejected(self, demo, field, value):
         leaf = field.rsplit(".", 1)[-1]
         with pytest.raises(ConfigError, match=f"{leaf} must be an integer"):
-            runner.config_from_dict(self._with_int(demo, field, value))
+            runner.config_from_dict(self._with_value(demo, field, value))
 
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_integral_float_runs_as_int(self, demo, field):
-        config = runner.config_from_dict(self._with_int(demo, field, 7.0))
+        config = runner.config_from_dict(self._with_value(demo, field, 7.0))
         read = self.INT_FIELDS[field](config)
         assert read == 7 and type(read) is int
+
+    # every float field: how the parsed config reads it back, and a value
+    # in its range that is an int where the range holds one
+    FLOAT_FIELDS = {
+        "aug_percentages": (lambda c: c.aug_percentages[-1], 1),
+        "providers.syn_rate": (lambda c: c.syn_rate, 1),
+        "split_ratio": (lambda c: c.split_ratio, 0.5),
+        "eda.alpha": (lambda c: c.eda.alpha, 0.5),
+        "svm.C": (lambda c: c.svm.C, 3),
+        "svm.tol": (lambda c: c.svm.tol, 1),
+        "svm.gamma": (lambda c: c.svm.gamma, 2),
+        "providers.translation.http.timeout":
+            (lambda c: c.translation.options["timeout"], 5),
+        "providers.translation.http.backoff_base":
+            (lambda c: c.translation.options["backoff_base"], 1),
+        "providers.translation.http.rate_per_second":
+            (lambda c: c.translation.options["rate_per_second"], 3),
+        "providers.contextual.http.timeout":
+            (lambda c: c.contextual.options["timeout"], 5),
+    }
+
+    @pytest.mark.parametrize("value", [True, "0.5", math.inf, math.nan, 10**400],
+                             ids=["bool", "string", "inf", "nan", "huge-int"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_or_non_number_float_rejected(self, demo, field, value):
+        leaf = field.rsplit(".", 1)[-1]
+        # a string gamma names a mode, and only "scale" is one
+        match = ("unknown gamma mode" if leaf == "gamma" and value == "0.5"
+                 else f"{leaf} must be a finite number")
+        with pytest.raises(ConfigError, match=match):
+            runner.config_from_dict(self._with_value(demo, field, value))
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_float_field_reads_a_number_as_float(self, demo, field):
+        accessor, value = self.FLOAT_FIELDS[field]
+        for number in (value, float(value)):
+            read = accessor(runner.config_from_dict(
+                self._with_value(demo, field, number)))
+            assert read == value and type(read) is float
 
     def test_eda_requires_ppdb(self, demo):
         bad = {**demo, "resources": {"embeddings": demo["resources"]["embeddings"]}}

@@ -206,6 +206,41 @@ def test_results_csv_is_written_only_by_grid_runner_run():
     }
 
 
+# One spec parser: a provider config value is parsed only while the config
+# is parsed, so a bad one is exit 2 before any input is read, and only
+# load_resources builds a provider, from the parsed spec.
+SPEC_PARSING = {"provider_spec", "http_options"}
+PROVIDER_MAKERS = {"make_translation_provider", "make_contextual_provider"}
+
+
+def test_spec_call_check_sees_a_second_site():
+    source = (
+        "def config_from_dict(raw):\n"
+        "    return provider_spec(raw.t, 'translation')\n"
+        "def load_resources(config):\n"
+        "    return make_contextual_provider(\n"
+        "        providers.provider_spec(config.c, 'contextual'))\n"
+    )
+    assert _calls(source, "runner", SPEC_PARSING | PROVIDER_MAKERS) == [
+        ("runner.config_from_dict", "provider_spec"),
+        ("runner.load_resources", "make_contextual_provider"),
+        ("runner.load_resources", "provider_spec"),
+    ]
+
+
+def test_provider_specs_are_parsed_only_with_the_config():
+    assert _package_calls(SPEC_PARSING) == {
+        ("runner.config_from_dict", "provider_spec"),
+        ("providers.provider_spec", "http_options"),
+    }
+
+
+def test_providers_are_built_only_by_load_resources():
+    assert _package_calls(PROVIDER_MAKERS) == {
+        ("runner.load_resources", name) for name in PROVIDER_MAKERS
+    }
+
+
 # One solver path in plain NumPy and one thread: the package binds no
 # compiled-code bridge, no JIT, no scipy and no thread machinery. One
 # event path: the runner's run log, so no module logs.
