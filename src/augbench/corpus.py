@@ -11,6 +11,8 @@ import csv
 import random
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -21,12 +23,14 @@ _TOKEN_RE = re.compile(r"\w+(?:['’\-]\w+)*", re.UNICODE)
 _MAX_RESAMPLE_RETRIES = 16
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (sentence, class) record."""
+class LabeledExample(NamedTuple):
+    """One (sentence, class) record: an immutable, hashable pair."""
 
     text: str
     label: str
+
+
+_LABEL = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "label_set", frozenset(ex.label for ex in self.examples)
+            self, "label_set", frozenset(map(_LABEL, self.examples))
         )
 
     def __len__(self) -> int:
@@ -51,7 +55,7 @@ class Dataset:
         return self.examples[i]
 
     def labels(self) -> list[str]:
-        return [ex.label for ex in self.examples]
+        return list(map(_LABEL, self.examples))
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,18 @@ shape (single-token pairs, fixed vector arity) and counts what it skips.
 
 from __future__ import annotations
 
-import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import ResourceError
 
 _PPDB_SEP = "|||"
+# Components squared at once when the row norms are computed.
+_NORM_SLICE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,14 @@ class EmbeddingStore:
         object.__setattr__(
             self, "_index", {w: i for i, w in enumerate(self.words)}
         )
-        object.__setattr__(
-            self, "_norms", np.linalg.norm(self.matrix, axis=1)
-        )
+        # Row norms a slice at a time: np.linalg.norm squares its whole
+        # input first, and each row's norm is that of the row alone.
+        norms = np.empty(len(self.matrix))
+        step = max(1, _NORM_SLICE // max(1, self.dim))
+        for start in range(0, len(norms), step):
+            norms[start:start + step] = np.linalg.norm(
+                self.matrix[start:start + step], axis=1)
+        object.__setattr__(self, "_norms", norms)
         rank = np.empty(len(self.words), dtype=np.int64)
         rank[np.argsort(np.asarray(self.words))] = np.arange(len(self.words))
         object.__setattr__(self, "_lex_rank", rank)
@@ -118,12 +126,19 @@ class EmbeddingStore:
         return [i for i in map(self._index.get, tokens) if i is not None]
 
 
+# Characters of the embedding file read and parsed at once: with the
+# matrix itself, a bound on the memory a load needs.
+_LOAD_BLOCK = 1 << 20
+
+
 def load_embeddings(path: str) -> EmbeddingStore:
     """Load a text embedding file: header '<count> <dim>', then word rows.
 
     Trailing whitespace on a row (fastText's closing space, a CR) is
     ignored. Rows with the wrong arity or non-finite components are
     skipped and counted; on duplicate words the first occurrence wins.
+    Components are read as Python's float() reads them. The header count
+    is only a size hint for the matrix.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -135,45 +150,95 @@ def load_embeddings(path: str) -> EmbeddingStore:
             if len(header) != 2:
                 raise ResourceError(f"{path}: header must be '<count> <dim>'")
             try:
-                _count, dim = int(header[0]), int(header[1])
+                count, dim = int(header[0]), int(header[1])
             except ValueError as exc:
                 raise ResourceError(f"{path}: non-integer header {header}") from exc
             if dim < 1:
                 raise ResourceError(f"{path}: dimension {dim} < 1")
-            words: list[str] = []
-            rows: list[list[float]] = []
-            seen: set[str] = set()
-            skipped = 0
-            for line in fh:
-                parts = line.rstrip().split(" ")
-                if len(parts) != dim + 1 or not parts[0]:
-                    skipped += 1
-                    continue
+            # A row is a word and dim space-led components, so it takes at
+            # least 2*dim bytes: the most rows the file can hold.
+            most = os.fstat(fh.fileno()).st_size // (2 * dim)
+            rows = _LoadedRows(dim, count, most)
+            while block := fh.readlines(_LOAD_BLOCK):
                 try:
-                    values = list(map(float, parts[1:]))
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not all(map(math.isfinite, values)):
-                    skipped += 1
-                    continue
-                if parts[0] in seen:
-                    skipped += 1
-                    continue
-                seen.add(parts[0])
-                words.append(parts[0])
-                rows.append(values)
+                    rows.add(*_parse_rows(block, dim))
+                except ValueError:  # a component float() rejects
+                    for line in block:
+                        try:
+                            rows.add(*_parse_rows([line], dim))
+                        except ValueError:
+                            rows.skipped += 1
     except UnicodeDecodeError as exc:
         raise ResourceError(
             f"embedding file is not UTF-8: {path}: {exc}") from exc
-    if not words:
+    if not rows.words:
         raise ResourceError(f"{path}: zero valid embedding rows")
     return EmbeddingStore(
-        dim=dim,
-        words=tuple(words),
-        matrix=np.asarray(rows, dtype=np.float64),
-        skipped=skipped,
+        dim=dim, words=tuple(rows.words), matrix=rows.matrix(),
+        skipped=rows.skipped,
     )
+
+
+def _parse_rows(
+    lines: list[str], dim: int
+) -> tuple[list[str], np.ndarray, int]:
+    """(words, values, skipped) of the rows of the right arity in lines.
+
+    values is (len(words), dim), converted in one call that applies
+    float() to each component; ValueError if float() rejects any. The
+    components are split one line at a time as the call reads them.
+    """
+    words: list[str] = []
+
+    def components(line: str) -> list[str]:
+        parts = line.rstrip().split(" ")
+        if len(parts) != dim + 1 or not parts[0]:
+            return []
+        words.append(parts.pop(0))
+        return parts
+
+    values = np.fromiter(
+        chain.from_iterable(map(components, lines)), dtype=np.float64)
+    return words, values.reshape(len(words), dim), len(lines) - len(words)
+
+
+class _LoadedRows:
+    """The rows of a load, written into one preallocated float64 matrix.
+
+    The matrix starts at the header's row count, capped at the most rows
+    the file's size allows, grows in place when the file holds more and
+    is trimmed in place to the rows kept.
+    """
+
+    def __init__(self, dim: int, count: int, most: int):
+        self.words: list[str] = []
+        self.skipped = 0
+        self._seen: set[str] = set()
+        self._most = most
+        self._rows = np.empty((min(max(count, 0), most), dim), dtype=np.float64)
+
+    def add(self, words: list[str], values: np.ndarray, skipped: int) -> None:
+        """Keep the finite rows of words not seen before, in order."""
+        finite = np.isfinite(values).all(axis=1).tolist()
+        keep = []
+        for i, word in enumerate(words):
+            if finite[i] and word not in self._seen:
+                self._seen.add(word)
+                keep.append(i)
+        self.skipped += skipped + len(words) - len(keep)
+        n = len(self.words)
+        if n + len(keep) > len(self._rows):
+            size = max(n + len(keep), min(2 * len(self._rows), self._most))
+            # No view of the matrix exists while it loads.
+            self._rows.resize((size, values.shape[1]), refcheck=False)
+        self._rows[n:n + len(keep)] = values[keep]
+        self.words += [words[i] for i in keep]
+
+    def matrix(self) -> np.ndarray:
+        """The matrix of exactly the rows kept."""
+        if len(self._rows) != len(self.words):
+            self._rows.resize((len(self.words), self._rows.shape[1]), refcheck=False)
+        return self._rows
 
 
 def nearest_neighbors(

@@ -108,25 +108,57 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _section(raw: dict, key: str) -> dict:
+    """The mapping at ``key`` of a config, {} when it is absent."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, not {value!r}")
+    return value
+
+
+def _array(value, key: str) -> list | tuple:
+    """A list config value; a string, which would iterate as its
+    characters, or a mapping is a ConfigError."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, not {value!r}")
+    return value
+
+
+def _dataset_spec(d, i: int) -> DatasetSpec:
+    """``datasets[i]``: its name and columns must be strings; its path is
+    checked with the other paths."""
+    key = f"datasets[{i}]"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{key} must be a mapping, not {d!r}")
+    spec = DatasetSpec(
+        name=d["name"], path=d["path"],
+        text_column=d.get("text_column", "text"),
+        label_column=d.get("label_column", "label"),
+    )
+    for name in ("name", "text_column", "label_column"):
+        value = getattr(spec, name)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}.{name} must be a string, not {value!r}")
+    return spec
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         datasets = tuple(
-            DatasetSpec(
-                name=d["name"], path=d["path"],
-                text_column=d.get("text_column", "text"),
-                label_column=d.get("label_column", "label"),
-            )
-            for d in raw["datasets"]
+            _dataset_spec(d, i)
+            for i, d in enumerate(_array(raw["datasets"], "datasets"))
         )
-        groups = tuple(dict.fromkeys(raw["groups"]))
-        sizes = tuple(dict.fromkeys(config_int(n, "subset_sizes")
-                                    for n in raw["subset_sizes"]))
-        pcts = tuple(dict.fromkeys(config_float(p, "aug_percentages")
-                                   for p in raw["aug_percentages"]))
+        groups = tuple(dict.fromkeys(_array(raw["groups"], "groups")))
+        sizes = tuple(dict.fromkeys(
+            config_int(n, "subset_sizes")
+            for n in _array(raw["subset_sizes"], "subset_sizes")))
+        pcts = tuple(dict.fromkeys(
+            config_float(p, "aug_percentages")
+            for p in _array(raw["aug_percentages"], "aug_percentages")))
         rounds = config_int(raw["rounds"], "rounds")
         master_seed = config_int(raw["master_seed"], "master_seed")
-        resources = raw.get("resources", {})
-        providers = raw.get("providers", {})
+        resources = _section(raw, "resources")
+        providers = _section(raw, "providers")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc!r}") from exc
     if not datasets:
@@ -159,12 +191,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     stages = providers.get("syn_stages")
     if stages is None:
         stages = ["ppdb", "embedding"] + (["contextual"] if contextual else [])
+    stages = _array(stages, "providers.syn_stages")
     pivot = providers.get("pivot", "en")
     source_lang = providers.get("source_lang", "pt")
     if not (isinstance(pivot, str) and isinstance(source_lang, str)):
         raise ConfigError("providers.pivot and providers.source_lang must be strings")
-    eda_raw = raw.get("eda", {})
-    svm_raw = raw.get("svm", {})
+    eda_raw = _section(raw, "eda")
+    svm_raw = _section(raw, "svm")
     gamma = svm_raw.get("gamma", "scale")
     try:
         config = ExperimentConfig(
@@ -180,7 +213,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             translation=None if translation is None
             else provider_spec(translation, "translation"),
             contextual=provider_spec(contextual, "contextual")
-            if "contextual" in stages else None,
+            if contextual is not None or "contextual" in stages else None,
             pivot=pivot,
             source_lang=source_lang,
             syn_rate=config_float(providers.get("syn_rate", 0.1),

@@ -84,33 +84,51 @@ def load_dataset_dictreader(path: str, text_column: str = "text",
 
 def load_embeddings_per_element(path: str):
     """``resources.load_embeddings`` with one float() and one isfinite()
-    per component; rows keep their trailing whitespace. Returns
-    (words, matrix, skipped)."""
-    with open(path, encoding="utf-8") as fh:
-        _count, dim = (int(v) for v in fh.readline().split())
-        words: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        skipped = 0
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1 or not parts[0]:
-                skipped += 1
-                continue
+    per component, one row at a time into a list; rows keep their
+    trailing whitespace. Returns (words, matrix, skipped), or raises the
+    loader's ResourceError."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ResourceError(f"cannot open embedding file: {path}") from exc
+    words: list[str] = []
+    rows: list[list[float]] = []
+    seen: set[str] = set()
+    skipped = 0
+    with fh:
+        try:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ResourceError(f"{path}: header must be '<count> <dim>'")
             try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError:
-                skipped += 1
-                continue
-            if not all(math.isfinite(v) for v in values):
-                skipped += 1
-                continue
-            if parts[0] in seen:
-                skipped += 1
-                continue
-            seen.add(parts[0])
-            words.append(parts[0])
-            rows.append(values)
+                _count, dim = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise ResourceError(
+                    f"{path}: non-integer header {header}") from exc
+            if dim < 1:
+                raise ResourceError(f"{path}: dimension {dim} < 1")
+            for line in fh:
+                parts = line.rstrip("\n").split(" ")
+                if len(parts) != dim + 1 or not parts[0]:
+                    skipped += 1
+                    continue
+                try:
+                    values = [float(v) for v in parts[1:]]
+                except ValueError:
+                    skipped += 1
+                    continue
+                if not all(math.isfinite(v) for v in values):
+                    skipped += 1
+                    continue
+                if parts[0] in seen:
+                    skipped += 1
+                    continue
+                seen.add(parts[0])
+                words.append(parts[0])
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise ResourceError(
+                f"embedding file is not UTF-8: {path}: {exc}") from exc
     if not words:
         raise ResourceError(f"{path}: zero valid embedding rows")
     return tuple(words), np.asarray(rows, dtype=np.float64), skipped

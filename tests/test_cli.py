@@ -113,6 +113,20 @@ class TestRunGridCommand:
         assert capsys.readouterr().err == (
             "error[config]: unusable translation provider config: 'bogus'\n")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"svm": []}, "svm must be a mapping, not []"),
+        ({"groups": "EDA"}, "groups must be a list, not 'EDA'"),
+    ])
+    def test_malformed_section_exit_2(self, tmp_path, capsys, demo_config,
+                                      change, message):
+        _, cfg = demo_config
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, **change}))
+        assert main(["augment", "--config", str(cfg_path), "--dataset",
+                     "synth3", "--group", "EDA", "--pct", "0.1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_bytes(b'{"datasets": "\xff\xfe"}')

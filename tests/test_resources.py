@@ -1,6 +1,8 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from augbench import resources
 from augbench.errors import ResourceError
 from augbench.resources import (
     EmbeddingStore, load_embeddings, nearest_neighbors, parse_ppdb,
@@ -170,11 +173,24 @@ def embedding_rows(draw):
     return dim, lines
 
 
-def _embedding_outcome(load, path):
+def _loaded(path):
+    """load_embeddings as (words, matrix bytes, skipped), or its error."""
     try:
-        return load(path)
-    except ResourceError:
-        return "error"
+        store = load_embeddings(path)
+    except ResourceError as exc:
+        return "error", str(exc)
+    assert store.matrix.flags.c_contiguous and store.matrix.base is None
+    assert store.matrix.shape == (len(store.words), store.dim)
+    return store.words, store.matrix.tobytes(), store.skipped
+
+
+def _oracle(path):
+    """load_embeddings_per_element in the form of _loaded."""
+    try:
+        words, matrix, skipped = load_embeddings_per_element(path)
+    except ResourceError as exc:
+        return "error", str(exc)
+    return words, matrix.tobytes(), skipped
 
 
 class TestLoadEmbeddingsOracle:
@@ -185,13 +201,21 @@ class TestLoadEmbeddingsOracle:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_lines(Path(tmp) / "e.vec",
                                [f"{len(lines)} {dim}"] + lines)
-            got = _embedding_outcome(load_embeddings, path)
-            want = _embedding_outcome(load_embeddings_per_element, path)
-        if got == "error" or want == "error":
-            assert got == want
-        else:
-            assert (got.words, got.matrix.tobytes(), got.skipped) == (
-                want[0], want[1].tobytes(), want[2])
+            assert _loaded(path) == _oracle(path)
+
+    @given(embedding_rows(), st.integers(1, 48),
+           st.sampled_from([0, -2, 1, 2, 10**9]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_with_small_blocks_and_any_count(self, spec, block, count):
+        # blocks of a line or a few, so every kind of bad row and every
+        # duplicate lands in some block alone and straddles a boundary in
+        # another; the header count is wrong in most draws
+        dim, lines = spec
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(Path(tmp) / "e.vec",
+                               [f"{len(lines) * count} {dim}"] + lines)
+            with mock.patch.object(resources, "_LOAD_BLOCK", block):
+                assert _loaded(path) == _oracle(path)
 
     def test_duplicate_after_non_finite_first_copy(self, tmp_path):
         path = write_lines(tmp_path / "e.vec",
@@ -201,6 +225,76 @@ class TestLoadEmbeddingsOracle:
         assert store.words == words == ("a",)
         assert store.matrix.tobytes() == matrix.tobytes()
         assert store.skipped == skipped == 2
+
+
+# One row of each kind the loader skips, around the rows it keeps: a
+# duplicate, a non-finite row, a wrong arity, a non-number, an overflow
+# to inf, a blank line, a late duplicate; the last row holds digits that
+# float() reads (Arabic-Indic one, an underscore).
+MIXED_VEC = ["a 1 2", "b 3 4", "a 5 6", "c nan 1", "d 1", "e x 2",
+             "f 1e999 0", "", "g 7 8", "b 9 9", "h \u0661 1_0"]
+
+
+def _traced_load(path):
+    """(store, peak traced bytes) of load_embeddings(path)."""
+    tracemalloc.start()
+    try:
+        store = load_embeddings(path)
+        return store, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadEmbeddingsInBulk:
+    @pytest.mark.parametrize("count", [0, -3, 2, 11, 40, 10**12],
+                             ids=["zero", "negative", "too-small", "exact",
+                                  "too-large", "beyond-file-size"])
+    def test_header_count_is_only_a_hint(self, tmp_path, count):
+        path = write_lines(tmp_path / "e.vec", [f"{count} 2"] + MIXED_VEC)
+        assert _loaded(path) == _oracle(path)
+        store = load_embeddings(path)
+        assert store.words == ("a", "b", "g", "h")
+        assert store.skipped == 7
+        assert word_vector(store, "h").tolist() == [1.0, 10.0]
+
+    def test_count_beyond_file_size_allocates_no_such_matrix(self, tmp_path):
+        path = write_lines(tmp_path / "e.vec",
+                           ["1000000 8", "w " + " ".join(["0.5"] * 8)])
+        store, peak = _traced_load(path)
+        assert store.matrix.shape == (1, 8)
+        assert peak < 1_000_000 * 8 * 8 / 100
+
+    @pytest.mark.parametrize("block", [1, 6, 13, 20, 1 << 20])
+    def test_skipped_rows_straddle_blocks(self, tmp_path, block):
+        path = write_lines(tmp_path / "e.vec", ["11 2"] + MIXED_VEC)
+        with mock.patch.object(resources, "_LOAD_BLOCK", block):
+            assert _loaded(path) == _oracle(path)
+            store = load_embeddings(path)
+        assert store.words == ("a", "b", "g", "h")
+        assert store.skipped == 7
+
+    @pytest.mark.parametrize("block", [1024, None], ids=["small", "default"])
+    def test_non_utf8_after_the_first_block(self, tmp_path, block):
+        rows = [f"w{i} {i} {i}.5" for i in range(80_000)]  # about 1.3M chars
+        path = tmp_path / "e.vec"
+        path.write_bytes(("80001 2\n" + "\n".join(rows) + "\n").encode()
+                         + b"bad \xff 1\n")
+        with mock.patch.object(resources, "_LOAD_BLOCK",
+                               block or resources._LOAD_BLOCK):
+            got = _loaded(str(path))
+        assert got == _oracle(str(path))
+        assert got[0] == "error" and "not UTF-8" in got[1]
+
+    def test_memory_is_the_matrix_and_one_block(self, tmp_path):
+        # the list-of-lists load peaked at about 6x the matrix here
+        rng = np.random.default_rng(5)
+        values = np.round(rng.normal(0.0, 0.7, (2000, 300)), 6)
+        path = write_lines(tmp_path / "e.vec", ["2000 300"] + [
+            f"w{i} " + " ".join(map(repr, row))
+            for i, row in enumerate(values.tolist())])
+        store, peak = _traced_load(path)
+        assert store.matrix.tobytes() == values.tobytes()
+        assert peak <= 2 * store.matrix.nbytes + resources._LOAD_BLOCK
 
 
 class TestCosine:

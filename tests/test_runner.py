@@ -146,6 +146,57 @@ class TestConfig:
                 runner.config_from_dict({**demo, "groups": groups, **change})
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("section", ["svm", "eda", "providers", "resources"])
+    @pytest.mark.parametrize("value", [[], 5, None, "x"],
+                             ids=["list", "int", "null", "string"])
+    def test_non_mapping_section_rejected(self, demo, section, value):
+        with pytest.raises(ConfigError) as info:
+            runner.config_from_dict({**demo, section: value})
+        assert str(info.value) == f"{section} must be a mapping, not {value!r}"
+
+    @pytest.mark.parametrize("field", [
+        "datasets", "groups", "subset_sizes", "aug_percentages",
+        "providers.syn_stages",
+    ])
+    @pytest.mark.parametrize("value", ["EDA", {"EDA": 1}, 3],
+                             ids=["string", "mapping", "int"])
+    def test_list_field_of_another_type_rejected(self, demo, field, value):
+        raw = json.loads(json.dumps(demo))
+        *parent, leaf = field.split(".")
+        (raw[parent[0]] if parent else raw)[leaf] = value
+        with pytest.raises(ConfigError) as info:
+            runner.config_from_dict(raw)
+        assert str(info.value) == f"{field} must be a list, not {value!r}"
+
+    @pytest.mark.parametrize("key", ["name", "text_column", "label_column"])
+    @pytest.mark.parametrize("value", [5, None, ["text"]],
+                             ids=["int", "null", "list"])
+    def test_non_string_dataset_field_rejected(self, demo, key, value):
+        datasets = [demo["datasets"][0], {**demo["datasets"][1], key: value}]
+        with pytest.raises(ConfigError) as info:
+            runner.config_from_dict({**demo, "datasets": datasets})
+        assert str(info.value) == (
+            f"datasets[1].{key} must be a string, not {value!r}")
+
+    def test_non_mapping_dataset_rejected(self, demo):
+        with pytest.raises(ConfigError, match=r"datasets\[0\] must be a mapping"):
+            runner.config_from_dict({**demo, "datasets": ["corpus.csv"]})
+
+    @pytest.mark.parametrize("stages", [["ppdb"], ["ppdb", "contextual"]])
+    def test_present_contextual_spec_parsed_whatever_the_stages(self, demo,
+                                                                stages):
+        for groups in (["EDA", "Syn", "BT"], ["EDA"]):
+            raw = {**demo, "groups": groups, "providers": {
+                **demo["providers"], "syn_stages": stages,
+                "contextual": "bogus"}}
+            with pytest.raises(ConfigError) as info:
+                runner.config_from_dict(raw)
+            assert str(info.value) == (
+                "unusable contextual provider config: 'bogus'")
+        raw["providers"]["contextual"] = "stub:t.tsv"
+        assert runner.config_from_dict(raw).contextual == ProviderSpec(
+            "stub", "t.tsv")
+
     def test_zero_neighbors_rejected(self, demo):
         with pytest.raises(ConfigError, match="embedding_neighbors_k"):
             runner.config_from_dict(
