@@ -14,40 +14,34 @@ from collections.abc import Callable, Sequence
 
 from .corpus import Dataset, LabeledExample, tokenize
 from .errors import EmptySentenceError
-from .providers import ReplacementProvider, TranslationCache, TranslationProvider
+from .providers import SynStage, TranslationCache, TranslationProvider
 
 Augmenter = Callable[[LabeledExample], list[LabeledExample]]
 
 
 def sequential_augment(
     sentence: LabeledExample,
-    providers: Sequence[ReplacementProvider],
+    stages: Sequence[SynStage],
     rate: float,
     rng: random.Random,
 ) -> LabeledExample:
-    """Run the providers in order, each replacing a slice of the tokens.
+    """Run the Syn stages in order, each replacing a slice of the tokens.
 
     Every stage sees the previous stage's output, picks up to
     max(1, floor(rate * L)) positions that have candidates, and swaps in
     a uniformly drawn candidate per position.
     """
-    if not providers:
-        raise ValueError("at least one replacement provider is required")
+    if not stages:
+        raise ValueError("at least one Syn stage is required")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"replacement rate {rate} outside (0, 1]")
     tokens = tokenize(sentence.text)
     if not tokens:
         raise EmptySentenceError(f"nothing to augment in {sentence.text!r}")
-    for provider in providers:
+    for stage in stages:
         budget = max(1, int(rate * len(tokens)))
-        options = [
-            (i, cands)
-            for i, cands in (
-                (i, provider.candidates(tokens[i], tokens, i))
-                for i in range(len(tokens))
-            )
-            if cands
-        ]
+        options = [(i, cands) for i in range(len(tokens))
+                   if (cands := stage(tokens, i))]
         if not options:
             continue
         chosen = rng.sample(range(len(options)), min(budget, len(options)))

@@ -1,11 +1,11 @@
-"""Pluggable word-replacement and translation providers.
+"""Word-replacement stages and translation providers.
 
-Replacement providers back the sequential substitution pipeline; they
-never fail on unknown words, returning an empty candidate list instead.
-The contextual and translation providers may be remote. Both talk to
-their service through one JSON client, which applies bounded retries
-with exponential backoff and an optional per-second rate cap. Credentials
-come from the environment and are never logged or echoed.
+Syn stages back the sequential substitution pipeline; they never fail
+on unknown words, returning no candidates instead. The contextual stage
+and the translation provider may be remote. Both talk to their service
+through one JSON client, which applies bounded retries with exponential
+backoff and an optional per-second rate cap. Credentials come from the
+environment and are never logged or echoed.
 """
 
 from __future__ import annotations
@@ -16,51 +16,26 @@ import os
 import time
 import urllib.error
 import urllib.request
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 
 from .errors import ConfigError, DataError, ResourceError, TransportError
-from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
+from .resources import EmbeddingStore, nearest_neighbors
 
 
-class ReplacementProvider:
-    """Suggests substitutes for one word in context."""
-
-    name: str = "replacement"
-
-    def candidates(
-        self, word: str, context: Sequence[str], position: int
-    ) -> list[str]:
-        raise NotImplementedError
+# A Syn stage: stage(tokens, i) -> the words that may replace tokens[i],
+# never tokens[i] itself; empty when there are none.
+SynStage = Callable[[Sequence[str], int], Sequence[str]]
 
 
-class SynonymMapProvider(ReplacementProvider):
-    """Candidates from a parsed paraphrase map; context is ignored."""
-
-    def __init__(self, synmap: SynonymMap, name: str = "ppdb"):
-        self.synmap = synmap
-        self.name = name
-
-    def candidates(self, word, context, position):
-        return [c for c in self.synmap.candidates(word) if c != word]
-
-
-class EmbeddingNeighborProvider(ReplacementProvider):
-    """Candidates are the k nearest vocabulary words by cosine similarity."""
-
-    def __init__(self, store: EmbeddingStore, k: int = 5, name: str = "embedding"):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.store = store
-        self.k = k
-        self.name = name
-
-    def candidates(self, word, context, position):
-        return [w for w, _ in nearest_neighbors(word, self.k, self.store)
-                if w != word] if word in self.store else []
+def neighbor_stage(store: EmbeddingStore, k: int) -> SynStage:
+    """The Syn stage of the k vocabulary words nearest tokens[i] by cosine
+    similarity; an unknown word has none."""
+    return lambda tokens, i: [
+        w for w, _ in nearest_neighbors(tokens[i], k, store)]
 
 
 def contextual_request(context: Sequence[str], position: int) -> dict:
@@ -69,49 +44,14 @@ def contextual_request(context: Sequence[str], position: int) -> dict:
 
 
 def parse_contextual_response(payload: dict, word: str) -> list[str]:
-    """Wire format received back; the query word itself is filtered out."""
+    """Wire format received back: a list of non-empty strings, else
+    TransportError; the query word itself is filtered out."""
     cands = payload.get("candidates", []) if isinstance(payload, dict) else None
-    if not isinstance(cands, list):
-        raise TransportError("contextual response lacks a candidates list")
-    return [str(c) for c in cands if str(c) != word]
-
-
-class HttpContextualProvider(ReplacementProvider):
-    """Remote masked-word service speaking the JSON contract; options as
-    in ``http_options``."""
-
-    def __init__(self, url: str, name: str = "contextual", **options):
-        self.name = name
-        self._client = _JsonClient("contextual service", url, **options)
-
-    def candidates(self, word, context, position):
-        return self._client.post(
-            contextual_request(context, position),
-            lambda payload: parse_contextual_response(payload, word),
-        )
-
-
-class StubContextualProvider(ReplacementProvider):
-    """Deterministic in-process stand-in that still speaks the JSON contract.
-
-    Requests and responses pass through the same dict shapes as the HTTP
-    client, so tests exercise the wire format without a network.
-    """
-
-    def __init__(self, table: dict[str, list[str]], name: str = "contextual-stub"):
-        self.table = {w: list(c) for w, c in table.items()}
-        self.name = name
-
-    def _serve(self, request: dict) -> dict:
-        tokens = request["tokens"]
-        position = request["position"]
-        word = tokens[position] if 0 <= position < len(tokens) else ""
-        return {"candidates": list(self.table.get(word, []))}
-
-    def candidates(self, word, context, position):
-        request = json.loads(json.dumps(contextual_request(context, position)))
-        response = self._serve(request)
-        return parse_contextual_response(response, word)
+    if not isinstance(cands, list) or not all(
+            isinstance(c, str) and c for c in cands):
+        raise TransportError("contextual response lacks a candidates list "
+                             "of non-empty strings")
+    return [c for c in cands if c != word]
 
 
 def _tab_pairs(path: str, what: str):
@@ -314,9 +254,9 @@ class DictTranslationProvider(TranslationProvider):
     words pass through unchanged in both directions.
     """
 
-    def __init__(self, mapping: dict[str, str], source_lang: str = "pt",
-                 name: str = "dict"):
-        self.name = name
+    name = "dict"
+
+    def __init__(self, mapping: dict[str, str], source_lang: str = "pt"):
         self.source_lang = source_lang
         self.forward = dict(mapping)
         self.inverse: dict[str, str] = {}
@@ -344,8 +284,9 @@ class HttpTranslationProvider(TranslationProvider):
     """Remote translation service: request {text, source, target}, response
     {translated}; options as in ``http_options``."""
 
-    def __init__(self, url: str, name: str = "http", **options):
-        self.name = name
+    name = "http"
+
+    def __init__(self, url: str, **options):
         self._client = _JsonClient("translation", url, **options)
 
     @property
@@ -489,8 +430,14 @@ def make_translation_provider(spec: ProviderSpec,
     return HttpTranslationProvider(**spec.options)
 
 
-def make_contextual_provider(spec: ProviderSpec) -> ReplacementProvider:
-    """Build the contextual provider of a parsed spec; "stub" reads its file."""
+def make_contextual_provider(spec: ProviderSpec) -> SynStage:
+    """The contextual Syn stage of a parsed spec; "stub" reads its file."""
     if spec.kind == "stub":
-        return StubContextualProvider(load_contextual_table(spec.path))
-    return HttpContextualProvider(**spec.options)
+        table = load_contextual_table(spec.path)
+        return lambda tokens, i: [c for c in table.get(tokens[i], ())
+                                  if c != tokens[i]]
+    client = _JsonClient("contextual service", **spec.options)
+    return lambda tokens, i: client.post(
+        contextual_request(tokens, i),
+        lambda payload: parse_contextual_response(payload, tokens[i]),
+    )

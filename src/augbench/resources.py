@@ -91,7 +91,6 @@ class EmbeddingStore:
     skipped: int = 0
     _index: dict[str, int] = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
-    _lex_rank: np.ndarray = field(init=False, repr=False)
     # (word, k) -> nearest_neighbors result; the store is read-only, so an
     # entry never goes stale.
     _neighbors: dict[tuple[str, int], tuple[tuple[str, float], ...]] = field(
@@ -110,9 +109,6 @@ class EmbeddingStore:
             norms[start:start + step] = np.linalg.norm(
                 self.matrix[start:start + step], axis=1)
         object.__setattr__(self, "_norms", norms)
-        rank = np.empty(len(self.words), dtype=np.int64)
-        rank[np.argsort(np.asarray(self.words))] = np.arange(len(self.words))
-        object.__setattr__(self, "_lex_rank", rank)
         object.__setattr__(self, "_neighbors", {})
 
     def __contains__(self, word: str) -> bool:
@@ -283,6 +279,9 @@ def _nearest(
         neg = -sims[candidates]
         kth = np.partition(neg, k - 1)[k - 1]
         candidates = candidates[~(neg > kth)]
-    order = np.lexsort((store._lex_rank[candidates], -sims[candidates]))
+    # Ties break by numpy's order of the candidates' words: an array of
+    # every word would take 4 bytes x the longest word, per word.
+    words = np.asarray([store.words[i] for i in candidates])
+    order = np.lexsort((words, -sims[candidates]))
     top = candidates[order[:k]]
     return tuple((store.words[i], float(sims[i])) for i in top)

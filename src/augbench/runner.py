@@ -35,9 +35,9 @@ from .pipeline import (
     augment_training_set, back_translate, count_unchanged, sequential_augment,
 )
 from .providers import (
-    EmbeddingNeighborProvider, ProviderSpec, ReplacementProvider,
-    SynonymMapProvider, TranslationCache, config_float, config_int,
-    make_contextual_provider, make_translation_provider, provider_spec,
+    ProviderSpec, SynStage, TranslationCache, config_float, config_int,
+    make_contextual_provider, make_translation_provider, neighbor_stage,
+    provider_spec,
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
@@ -301,7 +301,7 @@ class Resources:
     datasets: dict[str, Dataset]
     embeddings: EmbeddingStore | None
     synmap: SynonymMap | None
-    replacement_providers: list[ReplacementProvider]
+    syn_stages: list[SynStage]
     translation: object | None
     cache: TranslationCache
 
@@ -333,22 +333,21 @@ def load_resources(config: ExperimentConfig, *,
         if config.ppdb_path and ("EDA" in config.groups or "ppdb" in stages)
         else None
     )
-    providers: list[ReplacementProvider] = []
+    syn_stages: list[SynStage] = []
     for stage in stages:  # each checked by config_from_dict
         if stage == "ppdb":
-            providers.append(SynonymMapProvider(synmap))
+            syn_stages.append(lambda tokens, i: synmap.candidates(tokens[i]))
         elif stage == "embedding":
-            providers.append(
-                EmbeddingNeighborProvider(embeddings, k=config.embedding_neighbors_k)
-            )
+            syn_stages.append(
+                neighbor_stage(embeddings, config.embedding_neighbors_k))
         elif stage == "contextual":
-            providers.append(make_contextual_provider(config.contextual))
+            syn_stages.append(make_contextual_provider(config.contextual))
     back_translates = "BT" in config.groups
     return Resources(
         datasets=datasets,
         embeddings=embeddings,
         synmap=synmap,
-        replacement_providers=providers,
+        syn_stages=syn_stages,
         translation=make_translation_provider(
             config.translation, config.source_lang) if back_translates else None,
         cache=TranslationCache(config.cache_path if back_translates else None),
@@ -366,7 +365,7 @@ def make_augmenter(config: ExperimentConfig, resources: Resources,
     if cell.group == "Syn":
         return lambda ex: [
             sequential_augment(
-                ex, resources.replacement_providers, config.syn_rate, rng
+                ex, resources.syn_stages, config.syn_rate, rng
             )
         ]
     if cell.group == "BT":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
     K = kernels.rbf_gram(X, gamma)
     y_arr = np.asarray(y)
     machines: list[BinaryMachine] = []
-    for a, bcls in _pairs(classes):
+    for a, bcls in combinations(classes, 2):
         idx = np.nonzero((y_arr == a) | (y_arr == bcls))[0]
         y_signed = np.where(y_arr[idx] == a, 1.0, -1.0)
         # A pair that covers every row (any two-class set) solves on K itself.
@@ -119,12 +120,6 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
     return SvmModel(
         classes=classes, machines=tuple(machines), gamma=gamma, dim=X.shape[1]
     )
-
-
-def _pairs(classes: tuple[str, ...]):
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            yield classes[i], classes[j]
 
 
 def decision_values(model: SvmModel, machine: BinaryMachine, X: np.ndarray) -> np.ndarray:

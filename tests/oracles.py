@@ -54,7 +54,9 @@ def nearest_full_sort(word: str, k: int, store) -> tuple[tuple[str, float], ...]
     candidates = np.nonzero(mask)[0]
     if candidates.size == 0:
         return ()
-    order = np.lexsort((store._lex_rank[candidates], -sims[candidates]))
+    rank = np.empty(len(store.words), dtype=np.int64)
+    rank[np.argsort(np.asarray(store.words))] = np.arange(len(store.words))
+    order = np.lexsort((rank[candidates], -sims[candidates]))
     top = candidates[order[:k]]
     return tuple((store.words[i], float(sims[i])) for i in top)
 

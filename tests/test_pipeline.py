@@ -22,12 +22,11 @@ from augbench.pipeline import (
     sequential_augment,
 )
 from augbench.providers import (
-    DictTranslationProvider, EmbeddingNeighborProvider,
-    HttpContextualProvider, HttpTranslationProvider,
-    IdentityTranslationProvider, StubContextualProvider, SynonymMapProvider,
-    TranslationCache, contextual_request, http_options,
-    make_contextual_provider, make_translation_provider,
-    parse_contextual_response, provider_spec,
+    DictTranslationProvider, HttpTranslationProvider,
+    IdentityTranslationProvider, ProviderSpec, TranslationCache,
+    contextual_request, http_options, make_contextual_provider,
+    make_translation_provider, neighbor_stage, parse_contextual_response,
+    provider_spec,
 )
 
 from oracles import (
@@ -35,54 +34,49 @@ from oracles import (
 )
 
 
-class ListProvider:
-    """Test double: fixed word -> candidates table."""
-
-    def __init__(self, table, name="list"):
-        self.table = table
-        self.name = name
-
-    def candidates(self, word, context, position):
-        return [c for c in self.table.get(word, []) if c != word]
+def list_stage(table):
+    """Test double: a Syn stage from a fixed word -> candidates table."""
+    return lambda tokens, i: [c for c in table.get(tokens[i], [])
+                              if c != tokens[i]]
 
 
 class TestSequentialAugment:
     def test_no_candidates_leaves_text(self):
         ex = LabeledExample("bom produto", "pos")
-        out = sequential_augment(ex, [ListProvider({})], 0.5, random.Random(1))
+        out = sequential_augment(ex, [list_stage({})], 0.5, random.Random(1))
         assert out.text == "bom produto"
         assert out.label == "pos"
 
     def test_single_eligible_position(self):
         ex = LabeledExample("bom produto", "pos")
-        provider = ListProvider({"bom": ["otimo"]})
-        out = sequential_augment(ex, [provider], 0.5, random.Random(1))
+        stage = list_stage({"bom": ["otimo"]})
+        out = sequential_augment(ex, [stage], 0.5, random.Random(1))
         assert out.text == "otimo produto"
 
     def test_two_stage_composition(self):
         ex = LabeledExample("a", "x")
-        p1 = ListProvider({"a": ["b"]})
-        p2 = ListProvider({"b": ["c"]})
+        p1 = list_stage({"a": ["b"]})
+        p2 = list_stage({"b": ["c"]})
         out = sequential_augment(ex, [p1, p2], 1.0, random.Random(1))
         assert out.text == "c"
 
     def test_stage_order_matters(self):
         ex = LabeledExample("a", "x")
-        p1 = ListProvider({"a": ["b"]})
-        p2 = ListProvider({"b": ["c"]})
+        p1 = list_stage({"a": ["b"]})
+        p2 = list_stage({"b": ["c"]})
         out = sequential_augment(ex, [p2, p1], 1.0, random.Random(1))
         assert out.text == "b"
 
     def test_budget_caps_replacements(self):
         ex = LabeledExample("a a a a a a a a a a", "x")
-        provider = ListProvider({"a": ["z"]})
-        out = sequential_augment(ex, [provider], 0.2, random.Random(3))
+        stage = list_stage({"a": ["z"]})
+        out = sequential_augment(ex, [stage], 0.2, random.Random(3))
         assert out.text.split().count("z") == 2
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(EmptySentenceError):
             sequential_augment(
-                LabeledExample("!!!", "x"), [ListProvider({})], 0.5,
+                LabeledExample("!!!", "x"), [list_stage({})], 0.5,
                 random.Random(1),
             )
 
@@ -91,24 +85,24 @@ class TestSequentialAugment:
         with pytest.raises(ValueError):
             sequential_augment(ex, [], 0.5, random.Random(1))
         with pytest.raises(ValueError):
-            sequential_augment(ex, [ListProvider({})], 0.0, random.Random(1))
+            sequential_augment(ex, [list_stage({})], 0.0, random.Random(1))
 
     def test_deterministic(self):
         ex = LabeledExample("bom carro bom barco", "x")
-        provider = ListProvider({"bom": ["otimo", "legal"]})
+        stage = list_stage({"bom": ["otimo", "legal"]})
         outs = {
-            sequential_augment(ex, [provider], 0.5, random.Random(8)).text
+            sequential_augment(ex, [stage], 0.5, random.Random(8)).text
             for _ in range(5)
         }
         assert len(outs) == 1
 
-    def test_ppdb_and_embedding_providers(self, synmap, tiny_store):
+    def test_ppdb_and_embedding_stages(self, synmap, tiny_store):
         ex = LabeledExample("bom a", "x")
-        providers = [
-            SynonymMapProvider(synmap),
-            EmbeddingNeighborProvider(tiny_store, k=1),
+        stages = [
+            lambda tokens, i: synmap.candidates(tokens[i]),
+            neighbor_stage(tiny_store, 1),
         ]
-        out = sequential_augment(ex, providers, 1.0, random.Random(1))
+        out = sequential_augment(ex, stages, 1.0, random.Random(1))
         assert out.label == "x"
         assert out.text != ""
 
@@ -530,20 +524,23 @@ class TestContextualContract:
         cands = parse_contextual_response({"candidates": ["otimo", "bom"]}, "bom")
         assert cands == ["otimo"]
 
-    def test_bad_response_rejected(self):
+    @pytest.mark.parametrize("cands", ["nope", [None, 5], ["otimo", ""]])
+    def test_bad_response_rejected(self, cands):
         with pytest.raises(TransportError):
-            parse_contextual_response({"candidates": "nope"}, "x")
+            parse_contextual_response({"candidates": cands}, "x")
 
-    def test_stub_speaks_contract(self):
-        stub = StubContextualProvider({"bom": ["otimo", "excelente"]})
-        assert stub.candidates("bom", ["bom", "produto"], 0) == [
-            "otimo", "excelente",
-        ]
-        assert stub.candidates("zz", ["zz"], 0) == []
+    def test_stub_table(self, tmp_path):
+        path = tmp_path / "ctx.tsv"
+        path.write_text("bom\totimo,excelente\n", encoding="utf-8")
+        stub = make_contextual_provider(ProviderSpec("stub", str(path)))
+        assert stub(["bom", "produto"], 0) == ["otimo", "excelente"]
+        assert stub(["zz"], 0) == []
 
-    def test_stub_filters_query_word(self):
-        stub = StubContextualProvider({"bom": ["bom", "otimo"]})
-        assert stub.candidates("bom", ["bom"], 0) == ["otimo"]
+    def test_stub_filters_query_word(self, tmp_path):
+        path = tmp_path / "ctx.tsv"
+        path.write_text("bom\tbom,otimo\n", encoding="utf-8")
+        stub = make_contextual_provider(ProviderSpec("stub", str(path)))
+        assert stub(["bom"], 0) == ["otimo"]
 
 
 class TestRateLimiter:
@@ -569,7 +566,8 @@ class TestRateLimiter:
 class _JsonHandler(BaseHTTPRequestHandler):
     """Translation and contextual services, plus test paths: /auth echoes
     the Authorization header back in both wire formats, /flaky answers
-    503 to its first request and /malformed sends a bad candidates field."""
+    503 to its first request, /malformed sends a bad candidates field and
+    /non-string a candidates list of a null and a number."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -583,6 +581,8 @@ class _JsonHandler(BaseHTTPRequestHandler):
             body = {"translated": auth, "candidates": [auth]}
         elif self.path == "/malformed":
             body = {"candidates": "nope"}
+        elif self.path == "/non-string":
+            body = {"candidates": [None, 5]}
         elif self.path == "/translate":
             word_map = {"bom": "good", "good": "bom"}
             translated = " ".join(
@@ -603,6 +603,12 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+def contextual_stage(url, **options):
+    """The HTTP contextual Syn stage of a url and JSON-client options."""
+    return make_contextual_provider(
+        ProviderSpec("http", options={"url": url, **options}))
 
 
 @pytest.fixture
@@ -634,9 +640,9 @@ class TestHttpProviders:
             provider.translate("oi", "pt", "en")
 
     def test_contextual_client(self, http_server):
-        provider = HttpContextualProvider(url=f"{http_server}/contextual")
-        assert provider.candidates("bom", ["bom", "produto"], 0) == ["otimo"]
-        assert provider.candidates("zzz", ["zzz"], 0) == []
+        stage = contextual_stage(f"{http_server}/contextual")
+        assert stage(["bom", "produto"], 0) == ["otimo"]
+        assert stage(["zzz"], 0) == []
 
     def test_credentials_from_env_not_in_errors(self, http_server, monkeypatch):
         monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
@@ -653,38 +659,39 @@ class TestHttpProviders:
         assert "super-secret" not in str(err.value)
 
     def test_contextual_retries_after_503(self, http_server):
-        provider = HttpContextualProvider(
-            url=f"{http_server}/flaky", max_retries=1, backoff_base=0.0
+        stage = contextual_stage(
+            f"{http_server}/flaky", max_retries=1, backoff_base=0.0
         )
-        assert provider.candidates("bom", ["bom", "produto"], 0) == ["otimo"]
+        assert stage(["bom", "produto"], 0) == ["otimo"]
 
     def test_contextual_bearer_key_not_in_errors(self, http_server, monkeypatch):
         monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
-        provider = HttpContextualProvider(
-            url=f"{http_server}/auth", key_env="FAKE_KEY_ENV", max_retries=0
+        stage = contextual_stage(
+            f"{http_server}/auth", key_env="FAKE_KEY_ENV", max_retries=0
         )
-        assert provider.candidates("x", ["x"], 0) == ["Bearer super-secret"]
-        provider = HttpContextualProvider(
-            url=f"{http_server}/malformed", key_env="FAKE_KEY_ENV",
+        assert stage(["x"], 0) == ["Bearer super-secret"]
+        stage = contextual_stage(
+            f"{http_server}/malformed", key_env="FAKE_KEY_ENV",
             max_retries=0,
         )
         with pytest.raises(TransportError) as err:
-            provider.candidates("x", ["x"], 0)
+            stage(["x"], 0)
         assert "super-secret" not in str(err.value)
 
-    def test_contextual_malformed_payload_retried(self, http_server):
-        provider = HttpContextualProvider(
-            url=f"{http_server}/malformed", max_retries=2, backoff_base=0.0
+    @pytest.mark.parametrize("path", ["/malformed", "/non-string"])
+    def test_contextual_malformed_payload_retried(self, http_server, path):
+        stage = contextual_stage(
+            f"{http_server}{path}", max_retries=2, backoff_base=0.0
         )
         with pytest.raises(TransportError, match="after 3 attempts"):
-            provider.candidates("x", ["x"], 0)
+            stage(["x"], 0)
 
     def test_one_spec_parser_for_both_providers(self, http_server):
         spec = {"http": {"url": f"{http_server}/flaky", "max_retries": 1,
                          "backoff_base": 0.0, "timeout": 5,
                          "max_in_flight": 4}}
         contextual = make_contextual_provider(provider_spec(spec, "contextual"))
-        assert contextual.candidates("bom", ["bom"], 0) == ["otimo"]
+        assert contextual(["bom"], 0) == ["otimo"]
         spec["http"]["url"] = f"{http_server}/malformed"
         translation = make_translation_provider(
             provider_spec(spec, "translation"))

@@ -383,6 +383,21 @@ class TestNearestNeighbors:
         assert second == expected
         assert second is not first
 
+    def test_one_long_word_costs_no_array_as_wide_as_it(self):
+        # An array of every word is 4 bytes x the longest word per word:
+        # about 320 MB here, against a 2.6 MB matrix.
+        words = tuple(f"w{i}" for i in range(40_000)) + ("x" * 2_000,)
+        matrix = np.random.default_rng(3).normal(size=(len(words), 8))
+        tracemalloc.start()
+        try:
+            store = EmbeddingStore(dim=8, words=words, matrix=matrix)
+            out = nearest_neighbors("w0", 5, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 5
+        assert peak < 16 * 2**20
+
 
 @st.composite
 def grid_stores(draw):

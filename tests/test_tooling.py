@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import pathlib
 
 import augbench
+from augbench import providers
 
 SRC = pathlib.Path(augbench.__file__).parent
 
@@ -279,3 +281,69 @@ def test_package_imports_no_compiled_bridge_or_threads():
         for entry in _forbidden_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# The benchmark's tracer wraps the functions that perfbench/layers.py
+# lists in FUNCTIONS, and each TranslationProvider subclass's translate.
+# A layer that is renamed or deleted is only reported as absent, and its
+# metrics read 0, so the package must keep each one. The one entry that
+# may be missing is the stale one the CLI stopped importing.
+LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench/layers.py"
+STALE_LAYERS = {"augbench.cli.augment_training_set"}
+
+
+def _traced_functions(source: str) -> list[tuple[str, str, str]]:
+    """The literal FUNCTIONS list of a layers module, read, not imported."""
+    for node in ast.parse(source).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if targets == ["FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("no FUNCTIONS list")
+
+
+def _unresolved(functions) -> list[str]:
+    """'owner.attr' of each entry whose owner (a module, or a module's
+    class) or attribute does not exist."""
+    missing = []
+    for owner_path, attr, _ in functions:
+        module, _, name = owner_path.rpartition(".")
+        try:
+            owner = importlib.import_module(owner_path)
+        except ImportError:
+            try:
+                owner = getattr(importlib.import_module(module), name, None)
+            except ImportError:
+                owner = None
+        if getattr(owner, attr, None) is None:
+            missing.append(f"{owner_path}.{attr}")
+    return missing
+
+
+def test_traced_layer_check_sees_a_missing_name():
+    functions = _traced_functions(
+        "FUNCTIONS = [\n"
+        "    ('augbench.runner', 'sequential_augment', 'a'),\n"
+        "    ('augbench.providers', 'no_such_function', 'b'),\n"
+        "    ('augbench.providers.TranslationCache', 'get', 'c'),\n"
+        "    ('augbench.providers.NoSuchClass', 'get', 'd'),\n"
+        "    ('augbench.no_such_module', 'f', 'e'),\n"
+        "]\n"
+    )
+    assert _unresolved(functions) == [
+        "augbench.providers.no_such_function",
+        "augbench.providers.NoSuchClass.get",
+        "augbench.no_such_module.f",
+    ]
+
+
+def test_every_traced_layer_still_exists():
+    functions = _traced_functions(LAYERS.read_text(encoding="utf-8"))
+    assert len(functions) > 20
+    assert set(_unresolved(functions)) <= STALE_LAYERS
+    base = providers.TranslationProvider
+    translators = [
+        cls for cls in vars(providers).values()
+        if isinstance(cls, type) and issubclass(cls, base)
+        and cls is not base and "translate" in vars(cls)
+    ]
+    assert translators
