@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 # Word = run of word characters, with single hyphens/apostrophes allowed
 # inside (guarda-chuva, d'agua). Leading/trailing punctuation drops out.
@@ -91,13 +91,9 @@ def load_dataset(
     malformed file, a header lacking the declared columns, or zero valid
     rows.
     """
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open dataset file: {path}") from exc
     examples: list[LabeledExample] = []
     skipped = 0
-    with fh:
+    with open_input(path, "dataset file", DataError, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -120,8 +116,6 @@ def load_dataset(
                     examples.append(LabeledExample(text, label))
                 else:
                     skipped += 1
-        except UnicodeDecodeError as exc:
-            raise DataError(f"dataset file is not UTF-8: {path}: {exc}") from exc
         except csv.Error as exc:
             raise DataError(
                 f"{path}: malformed CSV at line {reader.line_num}: {exc}"

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its input opener.
 
 The CLI maps each category to a distinct exit code, so augmentation,
 data, resource and transport failures are distinguishable to callers.
 """
+
+from contextlib import contextmanager
 
 
 class AugbenchError(Exception):
@@ -39,3 +41,20 @@ class EmptySentenceError(AugbenchError):
 
 class InvariantError(AugbenchError):
     """A grid invariant failed: train/test overlap or augmentation purity."""
+
+
+@contextmanager
+def open_input(path: str, what: str, error: type[AugbenchError],
+               newline: str | None = None):
+    """Open the input file ``path`` as UTF-8 text: the one place where an
+    input that cannot be opened or decoded becomes ``error``, named as
+    ``what``. A decode error counts wherever the body's reads raise it."""
+    try:
+        fh = open(path, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise error(f"cannot open {what}: {path}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} is not UTF-8: {path}: {exc}") from exc

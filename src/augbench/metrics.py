@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,12 @@ def load_predictions(path: str) -> tuple[list[str], list[str]]:
     """Read a predictions file back into (y_true, y_pred), index order;
     DataError for an unreadable file or a line that is not a record."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "predictions file", DataError) as fh:
             records = [
                 (int(rec["index"]), str(rec["true_label"]),
                  str(rec["predicted_label"]))
                 for rec in map(json.loads, filter(str.strip, fh))
             ]
-    except OSError as exc:
-        raise DataError(f"cannot open predictions file: {path}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed prediction record: {exc!r}") from exc
     records.sort(key=lambda r: r[0])

@@ -22,7 +22,9 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .errors import ConfigError, DataError, ResourceError, TransportError
+from .errors import (
+    ConfigError, DataError, ResourceError, TransportError, open_input,
+)
 from .resources import EmbeddingStore, nearest_neighbors
 
 
@@ -56,24 +58,20 @@ def parse_contextual_response(payload: dict, word: str) -> list[str]:
 
 def _tab_pairs(path: str, what: str):
     """Yield (left, right) from each 'left<TAB>right' line; skip the rest."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot open {what}: {path}") from exc
-    with fh:
-        try:
-            for line in fh:
-                left, tab, right = line.rstrip("\n").partition("\t")
-                if tab:
-                    yield left, right
-        except UnicodeDecodeError as exc:
-            raise ResourceError(f"{what} is not UTF-8: {path}: {exc}") from exc
+    with open_input(path, what, ResourceError) as fh:
+        for line in fh:
+            left, tab, right = line.rstrip("\n").partition("\t")
+            if tab:
+                yield left, right
 
 
 def load_contextual_table(path: str) -> dict[str, list[str]]:
-    """word<TAB>cand1,cand2,... lines for the contextual stub."""
-    return {word: [c for c in cands.split(",") if c]
-            for word, cands in _tab_pairs(path, "contextual table")}
+    """word<TAB>cand1,cand2,... lines for the contextual stub; a repeated
+    word keeps its first line, as the dictionary file does."""
+    table: dict[str, list[str]] = {}
+    for word, cands in _tab_pairs(path, "contextual table"):
+        table.setdefault(word, [c for c in cands.split(",") if c])
+    return table
 
 
 class RateLimiter:
@@ -322,8 +320,9 @@ _TRANSLATED = itemgetter("translated")
 class TranslationCache:
     """Append-only (provider, source, target, text) -> translation store.
 
-    Backed by a JSON-lines file loaded fully at startup and appended to
-    through one handle, opened on the first ``put``. Each record is
+    Backed by a JSON-lines file, loaded fully at startup if it exists
+    and appended to through one handle, opened on the first ``put``. A
+    file that cannot be opened for either is DataError. Each record is
     flushed before ``put`` returns, so a fresh cache or a resumed run
     sees it; nothing is fsynced. ``close`` releases the handle; a later
     ``put`` reopens it. A file line that is not one record of five
@@ -334,18 +333,13 @@ class TranslationCache:
         self.path = path
         self._data: dict[tuple[str, str, str, str], str] = {}
         self._fh = None
-        if path:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    first = 1
-                    while block := fh.readlines(_LOAD_BLOCK):
-                        if not self._load_block(block):
-                            self._load_lines(block, first)
-                        first += len(block)
-            except FileNotFoundError:
-                pass
-            except UnicodeDecodeError as exc:
-                raise DataError(f"cache file is not UTF-8: {path}: {exc}") from exc
+        if path and os.path.exists(path):
+            with open_input(path, "cache file", DataError) as fh:
+                first = 1
+                while block := fh.readlines(_LOAD_BLOCK):
+                    if not self._load_block(block):
+                        self._load_lines(block, first)
+                    first += len(block)
 
     def _load_block(self, block: list[str]) -> bool:
         """Load a block's records with one JSON parse; False where the
@@ -405,7 +399,11 @@ class TranslationCache:
         self._data[(provider, source, target, text)] = translated
         if self.path:
             if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8")
+                try:
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                except OSError as exc:
+                    raise DataError(
+                        f"cannot open cache file: {self.path}") from exc
             self._fh.write(
                 f'{{"provider": {_q(provider)}, "source": {_q(source)}, '
                 f'"target": {_q(target)}, "text": {_q(text)}, '

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, open_input
 
 _PPDB_SEP = "|||"
 # Components squared at once when the row norms are computed.
@@ -45,34 +45,26 @@ def parse_ppdb(path: str) -> SynonymMap:
     are dropped preserving first-seen order; malformed lines are skipped
     and counted.
     """
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot open paraphrase file: {path}") from exc
     entries: dict[str, list[str]] = {}
     skipped = 0
-    with fh:
-        try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                fields = [f.strip() for f in line.split(_PPDB_SEP)]
-                if len(fields) < 3:
-                    skipped += 1
-                    continue
-                src = fields[1].lower()
-                dst = fields[2].lower()
-                if (len(src.split()) != 1 or len(dst.split()) != 1
-                        or not src or not dst):
-                    skipped += 1
-                    continue
-                bucket = entries.setdefault(src, [])
-                if dst != src and dst not in bucket:
-                    bucket.append(dst)
-        except UnicodeDecodeError as exc:
-            raise ResourceError(
-                f"paraphrase file is not UTF-8: {path}: {exc}") from exc
+    with open_input(path, "paraphrase file", ResourceError) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(_PPDB_SEP)]
+            if len(fields) < 3:
+                skipped += 1
+                continue
+            src = fields[1].lower()
+            dst = fields[2].lower()
+            if (len(src.split()) != 1 or len(dst.split()) != 1
+                    or not src or not dst):
+                skipped += 1
+                continue
+            bucket = entries.setdefault(src, [])
+            if dst != src and dst not in bucket:
+                bucket.append(dst)
     entries = {w: c for w, c in entries.items() if c}
     if not entries:
         raise ResourceError(f"{path}: zero usable paraphrase records")
@@ -136,37 +128,29 @@ def load_embeddings(path: str) -> EmbeddingStore:
     Components are read as Python's float() reads them. The header count
     is only a size hint for the matrix.
     """
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot open embedding file: {path}") from exc
-    try:
-        with fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ResourceError(f"{path}: header must be '<count> <dim>'")
+    with open_input(path, "embedding file", ResourceError) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ResourceError(f"{path}: header must be '<count> <dim>'")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise ResourceError(f"{path}: non-integer header {header}") from exc
+        if dim < 1:
+            raise ResourceError(f"{path}: dimension {dim} < 1")
+        # A row is a word and dim space-led components, so it takes at
+        # least 2*dim bytes: the most rows the file can hold.
+        most = os.fstat(fh.fileno()).st_size // (2 * dim)
+        rows = _LoadedRows(dim, count, most)
+        while block := fh.readlines(_LOAD_BLOCK):
             try:
-                count, dim = int(header[0]), int(header[1])
-            except ValueError as exc:
-                raise ResourceError(f"{path}: non-integer header {header}") from exc
-            if dim < 1:
-                raise ResourceError(f"{path}: dimension {dim} < 1")
-            # A row is a word and dim space-led components, so it takes at
-            # least 2*dim bytes: the most rows the file can hold.
-            most = os.fstat(fh.fileno()).st_size // (2 * dim)
-            rows = _LoadedRows(dim, count, most)
-            while block := fh.readlines(_LOAD_BLOCK):
-                try:
-                    rows.add(*_parse_rows(block, dim))
-                except ValueError:  # a component float() rejects
-                    for line in block:
-                        try:
-                            rows.add(*_parse_rows([line], dim))
-                        except ValueError:
-                            rows.skipped += 1
-    except UnicodeDecodeError as exc:
-        raise ResourceError(
-            f"embedding file is not UTF-8: {path}: {exc}") from exc
+                rows.add(*_parse_rows(block, dim))
+            except ValueError:  # a component float() rejects
+                for line in block:
+                    try:
+                        rows.add(*_parse_rows([line], dim))
+                    except ValueError:
+                        rows.skipped += 1
     if not rows.words:
         raise ResourceError(f"{path}: zero valid embedding rows")
     return EmbeddingStore(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, open_input
 
 GROUPS = ("EDA", "Syn", "BT")  # augmentation groups, in report order
 
@@ -77,7 +77,7 @@ def read_results_csv(path: str) -> list[ExperimentResult]:
     """Parse a results CSV; DataError for an unreadable file, a wrong
     header or a field that does not parse."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_input(path, "results file", DataError, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != CSV_COLUMNS:
                 raise DataError(
@@ -101,7 +101,5 @@ def read_results_csv(path: str) -> list[ExperimentResult]:
                 )
                 for rec in reader
             ]
-    except OSError as exc:
-        raise DataError(f"cannot open results file: {path}") from exc
-    except (TypeError, ValueError) as exc:
+    except (csv.Error, TypeError, ValueError) as exc:
         raise DataError(f"{path}: unparseable results row: {exc!r}") from exc

@@ -19,7 +19,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .corpus import (
     Dataset, load_dataset, resample_subset, select_augmentation_targets, split,
 )
 from .eda import EdaConfig, eda_augment
-from .errors import ConfigError, InvariantError, TrainingError
+from .errors import ConfigError, InvariantError, TrainingError, open_input
 from .features import featurize
 from .metrics import evaluate, save_predictions
 from .pipeline import (
@@ -64,19 +64,19 @@ class ExperimentConfig:
     rounds: int
     master_seed: int
     embeddings_path: str
-    ppdb_path: str | None = None
-    resource_id: str | None = None  # free-form provenance tag, logged only
-    translation: ProviderSpec | None = None
-    contextual: ProviderSpec | None = None
-    pivot: str = "en"
-    source_lang: str = "pt"
-    syn_rate: float = 0.1
-    syn_stages: tuple[str, ...] = ("ppdb", "embedding")
-    embedding_neighbors_k: int = 5
-    eda: EdaConfig = field(default_factory=EdaConfig)
-    svm: SvmConfig = field(default_factory=SvmConfig)
-    split_ratio: float = 0.75
-    cache_path: str | None = None
+    ppdb_path: str | None
+    resource_id: str | None  # free-form provenance tag, logged only
+    translation: ProviderSpec | None
+    contextual: ProviderSpec | None
+    pivot: str
+    source_lang: str
+    syn_rate: float
+    syn_stages: tuple[str, ...]
+    embedding_neighbors_k: int
+    eda: EdaConfig
+    svm: SvmConfig
+    split_ratio: float
+    cache_path: str | None
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,9 @@ class GridCell:
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate the declarative JSON experiment config."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "config", ConfigError) as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot open config: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(raw)
 
@@ -198,7 +196,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("providers.pivot and providers.source_lang must be strings")
     eda_raw = _section(raw, "eda")
     svm_raw = _section(raw, "svm")
-    gamma = svm_raw.get("gamma", "scale")
+    gamma = svm_raw.get("gamma", SvmConfig.gamma)
     try:
         config = ExperimentConfig(
             datasets=datasets,
@@ -223,15 +221,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 providers.get("embedding_neighbors_k", 5),
                 "providers.embedding_neighbors_k"),
             eda=EdaConfig(
-                alpha=config_float(eda_raw.get("alpha", 0.1), "eda.alpha"),
-                n_aug=config_int(eda_raw.get("n_aug", 1), "eda.n_aug"),
-                op_mode=eda_raw.get("op_mode", "sample"),
+                alpha=config_float(eda_raw.get("alpha", EdaConfig.alpha), "eda.alpha"),
+                n_aug=config_int(eda_raw.get("n_aug", EdaConfig.n_aug), "eda.n_aug"),
+                op_mode=eda_raw.get("op_mode", EdaConfig.op_mode),
             ),
             svm=SvmConfig(
-                C=config_float(svm_raw.get("C", 10.0), "svm.C"),
+                C=config_float(svm_raw.get("C", SvmConfig.C), "svm.C"),
                 gamma=gamma if isinstance(gamma, str)
                 else config_float(gamma, "svm.gamma"),
-                tol=config_float(svm_raw.get("tol", 1e-3), "svm.tol"),
+                tol=config_float(svm_raw.get("tol", SvmConfig.tol), "svm.tol"),
             ),
             split_ratio=config_float(raw.get("split_ratio", 0.75), "split_ratio"),
             cache_path=raw.get("cache_path"),

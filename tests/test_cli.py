@@ -8,8 +8,16 @@ import pytest
 
 from augbench import cli, runner, synthdata
 from augbench.cli import main
-from augbench.metrics import save_predictions
-from augbench.results import ExperimentResult, write_results_csv
+from augbench.corpus import load_dataset
+from augbench.errors import ConfigError, DataError, ResourceError
+from augbench.metrics import load_predictions, save_predictions
+from augbench.providers import (
+    DictTranslationProvider, TranslationCache, load_contextual_table,
+)
+from augbench.resources import load_embeddings, parse_ppdb
+from augbench.results import (
+    CSV_COLUMNS, ExperimentResult, read_results_csv, write_results_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +263,22 @@ class TestAugmentCommand(CellCommandChecks):
         assert outputs[0] == outputs[1]
         assert cache_bytes[1] == cache_bytes[0]
 
+    @pytest.mark.parametrize("where", ["directory", "in_missing_directory"])
+    def test_unusable_cache_path_exit_3(self, tmp_path, capsys, demo_config,
+                                        where):
+        # a directory fails the load; a path whose directory is missing
+        # loads as an empty cache and fails at the first write
+        _, cfg = demo_config
+        cache = tmp_path if where == "directory" else tmp_path / "no" / "t.jsonl"
+        cfg_path = tmp_path / "cached.json"
+        cfg_path.write_text(json.dumps({**cfg, "cache_path": str(cache)}))
+        assert main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", "BT", "--pct", "0.2", "--out", str(tmp_path / "o"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error[data]: cannot open cache file: {cache}\n"
+
     def test_oversized_csv_field_exit_3(self, tmp_path, capsys, demo_config):
         _, cfg = demo_config
         data = tmp_path / "big.csv"
@@ -452,6 +476,16 @@ class TestReportCommand:
         assert "error[data]" in capsys.readouterr().err
 
 
+    def test_oversized_csv_field_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "x" * 200_000 + "\n",
+                        encoding="utf-8")
+        code = main(["report", "--results", str(path), "--out",
+                     str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and "field larger than field limit" in err
+
     def test_positive_gain_without_test_exit_3(self, tmp_path, capsys):
         path = str(tmp_path / "merged.csv")
         write_results_csv(path, [
@@ -491,6 +525,51 @@ class TestReportCommand:
         assert "unpaired augmented cells (no ok baseline): 0\n" in text
         mean_line = (rep_dir / "mean_gain_by_group.csv").read_text().splitlines()[1]
         assert mean_line == f"ALL,EDA,{trained['gain']!r},1"
+
+
+# Each input file: the loader that reads it, the name its errors give it
+# and the error it raises, whose exit code the CLI maps.
+INPUTS = {
+    "config": (runner.load_config, "config", ConfigError),
+    "dataset": (load_dataset, "dataset file", DataError),
+    "cache": (TranslationCache, "cache file", DataError),
+    "predictions": (load_predictions, "predictions file", DataError),
+    "results": (read_results_csv, "results file", DataError),
+    "paraphrase": (parse_ppdb, "paraphrase file", ResourceError),
+    "embedding": (load_embeddings, "embedding file", ResourceError),
+    "dictionary": (DictTranslationProvider.from_file, "dictionary file",
+                   ResourceError),
+    "contextual": (load_contextual_table, "contextual table", ResourceError),
+}
+EXIT_CODES = {ConfigError: 2, DataError: 3, ResourceError: 4}
+
+
+class TestInputFiles:
+    @staticmethod
+    def _exit_code(error) -> int:
+        return next(code for etype, code, _ in cli._EXIT_CODES
+                    if isinstance(error, etype))
+
+    # a missing cache file is an empty cache (the cold run of
+    # test_bt_cache_cold_then_warm)
+    @pytest.mark.parametrize("name", sorted(set(INPUTS) - {"cache"}))
+    def test_missing_file(self, tmp_path, name):
+        load, what, error = INPUTS[name]
+        path = str(tmp_path / "missing")
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == f"cannot open {what}: {path}"
+        assert self._exit_code(info.value) == EXIT_CODES[error]
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_non_utf8_file(self, tmp_path, name):
+        load, what, error = INPUTS[name]
+        path = tmp_path / "latin1"
+        path.write_bytes("ótimo\n".encode("latin-1"))
+        with pytest.raises(error) as info:
+            load(str(path))
+        assert str(info.value).startswith(f"{what} is not UTF-8: {path}: ")
+        assert self._exit_code(info.value) == EXIT_CODES[error]
 
 
 class TestUsage:

@@ -542,6 +542,13 @@ class TestContextualContract:
         stub = make_contextual_provider(ProviderSpec("stub", str(path)))
         assert stub(["bom"], 0) == ["otimo"]
 
+    def test_stub_repeated_word_keeps_its_first_line(self, tmp_path):
+        # as the dictionary file and the embedding file do
+        path = tmp_path / "ctx.tsv"
+        path.write_text("bom\totimo\nbom\tlegal\n", encoding="utf-8")
+        stub = make_contextual_provider(ProviderSpec("stub", str(path)))
+        assert stub(["bom"], 0) == ["otimo"]
+
 
 class TestRateLimiter:
     def test_enforces_cap(self):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from augbench import cli, kernels, report, runner, stats, synthdata
 from augbench.corpus import Dataset, SplitPair, load_dataset
+from augbench.eda import EdaConfig
 from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, InvariantError, TransportError,
 )
@@ -20,6 +22,7 @@ from augbench.resources import load_embeddings, parse_ppdb
 from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
 )
+from augbench.svm import SvmConfig
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,16 @@ class TestConfig:
         assert cfg.svm.C == 10.0
         assert cfg.svm.gamma == "scale"
         assert cfg.eda.alpha == 0.1
+
+    def test_each_default_is_stated_once(self, demo):
+        # config_from_dict fills every field, and an absent eda or svm
+        # key takes its EdaConfig or SvmConfig default
+        assert "eda" not in demo and "svm" not in demo
+        cfg = runner.config_from_dict(demo)
+        assert cfg.eda == EdaConfig() and cfg.svm == SvmConfig()
+        assert [f.name for f in dataclasses.fields(runner.ExperimentConfig)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING] == []
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):

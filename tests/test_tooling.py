@@ -97,9 +97,10 @@ def test_inputs_are_loaded_only_by_load_resources():
     assert {name for _, name in calls} == LOADERS
 
 
-def _calls(source: str, module: str, callees: set[str]) -> list[tuple[str, str]]:
-    """(module.function, callee) for each call to one of ``callees``; a
-    method is named with its class."""
+def _calls(source: str, module: str, callees: set[str],
+           keep=lambda call: True) -> list[tuple[str, str]]:
+    """(module.function, callee) for each call to one of ``callees`` that
+    ``keep`` accepts; a method is named with its class."""
     found = []
 
     def visit(node, path):
@@ -111,7 +112,7 @@ def _calls(source: str, module: str, callees: set[str]) -> list[tuple[str, str]]
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in callees:
+                if name in callees and keep(child):
                     found.append((".".join([module, *path]), name))
             visit(child, path)
 
@@ -119,11 +120,13 @@ def _calls(source: str, module: str, callees: set[str]) -> list[tuple[str, str]]
     return found
 
 
-def _package_calls(callees: set[str]) -> set[tuple[str, str]]:
+def _package_calls(callees: set[str],
+                   keep=lambda call: True) -> set[tuple[str, str]]:
     return {
         call
         for path in sorted(SRC.glob("*.py"))
-        for call in _calls(path.read_text(encoding="utf-8"), path.stem, callees)
+        for call in _calls(path.read_text(encoding="utf-8"), path.stem,
+                           callees, keep)
     }
 
 
@@ -206,6 +209,38 @@ def test_results_csv_is_written_only_by_grid_runner_run():
     assert _package_calls(WRITER) == {
         ("runner.GridRunner.run", name) for name in WRITER
     }
+
+
+# One opener: every file the package reads is opened by errors.open_input,
+# so an input that cannot be opened or decoded is the typed error of its
+# loader, and the one read pass is the place to hash an input.
+def _reads(call: ast.Call) -> bool:
+    """Whether an open() call reads: no mode, or a mode without w, a or
+    x. A mode that is not a literal counts as reading."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant)
+                and set("wax") & set(mode.value))
+
+
+def test_read_open_check_sees_a_second_site():
+    source = (
+        "def open_input(path):\n    return open(path, encoding='utf-8')\n"
+        "def save(path):\n    return open(path, 'w')\n"
+        "def load(path):\n    return open(path, mode='rb')\n"
+        "class Cache:\n    def put(self):\n"
+        "        return open(self.path, mode='a')\n"
+        "    def read(self, mode):\n        return io.open(self.path, mode)\n"
+    )
+    assert _calls(source, "errors", {"open"}, _reads) == [
+        ("errors.open_input", "open"),
+        ("errors.load", "open"),
+        ("errors.Cache.read", "open"),
+    ]
+
+
+def test_input_files_are_opened_only_by_open_input():
+    assert _package_calls({"open"}, _reads) == {("errors.open_input", "open")}
 
 
 # One spec parser: a provider config value is parsed only while the config
