@@ -1,14 +1,21 @@
-"""Sentence featurization: mean of in-vocabulary word vectors."""
+"""Sentence featurization: mean of in-vocabulary word vectors, and the
+fixed-point grid that makes every squared distance among features exact."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from itertools import chain
 
 import numpy as np
 
 from .corpus import Dataset, tokenize
+from .errors import ResourceError
 from .resources import EmbeddingStore
+
+# With fewer bits, rounding would move a feature by more than 2^-17 of
+# the power of two above the largest embedding entry.
+_MIN_GRID_BITS = 16
 
 
 def featurize(dataset: Dataset, store: EmbeddingStore) -> np.ndarray:
@@ -39,3 +46,39 @@ def _mean_vectors(sentences: list[Iterable[str]], store: EmbeddingStore) -> np.n
             sums[live] += store.matrix[flat[starts[live] + t]]
         X[known] = sums / lengths[:, None]
     return X
+
+
+def grid_bits(dim: int) -> int:
+    """Bits b of the feature grid for ``dim`` components.
+
+    A grid feature is k * s with an integer |k| <= 2^b. Every intermediate
+    of sq_i + sq_j - 2 x_i.x_j is then an integer multiple of s^2, exact
+    in float64 while it stays at most 2^53. The largest, the final
+    subtraction, reaches 4 * dim * 2^(2b) * s^2 when x_j = -x_i, so
+    b = floor((51 - ceil(log2 dim)) / 2). Raises ResourceError when that
+    leaves fewer than 16 bits (dim above 2^19).
+    """
+    bits = (51 - (dim - 1).bit_length()) // 2
+    if bits < _MIN_GRID_BITS:
+        raise ResourceError(
+            f"embedding dimension {dim} leaves {bits} grid bits, fewer than "
+            f"{_MIN_GRID_BITS}: exact distances need dim <= "
+            f"{2 ** (51 - 2 * _MIN_GRID_BITS)}")
+    return bits
+
+
+def grid_step(matrix: np.ndarray) -> float:
+    """The grid step s = 2^(e - b) of an embedding matrix: 2^e is the
+    least power of two above every |entry|, which bounds every mean
+    vector too, and b is ``grid_bits`` of its dimension."""
+    top = max(float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)))
+    return math.ldexp(1.0, math.frexp(top)[1] - grid_bits(matrix.shape[1]))
+
+
+def to_grid(X: np.ndarray, step: float) -> np.ndarray:
+    """X rounded to the nearest multiple of ``step`` (ties to even), as a
+    new array. ``step`` is a power of two, so nothing else is rounded."""
+    G = X / step
+    np.rint(G, out=G)
+    G *= step
+    return G

@@ -1,4 +1,12 @@
-"""Hot numeric kernels: RBF Gram matrices and the SMO dual solver.
+"""Hot numeric kernels: squared distances, RBF Gram matrices and the SMO
+dual solver.
+
+On features rounded to one grid (``features.to_grid``) every squared
+distance is exact, so a distance computed once, in any block, serves
+every training that uses it, with the same bits under any BLAS thread
+count. The two products whose operands are not on the grid, the
+solver's stop-check gradient and ``svm.decision_values``, are summed in
+one fixed order by ``np.einsum``.
 
 The solver is SMO with LIBSVM's second-order working-set selection
 (WSS2: Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2011). It
@@ -16,6 +24,8 @@ plain loop that ``tests/test_kernels.py`` keeps as its oracle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import TrainingError
@@ -23,36 +33,93 @@ from .errors import TrainingError
 _TAU = 1e-12  # curvature floor for pairs of (near-)identical points
 
 
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """max(sq_a_i + sq_b_j - 2 a_i.b_j, 0): squared distances, built in place.
+
+    The same operations in the same order as the plain expression, but
+    only the result and A @ B.T are alive at the peak, not three arrays.
+    On rows of one ``features.to_grid`` grid every product and sum is
+    exact, so the result does not depend on how the BLAS orders, blocks
+    or threads the product, nor on which rows are computed together.
+    """
+    sq_a = np.einsum("ij,ij->i", A, A)
+    sq_b = sq_a if B is A else np.einsum("ij,ij->i", B, B)
+    D = np.add.outer(sq_a, sq_b)
+    inner = A @ B.T
+    inner *= 2.0
+    D -= inner
+    del inner
+    return np.maximum(D, 0.0, out=D)
+
+
 def rbf_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix exp(-gamma * ||x_i - x_j||^2); unit diagonal pinned exactly."""
-    sq = np.einsum("ij,ij->i", X, X)
-    K = _rbf(X, X, sq, sq, gamma)
+    K = sq_distances(X, X)
+    K *= -gamma
+    np.exp(K, out=K)
     np.fill_diagonal(K, 1.0)
     return K
 
 
 def rbf_cross_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel values between the rows of A and the rows of B."""
-    return _rbf(A, B, np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B),
-                gamma)
-
-
-def _rbf(
-    A: np.ndarray, B: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray, gamma: float
-) -> np.ndarray:
-    """exp(-gamma * max(sq_a_i + sq_b_j - 2 a_i.b_j, 0)), built in place.
-
-    The same operations in the same order as the plain expression, but
-    only the result and A @ B.T are alive at the peak, not three arrays.
-    """
-    K = np.add.outer(sq_a, sq_b)
-    inner = A @ B.T
-    inner *= 2.0
-    K -= inner
-    del inner
-    np.maximum(K, 0.0, out=K)
+    K = sq_distances(A, B)
     K *= -gamma
     return np.exp(K, out=K)
+
+
+@dataclass(frozen=True)
+class Distances:
+    """Squared distances among the rows of [X; X_added], kept in blocks,
+    so that X plus a few added rows costs only the added rows' distances.
+    The blocks must come from ``sq_distances`` on one grid: only exact
+    distances are the same whichever block computed them.
+    """
+
+    base: np.ndarray  # (n, n): among the rows of X
+    cross: np.ndarray | None = None  # (g, n): from each added row to X
+    added: np.ndarray | None = None  # (g, g): among the added rows
+
+    @property
+    def rows(self) -> int:
+        return len(self.base) + (0 if self.added is None else len(self.added))
+
+
+def pair_gram(distances: Distances, idx: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma D) among the rows ``idx`` (ascending) of [X; X_added],
+    unit diagonal pinned exactly.
+
+    Each block of the pair is gathered with ``take`` from the block of
+    ``distances`` that holds it, and a block the pair covers whole is not
+    copied: nothing beyond the pair's own Gram is built.
+    """
+    n = len(distances.base)
+    split = int(np.searchsorted(idx, n))
+    old, new = idx[:split], idx[split:] - n
+    base = _take(distances.base, old, old)
+    if new.size:
+        K = np.empty((idx.size, idx.size))
+        K[:split, :split] = base
+        K[split:, :split] = _take(distances.cross, new, old)
+        K[:split, split:] = K[split:, :split].T
+        K[split:, split:] = _take(distances.added, new, new)
+        K *= -gamma
+    elif base is distances.base:  # every row of X
+        K = np.multiply(base, -gamma)
+    else:
+        K = base
+        K *= -gamma
+    np.exp(K, out=K)
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+def _take(D: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """D[rows][:, cols] for ascending indices; an axis that keeps every
+    index is not copied."""
+    if rows.size < D.shape[0]:
+        D = D.take(rows, 0)
+    return D if cols.size == D.shape[1] else D.take(cols, 1)
 
 
 def smo_solve(
@@ -122,8 +189,9 @@ def smo_solve(
         g_max = up_item(i)
         g_min = low_item(low_argmin())
         if g_max - g_min <= tol:
-            # Confirm on a fresh gradient before stopping.
-            subtract(y, K @ (np.array(alpha) * y), score)
+            # Confirm on a fresh gradient before stopping; alpha is not
+            # on the grid, so the sum runs in einsum's fixed order.
+            subtract(y, np.einsum("ij,j->i", K, np.array(alpha) * y), score)
             add(score, up_mask, up)
             add(score, low_mask, low)
             if up.max() - low.min() <= tol:

@@ -29,7 +29,8 @@ from .corpus import (
 )
 from .eda import EdaConfig, eda_augment
 from .errors import ConfigError, InvariantError, TrainingError, open_input
-from .features import featurize
+from .features import featurize, grid_step, to_grid
+from .kernels import Distances, sq_distances
 from .metrics import evaluate, save_predictions
 from .pipeline import (
     augment_training_set, back_translate, count_unchanged, sequential_augment,
@@ -302,6 +303,7 @@ class Resources:
     syn_stages: list[SynStage]
     translation: object | None
     cache: TranslationCache
+    grid_step: float | None  # features.grid_step of the embeddings, if featurized
 
 
 def load_resources(config: ExperimentConfig, *,
@@ -312,7 +314,8 @@ def load_resources(config: ExperimentConfig, *,
     paraphrase map; Syn the inputs of its ``syn_stages``; BT the
     translation provider and the cache file. A run that featurizes (a
     grid, ``featurize=True``) reads the embeddings too; the augment
-    command passes ``featurize=False``.
+    command passes ``featurize=False``. An embedding dimension too large
+    for exact distances is a ResourceError here, before any training.
     """
     stages = config.syn_stages if "Syn" in config.groups else ()
     datasets = {
@@ -349,6 +352,7 @@ def load_resources(config: ExperimentConfig, *,
         translation=make_translation_provider(
             config.translation, config.source_lang) if back_translates else None,
         cache=TranslationCache(config.cache_path if back_translates else None),
+        grid_step=grid_step(embeddings.matrix) if featurize else None,
     )
 
 
@@ -413,9 +417,11 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                                              list[dict], list[tuple]]:
     """Run the cells of one unit key; write nothing.
 
-    The subset, split, features and p=0 model are computed once and
-    shared by every group's baseline row and by every p>0 cell, which
-    featurizes only its generated sentences. Returns the rows in cell
+    The subset, split, features (rounded to the resources' grid), the
+    squared distances among the training rows and the p=0 model are
+    computed once and shared by every group's baseline row and by every
+    p>0 cell, which featurizes only its generated sentences and computes
+    only their distances. Returns the rows in cell
     order, the unit's run-log records and one prediction payload
     ``(cell, y_true, y_pred)`` per cell that has predictions.
     """
@@ -432,11 +438,13 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     )
     if set(pair.train_indices) & set(pair.test_indices):
         raise InvariantError(f"train and test sets overlap in subset {key}")
-    X_test = featurize(pair.test, resources.embeddings)
-    X_train = featurize(pair.train, resources.embeddings)
+    emb, step = resources.embeddings, resources.grid_step
+    X_test = to_grid(featurize(pair.test, emb), step)
+    X_train = to_grid(featurize(pair.train, emb), step)
+    D_train = sq_distances(X_train, X_train)
     y_test = pair.test.labels()
     baseline_preds, baseline_error = _train_predict(
-        config.svm, X_train, pair.train.labels(), X_test
+        config.svm, X_train, pair.train.labels(), X_test, Distances(D_train)
     )
     baseline_f1: float | None = None
     if baseline_preds is not None:
@@ -468,11 +476,12 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                     name=pair.train.name,
                     examples=aug.dataset.examples[len(pair.train):],
                 )
-                X_augmented = np.vstack(
-                    [X_train, featurize(generated, resources.embeddings)]
-                )
+                X_new = to_grid(featurize(generated, emb), step)
                 preds, error = _train_predict(
-                    config.svm, X_augmented, aug.dataset.labels(), X_test
+                    config.svm, np.vstack([X_train, X_new]),
+                    aug.dataset.labels(), X_test,
+                    Distances(D_train, sq_distances(X_new, X_train),
+                              sq_distances(X_new, X_new)),
                 )
         if preds is not None:
             row.f1 = evaluate(y_test, preds).weighted_f1
@@ -499,10 +508,12 @@ def run_unit(config: ExperimentConfig, resources: Resources,
 
 
 def _train_predict(svm: SvmConfig, X_train: np.ndarray, y_train: list[str],
-                   X_test: np.ndarray) -> tuple[list[str] | None, str | None]:
+                   X_test: np.ndarray, distances: Distances
+                   ) -> tuple[list[str] | None, str | None]:
     """(test-set predictions, None), or (None, the message) on TrainingError."""
     try:
-        return svm_predict(svm_train(X_train, y_train, svm), X_test), None
+        model = svm_train(X_train, y_train, svm, distances=distances)
+        return svm_predict(model, X_test), None
     except TrainingError as exc:
         return None, str(exc)
 

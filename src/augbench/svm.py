@@ -1,7 +1,11 @@
 """RBF-kernel SVM: one-vs-one training via SMO, and prediction.
 
-Training is deterministic: the solver draws no random numbers. The Gram
-matrix is computed once per fit and shared by all pairwise machines.
+Training is deterministic: the solver draws no random numbers. Each
+pairwise machine solves on its own Gram matrix, exp(-gamma D) of its
+rows, gathered from squared distances D that are computed once per fit,
+or once per grid unit and passed in (``kernels.Distances``): a unit's
+trainings share the distances among its original rows and add only
+those of their generated rows.
 """
 
 from __future__ import annotations
@@ -74,12 +78,14 @@ def gamma_scale(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmModel:
+def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
+              distances: kernels.Distances | None = None) -> SvmModel:
     """Train one-vs-one RBF machines with the SMO solver.
 
-    Raises TrainingError for single-class input, non-finite features and
-    a solve that reaches the solver's iteration ceiling; gamma="scale"
-    additionally requires non-degenerate features.
+    ``distances`` holds the squared distances among the rows of X (by
+    default computed here). Raises TrainingError for single-class input,
+    non-finite features and a solve that reaches the solver's iteration
+    ceiling; gamma="scale" additionally requires non-degenerate features.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(y):
@@ -92,17 +98,17 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
     if len(classes) < 2:
         raise TrainingError("training data has a single class")
     gamma = gamma_scale(X) if cfg.gamma == "scale" else float(cfg.gamma)
-    K = kernels.rbf_gram(X, gamma)
+    if distances is None:
+        distances = kernels.Distances(kernels.sq_distances(X, X))
+    elif distances.rows != len(y):
+        raise ValueError(f"distances of {distances.rows} rows for {len(y)} labels")
     y_arr = np.asarray(y)
     machines: list[BinaryMachine] = []
     for a, bcls in combinations(classes, 2):
         idx = np.nonzero((y_arr == a) | (y_arr == bcls))[0]
         y_signed = np.where(y_arr[idx] == a, 1.0, -1.0)
-        # A pair that covers every row (any two-class set) solves on K itself.
-        K_sub = K
-        if idx.size < len(y):
-            K_sub = K[np.ix_(idx, idx)]  # a fresh C-contiguous copy
-        alpha, bias = kernels.smo_solve(K_sub, y_signed, cfg.C, cfg.tol)
+        alpha, bias = kernels.smo_solve(
+            kernels.pair_gram(distances, idx, gamma), y_signed, cfg.C, cfg.tol)
         sv = np.nonzero(alpha > _SUPPORT_EPS)[0]
         if sv.size == 0:
             raise TrainingError(
@@ -123,9 +129,13 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig()) -> SvmM
 
 
 def decision_values(model: SvmModel, machine: BinaryMachine, X: np.ndarray) -> np.ndarray:
-    """f(x) of one machine for the rows of X, a C-contiguous float64 matrix."""
+    """f(x) of one machine for the rows of X, a C-contiguous float64 matrix.
+
+    The kernel values are not on the feature grid, so the sum runs in
+    einsum's fixed order, not in the BLAS's thread-dependent one.
+    """
     K = kernels.rbf_cross_gram(X, machine.support_vectors, model.gamma)
-    return K @ machine.dual_coef + machine.bias
+    return np.einsum("ij,j->i", K, machine.dual_coef) + machine.bias
 
 
 def svm_predict(model: SvmModel, X: np.ndarray) -> list[str]:

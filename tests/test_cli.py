@@ -78,6 +78,21 @@ class TestRunGridCommand:
         assert payload["cells"] == 1
         assert os.path.exists(os.path.join(out_dir, "results.csv"))
 
+    def test_dimension_without_exact_distances_exit_4(self, tmp_path, capsys,
+                                                      demo_config):
+        _, cfg = demo_config
+        dim = 2 ** 19 + 1
+        wide = tmp_path / "wide.vec"
+        wide.write_text(f"1 {dim}\nbom" + " 0" * dim + "\n", encoding="utf-8")
+        cfg_path = tmp_path / "wide.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "resources": {**cfg["resources"], "embeddings": str(wide)}}))
+        assert main(["run-grid", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error[resource]: embedding dimension 524289 leaves 15 grid bits")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{}")

@@ -1,16 +1,21 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from augbench import kernels, synthdata
 from augbench.corpus import load_dataset, resample_subset
 from augbench.errors import TrainingError
-from augbench.features import featurize
+from augbench.features import featurize, grid_bits, grid_step, to_grid
 from augbench.resources import load_embeddings
 from augbench.svm import SvmConfig, gamma_scale, svm_train
 from oracles import rbf_kernel
@@ -97,7 +102,7 @@ def reference_smo(K, y, C, tol):
         g_max = up.item(i)
         g_min = low.item(int(low.argmin()))
         if g_max - g_min <= tol:
-            score = y - K @ (alpha * y)
+            score = y - np.einsum("ij,j->i", K, alpha * y)
             np.add(score, masks, out=masked)
             if up.max() - low.min() <= tol:
                 break
@@ -231,6 +236,161 @@ class TestGramAgreement:
             tracemalloc.stop()
         assert K.shape == (n, n)
         assert peak - base <= 2.25 * n * n * 8
+
+
+def on_grid(n, dim, seed):
+    """Normal rows rounded to the feature grid of their own matrix."""
+    raw = np.random.default_rng(seed).normal(size=(n, dim))
+    return to_grid(raw, grid_step(raw))
+
+
+def int_sq_distances(A, B):
+    """Squared distances among rows of Python integers, exactly."""
+    return [[sum((a - b) ** 2 for a, b in zip(ra, rb)) for rb in B] for ra in A]
+
+
+@st.composite
+def grid_integers(draw):
+    """(dim, bits, A, B): integer rows |k| <= 2^bits for a dim up to the
+    largest its bits allow, with rows at the top of the grid and x_j = -x_i."""
+    dim = draw(st.one_of(
+        st.integers(1, 2048),
+        # the largest dim for each of bits 18..25
+        st.sampled_from([2 ** (51 - 2 * b) for b in range(18, 26)]),
+    ))
+    bits = grid_bits(dim)
+    top = 2 ** bits
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.integers(-top, top, size=(draw(st.integers(1, 4)), dim), endpoint=True)
+    B = rng.integers(-top, top, size=(draw(st.integers(1, 4)), dim), endpoint=True)
+    if draw(st.booleans()):
+        A[0] = rng.choice([-top, top], size=dim)
+    if draw(st.booleans()):
+        B[-1] = -A[0]
+    return dim, bits, A, B
+
+
+class TestSqDistancesExact:
+    @given(problem=grid_integers(), e=st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_integer_oracle(self, problem, e):
+        # every product and sum is an integer multiple of s^2 below 2^53
+        dim, bits, A, B = problem
+        s = 2.0 ** (e - bits)
+        for left, right in ((A, B), (A, A)):
+            exact = np.array(int_sq_distances(left.tolist(), right.tolist()),
+                             dtype=np.float64) * (s * s)
+            X = left * s
+            got = kernels.sq_distances(X, X if right is left else right * s)
+            assert got.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("bits", range(16, 26))
+    def test_opposite_rows_at_the_top_of_the_grid(self, bits):
+        # the largest distance a grid allows: 4 dim 2^(2b) s^2 = 2^53 s^2
+        dim = 2 ** (51 - 2 * bits)
+        assert grid_bits(dim) == bits
+        s = 2.0 ** -bits
+        X = np.full((1, dim), 2.0 ** bits * s)
+        D = kernels.sq_distances(np.vstack([X, -X]), np.vstack([X, -X]))
+        top = float(dim * (2 * 2 ** bits) ** 2) * s * s
+        assert D.tolist() == [[0.0, top], [top, 0.0]]
+
+
+def three_blocks(X, n):
+    """Distances of the first n rows of X, extended by the others."""
+    return kernels.Distances(kernels.sq_distances(X[:n], X[:n]),
+                             kernels.sq_distances(X[n:], X[:n]),
+                             kernels.sq_distances(X[n:], X[n:]))
+
+
+class TestPairGram:
+    @pytest.mark.parametrize("n,added,classes,seed", [
+        (40, 8, 3, 0), (60, 12, 2, 1), (145, 30, 3, 2), (300, 60, 3, 3),
+    ])
+    def test_blocks_byte_equal_to_whole_gram(self, n, added, classes, seed):
+        X = on_grid(n + added, 24, seed)
+        labels = np.random.default_rng(seed).integers(0, classes, n + added)
+        whole = kernels.rbf_gram(X, 0.3)
+        distances = three_blocks(X, n)
+        subsets = [np.arange(n + added), np.arange(n), np.arange(n, n + added)]
+        subsets += [np.nonzero(labels != c)[0] for c in range(classes)]
+        for idx in subsets:
+            assert (kernels.pair_gram(distances, idx, 0.3).tobytes()
+                    == whole[np.ix_(idx, idx)].tobytes())
+
+    def test_off_grid_rows_byte_equal_to_whole_gram(self):
+        # with no added rows the one D is computed whole, as rbf_gram does
+        X, _ = make_problem(90, 4, dim=7)
+        whole = kernels.rbf_gram(X, 0.4)
+        distances = kernels.Distances(kernels.sq_distances(X, X))
+        for idx in (np.arange(90), np.arange(0, 90, 3), np.arange(5, 60)):
+            assert (kernels.pair_gram(distances, idx, 0.4).tobytes()
+                    == whole[np.ix_(idx, idx)].tobytes())
+
+    def test_every_row_scales_the_distances_without_changing_them(self):
+        X = on_grid(50, 6, 5)
+        D = kernels.sq_distances(X, X)
+        before = D.tobytes()
+        K = kernels.pair_gram(kernels.Distances(D), np.arange(50), 0.2)
+        assert K is not D and D.tobytes() == before
+
+    def test_svm_train_on_unit_distances_equals_its_own(self):
+        X = on_grid(130, 24, 6)
+        y = [("a", "b", "c")[k] for k in np.argmax(X[:, :3], axis=1)]
+        own = svm_train(X, y)
+        unit = svm_train(X, y, distances=three_blocks(X, 110))
+        assert own.gamma == unit.gamma
+        for a, b in zip(own.machines, unit.machines, strict=True):
+            assert a.dual_coef.tobytes() == b.dual_coef.tobytes()
+            assert a.support_vectors.tobytes() == b.support_vectors.tobytes()
+            assert a.bias == b.bias
+
+    def test_distances_of_other_rows_rejected(self):
+        X = on_grid(30, 4, 7)
+        y = ["a"] * 15 + ["b"] * 15
+        with pytest.raises(ValueError, match="distances of 25 rows"):
+            svm_train(X, y, distances=kernels.Distances(
+                kernels.sq_distances(X[:25], X[:25])))
+
+
+# Hashes what the BLAS thread count could change: the Gram products and
+# every machine's decision values and votes, on grid-rounded features.
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from augbench import kernels
+from augbench.features import grid_step, to_grid
+from augbench.svm import decision_values, svm_predict, svm_train
+digest = hashlib.sha256()
+for n in (145, 300):
+    raw = np.random.default_rng(n).normal(size=(n + 60, 50))
+    X = to_grid(raw, grid_step(raw))
+    train, test = X[:n], X[n:]
+    labels = [("a", "b", "c")[k] for k in np.argmax(train[:, :3], axis=1)]
+    digest.update(kernels.rbf_gram(train, 0.02).tobytes())
+    digest.update(kernels.rbf_cross_gram(test, train, 0.02).tobytes())
+    model = svm_train(train, labels)
+    for machine in model.machines:
+        digest.update(decision_values(model, machine, test).tobytes())
+    digest.update(" ".join(svm_predict(model, test)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_grid_products_identical_under_one_and_two_blas_threads():
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in {"GOTO_NUM_THREADS", "OMP_NUM_THREADS"}}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestSmoAgreement:

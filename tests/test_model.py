@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augbench import kernels
-from augbench.errors import DegenerateFeaturesError, TrainingError
-from augbench.features import featurize
+from augbench.errors import DegenerateFeaturesError, ResourceError, TrainingError
+from augbench.features import featurize, grid_bits, grid_step, to_grid
 from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
@@ -109,6 +109,51 @@ class TestFeaturizeMatchesPerSentenceMean:
         store = make_store({"a": [1.0, 2.0]})
         X = featurize(Dataset(name="d", examples=()), store)
         assert X.shape == (0, 2) and X.dtype == np.float64
+
+
+class TestFeatureGrid:
+    @given(rows=st.lists(
+        st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=3,
+                 max_size=3),
+        min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_rounding_is_idempotent_and_within_half_a_step(self, rows):
+        X = np.array(rows)
+        step = grid_step(X)
+        G = to_grid(X, step)
+        assert to_grid(G, step).tobytes() == G.tobytes()
+        assert np.all(np.abs(G - X) <= step / 2)
+        k = G / step
+        assert np.array_equal(k, np.rint(k))
+        assert np.abs(k).max() <= 2 ** grid_bits(3)
+
+    def test_input_unchanged(self):
+        X = np.array([[0.3, -0.7]])
+        to_grid(X, grid_step(X))
+        assert X.tolist() == [[0.3, -0.7]]
+
+    @pytest.mark.parametrize("top,exponent", [
+        (3.0, 2), (4.0, 3), (0.75, 0), (1e-3, -9), (0.0, 0),
+    ])
+    def test_step_is_a_power_of_two_above_every_entry(self, top, exponent):
+        # 2^e > every |entry|, and b = 25 bits for two components
+        for matrix in ([[top, -top / 2]], [[top / 2, -top]]):
+            assert grid_step(np.array(matrix)) == 2.0 ** (exponent - 25)
+
+    @pytest.mark.parametrize("dim,bits", [
+        (1, 25), (2, 25), (3, 24), (24, 23), (300, 21), (2048, 20),
+        (2049, 19), (2 ** 19, 16),
+    ])
+    def test_bits_from_the_dimension(self, dim, bits):
+        # b = floor((51 - ceil(log2 dim)) / 2), so 4 dim 2^(2b) <= 2^53
+        assert grid_bits(dim) == bits
+        assert 4 * dim * 2 ** (2 * bits) <= 2 ** 53
+
+    def test_dimension_leaving_fewer_than_16_bits_rejected(self):
+        with pytest.raises(ResourceError, match="dim <= 524288"):
+            grid_bits(2 ** 19 + 1)
+        with pytest.raises(ResourceError):
+            grid_step(np.zeros((1, 2 ** 19 + 1)))
 
 
 class TestGammaScale:
@@ -221,14 +266,14 @@ class TestSvm:
     def test_two_class_solves_on_the_gram_matrix_itself(self, monkeypatch):
         # one pair covers every row, so no n x n copy is made
         grams, solved = [], []
-        gram, solve = kernels.rbf_gram, kernels.smo_solve
-        monkeypatch.setattr(kernels, "rbf_gram",
+        gram, solve = kernels.pair_gram, kernels.smo_solve
+        monkeypatch.setattr(kernels, "pair_gram",
                             lambda *a: grams.append(gram(*a)) or grams[-1])
         monkeypatch.setattr(kernels, "smo_solve",
                             lambda K, *a: solved.append(K) or solve(K, *a))
         X, y = make_blobs()
         svm_train(X, y, SvmConfig())
-        assert len(solved) == 1 and solved[0] is grams[0]
+        assert len(grams) == len(solved) == 1 and solved[0] is grams[0]
 
     def test_multiclass_votes(self):
         rng = np.random.default_rng(5)

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from augbench import cli, kernels, report, runner, stats, synthdata
 from augbench.corpus import Dataset, SplitPair, load_dataset
 from augbench.eda import EdaConfig
+from augbench.features import grid_bits, grid_step
 from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, InvariantError, TransportError,
 )
@@ -642,12 +644,43 @@ def count_svm_train(monkeypatch) -> list[int]:
     sizes: list[int] = []
     train = runner.svm_train
 
-    def counted(X, y, cfg):
+    def counted(X, y, cfg, **kwargs):
         sizes.append(len(y))
-        return train(X, y, cfg)
+        return train(X, y, cfg, **kwargs)
 
     monkeypatch.setattr(runner, "svm_train", counted)
     return sizes
+
+
+class TestUnitGrid:
+    def test_one_grid_and_one_distance_matrix_per_unit(self, demo, monkeypatch):
+        config = runner.config_from_dict(
+            {**demo, "datasets": demo["datasets"][:1], "subset_sizes": [80]})
+        resources = runner.load_resources(config)
+        trained, predicted = [], []
+        train, predict = runner.svm_train, runner.svm_predict
+        monkeypatch.setattr(
+            runner, "svm_train", lambda X, y, cfg, **kw:
+            trained.append((X, kw["distances"])) or train(X, y, cfg, **kw))
+        monkeypatch.setattr(runner, "svm_predict", lambda model, X:
+                            predicted.append(X) or predict(model, X))
+        cells = runner.plan_grid(config)
+        runner.run_unit(config, resources, cells)
+        assert len(trained) == 1 + sum(c.aug_pct > 0 for c in cells)
+        # X_test, X_train and each cell's generated rows: one grid
+        step = resources.grid_step
+        assert step == grid_step(resources.embeddings.matrix)
+        for X in [X for X, _ in trained] + predicted:
+            k = X / step
+            assert np.array_equal(k, np.rint(k))
+            assert np.abs(k).max() <= 2 ** grid_bits(resources.embeddings.dim)
+        # the originals' distances are computed once; a cell adds its own
+        base = trained[0][1].base
+        for X, distances in trained:
+            assert distances.base is base
+            assert distances.rows == len(X)
+        assert all(d.cross.shape == (len(X) - len(base), len(base))
+                   for X, d in trained[1:])
 
 
 class TestSharedBaseline:
