@@ -11,7 +11,6 @@ environment and are never logged or echoed.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 import urllib.error
@@ -22,9 +21,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .errors import (
-    ConfigError, DataError, ResourceError, TransportError, open_input,
-)
+from .errors import DataError, ResourceError, TransportError, open_input
 from .resources import EmbeddingStore, nearest_neighbors
 
 
@@ -141,86 +138,13 @@ class _JsonClient:
         )
 
 
-def config_int(value, key: str) -> int:
-    """An integer config value: an int, or a float with no fraction part.
-
-    A bool, a string or any other float is a ConfigError, where ``int()``
-    would quietly run ``true`` as 1, ``"7"`` as 7 and 7.9 as 7.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
-def config_float(value, key: str) -> float:
-    """A real config value: an int or a float, finite as a float.
-
-    A bool, a string, Infinity or NaN (both of which ``json.load`` reads)
-    is a ConfigError, where ``float()`` would run ``true`` as 1.0 and
-    ``"0.5"`` as 0.5.
-    """
-    try:
-        finite = (not isinstance(value, bool)
-                  and isinstance(value, (int, float)) and math.isfinite(value))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ConfigError(f"{key} must be a finite number, not {value!r}")
-    return float(value)
-
-
-def http_options(spec: dict) -> dict:
-    """JSON-client keyword arguments from a provider's ``{"http": {...}}`` section.
-
-    The one parser of that section, for both remote providers. Keys:
-    url (required), key_env, timeout, max_retries, backoff_base and
-    rate_per_second (absent or 0: no cap); any other key is ignored.
-    """
-    try:
-        http = spec["http"]
-        options = {
-            "url": str(http["url"]),
-            "key_env": http.get("key_env"),
-            "timeout": config_float(http.get("timeout", 10.0), "http.timeout"),
-            "max_retries": config_int(http.get("max_retries", 3),
-                                      "http.max_retries"),
-            "backoff_base": config_float(http.get("backoff_base", 0.2),
-                                         "http.backoff_base"),
-            "rate_per_second": config_float(http.get("rate_per_second") or 0,
-                                            "http.rate_per_second"),
-        }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed http provider section: {exc!r}") from exc
-    if (options["timeout"] <= 0 or options["max_retries"] < 0
-            or min(options["backoff_base"], options["rate_per_second"]) < 0):
-        raise ConfigError(f"out-of-range value in http provider section: {http!r}")
-    return options
-
-
 @dataclass(frozen=True)
 class ProviderSpec:
-    """A provider config value as ``provider_spec`` parsed it."""
+    """A provider config value as ``runner.provider_spec`` parsed it."""
 
     kind: str  # "identity", "dict", "stub" or "http"
     path: str = ""  # the file of "dict" and "stub"
-    options: dict | None = None  # the ``http_options`` of "http"
-
-
-# Each provider family's mocks: "identity", or "<kind>:" and a file path.
-_MOCKS = {"translation": ("identity", "dict:"), "contextual": ("stub:",)}
-
-
-def provider_spec(value, family: str) -> ProviderSpec:
-    """The one parser of a provider config value of ``family``."""
-    if isinstance(value, dict) and "http" in value:
-        return ProviderSpec("http", options=http_options(value))
-    if isinstance(value, str):
-        kind, colon, path = value.partition(":")
-        if kind + colon in _MOCKS[family]:
-            return ProviderSpec(kind, path)
-    raise ConfigError(f"unusable {family} provider config: {value!r}")
+    options: dict | None = None  # the JSON client's keyword arguments of "http"
 
 
 class TranslationProvider:
@@ -280,7 +204,7 @@ class DictTranslationProvider(TranslationProvider):
 
 class HttpTranslationProvider(TranslationProvider):
     """Remote translation service: request {text, source, target}, response
-    {translated}; options as in ``http_options``."""
+    {translated}; options as the config's ``http`` section gives them."""
 
     name = "http"
 

@@ -13,9 +13,13 @@ what each unit made as the unit ends.
 
 from __future__ import annotations
 
+import collections
+import difflib
+import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import time
@@ -36,9 +40,8 @@ from .pipeline import (
     augment_training_set, back_translate, count_unchanged, sequential_augment,
 )
 from .providers import (
-    ProviderSpec, SynStage, TranslationCache, config_float, config_int,
-    make_contextual_provider, make_translation_provider, neighbor_stage,
-    provider_spec,
+    ProviderSpec, SynStage, TranslationCache, make_contextual_provider,
+    make_translation_provider, neighbor_stage,
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
@@ -52,8 +55,8 @@ from .svm import SvmConfig, svm_predict, svm_train
 class DatasetSpec:
     name: str
     path: str
-    text_column: str = "text"
-    label_column: str = "label"
+    text_column: str
+    label_column: str
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class ExperimentConfig:
     aug_percentages: tuple[float, ...]
     rounds: int
     master_seed: int
-    embeddings_path: str
-    ppdb_path: str | None
+    embeddings: str
+    ppdb: str | None
     resource_id: str | None  # free-form provenance tag, logged only
     translation: ProviderSpec | None
     contextual: ProviderSpec | None
@@ -97,177 +100,248 @@ class GridCell:
         return (self.dataset, self.subset_size, self.round)
 
 
+# How a config key is read: ``kind(value, name)`` reads its value, ``name``
+# being its dotted path; ``default`` is its value when it is absent (or
+# null, if the default is None); ``check`` is the interval, as "(0, 1]",
+# that its value or each element of a list value must lie in.
+Key = collections.namedtuple("Key", "kind default check", defaults=(None, None))
+REQUIRED = object()  # the default of a key that a config must state
+RETIRED = None  # the entry of a key that is accepted and ignored
+
+
+def config_int(value, key: str) -> int:
+    """An int, or a float with no fraction part; ``int()`` would quietly
+    run ``true``, ``"7"`` and 7.9 as 1, 7 and 7."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def config_float(value, key: str) -> float:
+    """A finite int or float; ``float()`` would run ``true`` and ``"0.5"``
+    as 1.0 and 0.5, and ``json.load`` reads Infinity and NaN."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (OverflowError, TypeError):  # an int beyond floats, or no number
+        pass
+    raise ConfigError(f"{key} must be a finite number, not {value!r}")
+
+
+def _string(value, key: str, what: str = "a string") -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
+# open() would take an int for a file descriptor
+_path = functools.partial(_string, what="a string path")
+
+
+def _as_is(value, key: str):
+    return value
+
+
+def _array(item=_as_is, unique: bool = False):
+    """The kind of a list (not a string, which would iterate as its
+    characters) whose elements ``item`` reads; ``unique`` drops repeats."""
+    def kind(value, key: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, not {value!r}")
+        items = [item(v, key) for v in value]
+        return tuple(dict.fromkeys(items) if unique else items)
+    return kind
+
+
+def _dataset_specs(value, key: str) -> tuple[DatasetSpec, ...]:
+    return tuple(DatasetSpec(**_walk(d, DATASET, f"{key}[{i}]"))
+                 for i, d in enumerate(_array()(value, key)))
+
+
+# Each provider family's mocks: "identity", or "<kind>:" and a file path.
+_MOCKS = {"translation": ("identity", "dict:"), "contextual": ("stub:",)}
+
+
+def provider_spec(value, key: str) -> ProviderSpec:
+    """A provider of the family that ends ``key``: a mock's name, or
+    {"http": the JSON client's options}, which HTTP reads."""
+    family = key.rpartition(".")[2]
+    if isinstance(value, dict) and "http" in value:
+        options = _walk(value, HTTP)["http"]
+        if options["url"] is None:
+            raise ConfigError("malformed http provider section: KeyError('url')")
+        return ProviderSpec("http", options=options)
+    if isinstance(value, str):
+        kind, colon, path = value.partition(":")
+        if kind + colon in _MOCKS[family]:
+            return ProviderSpec(kind, path)
+    raise ConfigError(f"unusable {family} provider config: {value!r}")
+
+
+# The keys of a config, nested as its sections are. The ranges of eda.*
+# and svm.* are EdaConfig's and SvmConfig's; config_from_dict checks the
+# rules across keys.
+CONFIG = {
+    "datasets": Key(_dataset_specs, REQUIRED),
+    "groups": Key(_array(), REQUIRED),
+    "subset_sizes": Key(_array(config_int, unique=True), REQUIRED, "[1, inf)"),
+    "aug_percentages": Key(_array(config_float, unique=True), REQUIRED,
+                           "[0, 1]"),
+    "rounds": Key(config_int, REQUIRED, "[1, inf)"),
+    "master_seed": Key(config_int, REQUIRED),
+    "resources": {
+        "embeddings": Key(_path, REQUIRED),
+        "ppdb": Key(_path),
+        "resource_id": Key(_as_is),
+    },
+    "providers": {
+        "translation": Key(provider_spec),
+        "contextual": Key(provider_spec),
+        "pivot": Key(_string, "en"),
+        "source_lang": Key(_string, "pt"),
+        "syn_rate": Key(config_float, 0.1, "(0, 1]"),
+        "syn_stages": Key(_array()),
+        "embedding_neighbors_k": Key(config_int, 5),
+    },
+    "eda": {
+        "alpha": Key(config_float, EdaConfig.alpha),
+        "n_aug": Key(config_int, EdaConfig.n_aug),
+        "op_mode": Key(_as_is, EdaConfig.op_mode),
+    },
+    "svm": {
+        "C": Key(config_float, SvmConfig.C),
+        # a mode name is SvmConfig's to check
+        "gamma": Key(lambda v, k: v if isinstance(v, str) else config_float(v, k),
+                     SvmConfig.gamma),
+        "tol": Key(config_float, SvmConfig.tol),
+    },
+    "split_ratio": Key(config_float, 0.75, "(0, 1)"),
+    "cache_path": Key(_path),
+    "workers": RETIRED,
+    "share_subsets_across_groups": RETIRED,
+}
+# The keys of each element of datasets.
+DATASET = {
+    "name": Key(_string, REQUIRED),
+    "path": Key(_path, REQUIRED),
+    "text_column": Key(_string, "text"),
+    "label_column": Key(_string, "label"),
+}
+# A remote provider of either family; its url is required.
+HTTP = {"http": {
+    "url": Key(_string),
+    "key_env": Key(_string),
+    "timeout": Key(config_float, 10.0, "(0, inf)"),
+    "max_retries": Key(config_int, 3, "[0, inf)"),
+    "backoff_base": Key(config_float, 0.2, "[0, inf)"),
+    # null, like 0, is no cap
+    "rate_per_second": Key(lambda v, k: config_float(v or 0, k), 0.0,
+                           "[0, inf)"),
+    "max_in_flight": RETIRED,
+}}
+
+
+def _inside(value: float, interval: str) -> bool:
+    low, high = map(float, interval[1:-1].split(", "))
+    return ((low < value) if interval[0] == "(" else (low <= value)) and (
+        (value < high) if interval[-1] == ")" else (value <= high))
+
+
+def _walk(raw, table: dict, where: str = "") -> dict:
+    """The values of ``table``'s keys in the mapping ``raw`` found at
+    ``where`` ("" for a whole config), a section's as a dict. A key that
+    the table does not list is a ConfigError naming the nearest it lists."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a mapping, not {raw!r}")
+    prefix = f"{where}." if where else ""
+    listed = [prefix + key for key, k in table.items() if k is not RETIRED]
+    for key in raw:
+        if key not in table:
+            near = difflib.get_close_matches(prefix + key, listed, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {prefix + key!r}{hint}")
+    out = {}
+    for key, k in table.items():
+        name = prefix + key
+        if isinstance(k, dict):
+            value = _walk(raw.get(key, {}), k, name)
+        elif k is RETIRED:
+            continue
+        elif key not in raw or raw[key] is None and k.default is None:
+            if k.default is REQUIRED:
+                raise ConfigError(f"{name} is required")
+            value = k.default
+        else:
+            value = k.kind(raw[key], name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if k.check and not _inside(item, k.check):
+                    raise ConfigError(f"{name} {item} outside {k.check}")
+        out[key] = value
+    return out
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of a config file; a repeated key, whose last value
+    ``json.load`` would keep, is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate the declarative JSON experiment config."""
     try:
         with open_input(path, "config", ConfigError) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(raw)
 
 
-def _section(raw: dict, key: str) -> dict:
-    """The mapping at ``key`` of a config, {} when it is absent."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, not {value!r}")
-    return value
-
-
-def _array(value, key: str) -> list | tuple:
-    """A list config value; a string, which would iterate as its
-    characters, or a mapping is a ConfigError."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, not {value!r}")
-    return value
-
-
-def _dataset_spec(d, i: int) -> DatasetSpec:
-    """``datasets[i]``: its name and columns must be strings; its path is
-    checked with the other paths."""
-    key = f"datasets[{i}]"
-    if not isinstance(d, dict):
-        raise ConfigError(f"{key} must be a mapping, not {d!r}")
-    spec = DatasetSpec(
-        name=d["name"], path=d["path"],
-        text_column=d.get("text_column", "text"),
-        label_column=d.get("label_column", "label"),
-    )
-    for name in ("name", "text_column", "label_column"):
-        value = getattr(spec, name)
-        if not isinstance(value, str):
-            raise ConfigError(f"{key}.{name} must be a string, not {value!r}")
-    return spec
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    try:
-        datasets = tuple(
-            _dataset_spec(d, i)
-            for i, d in enumerate(_array(raw["datasets"], "datasets"))
-        )
-        groups = tuple(dict.fromkeys(_array(raw["groups"], "groups")))
-        sizes = tuple(dict.fromkeys(
-            config_int(n, "subset_sizes")
-            for n in _array(raw["subset_sizes"], "subset_sizes")))
-        pcts = tuple(dict.fromkeys(
-            config_float(p, "aug_percentages")
-            for p in _array(raw["aug_percentages"], "aug_percentages")))
-        rounds = config_int(raw["rounds"], "rounds")
-        master_seed = config_int(raw["master_seed"], "master_seed")
-        resources = _section(raw, "resources")
-        providers = _section(raw, "providers")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc!r}") from exc
-    if not datasets:
-        raise ConfigError("config needs at least one dataset")
-    if len({d.name for d in datasets}) != len(datasets):
+    """The config ``raw`` states, read by CONFIG. The rules across keys
+    hold whatever the groups, so a bad value fails before any input is read."""
+    v = _walk(raw, CONFIG)
+    resources, providers = v.pop("resources"), v.pop("providers")
+    groups, ppdb = v["groups"], resources["ppdb"]
+    for key in ("datasets", "groups", "subset_sizes"):
+        if not v[key]:
+            raise ConfigError(f"{key} must not be empty")
+    if len({d.name for d in v["datasets"]}) != len(v["datasets"]):
         raise ConfigError("dataset names must be unique")
-    if not groups:
-        raise ConfigError("config needs at least one augmentation group")
     unknown = [g for g in groups if g not in GROUPS]
     if unknown:
         raise ConfigError(f"unknown augmentation group(s) {unknown}; use {GROUPS}")
-    if not sizes or any(n < 1 for n in sizes):
-        raise ConfigError("subset_sizes must be non-empty positive integers")
-    if 0.0 not in pcts:
+    groups = v["groups"] = tuple(dict.fromkeys(groups))
+    if 0.0 not in v["aug_percentages"]:
         raise ConfigError("aug_percentages must contain 0 (baselines are required)")
-    if any(not 0.0 <= p <= 1.0 for p in pcts):
-        raise ConfigError("aug_percentages must lie in [0, 1]")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
-    embeddings_path = resources.get("embeddings")
-    if not embeddings_path:
-        raise ConfigError("resources.embeddings is required")
-    ppdb_path = resources.get("ppdb")
-    if ppdb_path is None and ("EDA" in groups or "Syn" in groups):
+    if ppdb is None and ("EDA" in groups or "Syn" in groups):
         raise ConfigError("resources.ppdb is required for EDA and Syn groups")
-    translation = providers.get("translation")
-    if translation is None and "BT" in groups:
+    if providers["translation"] is None and "BT" in groups:
         raise ConfigError("providers.translation is required for the BT group")
-    contextual = providers.get("contextual")
-    stages = providers.get("syn_stages")
+    stages = providers["syn_stages"]
     if stages is None:
-        stages = ["ppdb", "embedding"] + (["contextual"] if contextual else [])
-    stages = _array(stages, "providers.syn_stages")
-    pivot = providers.get("pivot", "en")
-    source_lang = providers.get("source_lang", "pt")
-    if not (isinstance(pivot, str) and isinstance(source_lang, str)):
-        raise ConfigError("providers.pivot and providers.source_lang must be strings")
-    eda_raw = _section(raw, "eda")
-    svm_raw = _section(raw, "svm")
-    gamma = svm_raw.get("gamma", SvmConfig.gamma)
-    try:
-        config = ExperimentConfig(
-            datasets=datasets,
-            groups=groups,
-            subset_sizes=sizes,
-            aug_percentages=pcts,
-            rounds=rounds,
-            master_seed=master_seed,
-            embeddings_path=embeddings_path,
-            ppdb_path=ppdb_path,
-            resource_id=resources.get("resource_id"),
-            translation=None if translation is None
-            else provider_spec(translation, "translation"),
-            contextual=provider_spec(contextual, "contextual")
-            if contextual is not None or "contextual" in stages else None,
-            pivot=pivot,
-            source_lang=source_lang,
-            syn_rate=config_float(providers.get("syn_rate", 0.1),
-                                  "providers.syn_rate"),
-            syn_stages=tuple(stages),
-            embedding_neighbors_k=config_int(
-                providers.get("embedding_neighbors_k", 5),
-                "providers.embedding_neighbors_k"),
-            eda=EdaConfig(
-                alpha=config_float(eda_raw.get("alpha", EdaConfig.alpha), "eda.alpha"),
-                n_aug=config_int(eda_raw.get("n_aug", EdaConfig.n_aug), "eda.n_aug"),
-                op_mode=eda_raw.get("op_mode", EdaConfig.op_mode),
-            ),
-            svm=SvmConfig(
-                C=config_float(svm_raw.get("C", SvmConfig.C), "svm.C"),
-                gamma=gamma if isinstance(gamma, str)
-                else config_float(gamma, "svm.gamma"),
-                tol=config_float(svm_raw.get("tol", SvmConfig.tol), "svm.tol"),
-            ),
-            split_ratio=config_float(raw.get("split_ratio", 0.75), "split_ratio"),
-            cache_path=raw.get("cache_path"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_values(config)
-    return config
-
-
-def _check_values(config: ExperimentConfig) -> None:
-    """Reject a value that would fail only once the inputs are read, for
-    every config whatever its groups: an augment command that reads no
-    syn stage still rejects the syn stages a grid could not build."""
-    if not 0.0 < config.syn_rate <= 1.0:
-        raise ConfigError(f"providers.syn_rate {config.syn_rate} outside (0, 1]")
-    if not 0.0 < config.split_ratio < 1.0:
-        raise ConfigError(f"split_ratio {config.split_ratio} outside (0, 1)")
-    # open() would take an int for a file descriptor
-    paths = [(f"datasets[{i}].path", d.path)
-             for i, d in enumerate(config.datasets)]
-    paths.append(("resources.embeddings", config.embeddings_path))
-    paths += [(key, path) for key, path in (("resources.ppdb", config.ppdb_path),
-                                            ("cache_path", config.cache_path))
-              if path is not None]
-    for key, path in paths:
-        if not isinstance(path, str):
-            raise ConfigError(f"{key} must be a string path, not {path!r}")
-    for stage in config.syn_stages:
-        if stage == "ppdb":
-            if not config.ppdb_path:
-                raise ConfigError("syn stage 'ppdb' needs resources.ppdb")
-        elif stage == "embedding":
-            if config.embedding_neighbors_k < 1:
-                raise ConfigError("providers.embedding_neighbors_k must be >= 1")
-        elif stage != "contextual":  # its spec is parsed with the config
+        stages = providers["syn_stages"] = ("ppdb", "embedding") + (
+            ("contextual",) if providers["contextual"] else ())
+    for stage in stages:
+        if stage not in ("ppdb", "embedding", "contextual"):
             raise ConfigError(f"unknown syn stage {stage!r}")
+    if "ppdb" in stages and not ppdb:
+        raise ConfigError("syn stage 'ppdb' needs resources.ppdb")
+    if "embedding" in stages and providers["embedding_neighbors_k"] < 1:
+        raise ConfigError("providers.embedding_neighbors_k must be >= 1")
+    if "contextual" in stages and providers["contextual"] is None:
+        raise ConfigError("unusable contextual provider config: None")
+    try:
+        eda, svm = EdaConfig(**v.pop("eda")), SvmConfig(**v.pop("svm"))
+    except ValueError as exc:  # their range checks
+        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**v, **resources, **providers, eda=eda, svm=svm)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -326,12 +400,12 @@ def load_resources(config: ExperimentConfig, *,
         for spec in config.datasets
     }
     embeddings = (
-        load_embeddings(config.embeddings_path)
+        load_embeddings(config.embeddings)
         if featurize or "embedding" in stages else None
     )
     synmap = (
-        parse_ppdb(config.ppdb_path)
-        if config.ppdb_path and ("EDA" in config.groups or "ppdb" in stages)
+        parse_ppdb(config.ppdb)
+        if config.ppdb and ("EDA" in config.groups or "ppdb" in stages)
         else None
     )
     syn_stages: list[SynStage] = []

@@ -150,6 +150,54 @@ class TestRunGridCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error[config]: {message}\n"
 
+    @pytest.mark.parametrize("command", ["augment", "run-grid"])
+    @pytest.mark.parametrize("change, key, near", [
+        (lambda cfg: {"svm": {"c": 0.001}}, "svm.c", "svm.C"),
+        (lambda cfg: {"svm": {"Gamma": 5}}, "svm.Gamma", "svm.gamma"),
+        (lambda cfg: {"eda": {"naug": 16}}, "eda.naug", "eda.n_aug"),
+        (lambda cfg: {"split_ration": 0.5}, "split_ration", "split_ratio"),
+        (lambda cfg: {"datasets": [{**cfg["datasets"][0], "text_col": "t"}]},
+         "datasets[0].text_col", "datasets[0].text_column"),
+        (lambda cfg: {"providers": {**cfg["providers"], "translation": {
+            "http": {"url": "http://127.0.0.1:9/t", "keyenv": "KEY"}}}},
+         "http.keyenv", "http.key_env"),
+    ], ids=["svm.c", "svm.Gamma", "eda.naug", "split_ration", "text_col",
+            "keyenv"])
+    def test_unknown_key_exit_2_names_nearest_key(self, tmp_path, capsys,
+                                                  demo_config, command,
+                                                  change, key, near):
+        # a misspelled optional key would run the grid on its default
+        _, cfg = demo_config
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps({**cfg, **change(cfg)}))
+        args = ["--dataset", "synth3", "--group", "EDA", "--pct", "0.1"]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "augment" else []),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: unknown config key {key!r}; "
+            f"did you mean {near!r}?\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "run-grid"])
+    @pytest.mark.parametrize("repeat, key", [
+        (', "rounds": 1}', "rounds"),
+        (', "svm": {"C": 1, "C": 2}}', "C"),
+    ], ids=["rounds", "svm.C"])
+    def test_repeated_key_exit_2(self, tmp_path, capsys, demo_config, command,
+                                 repeat, key):
+        # json.load would keep the last value: one round, not the first's
+        _, cfg = demo_config
+        cfg_path = tmp_path / "twice.json"
+        cfg_path.write_text(json.dumps(cfg)[:-1] + repeat)
+        args = ["--dataset", "synth3", "--group", "EDA", "--pct", "0.1"]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "augment" else []),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: repeated config key {key!r}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_bytes(b'{"datasets": "\xff\xfe"}')

@@ -24,10 +24,10 @@ from augbench.pipeline import (
 from augbench.providers import (
     DictTranslationProvider, HttpTranslationProvider,
     IdentityTranslationProvider, ProviderSpec, TranslationCache,
-    contextual_request, http_options, make_contextual_provider,
-    make_translation_provider, neighbor_stage, parse_contextual_response,
-    provider_spec,
+    contextual_request, make_contextual_provider, make_translation_provider,
+    neighbor_stage, parse_contextual_response,
 )
+from augbench.runner import provider_spec
 
 from oracles import (
     load_translation_cache_per_line, synonym_map_from_dict, translate_per_token,
@@ -715,7 +715,7 @@ class TestHttpProviders:
     ])
     def test_bad_http_section_is_config_error(self, http):
         with pytest.raises(ConfigError):
-            http_options({"http": http})
+            provider_spec({"http": http}, "translation")
 
     def test_back_translate_through_http(self, http_server):
         provider = HttpTranslationProvider(url=f"{http_server}/translate")

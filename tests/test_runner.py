@@ -150,9 +150,35 @@ class TestConfig:
         ({"resources": {"embeddings": "e.vec", "ppdb": 0}},
          "resources.ppdb must be a string path, not 0"),
         ({"cache_path": 1}, "cache_path must be a string path, not 1"),
+        ({"datasets": [{"path": "c.csv"}]}, "datasets[0].name is required"),
+        ({"datasets": [{"name": "d"}]}, "datasets[0].path is required"),
+        ({"resources": {"ppdb": "p.txt"}}, "resources.embeddings is required"),
+        ({"split_ration": 0.5},
+         "unknown config key 'split_ration'; did you mean 'split_ratio'?"),
+        ({"svm": {"c": 0.001}}, "unknown config key 'svm.c'; did you mean 'svm.C'?"),
+        ({"svm": {"Gamma": 5}},
+         "unknown config key 'svm.Gamma'; did you mean 'svm.gamma'?"),
+        ({"eda": {"naug": 16}},
+         "unknown config key 'eda.naug'; did you mean 'eda.n_aug'?"),
+        ({"datasets": [{"name": "d", "path": "c.csv", "text_col": "t"}]},
+         "unknown config key 'datasets[0].text_col'; "
+         "did you mean 'datasets[0].text_column'?"),
+        ({"resources": {"embeddings": "e.vec", "PPDB": "p.txt"}},
+         "unknown config key 'resources.PPDB'; did you mean 'resources.ppdb'?"),
+        ({"providers": {"translation": "identity", "syn_stage": ["ppdb"]}},
+         "unknown config key 'providers.syn_stage'; "
+         "did you mean 'providers.syn_stages'?"),
+        ({"providers": {"translation": {"http": {"url": "u", "keyenv": "K"}}}},
+         "unknown config key 'http.keyenv'; did you mean 'http.key_env'?"),
+        ({"providers": {"translation": {"http": {"url": "u"}, "retries": 2}}},
+         "unknown config key 'retries'"),
+        ({"colour": "blue"}, "unknown config key 'colour'"),
     ], ids=["split_ratio-0", "split_ratio-1", "split_ratio-nan",
             "dataset_path-3", "dataset_path-null", "embeddings-2", "ppdb-0",
-            "cache_path-1"])
+            "cache_path-1", "no-dataset-name", "no-dataset-path",
+            "no-embeddings", "split_ration", "svm.c", "svm.Gamma", "eda.naug",
+            "text_col", "PPDB", "syn_stage", "http-keyenv", "provider-level",
+            "no-near-key"])
     def test_bad_values_rejected_whatever_the_groups(self, demo, change,
                                                      message):
         # BT alone reads neither the paraphrase file nor a syn stage
@@ -160,6 +186,22 @@ class TestConfig:
             with pytest.raises(ConfigError) as info:
                 runner.config_from_dict({**demo, "groups": groups, **change})
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", [
+        "datasets", "groups", "subset_sizes", "aug_percentages", "rounds",
+        "master_seed"])
+    def test_missing_required_key_named(self, demo, key):
+        raw = {name: value for name, value in demo.items() if name != key}
+        with pytest.raises(ConfigError) as info:
+            runner.config_from_dict(raw)
+        assert str(info.value) == f"{key} is required"
+
+    @pytest.mark.parametrize("value", [None, 0])
+    def test_null_or_zero_rate_is_no_cap(self, demo, value):
+        raw = {**demo, "providers": {**demo["providers"], "translation": {
+            "http": {"url": "u", "rate_per_second": value}}}}
+        options = runner.config_from_dict(raw).translation.options
+        assert options["rate_per_second"] == 0.0
 
     @pytest.mark.parametrize("section", ["svm", "eda", "providers", "resources"])
     @pytest.mark.parametrize("value", [[], 5, None, "x"],

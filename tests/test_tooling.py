@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import json
 import pathlib
+import re
 
 import augbench
-from augbench import providers
+from augbench import providers, runner
 
 SRC = pathlib.Path(augbench.__file__).parent
 
@@ -244,9 +246,9 @@ def test_input_files_are_opened_only_by_open_input():
 
 
 # One spec parser: a provider config value is parsed only while the config
-# is parsed, so a bad one is exit 2 before any input is read, and only
-# load_resources builds a provider, from the parsed spec.
-SPEC_PARSING = {"provider_spec", "http_options"}
+# is parsed, by the config table, so a bad one is exit 2 before any input
+# is read, and only load_resources builds a provider, from the parsed spec.
+SPEC_PARSING = {"provider_spec"}
 PROVIDER_MAKERS = {"make_translation_provider", "make_contextual_provider"}
 
 
@@ -265,11 +267,40 @@ def test_spec_call_check_sees_a_second_site():
     ]
 
 
-def test_provider_specs_are_parsed_only_with_the_config():
-    assert _package_calls(SPEC_PARSING) == {
-        ("runner.config_from_dict", "provider_spec"),
-        ("providers.provider_spec", "http_options"),
+def _names(source: str, module: str, names: set[str]) -> set[tuple[str, str]]:
+    """(module.top-level definition, or the module, name) for each use of
+    one of ``names`` as a value: called, or handed on as a table entry."""
+    found = set()
+    for top in ast.parse(source).body:
+        site = f"{module}.{top.name}" if hasattr(top, "name") else module
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in names and isinstance(getattr(node, "ctx", None),
+                                            ast.Load):
+                found.add((site, name))
+    return found
+
+
+def test_spec_name_check_sees_a_second_site():
+    source = (
+        "CONFIG = {'translation': Key(provider_spec)}\n"
+        "def provider_spec(value, key):\n    return value\n"
+        "def load_resources(config):\n"
+        "    return providers.provider_spec(config.c, 'contextual')\n"
+    )
+    assert _names(source, "runner", SPEC_PARSING) == {
+        ("runner", "provider_spec"),
+        ("runner.load_resources", "provider_spec"),
     }
+
+
+def test_provider_specs_are_parsed_only_by_the_config_table():
+    assert {
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _names(path.read_text(encoding="utf-8"), path.stem,
+                           SPEC_PARSING)
+    } == {("runner", "provider_spec")}
 
 
 def test_providers_are_built_only_by_load_resources():
@@ -382,3 +413,64 @@ def test_every_traced_layer_still_exists():
         and cls is not base and "translate" in vars(cls)
     ]
     assert translators
+
+
+# The README's configuration blocks name every key of the config tables,
+# so that a key a user reads about is one the parser accepts.
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _section_blocks(text: str, heading: str) -> tuple[str, list]:
+    """The text of a README section and its jsonc blocks, parsed with
+    their comments (a // after a space) removed."""
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```jsonc\n(.*?)```", section, re.S)
+    return section, [json.loads(re.sub(r"\s//[^\n]*", "", b)) for b in blocks]
+
+
+def _document_keys(value, prefix: str = "") -> set[str]:
+    """Dotted keys of a JSON value; the keys of a list's mappings are
+    named from the list."""
+    if isinstance(value, list):
+        return set().union(*(_document_keys(v, prefix) for v in value))
+    if not isinstance(value, dict):
+        return set()
+    return set().union(*({prefix + k} | _document_keys(v, f"{prefix}{k}.")
+                         for k, v in value.items()))
+
+
+def _table_keys(table: dict, retired: bool = False, prefix: str = "") -> set:
+    """Dotted keys of a config table: the listed ones, or the retired."""
+    keys = set()
+    for key, entry in table.items():
+        if (entry is runner.RETIRED) == retired:
+            keys.add(prefix + key)
+        if isinstance(entry, dict):
+            keys |= _table_keys(entry, retired, f"{prefix}{key}.")
+    return keys
+
+
+def test_document_key_check_sees_nested_keys():
+    _, blocks = _section_blocks(
+        "# x\n## Configuration\n```jsonc\n"
+        '{"a": [{"b": 1}], "c": {"d": "http://x"}}  // note\n```\n## Next\n',
+        "Configuration")
+    assert [_document_keys(b) for b in blocks] == [{"a", "a.b", "c", "c.d"}]
+    table = {"a": runner.Key(None), "c": {"d": runner.Key(None),
+                                         "e": runner.RETIRED}}
+    assert _table_keys(table) == {"a", "c", "c.d"}
+    assert _table_keys(table, retired=True) == {"c.e"}
+
+
+def test_readme_names_exactly_the_config_tables_keys():
+    section, (config, http) = _section_blocks(
+        README.read_text(encoding="utf-8"), "Configuration")
+    assert _document_keys(config) == (
+        _table_keys(runner.CONFIG)
+        | _table_keys(runner.DATASET, prefix="datasets."))
+    assert _document_keys(http) == _table_keys(runner.HTTP)
+    retired = (_table_keys(runner.CONFIG, retired=True)
+               | _table_keys(runner.HTTP, retired=True))
+    assert {key.rsplit(".", 1)[-1] for key in retired} == {
+        "workers", "share_subsets_across_groups", "max_in_flight"}
+    assert all(f"`{key.rsplit('.', 1)[-1]}`" in section for key in retired)
