@@ -130,6 +130,35 @@ def _derive_seed(seed: int, salt: int) -> int:
     return (seed * 6364136223846793005 + 1442695040888963407 + salt) % (1 << 64)
 
 
+def _check_draw(dataset: Dataset, n: int) -> None:
+    if not 1 <= n <= len(dataset):
+        raise DataError(
+            f"{dataset.name}: subset size {n} out of range 1..{len(dataset)}")
+
+
+def _train_size(n: int, ratio: float) -> int:
+    """|train| = round(ratio * n) of a split of n examples; DataError
+    unless n >= 4 and each side gets at least one example."""
+    if n < 4:
+        raise DataError(f"subset of {n} is too small to split")
+    if not 0.0 < ratio < 1.0:
+        raise DataError(f"split ratio {ratio} outside (0, 1)")
+    target_train = int(ratio * n + 0.5)
+    if not 1 <= target_train <= n - 1:
+        side = "test" if target_train else "train"
+        raise DataError(f"split ratio {ratio} of a subset of {n} "
+                        f"leaves the {side} side empty")
+    return target_train
+
+
+def check_subset(dataset: Dataset, n: int, ratio: float) -> None:
+    """DataError unless a size-n subset of ``dataset`` can be drawn and
+    split at ``ratio``: 4 <= n <= |dataset|, and both sides of the split
+    get an example."""
+    _check_draw(dataset, n)
+    _train_size(n, ratio)
+
+
 def resample_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
     """Uniform sample of n examples without replacement.
 
@@ -137,8 +166,7 @@ def resample_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
     two distinct labels is rejected and redrawn with a derived seed, up
     to a bounded number of retries.
     """
-    if not 1 <= n <= len(dataset):
-        raise DataError(f"subset size {n} out of range 1..{len(dataset)}")
+    _check_draw(dataset, n)
     if len(dataset.label_set) < 2:
         raise DataError(f"{dataset.name}: fewer than two labels; cannot subset")
     current = seed
@@ -194,12 +222,7 @@ def _allocate_stratified(
 
 def split(subset: Dataset, ratio: float = 0.75, seed: int = 0) -> SplitPair:
     """Stratified train/test split with |train| = round(ratio * N)."""
-    if len(subset) < 4:
-        raise DataError(f"subset of {len(subset)} is too small to split")
-    if not 0.0 < ratio < 1.0:
-        raise DataError(f"split ratio {ratio} outside (0, 1)")
-    n = len(subset)
-    target_train = int(ratio * n + 0.5)
+    target_train = _train_size(len(subset), ratio)
     by_label: dict[str, list[int]] = {}
     for i, ex in enumerate(subset.examples):
         by_label.setdefault(ex.label, []).append(i)

@@ -65,18 +65,9 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
         )
     significant = [r for r in gains if r.gain > 0 and r.p_value < ALPHA]
 
-    by_group: dict[tuple[str, str], list[float]] = {}
-    by_group_size: dict[tuple[str, str, int], list[float]] = {}
-    for r in gains:
-        for ds in (r.dataset, "ALL"):
-            by_group.setdefault((ds, r.group), []).append(r.gain)
-            by_group_size.setdefault((ds, r.group, r.subset_size), []).append(r.gain)
-    mean_by_group = {
-        k: (sum(v) / len(v), len(v)) for k, v in by_group.items()
-    }
-    mean_by_group_size = {
-        k: (sum(v) / len(v), len(v)) for k, v in by_group_size.items()
-    }
+    mean_by_group = _mean_gains(out_dir, "mean_gain_by_group", gains)
+    mean_by_group_size = _mean_gains(
+        out_dir, "mean_gain_by_group_size", gains, "subset_size")
 
     # best augmented model across rounds per combination; ties go to the
     # earliest round so the report is deterministic
@@ -87,7 +78,6 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
         if cur is None or (r.f1, -r.round) > (cur.f1, -cur.round):
             best_models[combo] = r
 
-    _write_mean_gains(out_dir, mean_by_group, mean_by_group_size)
     _write_screen(out_dir, gains)
     _write_appendix_tables(out_dir, best_models)
     _write_text_summary(
@@ -103,29 +93,27 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
     )
 
 
-def _write_mean_gains(out_dir, mean_by_group, mean_by_group_size) -> None:
-    rows = [
-        [ds, group, repr(mean), str(n)]
-        for (ds, group), (mean, n) in sorted(
-            mean_by_group.items(),
-            key=lambda kv: (kv[0][0], _group_sort_key(kv[0][1])),
-        )
-    ]
+def _mean_gains(out_dir: str, name: str, gains: list[ExperimentResult],
+                *extra: str) -> dict:
+    """(mean gain, models) per (dataset or "ALL", group, *extra fields),
+    in report order: by dataset, then group, then the extra fields.
+    Writes them to ``<name>.csv``."""
+    by_key: dict[tuple, list[float]] = {}
+    for r in gains:
+        tail = tuple(getattr(r, field) for field in extra)
+        for ds in (r.dataset, "ALL"):
+            by_key.setdefault((ds, r.group, *tail), []).append(r.gain)
+    means = {
+        k: (sum(v) / len(v), len(v)) for k, v in sorted(
+            by_key.items(),
+            key=lambda kv: (kv[0][0], _group_sort_key(kv[0][1]), *kv[0][2:]))
+    }
     write_csv(
-        os.path.join(out_dir, "mean_gain_by_group.csv"),
-        ["dataset", "group", "mean_gain", "n_models"], rows,
+        os.path.join(out_dir, f"{name}.csv"),
+        ["dataset", "group", *extra, "mean_gain", "n_models"],
+        ([*map(str, key), repr(mean), str(n)] for key, (mean, n) in means.items()),
     )
-    rows = [
-        [ds, group, str(size), repr(mean), str(n)]
-        for (ds, group, size), (mean, n) in sorted(
-            mean_by_group_size.items(),
-            key=lambda kv: (kv[0][0], _group_sort_key(kv[0][1]), kv[0][2]),
-        )
-    ]
-    write_csv(
-        os.path.join(out_dir, "mean_gain_by_group_size.csv"),
-        ["dataset", "group", "subset_size", "mean_gain", "n_models"], rows,
-    )
+    return means
 
 
 def _write_screen(out_dir, gains: list[ExperimentResult]) -> None:
@@ -165,25 +153,15 @@ def _write_appendix_tables(out_dir, best_models) -> None:
         header = ["subset_size"] + [
             f"{g}_{_fmt(p)}" for g in groups for p in pcts
         ]
-        base_rows, p_rows = [], []
-        for size in sizes:
-            base_row, p_row = [str(size)], [str(size)]
-            for g in groups:
-                for p in pcts:
-                    rec = best_models.get((ds, g, size, p))
-                    base_row.append("" if rec is None else repr(rec.baseline_f1))
-                    p_row.append(
-                        "" if rec is None or rec.p_value is None
-                        else repr(rec.p_value)
-                    )
-            base_rows.append(base_row)
-            p_rows.append(p_row)
-        write_csv(
-            os.path.join(out_dir, f"baseline_table_{ds}.csv"), header, base_rows
-        )
-        write_csv(
-            os.path.join(out_dir, f"pvalue_table_{ds}.csv"), header, p_rows
-        )
+        for table, field in (("baseline_table", "baseline_f1"),
+                             ("pvalue_table", "p_value")):
+            write_csv(os.path.join(out_dir, f"{table}_{ds}.csv"), header, (
+                [str(size)] + [
+                    _fmt(getattr(best_models.get((ds, g, size, p)), field, None))
+                    for g in groups for p in pcts
+                ]
+                for size in sizes
+            ))
 
 
 def _write_text_summary(
@@ -197,9 +175,7 @@ def _write_text_summary(
         "",
         f"mean gain by group (alpha = {ALPHA}):",
     ]
-    for (ds, group), (mean, n) in sorted(
-        mean_by_group.items(), key=lambda kv: (kv[0][0], _group_sort_key(kv[0][1]))
-    ):
+    for (ds, group), (mean, n) in mean_by_group.items():
         lines.append(f"  {ds:>12} {group:<4} mean_gain={mean:+.4f} over {n} models")
     lines.append("")
     if significant:

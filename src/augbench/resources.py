@@ -30,9 +30,6 @@ class SynonymMap:
     def candidates(self, word: str) -> tuple[str, ...]:
         return self.entries.get(word, ())
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -102,9 +99,6 @@ class EmbeddingStore:
                 self.matrix[start:start + step], axis=1)
         object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_neighbors", {})
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
 
     def __len__(self) -> int:
         return len(self.words)

@@ -8,16 +8,12 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import DataError, open_input
 
 GROUPS = ("EDA", "Syn", "BT")  # augmentation groups, in report order
-
-CSV_COLUMNS = [
-    "dataset", "group", "subset_size", "aug_pct", "round", "status",
-    "f1", "baseline_f1", "gain", "b", "c", "chi2", "p_value",
-]
 
 STATUS_OK = "ok"
 STATUS_AUG_FAILED = "aug_failed"
@@ -44,16 +40,28 @@ class ExperimentResult:
         return (self.dataset, self.group, self.subset_size, self.aug_pct, self.round)
 
 
+# The columns of a results CSV: ExperimentResult's fields, in order.
+CSV_COLUMNS = [f.name for f in fields(ExperimentResult)]
+_VALUES = attrgetter(*CSV_COLUMNS)
+
+
+def _optional(kind):
+    return lambda text: None if text == "" else kind(text)
+
+
+# How a column's text is parsed, by its field's annotation; an empty
+# field of an optional column is None.
+_KINDS = {"str": str, "int": int, "float": float,
+          "int | None": _optional(int), "float | None": _optional(float)}
+_PARSERS = [(f.name, _KINDS[f.type]) for f in fields(ExperimentResult)]
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _parse(text: str, kind):
-    return None if text == "" else kind(text)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -65,12 +73,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
-    write_csv(path, CSV_COLUMNS, (
-        [r.dataset, r.group, str(r.subset_size), _fmt(r.aug_pct),
-         str(r.round), r.status, _fmt(r.f1), _fmt(r.baseline_f1),
-         _fmt(r.gain), _fmt(r.b), _fmt(r.c), _fmt(r.chi2), _fmt(r.p_value)]
-        for r in rows
-    ))
+    write_csv(path, CSV_COLUMNS, (list(map(_fmt, _VALUES(r))) for r in rows))
 
 
 def read_results_csv(path: str) -> list[ExperimentResult]:
@@ -84,21 +87,7 @@ def read_results_csv(path: str) -> list[ExperimentResult]:
                     f"{path}: unexpected results header {reader.fieldnames}"
                 )
             return [
-                ExperimentResult(
-                    dataset=rec["dataset"],
-                    group=rec["group"],
-                    subset_size=int(rec["subset_size"]),
-                    aug_pct=float(rec["aug_pct"]),
-                    round=int(rec["round"]),
-                    status=rec["status"],
-                    f1=_parse(rec["f1"], float),
-                    baseline_f1=_parse(rec["baseline_f1"], float),
-                    gain=_parse(rec["gain"], float),
-                    b=_parse(rec["b"], int),
-                    c=_parse(rec["c"], int),
-                    chi2=_parse(rec["chi2"], float),
-                    p_value=_parse(rec["p_value"], float),
-                )
+                ExperimentResult(*(parse(rec[name]) for name, parse in _PARSERS))
                 for rec in reader
             ]
     except (csv.Error, TypeError, ValueError) as exc:

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import stats
 from .corpus import (
-    Dataset, load_dataset, resample_subset, select_augmentation_targets, split,
+    Dataset, check_subset, load_dataset, resample_subset,
+    select_augmentation_targets, split,
 )
 from .eda import EdaConfig, eda_augment
 from .errors import ConfigError, InvariantError, TrainingError, open_input
@@ -169,10 +170,7 @@ def provider_spec(value, key: str) -> ProviderSpec:
     {"http": the JSON client's options}, which HTTP reads."""
     family = key.rpartition(".")[2]
     if isinstance(value, dict) and "http" in value:
-        options = _walk(value, HTTP)["http"]
-        if options["url"] is None:
-            raise ConfigError("malformed http provider section: KeyError('url')")
-        return ProviderSpec("http", options=options)
+        return ProviderSpec("http", options=_walk(value, HTTP, key)["http"])
     if isinstance(value, str):
         kind, colon, path = value.partition(":")
         if kind + colon in _MOCKS[family]:
@@ -229,9 +227,9 @@ DATASET = {
     "text_column": Key(_string, "text"),
     "label_column": Key(_string, "label"),
 }
-# A remote provider of either family; its url is required.
+# A remote provider of either family.
 HTTP = {"http": {
-    "url": Key(_string),
+    "url": Key(_string, REQUIRED),
     "key_env": Key(_string),
     "timeout": Key(config_float, 10.0, "(0, inf)"),
     "max_retries": Key(config_int, 3, "[0, inf)"),
@@ -606,9 +604,15 @@ class GridRunner:
 
         The only writer of the output directory: each unit's prediction
         files and run-log records are written when the unit ends, and
-        results.csv, in cell order, after the last unit.
+        results.csv, in cell order, after the last unit. A subset size
+        that a dataset cannot be drawn or split at is DataError before
+        the directory is made.
         """
         cells = plan_grid(self.config) if cells is None else cells
+        for name, size in dict.fromkeys(
+                (c.dataset, c.subset_size) for c in cells):
+            check_subset(self.resources.datasets[name], size,
+                         self.config.split_ratio)
         units: dict[tuple, list[GridCell]] = {}
         for cell in cells:
             units.setdefault(cell.unit_key(), []).append(cell)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 
 from augbench import cli, runner, synthdata
 from augbench.cli import main
-from augbench.corpus import load_dataset
+from augbench.corpus import load_dataset, tokenize
 from augbench.errors import ConfigError, DataError, ResourceError
 from augbench.metrics import load_predictions, save_predictions
 from augbench.providers import (
@@ -160,7 +162,8 @@ class TestRunGridCommand:
          "datasets[0].text_col", "datasets[0].text_column"),
         (lambda cfg: {"providers": {**cfg["providers"], "translation": {
             "http": {"url": "http://127.0.0.1:9/t", "keyenv": "KEY"}}}},
-         "http.keyenv", "http.key_env"),
+         "providers.translation.http.keyenv",
+         "providers.translation.http.key_env"),
     ], ids=["svm.c", "svm.Gamma", "eda.naug", "split_ration", "text_col",
             "keyenv"])
     def test_unknown_key_exit_2_names_nearest_key(self, tmp_path, capsys,
@@ -196,6 +199,32 @@ class TestRunGridCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             f"error[config]: repeated config key {key!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run-grid", "train"])
+    @pytest.mark.parametrize("size, ratio, message", [
+        (601, 0.75, "synth3: subset size 601 out of range 1..600"),
+        (2, 0.75, "subset of 2 is too small to split"),
+        (10, 0.95,
+         "split ratio 0.95 of a subset of 10 leaves the test side empty"),
+        (10, 0.04,
+         "split ratio 0.04 of a subset of 10 leaves the train side empty"),
+    ], ids=["above-rows", "below-4", "empty-test", "empty-train"])
+    def test_unusable_subset_exit_3_before_output(self, tmp_path, capsys,
+                                                  demo_config, command, size,
+                                                  ratio, message):
+        # the usable size 80 comes first: its units would have run before
+        # the unusable one failed
+        _, cfg = demo_config
+        cfg_path = tmp_path / "sizes.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "subset_sizes": [80, size], "split_ratio": ratio}))
+        args = ["--dataset", "synth3", "--group", "EDA", "--pct", "0.2",
+                "--size", str(size)]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "train" else []),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error[data]: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
@@ -402,6 +431,49 @@ class TestAugmentCommand(CellCommandChecks):
         ])
         path = tmp_path / out / f"synth3_{group}_augmented.csv"
         return code, path.read_bytes() if code == 0 else None
+
+    @staticmethod
+    def _originals_and_generated(cfg, output: bytes):
+        originals = [tuple(ex) for ex in load_dataset(cfg["datasets"][0]["path"])]
+        rows = [tuple(row) for row in
+                csv.reader(io.StringIO(output.decode("utf-8")))][1:]
+        assert rows[:len(originals)] == originals
+        return originals, rows[len(originals):]
+
+    def test_contextual_stage_draws_from_its_table(self, tmp_path, capsys,
+                                                   demo_config):
+        _, cfg = demo_config
+        table = tmp_path / "contextual.tsv"
+        table.write_text("".join(f"{w}\t{w}_a,{w}_b\n"
+                                 for w in synthdata.VOCABULARY),
+                         encoding="utf-8")
+        replaced = {f"{w}_{s}": w for w in synthdata.VOCABULARY for s in "ab"}
+        code, output = self._augment(tmp_path, {**cfg, "providers": {
+            **cfg["providers"], "contextual": f"stub:{table}",
+            "syn_stages": ["contextual"]}}, "Syn", "ctx")
+        assert code == 0
+        originals, generated = self._originals_and_generated(cfg, output)
+        sources = {(" ".join(tokenize(text)), label)
+                   for text, label in originals}
+        assert len(generated) == 60
+        for text, label in generated:
+            tokens = text.split(" ")
+            # each changed word is a candidate the table lists for it
+            assert any(t in replaced for t in tokens)
+            assert (" ".join(replaced.get(t, t) for t in tokens),
+                    label) in sources
+
+    def test_identity_translation_returns_its_sources(self, tmp_path, capsys,
+                                                      demo_config):
+        _, cfg = demo_config
+        code, output = self._augment(tmp_path, {**cfg, "providers": {
+            **cfg["providers"], "translation": "identity"}}, "BT", "identity")
+        assert code == 0
+        originals, generated = self._originals_and_generated(cfg, output)
+        assert len(generated) == 60
+        # the targets in ascending order: a sub-sequence of the originals
+        remaining = iter(originals)
+        assert all(row in remaining for row in generated)
 
     @pytest.mark.parametrize("missing, reads", [
         ("embeddings", "Syn"),

@@ -113,6 +113,18 @@ class TestLoadEmbeddings:
         with pytest.raises(ResourceError, match="header"):
             load_embeddings(write_lines(tmp_path / "e.vec", ["banana"]))
 
+    @pytest.mark.parametrize("header, message", [
+        ("2 x", "non-integer header ['2', 'x']"),
+        ("2.0 3", "non-integer header ['2.0', '3']"),
+        ("2 0", "dimension 0 < 1"),
+        ("2 -3", "dimension -3 < 1"),
+    ])
+    def test_unusable_header(self, tmp_path, header, message):
+        path = write_lines(tmp_path / "e.vec", [header, "a 1 2 3"])
+        with pytest.raises(ResourceError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_zero_rows(self, tmp_path):
         with pytest.raises(ResourceError, match="zero valid"):
             load_embeddings(write_lines(tmp_path / "e.vec", ["1 3", "a 1 2"]))

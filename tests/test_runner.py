@@ -169,16 +169,25 @@ class TestConfig:
          "unknown config key 'providers.syn_stage'; "
          "did you mean 'providers.syn_stages'?"),
         ({"providers": {"translation": {"http": {"url": "u", "keyenv": "K"}}}},
-         "unknown config key 'http.keyenv'; did you mean 'http.key_env'?"),
+         "unknown config key 'providers.translation.http.keyenv'; "
+         "did you mean 'providers.translation.http.key_env'?"),
         ({"providers": {"translation": {"http": {"url": "u"}, "retries": 2}}},
-         "unknown config key 'retries'"),
+         "unknown config key 'providers.translation.retries'; "
+         "did you mean 'providers.translation.http'?"),
         ({"colour": "blue"}, "unknown config key 'colour'"),
+        ({"datasets": []}, "datasets must not be empty"),
+        ({"groups": []}, "groups must not be empty"),
+        ({"subset_sizes": []}, "subset_sizes must not be empty"),
+        ({"datasets": [{"name": "d", "path": "a.csv"},
+                       {"name": "d", "path": "b.csv"}]},
+         "dataset names must be unique"),
     ], ids=["split_ratio-0", "split_ratio-1", "split_ratio-nan",
             "dataset_path-3", "dataset_path-null", "embeddings-2", "ppdb-0",
             "cache_path-1", "no-dataset-name", "no-dataset-path",
             "no-embeddings", "split_ration", "svm.c", "svm.Gamma", "eda.naug",
             "text_col", "PPDB", "syn_stage", "http-keyenv", "provider-level",
-            "no-near-key"])
+            "no-near-key", "no-datasets", "no-groups", "no-subset_sizes",
+            "repeated-dataset-name"])
     def test_bad_values_rejected_whatever_the_groups(self, demo, change,
                                                      message):
         # BT alone reads neither the paraphrase file nor a syn stage
@@ -268,7 +277,7 @@ class TestConfig:
         (None, {"syn_stages": ["contextual"], "contextual": "table.tsv"},
          "unusable contextual"),
         (None, {"syn_stages": ["contextual"], "contextual": {"http": {}}},
-         "malformed http provider section"),
+         "providers.contextual.http.url is required"),
     ])
     def test_bad_syn_stage_rejected_when_parsed(self, demo, resources,
                                                 providers, match):
@@ -283,9 +292,9 @@ class TestConfig:
         ("bogus", "unusable translation provider config: 'bogus'"),
         (["x"], "unusable translation provider config: ['x']"),
         ("dict", "unusable translation provider config: 'dict'"),
-        ({"http": {}}, "malformed http provider section: KeyError('url')"),
+        ({"http": {}}, "providers.translation.http.url is required"),
         ({"http": {"url": "http://127.0.0.1:9/t", "max_retries": 2.5}},
-         "http.max_retries must be an integer, not 2.5"),
+         "providers.translation.http.max_retries must be an integer, not 2.5"),
     ], ids=["bogus", "list", "dict-no-path", "http-no-url", "max_retries-2.5"])
     def test_bad_translation_spec_rejected_whatever_the_groups(
             self, demo, translation, message):
