@@ -188,8 +188,11 @@ def _allocate_stratified(
     """Per-label train counts summing to target_train.
 
     Every label with >=2 members keeps at least one example on each side
-    of the split when capacity allows; remaining slots go to the largest
-    fractional remainders, ties resolved by label position.
+    of the split when capacity allows. Each label starts at its clamped
+    floor; the slots still short (or over) are then given (or taken) in
+    rounds over the labels by largest fractional remainder, ties by label
+    position: round p moves one slot of each label that still has more
+    than p to spare, until the total is met.
     """
     total = sum(counts)
     ratio = target_train / total
@@ -200,23 +203,15 @@ def _allocate_stratified(
     if sum(hi) < target_train:  # test side cannot keep everything out
         hi = list(counts)
     alloc = [min(max(int(c * ratio), lo[i]), hi[i]) for i, c in enumerate(counts)]
-    remainders = sorted(
+    order = sorted(
         range(len(counts)),
         key=lambda i: (-(counts[i] * ratio - int(counts[i] * ratio)), i),
     )
-    k = 0
-    while sum(alloc) < target_train:
-        i = remainders[k % len(counts)]
-        if alloc[i] < hi[i]:
-            alloc[i] += 1
-        k += 1
-        if k > 4 * len(counts) * (target_train + 1):  # pragma: no cover
-            raise AssertionError("stratified allocation did not converge")
-    while sum(alloc) > target_train:
-        i = remainders[k % len(counts)]
-        if alloc[i] > lo[i]:
-            alloc[i] -= 1
-        k += 1
+    short = target_train - sum(alloc)
+    spare = [hi[i] - a if short > 0 else a - lo[i] for i, a in enumerate(alloc)]
+    rounds = [i for p in range(max(spare)) for i in order if spare[i] > p]
+    for i in rounds[:abs(short)]:
+        alloc[i] += 1 if short > 0 else -1
     return alloc
 
 

@@ -8,6 +8,7 @@ contributes (support / total) * F1, with precision/recall/F1 defined as
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -35,24 +36,15 @@ def evaluate(y_true: Sequence[str], y_pred: Sequence[str]) -> EvalReport:
         raise ValueError(f"length mismatch: {len(y_true)} vs {len(y_pred)}")
     if not y_true:
         raise ValueError("empty evaluation input")
-    labels = sorted(set(y_true) | set(y_pred))
-    tp = {c: 0 for c in labels}
-    fp = {c: 0 for c in labels}
-    fn = {c: 0 for c in labels}
-    support = {c: 0 for c in labels}
-    for t, p in zip(y_true, y_pred):
-        support[t] += 1
-        if t == p:
-            tp[t] += 1
-        else:
-            fp[p] += 1
-            fn[t] += 1
+    support = Counter(y_true)
+    predicted = Counter(y_pred)
+    tp = Counter(t for t, p in zip(y_true, y_pred) if t == p)
     total = len(y_true)
     per_class: dict[str, ClassScores] = {}
     weighted = 0.0
-    for c in labels:
-        prec = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
-        rec = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
+    for c in sorted(support.keys() | predicted.keys()):
+        prec = tp[c] / predicted[c] if predicted[c] else 0.0
+        rec = tp[c] / support[c] if support[c] else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
         per_class[c] = ClassScores(prec, rec, f1, support[c])
         weighted += (support[c] / total) * f1

@@ -247,17 +247,30 @@ def _inside(value: float, interval: str) -> bool:
         (value < high) if interval[-1] == ")" else (value <= high))
 
 
+def _listed(table: dict, prefix: str) -> list[str]:
+    """The dotted path of every key ``table`` lists, its sections' keys
+    included."""
+    paths = []
+    for key, k in table.items():
+        if k is not RETIRED:
+            paths.append(prefix + key)
+            if isinstance(k, dict):
+                paths += _listed(k, f"{prefix}{key}.")
+    return paths
+
+
 def _walk(raw, table: dict, where: str = "") -> dict:
     """The values of ``table``'s keys in the mapping ``raw`` found at
     ``where`` ("" for a whole config), a section's as a dict. A key that
-    the table does not list is a ConfigError naming the nearest it lists."""
+    the table does not list is a ConfigError naming the nearest key it
+    lists at or below ``where``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config'} must be a mapping, not {raw!r}")
     prefix = f"{where}." if where else ""
-    listed = [prefix + key for key, k in table.items() if k is not RETIRED]
     for key in raw:
         if key not in table:
-            near = difflib.get_close_matches(prefix + key, listed, n=1)
+            near = difflib.get_close_matches(
+                prefix + key, _listed(table, prefix), n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
             raise ConfigError(f"unknown config key {prefix + key!r}{hint}")
     out = {}
@@ -318,14 +331,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     groups = v["groups"] = tuple(dict.fromkeys(groups))
     if 0.0 not in v["aug_percentages"]:
         raise ConfigError("aug_percentages must contain 0 (baselines are required)")
-    if ppdb is None and ("EDA" in groups or "Syn" in groups):
-        raise ConfigError("resources.ppdb is required for EDA and Syn groups")
+    if ppdb is None and "EDA" in groups:
+        raise ConfigError("resources.ppdb is required for the EDA group")
     if providers["translation"] is None and "BT" in groups:
         raise ConfigError("providers.translation is required for the BT group")
     stages = providers["syn_stages"]
     if stages is None:
         stages = providers["syn_stages"] = ("ppdb", "embedding") + (
             ("contextual",) if providers["contextual"] else ())
+    elif not stages:
+        raise ConfigError("providers.syn_stages must not be empty")
     for stage in stages:
         if stage not in ("ppdb", "embedding", "contextual"):
             raise ConfigError(f"unknown syn stage {stage!r}")
@@ -625,11 +640,9 @@ class GridRunner:
                 "entries": len(synmap), "skipped": synmap.skipped},
         }]
         for name, ds in self.resources.datasets.items():
-            hist: dict[str, int] = {}
-            for ex in ds:
-                hist[ex.label] = hist.get(ex.label, 0) + 1
             inputs.append({"event": "dataset", "name": name, "rows": len(ds),
-                           "skipped_rows": ds.skipped, "label_histogram": hist})
+                           "skipped_rows": ds.skipped,
+                           "label_histogram": collections.Counter(ds.labels())})
         predictions_dir = os.path.join(self.out_dir, "predictions")
         os.makedirs(predictions_dir, exist_ok=True)
         results: dict[tuple, ExperimentResult] = {}

@@ -9,6 +9,7 @@ each augmented model with its baseline through ``contingency`` and
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -53,19 +54,14 @@ def contingency(
         raise ValueError("prediction vectors must have equal lengths")
     if not y_true:
         raise ValueError("empty prediction vectors")
-    a = b = c = d = 0
-    for t, pb, pa in zip(y_true, pred_baseline, pred_augmented):
-        base_ok = pb == t
-        aug_ok = pa == t
-        if base_ok and aug_ok:
-            a += 1
-        elif base_ok:
-            b += 1
-        elif aug_ok:
-            c += 1
-        else:
-            d += 1
-    return ContingencyTable(a=a, b=b, c=c, d=d)
+    pairs = Counter(
+        (pb == t, pa == t)
+        for t, pb, pa in zip(y_true, pred_baseline, pred_augmented)
+    )
+    return ContingencyTable(
+        a=pairs[True, True], b=pairs[True, False],
+        c=pairs[False, True], d=pairs[False, False],
+    )
 
 
 def chi2_sf_1dof(x: float) -> float:

@@ -12,7 +12,9 @@ import numpy as np
 from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import DataError, ResourceError
 from augbench.features import _mean_vectors
+from augbench.metrics import ClassScores, EvalReport
 from augbench.resources import SynonymMap
+from augbench.stats import ContingencyTable
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -194,3 +196,83 @@ def word_vector(store, word: str) -> np.ndarray | None:
     """The embedding row of ``word``, or None when it is out of vocabulary."""
     ids = store.token_ids([word])
     return store.matrix[ids[0]] if ids else None
+
+
+def allocate_stratified_cursor(counts: list[int], target_train: int) -> list[int]:
+    """Per-label train counts by a modular cursor over the remainder
+    order: bounds and floor as ``corpus._allocate_stratified``, then one
+    step per visited label that has room, until the total is met. The
+    reference for the round-by-round selection."""
+    total = sum(counts)
+    ratio = target_train / total
+    lo = [1 if c >= 2 else 0 for c in counts]
+    hi = [c - 1 if c >= 2 else c for c in counts]
+    if sum(lo) > target_train:
+        lo = [0] * len(counts)
+    if sum(hi) < target_train:
+        hi = list(counts)
+    alloc = [min(max(int(c * ratio), lo[i]), hi[i]) for i, c in enumerate(counts)]
+    remainders = sorted(
+        range(len(counts)),
+        key=lambda i: (-(counts[i] * ratio - int(counts[i] * ratio)), i),
+    )
+    k = 0
+    while sum(alloc) < target_train:
+        i = remainders[k % len(counts)]
+        if alloc[i] < hi[i]:
+            alloc[i] += 1
+        k += 1
+        if k > 4 * len(counts) * (target_train + 1):
+            raise RuntimeError("stratified allocation did not converge")
+    while sum(alloc) > target_train:
+        i = remainders[k % len(counts)]
+        if alloc[i] > lo[i]:
+            alloc[i] -= 1
+        k += 1
+    return alloc
+
+
+def evaluate_tallies(y_true, y_pred) -> EvalReport:
+    """Per-class scores and weighted F1 from tp/fp/fn/support tallies
+    kept in one pass: the reference for ``metrics.evaluate``."""
+    labels = sorted(set(y_true) | set(y_pred))
+    tp = {c: 0 for c in labels}
+    fp = {c: 0 for c in labels}
+    fn = {c: 0 for c in labels}
+    support = {c: 0 for c in labels}
+    for t, p in zip(y_true, y_pred):
+        support[t] += 1
+        if t == p:
+            tp[t] += 1
+        else:
+            fp[p] += 1
+            fn[t] += 1
+    total = len(y_true)
+    per_class = {}
+    weighted = 0.0
+    for c in labels:
+        prec = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
+        rec = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        per_class[c] = ClassScores(prec, rec, f1, support[c])
+        weighted += (support[c] / total) * f1
+    return EvalReport(per_class=per_class, weighted_f1=weighted,
+                      predictions=tuple(y_pred))
+
+
+def contingency_branches(y_true, pred_baseline, pred_augmented) -> ContingencyTable:
+    """McNemar table by one four-way branch per index: the reference for
+    ``stats.contingency``."""
+    a = b = c = d = 0
+    for t, pb, pa in zip(y_true, pred_baseline, pred_augmented):
+        base_ok = pb == t
+        aug_ok = pa == t
+        if base_ok and aug_ok:
+            a += 1
+        elif base_ok:
+            b += 1
+        elif aug_ok:
+            c += 1
+        else:
+            d += 1
+    return ContingencyTable(a=a, b=b, c=c, d=d)

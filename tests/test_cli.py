@@ -201,6 +201,26 @@ class TestRunGridCommand:
             f"error[config]: repeated config key {key!r}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["augment", "train", "run-grid"])
+    def test_empty_syn_stages_exit_2_before_output(self, tmp_path, capsys,
+                                                   demo_config, command):
+        # the grid's EDA cells would have run before its first Syn cell
+        _, cfg = demo_config
+        cfg_path = tmp_path / "no_stages.json"
+        cfg_path.write_text(json.dumps({
+            **cfg, "groups": ["EDA", "Syn"],
+            "providers": {**cfg["providers"], "syn_stages": []}}))
+        args = {"augment": ["--dataset", "synth3", "--group", "Syn",
+                            "--pct", "0.1"],
+                "train": ["--dataset", "synth3", "--group", "Syn",
+                          "--size", "80", "--pct", "0.2"],
+                "run-grid": []}[command]
+        assert main([command, "--config", str(cfg_path), *args,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: providers.syn_stages must not be empty\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run-grid", "train"])
     @pytest.mark.parametrize("size, ratio, message", [
         (601, 0.75, "synth3: subset size 601 out of range 1..600"),
@@ -579,6 +599,23 @@ class TestTrainCommand(CellCommandChecks):
         if code:
             assert "cannot open paraphrase file" in capsys.readouterr().err
             return
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+        with open(out / "run_log.jsonl", encoding="utf-8") as fh:
+            first = json.loads(fh.readline())
+        assert first["event"] == "resources" and first["ppdb"] is None
+
+    def test_syn_without_ppdb_stage_needs_no_ppdb(self, tmp_path, capsys,
+                                                  demo_config):
+        _, cfg = demo_config
+        resources = {k: v for k, v in cfg["resources"].items() if k != "ppdb"}
+        cfg_path = tmp_path / "syn_only.json"
+        cfg_path.write_text(json.dumps({
+            **cfg, "groups": ["Syn"], "resources": resources,
+            "providers": {**cfg["providers"], "syn_stages": ["embedding"]}}))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--dataset", "synth3",
+                     "--group", "Syn", "--size", "300", "--pct", "0.2",
+                     "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ok"
         with open(out / "run_log.jsonl", encoding="utf-8") as fh:
             first = json.loads(fh.readline())

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augbench.corpus import (
-    Dataset, LabeledExample, load_dataset, resample_subset,
+    Dataset, LabeledExample, _allocate_stratified, load_dataset, resample_subset,
     select_augmentation_targets, split, tokenize,
 )
 from augbench.errors import DataError
 
 from conftest import write_csv
-from oracles import load_dataset_dictreader
+from oracles import allocate_stratified_cursor, load_dataset_dictreader
 
 
 def make_dataset(labels):
@@ -256,6 +256,18 @@ class TestSplit:
         assert set(pair.train_indices) | set(pair.test_indices) == set(range(n))
         # every label with >=2 members keeps a foothold in train
         assert pair.train.label_set == ds.label_set
+
+    @given(
+        counts=st.lists(st.integers(min_value=1, max_value=60),
+                        min_size=1, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_allocation_matches_cursor(self, counts, data):
+        target = data.draw(st.integers(min_value=0, max_value=sum(counts)))
+        alloc = _allocate_stratified(counts, target)
+        assert alloc == allocate_stratified_cursor(counts, target)
+        assert sum(alloc) == target
 
 
 class TestSelectTargets:

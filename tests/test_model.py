@@ -14,7 +14,7 @@ from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
-from oracles import rbf_kernel, sentence_vector, word_vector
+from oracles import evaluate_tallies, rbf_kernel, sentence_vector, word_vector
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -368,6 +368,22 @@ class TestEvaluate:
             assert evaluate(y_true, y_pred).weighted_f1 == brute_force_weighted_f1(
                 y_true, y_pred
             )
+
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcdef")),
+                       min_size=1, max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tallies_bit_for_bit(self, pairs):
+        def bits(report):
+            return ([(c, s.precision.hex(), s.recall.hex(), s.f1.hex(),
+                      s.support) for c, s in report.per_class.items()],
+                    report.weighted_f1.hex(), report.predictions)
+
+        y_true = [t for t, _ in pairs]
+        y_pred = [p for _, p in pairs]
+        assert bits(evaluate(y_true, y_pred)) == bits(
+            evaluate_tallies(y_true, y_pred))
 
 
 def reference_save_predictions(path, y_true, y_pred):

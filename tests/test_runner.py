@@ -173,11 +173,13 @@ class TestConfig:
          "did you mean 'providers.translation.http.key_env'?"),
         ({"providers": {"translation": {"http": {"url": "u"}, "retries": 2}}},
          "unknown config key 'providers.translation.retries'; "
-         "did you mean 'providers.translation.http'?"),
+         "did you mean 'providers.translation.http.max_retries'?"),
         ({"colour": "blue"}, "unknown config key 'colour'"),
         ({"datasets": []}, "datasets must not be empty"),
         ({"groups": []}, "groups must not be empty"),
         ({"subset_sizes": []}, "subset_sizes must not be empty"),
+        ({"providers": {"translation": "identity", "syn_stages": []}},
+         "providers.syn_stages must not be empty"),
         ({"datasets": [{"name": "d", "path": "a.csv"},
                        {"name": "d", "path": "b.csv"}]},
          "dataset names must be unique"),
@@ -187,7 +189,7 @@ class TestConfig:
             "no-embeddings", "split_ration", "svm.c", "svm.Gamma", "eda.naug",
             "text_col", "PPDB", "syn_stage", "http-keyenv", "provider-level",
             "no-near-key", "no-datasets", "no-groups", "no-subset_sizes",
-            "repeated-dataset-name"])
+            "no-syn_stages", "repeated-dataset-name"])
     def test_bad_values_rejected_whatever_the_groups(self, demo, change,
                                                      message):
         # BT alone reads neither the paraphrase file nor a syn stage

@@ -11,6 +11,7 @@ from augbench.results import ExperimentResult
 from augbench.stats import (
     ContingencyTable, TestResult, chi2_sf_1dof, contingency, mcnemar,
 )
+from oracles import contingency_branches
 
 
 def row(dataset="d", group="EDA", size=500, pct=0.05, rnd=0, f1=0.8,
@@ -43,6 +44,15 @@ class TestContingency:
             p1 = [rng.choice("ab") for _ in range(n)]
             p2 = [rng.choice("ab") for _ in range(n)]
             assert contingency(y, p1, p2).total == n
+
+    @given(
+        rows=st.lists(st.tuples(*[st.sampled_from("abc")] * 3),
+                      min_size=1, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_branches(self, rows):
+        y, base, aug = (list(col) for col in zip(*rows))
+        assert contingency(y, base, aug) == contingency_branches(y, base, aug)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -6,22 +6,45 @@ import json
 import pathlib
 import re
 
+import pytest
+
 import augbench
 from augbench import providers, runner
 
 SRC = pathlib.Path(augbench.__file__).parent
 
 
+def _is_assert(node: ast.AST) -> bool:
+    """An assert statement, or ``raise AssertionError`` (bare or called):
+    an invariant that names no error type of its own."""
+    if isinstance(node, ast.Raise):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(node, ast.Assert)
+
+
 def test_no_assert_statements_in_package():
     # python -O strips assert statements, so an invariant written as one
-    # would silently stop being checked.
+    # would silently stop being checked; a raised AssertionError is the
+    # same check in disguise.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if _is_assert(node)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("assert x\n", True),
+    ("raise AssertionError\n", True),
+    ("raise AssertionError('no')\n", True),
+    ("raise InvariantError('no')\n", False),
+    ("raise\n", False),
+])
+def test_assert_forms_detected(source, found):
+    assert any(map(_is_assert, ast.walk(ast.parse(source)))) is found
 
 
 def _unused_module_imports(source: str) -> list[str]:
