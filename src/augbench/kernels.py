@@ -14,12 +14,14 @@ keeps the gradient of the dual up to date, updates the maximal violator
 in I_up together with the I_low partner that promises the largest
 decrease of the objective, and stops when the maximal-violating-pair
 gap is at most ``tol``. It draws no random numbers, so a solve is a
-function of its inputs alone. Everything is plain NumPy; the curvature
-row of each working-set index is computed once per solve, as LIBSVM
-caches kernel rows. The loop makes each NumPy call cheap to enter (0-d
-scalar operands, positional outputs, bound methods) without changing an
-operation or its order, so its alphas and bias are bit-identical to the
-plain loop that ``tests/test_kernels.py`` keeps as its oracle.
+function of its inputs alone. Everything is plain NumPy, and at the
+grid's sizes an iteration costs what its NumPy calls cost to enter, so
+the loop makes few: a row of 1/sqrt(curvature) per working-set index,
+cached as LIBSVM caches kernel rows, picks the partner in one multiply,
+and the gap is tested only when the chosen pair's own gap is within
+``tol`` (``smo_solve`` states both rules). On every solve the tests and
+the demo grid make, its alphas and bias are bit-identical to the plain
+loop that ``tests/test_kernels.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -142,6 +144,13 @@ def smo_solve(
     from scratch before returning, so rounding in the running updates
     cannot report a solve as converged when it is not.
 
+    Each iteration picks i = argmax of -y G over I_up, then the partner
+    j = argmax over I_low of b_t / sqrt(a_t), with b_t = m - (-y G)_t and
+    a_t = K_ii + K_tt - 2 K_it floored at 1e-12, which in exact arithmetic
+    is the t that maximises b_t^2 / a_t, LIBSVM's rule. Since
+    M <= -y G_j, the gap m - M is at least b_j, so M is computed only when
+    b_j <= tol; the stop decision is the one the full test makes.
+
     ``max_iter`` is a safety ceiling on pair updates, by default LIBSVM's
     max(10_000_000, 100 n). Reaching it raises TrainingError.
     """
@@ -153,7 +162,8 @@ def smo_solve(
         max_iter = max(10_000_000, 100 * n)
     alpha = [0.0] * n  # a list: its reads and writes are the loop's cheapest
     k_diag = np.ascontiguousarray(np.diag(K))
-    labels = y.tolist()
+    diag = _shared_floats(k_diag)
+    labels = _shared_floats(y)
     rows = list(K)  # row views, so a lookup builds no view
     # score = -y * G; with alpha = 0 the gradient is -e, so score = y.
     score = y.copy()
@@ -170,25 +180,42 @@ def smo_solve(
     # Scalar operands live in 0-d arrays, and outputs are passed by
     # position where NumPy allows it: a ufunc call that converts a Python
     # float, or parses an out= keyword, costs about 0.5 us more.
-    zero = np.zeros(())
+    one = np.ones(())
     minus_two = np.full((), -2.0)
     tau = np.full((), _TAU)
     top = np.empty(())  # g_max
     coef = np.empty(())  # a row's coefficient in the score update
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    maximum, square, divide = np.maximum, np.square, np.divide
     up_argmax, up_item = up.argmax, up.item
     low_argmin, low_item = low.argmin, low.item
-    gain_argmax, score_item = gain.argmax, score.item
-    curves: dict[int, np.ndarray] = {}  # i -> max(K_ii + K_tt - 2 K_it, _TAU)
+    gain_argmax = gain.argmax
+    # i -> 1 / sqrt(max(K_ii + K_tt - 2 K_it, _TAU)) for every t; about
+    # one iteration in eight sees a new i.
+    inverse_roots: dict[int, np.ndarray] = {}
     iterations = 0
     while True:
         add(score, up_mask, up)
         add(score, low_mask, low)
         i = int(up_argmax())
         g_max = up_item(i)
-        g_min = low_item(low_argmin())
-        if g_max - g_min <= tol:
+        K_i = rows[i]
+        inverse_root = inverse_roots.get(i)
+        if inverse_root is None:
+            inverse_root = multiply(K_i, minus_two)
+            add(inverse_root, k_diag, inverse_root)
+            add(inverse_root, diag[i], inverse_root)
+            np.maximum(inverse_root, tau, out=inverse_root)
+            np.sqrt(inverse_root, inverse_root)
+            np.divide(one, inverse_root, inverse_root)
+            inverse_roots[i] = inverse_root
+        top[()] = g_max
+        subtract(top, low, gain)  # -inf outside I_low, where low is +inf
+        multiply(gain, inverse_root, gain)
+        j = int(gain_argmax())
+        # Unless I_low is empty, j is in it, where low adds a zero to score:
+        # b is g_max - score_j, and the gap is at least b.
+        b = g_max - low_item(j)
+        if b <= tol and g_max - low_item(low_argmin()) <= tol:
             # Confirm on a fresh gradient before stopping; alpha is not
             # on the grid, so the sum runs in einsum's fixed order.
             subtract(y, np.einsum("ij,j->i", K, np.array(alpha) * y), score)
@@ -200,26 +227,13 @@ def smo_solve(
         if iterations >= max_iter:
             raise TrainingError(
                 f"SMO did not reach tol {tol:g} in {max_iter} iterations "
-                f"(gap {g_max - g_min:.3g})"
+                f"(gap {g_max - low.min():.3g})"
             )
         iterations += 1
-        # Second-order partner: maximise b^2 / a over I_low with b > 0,
-        # where b = g_max - score_t and a = K_ii + K_tt - 2 K_it.
-        K_i = rows[i]
-        top[()] = g_max
-        subtract(top, low, gain)  # -inf outside I_low
-        maximum(gain, zero, out=gain)  # NumPy deprecates a positional out here
-        square(gain, gain)
-        # a_it depends on i only; about one iteration in eight sees a new i.
-        curve = curves.get(i)
-        if curve is None:
-            curve = multiply(K_i, minus_two)
-            add(curve, k_diag, curve)
-            add(curve, k_diag[i], curve)
-            maximum(curve, tau, out=curve)
-            curves[i] = curve
-        divide(gain, curve, gain)
-        j = int(gain_argmax())
+        # a_ij as the row above computes it, in Python floats.
+        a = K_i.item(j) * -2.0 + diag[j] + diag[i]
+        if a < _TAU:
+            a = _TAU
         # LIBSVM's clipped pair update, as a step t >= 0 along the feasible
         # direction alpha_i += y_i t, alpha_j -= y_j t; a step stopped by a
         # bound lands on it exactly. The comparisons below pick what
@@ -230,7 +244,7 @@ def smo_solve(
         a_j = alpha[j]
         room_i = C - a_i if y_i > 0 else a_i
         room_j = a_j if y_j > 0 else C - a_j
-        step = (g_max - score_item(j)) / curve.item(j)
+        step = b / a
         if room_i < step:
             step = room_i
         if room_j < step:
@@ -276,6 +290,16 @@ def smo_solve(
             low_mask[j] = -0.0 if new_j < C else np.inf
     alpha = np.array(alpha)
     return alpha, _bias(alpha, y, score, C)
+
+
+def _shared_floats(values: np.ndarray) -> list[float]:
+    """values.tolist() with one float object per distinct nonzero value
+    (equal nonzero floats have equal bits), so that the labels (+-1) and
+    an RBF diagonal (all 1) cost the solver a pointer per entry. It reads
+    one value at a time: a full tolist() would be the solve's peak at
+    small n."""
+    shared: dict[float, float] = {}
+    return [shared.setdefault(v, v) if v else v for v in map(float, values)]
 
 
 def _bias(alpha: np.ndarray, y: np.ndarray, score: np.ndarray, C: float) -> float:

@@ -118,7 +118,7 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
             BinaryMachine(
                 class_pos=a,
                 class_neg=bcls,
-                support_vectors=np.ascontiguousarray(X[idx][sv]),
+                support_vectors=X[idx[sv]],
                 dual_coef=alpha[sv] * y_signed[sv],
                 bias=float(bias),
             )

@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -115,14 +116,12 @@ def test_demo_outputs_equal_golden(tmp_path, monkeypatch, capsys):
     got = demo_outputs(tmp_path)
     capsys.readouterr()
     want = read_golden()
-    assert len(want) == 1 + 1 + 9 + 3 + 1
+    assert len(want) == 15  # results, manifest, run log, 9 report files, 3 CSVs
     if got != want:
         pytest.fail(mismatch_message(got, want), pytrace=False)
 
 
 def write_golden() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         try:

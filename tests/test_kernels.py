@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from augbench import kernels, synthdata
+from augbench import kernels, runner, synthdata
 from augbench.corpus import load_dataset, resample_subset
 from augbench.errors import TrainingError
 from augbench.features import featurize, grid_bits, grid_step, to_grid
@@ -495,6 +495,13 @@ class TestSmoAgreement:
         with pytest.raises(TrainingError, match="did not reach tol"):
             svm_train(X, labels, SvmConfig())
 
+    def test_iteration_ceiling_message_states_the_gap(self, random_problem):
+        # at alpha = 0, -y G = y: the gap is 1 - (-1)
+        X, y = random_problem
+        K = kernels.rbf_gram(X, 0.5)
+        with pytest.raises(TrainingError, match=r"in 0 iterations \(gap 2\)"):
+            kernels.smo_solve(K, y, 10.0, 1e-3, max_iter=0)
+
 
 @pytest.fixture(scope="module")
 def demo_problems(tmp_path_factory):
@@ -547,3 +554,32 @@ class TestSmoOnDemoProblems:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             kernels.smo_solve(K, y, C, tol)
+
+
+def test_grid_unit_solves_byte_equal_to_uncached_loop(tmp_path, monkeypatch):
+    """Every Gram one seed-7 demo unit solves, solved again by the plain
+    loop. Its BT rows are exact copies of their sources, so these Grams
+    hold repeated rows, and partner gains tie."""
+    config = runner.config_from_dict(synthdata.make_demo(str(tmp_path)))
+    cells = [c for c in runner.plan_grid(config)
+             if c.unit_key() == ("synth3", 600, 0)]
+    solve = kernels.smo_solve
+    solved = []
+
+    def checked(K, y, C, tol, **kwargs):
+        alpha, bias = solve(K, y, C, tol, **kwargs)
+        ref_alpha, ref_bias = reference_smo(K, y, C, tol)
+        solved.append((len(y), len(np.unique(K, axis=0)),
+                       alpha.tobytes() == ref_alpha.tobytes() and bias == ref_bias))
+        return alpha, bias
+
+    monkeypatch.setattr(kernels, "smo_solve", checked)
+    resources = runner.load_resources(config)
+    try:
+        rows, _, _ = runner.run_unit(config, resources, cells)
+    finally:
+        resources.cache.close()
+    assert [r.status for r in rows] == ["ok"] * len(cells)
+    assert len(solved) == 3 * (1 + 3)  # three pairs: the baseline, EDA, Syn, BT
+    assert any(distinct < n for n, distinct, _ in solved)
+    assert [n for n, _, same in solved if not same] == []
