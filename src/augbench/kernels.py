@@ -1,12 +1,15 @@
-"""Hot numeric kernels: squared distances, RBF Gram matrices and the SMO
+"""Hot numeric kernels: squared distances, RBF kernel values and the SMO
 dual solver.
 
 On features rounded to one grid (``features.to_grid``) every squared
 distance is exact, so a distance computed once, in any block, serves
-every training that uses it, with the same bits under any BLAS thread
-count. The two products whose operands are not on the grid, the
-solver's stop-check gradient and ``svm.decision_values``, are summed in
-one fixed order by ``np.einsum``.
+every training and prediction that uses it, with the same bits under
+any BLAS thread count. Every kernel value is exp(-gamma D) gathered
+from such distances: ``rbf_gram`` builds a training pair's Gram matrix
+and ``rbf_cross_gram`` the values from test rows to support vectors;
+none is computed from features. The two products whose operands are
+not on the grid, the solver's stop-check gradient and
+``svm.decision_values``, are summed in one fixed order by ``np.einsum``.
 
 The solver is SMO with LIBSVM's second-order working-set selection
 (WSS2: Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2011). It
@@ -54,22 +57,6 @@ def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(D, 0.0, out=D)
 
 
-def rbf_gram(X: np.ndarray, gamma: float) -> np.ndarray:
-    """Gram matrix exp(-gamma * ||x_i - x_j||^2); unit diagonal pinned exactly."""
-    K = sq_distances(X, X)
-    K *= -gamma
-    np.exp(K, out=K)
-    np.fill_diagonal(K, 1.0)
-    return K
-
-
-def rbf_cross_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel values between the rows of A and the rows of B."""
-    K = sq_distances(A, B)
-    K *= -gamma
-    return np.exp(K, out=K)
-
-
 @dataclass(frozen=True)
 class Distances:
     """Squared distances among the rows of [X; X_added], kept in blocks,
@@ -87,7 +74,7 @@ class Distances:
         return len(self.base) + (0 if self.added is None else len(self.added))
 
 
-def pair_gram(distances: Distances, idx: np.ndarray, gamma: float) -> np.ndarray:
+def rbf_gram(distances: Distances, idx: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma D) among the rows ``idx`` (ascending) of [X; X_added],
     unit diagonal pinned exactly.
 
@@ -114,6 +101,27 @@ def pair_gram(distances: Distances, idx: np.ndarray, gamma: float) -> np.ndarray
     np.exp(K, out=K)
     np.fill_diagonal(K, 1.0)
     return K
+
+
+def rbf_cross_gram(blocks: tuple[np.ndarray, ...], cols: np.ndarray,
+                   gamma: float) -> np.ndarray:
+    """exp(-gamma D[:, cols]) for ascending ``cols`` of the squared
+    distances D = [blocks[0] | blocks[1]].
+
+    Each block's columns are taken into their slice of one (m, |cols|)
+    array; D itself is never assembled.
+    """
+    first = blocks[0]
+    n = first.shape[1]
+    split = int(np.searchsorted(cols, n))
+    if split == cols.size:
+        K = first.take(cols, 1)
+    else:
+        K = np.empty((len(first), cols.size))
+        first.take(cols[:split], 1, out=K[:, :split])
+        blocks[1].take(cols[split:] - n, 1, out=K[:, split:])
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def _take(D: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -235,8 +235,8 @@ HTTP = {"http": {
     "max_retries": Key(config_int, 3, "[0, inf)"),
     "backoff_base": Key(config_float, 0.2, "[0, inf)"),
     # null, like 0, is no cap
-    "rate_per_second": Key(lambda v, k: config_float(v or 0, k), 0.0,
-                           "[0, inf)"),
+    "rate_per_second": Key(
+        lambda v, k: 0.0 if v is None else config_float(v, k), 0.0, "[0, inf)"),
     "max_in_flight": RETIRED,
 }}
 
@@ -505,12 +505,12 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     """Run the cells of one unit key; write nothing.
 
     The subset, split, features (rounded to the resources' grid), the
-    squared distances among the training rows and the p=0 model are
-    computed once and shared by every group's baseline row and by every
-    p>0 cell, which featurizes only its generated sentences and computes
-    only their distances. Returns the rows in cell
-    order, the unit's run-log records and one prediction payload
-    ``(cell, y_true, y_pred)`` per cell that has predictions.
+    squared distances among the training rows and from the test rows to
+    them, and the p=0 model are computed once and shared by every
+    group's baseline row and by every p>0 cell, which featurizes only its
+    generated sentences and computes only their distances. Returns the
+    rows in cell order, the unit's run-log records and one prediction
+    payload ``(cell, y_true, y_pred)`` per cell that has predictions.
     """
     first = cells[0]
     key = first.unit_key()
@@ -529,9 +529,11 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     X_test = to_grid(featurize(pair.test, emb), step)
     X_train = to_grid(featurize(pair.train, emb), step)
     D_train = sq_distances(X_train, X_train)
+    D_test = sq_distances(X_test, X_train)
     y_test = pair.test.labels()
     baseline_preds, baseline_error = _train_predict(
-        config.svm, X_train, pair.train.labels(), X_test, Distances(D_train)
+        config.svm, X_train, pair.train.labels(), X_test, Distances(D_train),
+        (D_test,),
     )
     baseline_f1: float | None = None
     if baseline_preds is not None:
@@ -569,6 +571,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                     aug.dataset.labels(), X_test,
                     Distances(D_train, sq_distances(X_new, X_train),
                               sq_distances(X_new, X_new)),
+                    (D_test, sq_distances(X_test, X_new)),
                 )
         if preds is not None:
             row.f1 = evaluate(y_test, preds).weighted_f1
@@ -595,12 +598,16 @@ def run_unit(config: ExperimentConfig, resources: Resources,
 
 
 def _train_predict(svm: SvmConfig, X_train: np.ndarray, y_train: list[str],
-                   X_test: np.ndarray, distances: Distances
+                   X_test: np.ndarray, distances: Distances,
+                   test_distances: tuple[np.ndarray, ...]
                    ) -> tuple[list[str] | None, str | None]:
-    """(test-set predictions, None), or (None, the message) on TrainingError."""
+    """(test-set predictions, None), or (None, the message) on TrainingError.
+
+    ``distances`` are among the training rows, ``test_distances`` the
+    column blocks from the test rows to them."""
     try:
         model = svm_train(X_train, y_train, svm, distances=distances)
-        return svm_predict(model, X_test), None
+        return svm_predict(model, X_test, distances=test_distances), None
     except TrainingError as exc:
         return None, str(exc)
 

@@ -5,7 +5,11 @@ pairwise machine solves on its own Gram matrix, exp(-gamma D) of its
 rows, gathered from squared distances D that are computed once per fit,
 or once per grid unit and passed in (``kernels.Distances``): a unit's
 trainings share the distances among its original rows and add only
-those of their generated rows.
+those of their generated rows. A machine keeps its support vectors as
+indices into the model's training rows. Prediction gathers its kernel
+values the same way, from the squared distances of the test rows to
+those training rows: computed once per call, or once per grid unit and
+passed in.
 """
 
 from __future__ import annotations
@@ -48,17 +52,19 @@ class BinaryMachine:
 
     class_pos: str
     class_neg: str
-    support_vectors: np.ndarray  # (n_sv, dim)
+    support_vectors: np.ndarray  # (n_sv,): ascending indices into SvmModel.X
     dual_coef: np.ndarray  # alpha_i * y_i, |coef| <= C
     bias: float
 
 
 @dataclass(frozen=True)
 class SvmModel:
+    """The machines of one training and its rows X, which prediction reads."""
+
     classes: tuple[str, ...]
     machines: tuple[BinaryMachine, ...]
     gamma: float
-    dim: int
+    X: np.ndarray  # (n, dim): the training rows, float64, C-contiguous
     _class_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -108,7 +114,7 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
         idx = np.nonzero((y_arr == a) | (y_arr == bcls))[0]
         y_signed = np.where(y_arr[idx] == a, 1.0, -1.0)
         alpha, bias = kernels.smo_solve(
-            kernels.pair_gram(distances, idx, gamma), y_signed, cfg.C, cfg.tol)
+            kernels.rbf_gram(distances, idx, gamma), y_signed, cfg.C, cfg.tol)
         sv = np.nonzero(alpha > _SUPPORT_EPS)[0]
         if sv.size == 0:
             raise TrainingError(
@@ -118,37 +124,56 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
             BinaryMachine(
                 class_pos=a,
                 class_neg=bcls,
-                support_vectors=X[idx[sv]],
+                support_vectors=idx[sv],
                 dual_coef=alpha[sv] * y_signed[sv],
                 bias=float(bias),
             )
         )
-    return SvmModel(
-        classes=classes, machines=tuple(machines), gamma=gamma, dim=X.shape[1]
-    )
+    return SvmModel(classes=classes, machines=tuple(machines), gamma=gamma, X=X)
 
 
-def decision_values(model: SvmModel, machine: BinaryMachine, X: np.ndarray) -> np.ndarray:
-    """f(x) of one machine for the rows of X, a C-contiguous float64 matrix.
+def decision_values(model: SvmModel, machine: BinaryMachine,
+                    distances: tuple[np.ndarray, ...]) -> np.ndarray:
+    """f(x) of one machine for the rows whose squared distances to
+    model.X are the column blocks ``distances``.
 
     The kernel values are not on the feature grid, so the sum runs in
     einsum's fixed order, not in the BLAS's thread-dependent one.
     """
-    K = kernels.rbf_cross_gram(X, machine.support_vectors, model.gamma)
+    K = kernels.rbf_cross_gram(distances, machine.support_vectors, model.gamma)
     return np.einsum("ij,j->i", K, machine.dual_coef) + machine.bias
 
 
-def svm_predict(model: SvmModel, X: np.ndarray) -> list[str]:
-    """One-vs-one majority vote; ties break toward earlier model.classes."""
+def svm_predict(model: SvmModel, X: np.ndarray, *,
+                distances: tuple[np.ndarray, ...] | None = None) -> list[str]:
+    """One-vs-one majority vote; ties break toward earlier model.classes.
+
+    ``distances`` holds the column blocks of the squared distances from
+    the rows of X to model.X, [to its first rows | to the rest] (by
+    default one block, computed here once for every machine). Raises
+    ValueError for rows of the wrong width, non-finite values and blocks
+    that do not match X and model.X.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         return []
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise ValueError(f"expected (n, {model.dim}) features, got {X.shape}")
-    X = np.ascontiguousarray(X)
+    dim = model.X.shape[1]
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"expected (n, {dim}) features, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite values in feature matrix")
+    if distances is None:
+        distances = (kernels.sq_distances(np.ascontiguousarray(X), model.X),)
+    else:
+        shapes = [np.shape(block) for block in distances]
+        if (not 1 <= len(shapes) <= 2
+                or any(len(shape) != 2 or shape[0] != len(X) for shape in shapes)
+                or sum(shape[1] for shape in shapes) != len(model.X)):
+            raise ValueError(f"distance blocks {shapes} do not span {len(X)} "
+                             f"rows by {len(model.X)} training rows")
     votes = np.zeros((X.shape[0], len(model.classes)), dtype=np.int64)
     for machine in model.machines:
-        f = decision_values(model, machine, X)
+        f = decision_values(model, machine, distances)
         pos = model._class_index[machine.class_pos]
         neg = model._class_index[machine.class_neg]
         votes[f >= 0.0, pos] += 1

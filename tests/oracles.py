@@ -1,7 +1,7 @@
 """Reference implementations the vectorised and bulk code is checked
-against: scalar formulas, and the straightforward loaders and translator
-that the faster ones replaced. Also the in-memory builders that only
-tests use."""
+against: scalar formulas, the RBF kernels computed from features, and
+the straightforward loaders and translator that the faster ones
+replaced. Also the in-memory builders that only tests use."""
 
 import csv
 import json
@@ -12,6 +12,7 @@ import numpy as np
 from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import DataError, ResourceError
 from augbench.features import _mean_vectors
+from augbench.kernels import sq_distances
 from augbench.metrics import ClassScores, EvalReport
 from augbench.resources import SynonymMap
 from augbench.stats import ContingencyTable
@@ -27,6 +28,22 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
         raise ValueError("gamma must be positive")
     d = x - y
     return math.exp(-gamma * float(np.dot(d, d)))
+
+
+def rbf_gram(X: np.ndarray, gamma: float) -> np.ndarray:
+    """Gram matrix exp(-gamma * ||x_i - x_j||^2); unit diagonal pinned exactly."""
+    K = sq_distances(X, X)
+    K *= -gamma
+    np.exp(K, out=K)
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+def rbf_cross_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """Kernel values between the rows of A and the rows of B."""
+    K = sq_distances(A, B)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:

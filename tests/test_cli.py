@@ -101,6 +101,22 @@ class TestRunGridCommand:
         assert main(["run-grid", "--config", str(cfg_path)]) == 2
         assert "error[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [False, "", [], {}],
+                             ids=["false", "empty-string", "list", "mapping"])
+    def test_non_number_rate_exit_2(self, tmp_path, capsys, demo_config, value):
+        # null is no cap; a value that is merely falsy is not a number
+        _, cfg = demo_config
+        cfg_path = tmp_path / "rate.json"
+        cfg_path.write_text(json.dumps({**cfg, "providers": {
+            **cfg["providers"], "translation": {
+                "http": {"url": "http://localhost:1", "rate_per_second": value}}}}))
+        assert main(["run-grid", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: providers.translation.http.rate_per_second must "
+            f"be a finite number, not {value!r}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["augment", "run-grid"])
     def test_int_path_exit_2(self, tmp_path, capsys, demo_config, command):
         # open() takes an int for a file descriptor: 2 is stderr

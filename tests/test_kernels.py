@@ -18,7 +18,7 @@ from augbench.errors import TrainingError
 from augbench.features import featurize, grid_bits, grid_step, to_grid
 from augbench.resources import load_embeddings
 from augbench.svm import SvmConfig, gamma_scale, svm_train
-from oracles import rbf_kernel
+from oracles import rbf_cross_gram, rbf_gram, rbf_kernel
 
 
 @pytest.fixture
@@ -169,28 +169,28 @@ class TestGramAgreement:
     def test_gram_paths_agree(self, random_problem):
         # vectorised Gram against the scalar kernel, entry by entry
         X, _ = random_problem
-        K = kernels.rbf_gram(X, 0.6)
+        K = rbf_gram(X, 0.6)
         loop = np.array([[rbf_kernel(a, b, 0.6) for b in X] for a in X])
         assert np.allclose(K, loop, rtol=0.0, atol=1e-12)
 
     def test_cross_paths_agree(self, random_problem):
         X, _ = random_problem
-        C = kernels.rbf_cross_gram(X[:7], X, 0.6)
+        C = rbf_cross_gram(X[:7], X, 0.6)
         loop = np.array([[rbf_kernel(a, b, 0.6) for b in X] for a in X[:7]])
         assert np.allclose(C, loop, rtol=0.0, atol=1e-12)
 
     def test_gram_diagonal_is_one(self, random_problem):
         X, _ = random_problem
-        assert np.all(np.diag(kernels.rbf_gram(X, 0.9)) == 1.0)
+        assert np.all(np.diag(rbf_gram(X, 0.9)) == 1.0)
 
     def test_gram_symmetric(self, random_problem):
         X, _ = random_problem
-        K = kernels.rbf_gram(X, 0.4)
+        K = rbf_gram(X, 0.4)
         assert np.array_equal(K, K.T)
 
     def test_values_in_unit_interval(self, random_problem):
         X, _ = random_problem
-        K = kernels.rbf_gram(X, 1.1)
+        K = rbf_gram(X, 1.1)
         assert np.all(K > 0.0) and np.all(K <= 1.0)
 
     @pytest.mark.parametrize("n,m,dim,seed", [
@@ -204,8 +204,8 @@ class TestGramAgreement:
         gamma = 1.0 / (dim * A.var()) if n > 1 else 0.3
         expected = reference_gram(A, A, gamma)
         np.fill_diagonal(expected, 1.0)
-        assert kernels.rbf_gram(A, gamma).tobytes() == expected.tobytes()
-        assert (kernels.rbf_cross_gram(A, B, gamma).tobytes()
+        assert rbf_gram(A, gamma).tobytes() == expected.tobytes()
+        assert (rbf_cross_gram(A, B, gamma).tobytes()
                 == reference_gram(A, B, gamma).tobytes())
 
     def test_repeated_rows_byte_equal(self):
@@ -214,13 +214,13 @@ class TestGramAgreement:
         X = np.vstack([base, base[:7], base[:3]])
         expected = reference_gram(X, X, 0.7)
         np.fill_diagonal(expected, 1.0)
-        assert kernels.rbf_gram(X, 0.7).tobytes() == expected.tobytes()
-        assert (kernels.rbf_cross_gram(X[:10], X, 0.7).tobytes()
+        assert rbf_gram(X, 0.7).tobytes() == expected.tobytes()
+        assert (rbf_cross_gram(X[:10], X, 0.7).tobytes()
                 == reference_gram(X[:10], X, 0.7).tobytes())
 
     @pytest.mark.parametrize("build", [
-        lambda X: kernels.rbf_gram(X, 0.1),
-        lambda X: kernels.rbf_cross_gram(X, X, 0.1),
+        lambda X: rbf_gram(X, 0.1),
+        lambda X: rbf_cross_gram(X, X, 0.1),
     ], ids=["gram", "cross"])
     def test_peak_memory_two_matrices(self, build):
         # the result and X @ X.T; the plain expression holds three n x n
@@ -310,28 +310,28 @@ class TestPairGram:
     def test_blocks_byte_equal_to_whole_gram(self, n, added, classes, seed):
         X = on_grid(n + added, 24, seed)
         labels = np.random.default_rng(seed).integers(0, classes, n + added)
-        whole = kernels.rbf_gram(X, 0.3)
+        whole = rbf_gram(X, 0.3)
         distances = three_blocks(X, n)
         subsets = [np.arange(n + added), np.arange(n), np.arange(n, n + added)]
         subsets += [np.nonzero(labels != c)[0] for c in range(classes)]
         for idx in subsets:
-            assert (kernels.pair_gram(distances, idx, 0.3).tobytes()
+            assert (kernels.rbf_gram(distances, idx, 0.3).tobytes()
                     == whole[np.ix_(idx, idx)].tobytes())
 
     def test_off_grid_rows_byte_equal_to_whole_gram(self):
-        # with no added rows the one D is computed whole, as rbf_gram does
+        # with no added rows the one D is computed whole, as the oracle does
         X, _ = make_problem(90, 4, dim=7)
-        whole = kernels.rbf_gram(X, 0.4)
+        whole = rbf_gram(X, 0.4)
         distances = kernels.Distances(kernels.sq_distances(X, X))
         for idx in (np.arange(90), np.arange(0, 90, 3), np.arange(5, 60)):
-            assert (kernels.pair_gram(distances, idx, 0.4).tobytes()
+            assert (kernels.rbf_gram(distances, idx, 0.4).tobytes()
                     == whole[np.ix_(idx, idx)].tobytes())
 
     def test_every_row_scales_the_distances_without_changing_them(self):
         X = on_grid(50, 6, 5)
         D = kernels.sq_distances(X, X)
         before = D.tobytes()
-        K = kernels.pair_gram(kernels.Distances(D), np.arange(50), 0.2)
+        K = kernels.rbf_gram(kernels.Distances(D), np.arange(50), 0.2)
         assert K is not D and D.tobytes() == before
 
     def test_svm_train_on_unit_distances_equals_its_own(self):
@@ -353,8 +353,36 @@ class TestPairGram:
                 kernels.sq_distances(X[:25], X[:25])))
 
 
-# Hashes what the BLAS thread count could change: the Gram products and
-# every machine's decision values and votes, on grid-rounded features.
+class TestCrossGram:
+    """The prediction gather against the kernel computed from features."""
+
+    @pytest.mark.parametrize("cols", [
+        np.array([0, 3, 17, 39, 40, 41, 47]),  # both blocks
+        np.arange(0, 40, 3),  # the first block only
+        np.array([40, 44, 47]),  # the second block only
+    ], ids=["both", "first", "second"])
+    def test_byte_equal_to_feature_oracle(self, cols):
+        X = on_grid(48 + 20, 24, 8)
+        X_all, X_test = X[:48], X[48:]
+        blocks = (kernels.sq_distances(X_test, X_all[:40]),
+                  kernels.sq_distances(X_test, X_all[40:]))
+        K = kernels.rbf_cross_gram(blocks, cols, 0.3)
+        assert K.flags.c_contiguous
+        assert (K.tobytes()
+                == rbf_cross_gram(X_test, X_all[cols], 0.3).tobytes())
+
+    def test_distances_unchanged(self):
+        X = on_grid(30, 6, 9)
+        D = kernels.sq_distances(X[:10], X[10:])
+        before = D.tobytes()
+        K = kernels.rbf_cross_gram((D,), np.arange(20), 0.2)
+        assert K is not D and D.tobytes() == before
+
+
+# Hashes what the BLAS thread count could change, on grid-rounded
+# features, as a grid unit computes it: the distance blocks of a training
+# set with added rows and of the test rows to it, and every machine's
+# decision values and votes from those blocks.
 THREADS_SCRIPT = """
 import hashlib
 import numpy as np
@@ -363,16 +391,21 @@ from augbench.features import grid_step, to_grid
 from augbench.svm import decision_values, svm_predict, svm_train
 digest = hashlib.sha256()
 for n in (145, 300):
-    raw = np.random.default_rng(n).normal(size=(n + 60, 50))
+    raw = np.random.default_rng(n).normal(size=(n + 90, 50))
     X = to_grid(raw, grid_step(raw))
-    train, test = X[:n], X[n:]
-    labels = [("a", "b", "c")[k] for k in np.argmax(train[:, :3], axis=1)]
-    digest.update(kernels.rbf_gram(train, 0.02).tobytes())
-    digest.update(kernels.rbf_cross_gram(test, train, 0.02).tobytes())
-    model = svm_train(train, labels)
+    train, new, test = X[:n], X[n:n + 30], X[n + 30:]
+    rows = X[:n + 30]
+    labels = [("a", "b", "c")[k] for k in np.argmax(rows[:, :3], axis=1)]
+    distances = kernels.Distances(kernels.sq_distances(train, train),
+                                  kernels.sq_distances(new, train),
+                                  kernels.sq_distances(new, new))
+    blocks = (kernels.sq_distances(test, train), kernels.sq_distances(test, new))
+    for block in (distances.base, distances.cross, distances.added, *blocks):
+        digest.update(block.tobytes())
+    model = svm_train(rows, labels, distances=distances)
     for machine in model.machines:
-        digest.update(decision_values(model, machine, test).tobytes())
-    digest.update(" ".join(svm_predict(model, test)).encode())
+        digest.update(decision_values(model, machine, blocks).tobytes())
+    digest.update(" ".join(svm_predict(model, test, distances=blocks)).encode())
 print(digest.hexdigest())
 """
 
@@ -396,20 +429,20 @@ def test_grid_products_identical_under_one_and_two_blas_threads():
 class TestSmoAgreement:
     def test_box_constraint(self, random_problem):
         X, y = random_problem
-        K = kernels.rbf_gram(X, 0.5)
+        K = rbf_gram(X, 0.5)
         alpha, _ = kernels.smo_solve(K, y, 10.0, 1e-3)
         assert np.all(alpha >= 0.0) and np.all(alpha <= 10.0)
 
     def test_equality_constraint(self, random_problem):
         # sum(alpha_i * y_i) stays 0: every update moves the pair together
         X, y = random_problem
-        K = kernels.rbf_gram(X, 0.5)
+        K = rbf_gram(X, 0.5)
         alpha, _ = kernels.smo_solve(K, y, 10.0, 1e-3)
         assert float(np.dot(alpha, y)) == pytest.approx(0.0, abs=1e-9)
 
     def test_deterministic(self, random_problem):
         X, y = random_problem
-        K = kernels.rbf_gram(X, 0.5)
+        K = rbf_gram(X, 0.5)
         a1, b1 = kernels.smo_solve(K, y, 10.0, 1e-3)
         a2, b2 = kernels.smo_solve(K, y, 10.0, 1e-3)
         assert np.array_equal(a1, a2) and b1 == b2
@@ -420,7 +453,7 @@ class TestSmoAgreement:
     ])
     def test_kkt_gap_at_exit(self, n, seed, C, tol):
         X, y = make_problem(n, seed)
-        K = kernels.rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
+        K = rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
         alpha, _ = kernels.smo_solve(K, y, C, tol)
         assert kkt_gap(K, y, C, alpha) <= tol
         assert np.all((alpha >= 0.0) & (alpha <= C))
@@ -440,7 +473,7 @@ class TestSmoAgreement:
     ], ids=["n12", "n60", "n150", "n300-C100", "n300-tol1e-5", "n80-smallC",
             "n200-smallC", "dup60", "dup160", "dup300"])
     def test_byte_equal_to_uncached_loop(self, X, y, C, tol):
-        K = kernels.rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
+        K = rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
         alpha, bias = kernels.smo_solve(K, y, C, tol)
         ref_alpha, ref_bias = reference_smo(K, y, C, tol)
         assert alpha.tobytes() == ref_alpha.tobytes()
@@ -449,7 +482,7 @@ class TestSmoAgreement:
     def test_matches_qp_oracle_on_tiny_problems(self):
         for n, seed, C in TINY:
             X, y = make_problem(n, seed, dim=3)
-            K = kernels.rbf_gram(X, 0.4)
+            K = rbf_gram(X, 0.4)
             alpha, _ = kernels.smo_solve(K, y, C, 1e-6)
             oracle, _ = qp_oracle(K, y, C)
             assert (dual_objective(K, y, alpha)
@@ -462,8 +495,8 @@ class TestSmoAgreement:
             X, y = make_problem(n, seed, dim=3)
             probe = np.random.default_rng(seed + 100).normal(size=(50, 3))
             points = np.vstack([X, probe])
-            K = kernels.rbf_gram(X, 0.4)
-            K_points = kernels.rbf_cross_gram(points, X, 0.4)
+            K = rbf_gram(X, 0.4)
+            K_points = rbf_cross_gram(points, X, 0.4)
             alpha, bias = kernels.smo_solve(K, y, C, 1e-3)
             oracle, oracle_bias = qp_oracle(K, y, C)
             f = K_points @ (alpha * y) + bias
@@ -477,7 +510,7 @@ class TestSmoAgreement:
         # C small enough that every alpha ends at a bound: the bias is the
         # midpoint of the interval the KKT conditions allow
         X, y = make_problem(40, 9, noise=3.0)
-        K = kernels.rbf_gram(X, 0.2)
+        K = rbf_gram(X, 0.2)
         alpha, bias = kernels.smo_solve(K, y, 1e-3, 1e-3)
         assert not np.any((alpha > 0) & (alpha < 1e-3))
         score = y - K @ (alpha * y)
@@ -498,7 +531,7 @@ class TestSmoAgreement:
     def test_iteration_ceiling_message_states_the_gap(self, random_problem):
         # at alpha = 0, -y G = y: the gap is 1 - (-1)
         X, y = random_problem
-        K = kernels.rbf_gram(X, 0.5)
+        K = rbf_gram(X, 0.5)
         with pytest.raises(TrainingError, match=r"in 0 iterations \(gap 2\)"):
             kernels.smo_solve(K, y, 10.0, 1e-3, max_iter=0)
 
@@ -520,7 +553,7 @@ def demo_problems(tmp_path_factory):
         X_all, labels_all = featurize(subset, store), np.array(subset.labels())
         for share in (0.75, 0.9):
             X, labels = X_all[:round(share * size)], labels_all[:round(share * size)]
-            K = kernels.rbf_gram(X, gamma_scale(X))
+            K = rbf_gram(X, gamma_scale(X))
             for a, b in itertools.combinations(sorted(set(labels)), 2):
                 idx = np.nonzero((labels == a) | (labels == b))[0]
                 y = np.where(labels[idx] == a, 1.0, -1.0)

@@ -14,7 +14,9 @@ from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
-from oracles import evaluate_tallies, rbf_kernel, sentence_vector, word_vector
+from oracles import (
+    evaluate_tallies, rbf_cross_gram, rbf_kernel, sentence_vector, word_vector,
+)
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
@@ -239,12 +241,11 @@ class TestSvm:
         model = svm_train(X, y, cfg)
         machine = model.machines[0]
         y_signed = np.array([1.0 if t == "neg" else -1.0 for t in y])
-        from augbench import kernels
-
-        K = kernels.rbf_cross_gram(X, machine.support_vectors, model.gamma)
+        support = model.X[machine.support_vectors]
+        K = rbf_cross_gram(X, support, model.gamma)
         f = K @ machine.dual_coef + machine.bias
         sv_index = {tuple(v): c for v, c in
-                    zip(map(tuple, machine.support_vectors), machine.dual_coef)}
+                    zip(map(tuple, support), machine.dual_coef)}
         for xi, yi, fi in zip(X, y_signed, f):
             coef = sv_index.get(tuple(xi), 0.0)
             alpha = abs(coef)
@@ -266,8 +267,8 @@ class TestSvm:
     def test_two_class_solves_on_the_gram_matrix_itself(self, monkeypatch):
         # one pair covers every row, so no n x n copy is made
         grams, solved = [], []
-        gram, solve = kernels.pair_gram, kernels.smo_solve
-        monkeypatch.setattr(kernels, "pair_gram",
+        gram, solve = kernels.rbf_gram, kernels.smo_solve
+        monkeypatch.setattr(kernels, "rbf_gram",
                             lambda *a: grams.append(gram(*a)) or grams[-1])
         monkeypatch.setattr(kernels, "smo_solve",
                             lambda K, *a: solved.append(K) or solve(K, *a))
@@ -310,6 +311,47 @@ class TestSvm:
         model = svm_train(X, y, SvmConfig())
         with pytest.raises(ValueError):
             svm_predict(model, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_predict_non_finite_rejected(self, value):
+        # a NaN row would get no vote and go to the first class
+        X, y = make_blobs()
+        model = svm_train(X, y, SvmConfig())
+        with pytest.raises(ValueError, match="non-finite"):
+            svm_predict(model, np.array([[0.0, 0.0], [value, value]]))
+
+    def test_support_vectors_are_training_row_indices(self):
+        X, y = make_blobs()
+        model = svm_train(X, y, SvmConfig())
+        (machine,) = model.machines
+        assert model.X.tobytes() == X.tobytes()
+        assert machine.support_vectors.dtype.kind == "i"
+        assert np.all(np.diff(machine.support_vectors) > 0)
+        assert machine.support_vectors.size == machine.dual_coef.size
+
+    def test_predict_from_given_distances_equals_its_own(self):
+        X, y = make_blobs()
+        model = svm_train(X, y, SvmConfig())
+        probe = np.random.default_rng(3).normal(0, 3, (25, 2))
+        blocks = (kernels.sq_distances(probe, X[:30]),
+                  kernels.sq_distances(probe, X[30:]))
+        assert (svm_predict(model, probe, distances=blocks)
+                == svm_predict(model, probe))
+
+    @pytest.mark.parametrize("shapes", [
+        [(4, 40)],  # rows of other test points
+        [(3, 39)],  # one training row short
+        [(3, 30), (3, 11)],  # one training row too many
+        [(3, 10), (4, 30)],  # a second block of other rows
+        [(3, 10), (3, 10), (3, 20)],  # three blocks
+        [],
+    ], ids=["rows", "short", "long", "second-rows", "three", "none"])
+    def test_predict_distances_of_other_rows_rejected(self, shapes):
+        X, y = make_blobs()
+        model = svm_train(X, y, SvmConfig())
+        blocks = tuple(np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="distance blocks"):
+            svm_predict(model, X[:3], distances=blocks)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["C", "tol", "gamma"])

@@ -710,20 +710,32 @@ class TestUnitGrid:
         config = runner.config_from_dict(
             {**demo, "datasets": demo["datasets"][:1], "subset_sizes": [80]})
         resources = runner.load_resources(config)
-        trained, predicted = [], []
+        trained, predicted, computed = [], [], []
         train, predict = runner.svm_train, runner.svm_predict
+        sq_distances = kernels.sq_distances
         monkeypatch.setattr(
             runner, "svm_train", lambda X, y, cfg, **kw:
             trained.append((X, kw["distances"])) or train(X, y, cfg, **kw))
-        monkeypatch.setattr(runner, "svm_predict", lambda model, X:
-                            predicted.append(X) or predict(model, X))
+
+        def predict_counted(model, X, **kw):
+            predicted.append((X, kw["distances"]))
+            before = len(computed)
+            preds = predict(model, X, **kw)
+            assert len(computed) == before  # it gathers, it computes none
+            return preds
+
+        monkeypatch.setattr(runner, "svm_predict", predict_counted)
+        for module in (runner, kernels):
+            monkeypatch.setattr(module, "sq_distances", lambda A, B:
+                                computed.append(A) or sq_distances(A, B))
         cells = runner.plan_grid(config)
         runner.run_unit(config, resources, cells)
-        assert len(trained) == 1 + sum(c.aug_pct > 0 for c in cells)
+        assert len(trained) == len(predicted) == 1 + sum(
+            c.aug_pct > 0 for c in cells)
         # X_test, X_train and each cell's generated rows: one grid
         step = resources.grid_step
         assert step == grid_step(resources.embeddings.matrix)
-        for X in [X for X, _ in trained] + predicted:
+        for X in [X for X, _ in trained + predicted]:
             k = X / step
             assert np.array_equal(k, np.rint(k))
             assert np.abs(k).max() <= 2 ** grid_bits(resources.embeddings.dim)
@@ -734,6 +746,16 @@ class TestUnitGrid:
             assert distances.rows == len(X)
         assert all(d.cross.shape == (len(X) - len(base), len(base))
                    for X, d in trained[1:])
+        # so are the test rows' distances to the originals; a cell adds
+        # those to its generated rows
+        X_test, (test_block,) = predicted[0]
+        assert test_block.shape == (len(X_test), len(base))
+        for (X, distances), (X_train, _) in zip(predicted[1:], trained[1:],
+                                                strict=True):
+            first, second = distances
+            assert X is X_test and first is test_block
+            assert second.shape == (len(X_test), len(X_train) - len(base))
+        assert sum(A is X_test for A in computed) == len(predicted)
 
 
 class TestSharedBaseline:
