@@ -107,8 +107,7 @@ def _cmd_augment(args) -> int:
         resources.cache.close()
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.dataset}_{args.group}_augmented.csv")
-    write_csv(out_path, [spec.text_column, spec.label_column],
-              ((ex.text, ex.label) for ex in aug.dataset.examples))
+    write_csv(out_path, [spec.text_column, spec.label_column], aug.dataset.examples)
     print(json.dumps({
         "input_rows": len(dataset), "targets": len(aug.targets),
         "failed_targets": len(aug.failures), "output_rows": len(aug.dataset),

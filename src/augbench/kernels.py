@@ -5,11 +5,12 @@ On features rounded to one grid (``features.to_grid``) every squared
 distance is exact, so a distance computed once, in any block, serves
 every training and prediction that uses it, with the same bits under
 any BLAS thread count. Every kernel value is exp(-gamma D) gathered
-from such distances: ``rbf_gram`` builds a training pair's Gram matrix
-and ``rbf_cross_gram`` the values from test rows to support vectors;
-none is computed from features. The two products whose operands are
-not on the grid, the solver's stop-check gradient and
-``svm.decision_values``, are summed in one fixed order by ``np.einsum``.
+from such distances by one function, ``Distances.gather``: ``rbf_gram``
+builds a training pair's Gram matrix and ``rbf_cross_gram`` the values
+from test rows to support vectors; none is computed from features. The
+two products whose operands are not on the grid, the solver's
+stop-check gradient and ``svm.decision_values``, are summed in one
+fixed order by ``np.einsum``.
 
 The solver is SMO with LIBSVM's second-order working-set selection
 (WSS2: Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2011). It
@@ -29,7 +30,7 @@ loop that ``tests/test_kernels.py`` keeps as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,79 +58,83 @@ def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(D, 0.0, out=D)
 
 
-@dataclass(frozen=True)
 class Distances:
-    """Squared distances among the rows of [X; X_added], kept in blocks,
-    so that X plus a few added rows costs only the added rows' distances.
-    The blocks must come from ``sq_distances`` on one grid: only exact
-    distances are the same whichever block computed them.
+    """Squared distances D held in blocks, so that X plus a few added rows
+    costs only the added rows' distances. The blocks must come from
+    ``sq_distances`` on one grid: only exact distances are the same
+    whichever block computed them. ``Distances([D_XX], [D_AX, D_AA])``
+    is the square D of [X; X_added], whose block above the diagonal, the
+    mirror of D_AX, is not stored; ``Distances([D_TX, D_TA])`` is D from
+    test rows to [X | X_added]; ``Distances([D])`` is either. Blocks that
+    do not tile are a ValueError.
     """
 
-    base: np.ndarray  # (n, n): among the rows of X
-    cross: np.ndarray | None = None  # (g, n): from each added row to X
-    added: np.ndarray | None = None  # (g, g): among the added rows
+    def __init__(self, *grid: list[np.ndarray]):
+        self.blocks = tuple(tuple(row) for row in grid)
+        shapes = [[np.shape(block) for block in row] for row in self.blocks]
+        heights = [row[0][0] for row in shapes if row]
+        widths = heights if len(shapes) == 2 else [
+            shape[-1] for row in shapes[:1] for shape in row]
+        tiling = [[(h, w) for w in widths[:len(row)]]
+                  for h, row in zip(heights, shapes)]
+        if [len(row) for row in shapes] not in ([1], [2], [1, 2]) or shapes != tiling:
+            raise ValueError(f"distance blocks {shapes} do not tile")
+        self._edges = [list(accumulate(s, initial=0)) for s in (heights, widths)]
+        self.shape = (self._edges[0][-1], self._edges[1][-1])
 
-    @property
-    def rows(self) -> int:
-        return len(self.base) + (0 if self.added is None else len(self.added))
+    def gather(self, rows: np.ndarray | None = None,
+               cols: np.ndarray | None = None) -> np.ndarray:
+        """D[rows][:, cols] for ascending indices (None: every index), as a
+        new C-ordered array; a part above the diagonal is mirrored from the
+        one below, with one transposed copy when rows is cols."""
+        (m, row_parts), (n, col_parts) = map(_parts, (rows, cols), self._edges)
+        if len(row_parts) == len(col_parts) == 1 and (
+                col_parts[0][0] < len(self.blocks[row_parts[0][0]])):
+            (i, _, r), (j, _, c) = row_parts[0], col_parts[0]
+            K = _take(self.blocks[i][j], r, c)  # the only part: no copy into K
+            return K.copy() if K is self.blocks[i][j] else K
+        K = np.empty((m, n))
+        for j, c_out, c in col_parts:  # column by column: below the diagonal first
+            for i, r_out, r in row_parts:
+                if j < len(self.blocks[i]):
+                    K[r_out, c_out] = _take(self.blocks[i][j], r, c)
+                else:
+                    K[r_out, c_out] = (K[c_out, r_out] if rows is cols else
+                                       _take(self.blocks[j][i], c, r)).T
+        return K
+
+
+def _parts(index: np.ndarray | None, edges: list[int]) -> tuple[int, list]:
+    """(length of the result axis, [(block, slice of the result, indices
+    into the block or None for all)]) for the ascending ``index`` (None: all)."""
+    cuts = edges if index is None else [
+        0, *(index.searchsorted(edge) for edge in edges[1:-1]), len(index)]
+    return cuts[-1], [(k, slice(a, b), None if b - a == hi - lo else index[a:b] - lo)
+                      for k, (a, b, lo, hi) in enumerate(zip(cuts, cuts[1:], edges,
+                                                              edges[1:])) if b > a]
+
+
+def _take(D: np.ndarray, r: np.ndarray | None, c: np.ndarray | None) -> np.ndarray:
+    """D[r][:, c]; None keeps every index of its axis, uncopied."""
+    if r is not None:
+        D = D.take(r, 0)
+    return D if c is None else D.take(c, 1)
 
 
 def rbf_gram(distances: Distances, idx: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma D) among the rows ``idx`` (ascending) of [X; X_added],
-    unit diagonal pinned exactly.
-
-    Each block of the pair is gathered with ``take`` from the block of
-    ``distances`` that holds it, and a block the pair covers whole is not
-    copied: nothing beyond the pair's own Gram is built.
-    """
-    n = len(distances.base)
-    split = int(np.searchsorted(idx, n))
-    old, new = idx[:split], idx[split:] - n
-    base = _take(distances.base, old, old)
-    if new.size:
-        K = np.empty((idx.size, idx.size))
-        K[:split, :split] = base
-        K[split:, :split] = _take(distances.cross, new, old)
-        K[:split, split:] = K[split:, :split].T
-        K[split:, split:] = _take(distances.added, new, new)
-        K *= -gamma
-    elif base is distances.base:  # every row of X
-        K = np.multiply(base, -gamma)
-    else:
-        K = base
-        K *= -gamma
+    """exp(-gamma D[idx][:, idx]) for ascending ``idx``, unit diagonal pinned."""
+    K = distances.gather(idx, idx)
+    K *= -gamma
     np.exp(K, out=K)
     np.fill_diagonal(K, 1.0)
     return K
 
 
-def rbf_cross_gram(blocks: tuple[np.ndarray, ...], cols: np.ndarray,
-                   gamma: float) -> np.ndarray:
-    """exp(-gamma D[:, cols]) for ascending ``cols`` of the squared
-    distances D = [blocks[0] | blocks[1]].
-
-    Each block's columns are taken into their slice of one (m, |cols|)
-    array; D itself is never assembled.
-    """
-    first = blocks[0]
-    n = first.shape[1]
-    split = int(np.searchsorted(cols, n))
-    if split == cols.size:
-        K = first.take(cols, 1)
-    else:
-        K = np.empty((len(first), cols.size))
-        first.take(cols[:split], 1, out=K[:, :split])
-        blocks[1].take(cols[split:] - n, 1, out=K[:, split:])
+def rbf_cross_gram(distances: Distances, cols: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma D[:, cols]) for ascending ``cols`` of ``distances``."""
+    K = distances.gather(None, cols)
     K *= -gamma
     return np.exp(K, out=K)
-
-
-def _take(D: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """D[rows][:, cols] for ascending indices; an axis that keeps every
-    index is not copied."""
-    if rows.size < D.shape[0]:
-        D = D.take(rows, 0)
-    return D if cols.size == D.shape[1] else D.take(cols, 1)
 
 
 def smo_solve(

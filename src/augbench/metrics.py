@@ -75,7 +75,8 @@ def save_predictions(
 
 def load_predictions(path: str) -> tuple[list[str], list[str]]:
     """Read a predictions file back into (y_true, y_pred), index order;
-    DataError for an unreadable file or a line that is not a record."""
+    DataError for an unreadable file, a line that is not a record and
+    indices other than 0..n-1, each once."""
     try:
         with open_input(path, "predictions file", DataError) as fh:
             records = [
@@ -86,4 +87,6 @@ def load_predictions(path: str) -> tuple[list[str], list[str]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed prediction record: {exc!r}") from exc
     records.sort(key=lambda r: r[0])
+    if [r[0] for r in records] != list(range(len(records))):
+        raise DataError(f"{path}: prediction indices are not 0..{len(records) - 1}")
     return [r[1] for r in records], [r[2] for r in records]

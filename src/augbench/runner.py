@@ -532,8 +532,8 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     D_test = sq_distances(X_test, X_train)
     y_test = pair.test.labels()
     baseline_preds, baseline_error = _train_predict(
-        config.svm, X_train, pair.train.labels(), X_test, Distances(D_train),
-        (D_test,),
+        config.svm, X_train, pair.train.labels(), X_test,
+        Distances([D_train]), Distances([D_test]),
     )
     baseline_f1: float | None = None
     if baseline_preds is not None:
@@ -569,9 +569,9 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                 preds, error = _train_predict(
                     config.svm, np.vstack([X_train, X_new]),
                     aug.dataset.labels(), X_test,
-                    Distances(D_train, sq_distances(X_new, X_train),
-                              sq_distances(X_new, X_new)),
-                    (D_test, sq_distances(X_test, X_new)),
+                    Distances([D_train], [sq_distances(X_new, X_train),
+                                          sq_distances(X_new, X_new)]),
+                    Distances([D_test, sq_distances(X_test, X_new)]),
                 )
         if preds is not None:
             row.f1 = evaluate(y_test, preds).weighted_f1
@@ -599,12 +599,12 @@ def run_unit(config: ExperimentConfig, resources: Resources,
 
 def _train_predict(svm: SvmConfig, X_train: np.ndarray, y_train: list[str],
                    X_test: np.ndarray, distances: Distances,
-                   test_distances: tuple[np.ndarray, ...]
+                   test_distances: Distances
                    ) -> tuple[list[str] | None, str | None]:
     """(test-set predictions, None), or (None, the message) on TrainingError.
 
-    ``distances`` are among the training rows, ``test_distances`` the
-    column blocks from the test rows to them."""
+    ``distances`` are among the training rows, ``test_distances`` from
+    the test rows to them."""
     try:
         model = svm_train(X_train, y_train, svm, distances=distances)
         return svm_predict(model, X_test, distances=test_distances), None

@@ -1,15 +1,11 @@
 """RBF-kernel SVM: one-vs-one training via SMO, and prediction.
 
 Training is deterministic: the solver draws no random numbers. Each
-pairwise machine solves on its own Gram matrix, exp(-gamma D) of its
-rows, gathered from squared distances D that are computed once per fit,
-or once per grid unit and passed in (``kernels.Distances``): a unit's
-trainings share the distances among its original rows and add only
-those of their generated rows. A machine keeps its support vectors as
-indices into the model's training rows. Prediction gathers its kernel
-values the same way, from the squared distances of the test rows to
-those training rows: computed once per call, or once per grid unit and
-passed in.
+pairwise machine solves on the Gram matrix of its rows, and prediction
+on the kernel values from the test rows to its support vectors, both
+gathered from the squared distances of a ``kernels.Distances``: computed
+once per call, or once per grid unit and passed in. A machine keeps its
+support vectors as indices into the model's training rows.
 """
 
 from __future__ import annotations
@@ -89,9 +85,10 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
     """Train one-vs-one RBF machines with the SMO solver.
 
     ``distances`` holds the squared distances among the rows of X (by
-    default computed here). Raises TrainingError for single-class input,
-    non-finite features and a solve that reaches the solver's iteration
-    ceiling; gamma="scale" additionally requires non-degenerate features.
+    default computed here, in one block; ValueError for another shape).
+    Raises TrainingError for single-class input, non-finite features and
+    a solve that reaches the solver's iteration ceiling; gamma="scale"
+    additionally requires non-degenerate features.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(y):
@@ -105,9 +102,9 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
         raise TrainingError("training data has a single class")
     gamma = gamma_scale(X) if cfg.gamma == "scale" else float(cfg.gamma)
     if distances is None:
-        distances = kernels.Distances(kernels.sq_distances(X, X))
-    elif distances.rows != len(y):
-        raise ValueError(f"distances of {distances.rows} rows for {len(y)} labels")
+        distances = kernels.Distances([kernels.sq_distances(X, X)])
+    elif distances.shape != (len(y), len(y)):
+        raise ValueError(f"distance blocks {distances.shape} for {len(y)} rows")
     y_arr = np.asarray(y)
     machines: list[BinaryMachine] = []
     for a, bcls in combinations(classes, 2):
@@ -133,9 +130,8 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
 
 
 def decision_values(model: SvmModel, machine: BinaryMachine,
-                    distances: tuple[np.ndarray, ...]) -> np.ndarray:
-    """f(x) of one machine for the rows whose squared distances to
-    model.X are the column blocks ``distances``.
+                    distances: kernels.Distances) -> np.ndarray:
+    """f(x) of one machine for rows at squared distances ``distances`` from model.X.
 
     The kernel values are not on the feature grid, so the sum runs in
     einsum's fixed order, not in the BLAS's thread-dependent one.
@@ -145,16 +141,15 @@ def decision_values(model: SvmModel, machine: BinaryMachine,
 
 
 def svm_predict(model: SvmModel, X: np.ndarray, *,
-                distances: tuple[np.ndarray, ...] | None = None) -> list[str]:
+                distances: kernels.Distances | None = None) -> list[str]:
     """One-vs-one majority vote; ties break toward earlier model.classes.
 
-    ``distances`` holds the column blocks of the squared distances from
-    the rows of X to model.X, [to its first rows | to the rest] (by
-    default one block, computed here once for every machine). Raises
-    ValueError for rows of the wrong width, non-finite values and blocks
-    that do not match X and model.X.
+    ``distances`` holds the squared distances from the rows of X to
+    model.X (by default computed here in one block, once for every
+    machine). Raises ValueError for rows of the wrong width, non-finite
+    values and distances of another shape.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.size == 0:
         return []
     dim = model.X.shape[1]
@@ -163,14 +158,10 @@ def svm_predict(model: SvmModel, X: np.ndarray, *,
     if not np.isfinite(X).all():
         raise ValueError("non-finite values in feature matrix")
     if distances is None:
-        distances = (kernels.sq_distances(np.ascontiguousarray(X), model.X),)
-    else:
-        shapes = [np.shape(block) for block in distances]
-        if (not 1 <= len(shapes) <= 2
-                or any(len(shape) != 2 or shape[0] != len(X) for shape in shapes)
-                or sum(shape[1] for shape in shapes) != len(model.X)):
-            raise ValueError(f"distance blocks {shapes} do not span {len(X)} "
-                             f"rows by {len(model.X)} training rows")
+        distances = kernels.Distances([kernels.sq_distances(X, model.X)])
+    elif distances.shape != (len(X), len(model.X)):
+        raise ValueError(f"distance blocks {distances.shape} for {len(X)} "
+                         f"rows by {len(model.X)} training rows")
     votes = np.zeros((X.shape[0], len(model.classes)), dtype=np.int64)
     for machine in model.machines:
         f = decision_values(model, machine, distances)

@@ -64,6 +64,28 @@ class TestMcnemarCommand:
         assert main(["mcnemar", p1, p2]) == 3
         assert "error[data]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("indices", [[0, 0], [0, 2], [1, 2], [-1, 0]],
+                             ids=["repeated", "gap", "from-one", "negative"])
+    def test_indices_other_than_0_to_n_are_data_error(self, tmp_path, capsys,
+                                                      indices):
+        # with index 0 twice, the labels still agree with p1's, and the
+        # pairs would be taken from misaligned rows
+        p1, p2 = str(tmp_path / "p1.jsonl"), str(tmp_path / "p2.jsonl")
+        save_predictions(p1, ["a", "b"], ["a", "b"])
+        with open(p2, "w", encoding="utf-8") as fh:
+            for index, label in zip(indices, ["a", "b"]):
+                fh.write(json.dumps({"index": index, "true_label": label,
+                                     "predicted_label": label}) + "\n")
+        assert main(["mcnemar", p1, p2]) == 3
+        assert "prediction indices are not 0..1" in capsys.readouterr().err
+
+    def test_records_in_any_order_load_in_index_order(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        save_predictions(str(path), ["a", "b", "c"], ["b", "c", "a"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[::-1]) + "\n", encoding="utf-8")
+        assert load_predictions(str(path)) == (["a", "b", "c"], ["b", "c", "a"])
+
 
 class TestRunGridCommand:
     def test_one_cell_grid(self, tmp_path, capsys, demo_config):

@@ -298,9 +298,80 @@ class TestSqDistancesExact:
 
 def three_blocks(X, n):
     """Distances of the first n rows of X, extended by the others."""
-    return kernels.Distances(kernels.sq_distances(X[:n], X[:n]),
-                             kernels.sq_distances(X[n:], X[:n]),
-                             kernels.sq_distances(X[n:], X[n:]))
+    return kernels.Distances([kernels.sq_distances(X[:n], X[:n])],
+                             [kernels.sq_distances(X[n:], X[:n]),
+                              kernels.sq_distances(X[n:], X[n:])])
+
+
+class TestGather:
+    """Distances.gather against D assembled whole with np.block."""
+
+    @staticmethod
+    def selections(edges, rng):
+        """Ascending indices taking no, one, every or a random half of the
+        indices of each block between ``edges``, in every combination,
+        and None (every index)."""
+        per_block = [
+            [np.arange(0), np.array([rng.integers(lo, hi)]), np.arange(lo, hi),
+             np.sort(rng.choice(np.arange(lo, hi), (hi - lo) // 2, replace=False))]
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        return [np.concatenate(c) for c in itertools.product(*per_block)] + [None]
+
+    @pytest.mark.parametrize("layout", ["1x1", "1x2", "mirrored-2x2"])
+    def test_byte_equal_to_assembled_matrix(self, layout):
+        rng = np.random.default_rng(23)
+        n, g, m = 9, 5, 6
+        S = rng.normal(size=(n + g, n + g))
+        S += S.T  # a symmetric D, so that the mirror of D_AX is its upper block
+        T = rng.normal(size=(m, n + g))
+        grid = {
+            "1x1": [[S[:n, :n]]],
+            "1x2": [[T[:, :n], T[:, n:]]],
+            "mirrored-2x2": [[S[:n, :n]], [S[n:, :n], S[n:, n:]]],
+        }[layout]
+        grid = [[np.ascontiguousarray(b) for b in row] for row in grid]
+        D = np.block([[grid[0][0], grid[1][0].T], grid[1]]
+                     if layout == "mirrored-2x2" else grid)
+        distances = kernels.Distances(*grid)
+        assert distances.shape == D.shape
+        before = [b.tobytes() for row in grid for b in row]
+        row_edges = [0, *itertools.accumulate(len(row[0]) for row in grid)]
+        col_edges = [0, *itertools.accumulate(b.shape[1] for b in grid[-1])]
+        rows_list = self.selections(row_edges, rng)
+        pairs = [(r, c) for r in rows_list for c in self.selections(col_edges, rng)]
+        pairs += [(r, r) for r in rows_list]  # one array, as a Gram passes it
+        for rows, cols in pairs:
+            K = distances.gather(rows, cols)
+            whole = D if rows is None else D[rows]
+            expected = whole if cols is None else whole[:, cols]
+            assert K.flags.c_contiguous and K.shape == expected.shape
+            assert K.tobytes() == expected.tobytes()
+            assert not any(np.shares_memory(K, b) for row in grid for b in row)
+        assert [b.tobytes() for row in grid for b in row] == before
+
+    def test_index_past_the_end_rejected(self):
+        X = on_grid(12, 4, 1)
+        distances = three_blocks(X, 9)
+        for rows, cols in [([0, 12], [0]), ([0], [3, 12]), ([0, 9], [1, 12])]:
+            with pytest.raises(IndexError):
+                distances.gather(np.array(rows), np.array(cols))
+
+    @pytest.mark.parametrize("grid", [
+        [],
+        [[]],
+        [[(5, 5)], [(3, 6), (3, 3)]],  # D_AX one column too wide
+        [[(5, 5)], [(3, 5), (2, 2)]],  # D_AA of other rows than D_AX
+        [[(5, 4)], [(3, 4), (3, 3)]],  # D_XX not square
+        [[(5, 5)], [(3, 5)]],  # no D_AA
+        [[(5, 5), (5, 3)], [(3, 5), (3, 3)]],  # the mirror stored too
+        [[(4, 5), (3, 2)]],  # a second block of other rows
+        [[(4, 5), (4, 2), (4, 1)]],  # three blocks
+        [[(4,)]],  # not a matrix
+    ])
+    def test_blocks_that_do_not_tile_rejected(self, grid):
+        with pytest.raises(ValueError, match="do not tile"):
+            kernels.Distances(*[[np.ones(shape) for shape in row] for row in grid])
 
 
 class TestPairGram:
@@ -322,7 +393,7 @@ class TestPairGram:
         # with no added rows the one D is computed whole, as the oracle does
         X, _ = make_problem(90, 4, dim=7)
         whole = rbf_gram(X, 0.4)
-        distances = kernels.Distances(kernels.sq_distances(X, X))
+        distances = kernels.Distances([kernels.sq_distances(X, X)])
         for idx in (np.arange(90), np.arange(0, 90, 3), np.arange(5, 60)):
             assert (kernels.rbf_gram(distances, idx, 0.4).tobytes()
                     == whole[np.ix_(idx, idx)].tobytes())
@@ -331,7 +402,7 @@ class TestPairGram:
         X = on_grid(50, 6, 5)
         D = kernels.sq_distances(X, X)
         before = D.tobytes()
-        K = kernels.rbf_gram(kernels.Distances(D), np.arange(50), 0.2)
+        K = kernels.rbf_gram(kernels.Distances([D]), np.arange(50), 0.2)
         assert K is not D and D.tobytes() == before
 
     def test_svm_train_on_unit_distances_equals_its_own(self):
@@ -345,12 +416,26 @@ class TestPairGram:
             assert a.support_vectors.tobytes() == b.support_vectors.tobytes()
             assert a.bias == b.bias
 
+    @pytest.mark.parametrize("others", [
+        slice(0, 32),  # two columns too many, past the end
+        [0, 1, *range(30)],  # two columns too many, in front: shifted
+        slice(2, 30),  # two columns too few
+    ], ids=["wide", "shifted", "narrow"])
+    def test_cross_block_of_other_columns_rejected(self, others):
+        X = on_grid(40, 4, 7)
+        y = ["a"] * 20 + ["b"] * 20
+        with pytest.raises(ValueError, match="do not tile"):
+            svm_train(X, y, distances=kernels.Distances(
+                [kernels.sq_distances(X[:30], X[:30])],
+                [kernels.sq_distances(X[30:], X[others]),
+                 kernels.sq_distances(X[30:], X[30:])]))
+
     def test_distances_of_other_rows_rejected(self):
         X = on_grid(30, 4, 7)
         y = ["a"] * 15 + ["b"] * 15
-        with pytest.raises(ValueError, match="distances of 25 rows"):
+        with pytest.raises(ValueError, match=r"blocks \(25, 25\) for 30 rows"):
             svm_train(X, y, distances=kernels.Distances(
-                kernels.sq_distances(X[:25], X[:25])))
+                [kernels.sq_distances(X[:25], X[:25])]))
 
 
 class TestCrossGram:
@@ -364,9 +449,9 @@ class TestCrossGram:
     def test_byte_equal_to_feature_oracle(self, cols):
         X = on_grid(48 + 20, 24, 8)
         X_all, X_test = X[:48], X[48:]
-        blocks = (kernels.sq_distances(X_test, X_all[:40]),
-                  kernels.sq_distances(X_test, X_all[40:]))
-        K = kernels.rbf_cross_gram(blocks, cols, 0.3)
+        distances = kernels.Distances([kernels.sq_distances(X_test, X_all[:40]),
+                                       kernels.sq_distances(X_test, X_all[40:])])
+        K = kernels.rbf_cross_gram(distances, cols, 0.3)
         assert K.flags.c_contiguous
         assert (K.tobytes()
                 == rbf_cross_gram(X_test, X_all[cols], 0.3).tobytes())
@@ -375,7 +460,7 @@ class TestCrossGram:
         X = on_grid(30, 6, 9)
         D = kernels.sq_distances(X[:10], X[10:])
         before = D.tobytes()
-        K = kernels.rbf_cross_gram((D,), np.arange(20), 0.2)
+        K = kernels.rbf_cross_gram(kernels.Distances([D]), np.arange(20), 0.2)
         assert K is not D and D.tobytes() == before
 
 
@@ -396,16 +481,18 @@ for n in (145, 300):
     train, new, test = X[:n], X[n:n + 30], X[n + 30:]
     rows = X[:n + 30]
     labels = [("a", "b", "c")[k] for k in np.argmax(rows[:, :3], axis=1)]
-    distances = kernels.Distances(kernels.sq_distances(train, train),
-                                  kernels.sq_distances(new, train),
-                                  kernels.sq_distances(new, new))
-    blocks = (kernels.sq_distances(test, train), kernels.sq_distances(test, new))
-    for block in (distances.base, distances.cross, distances.added, *blocks):
-        digest.update(block.tobytes())
+    distances = kernels.Distances([kernels.sq_distances(train, train)],
+                                  [kernels.sq_distances(new, train),
+                                   kernels.sq_distances(new, new)])
+    to_test = kernels.Distances([kernels.sq_distances(test, train),
+                                 kernels.sq_distances(test, new)])
+    for row in distances.blocks + to_test.blocks:
+        for block in row:
+            digest.update(block.tobytes())
     model = svm_train(rows, labels, distances=distances)
     for machine in model.machines:
-        digest.update(decision_values(model, machine, blocks).tobytes())
-    digest.update(" ".join(svm_predict(model, test, distances=blocks)).encode())
+        digest.update(decision_values(model, machine, to_test).tobytes())
+    digest.update(" ".join(svm_predict(model, test, distances=to_test)).encode())
 print(digest.hexdigest())
 """
 

@@ -333,9 +333,9 @@ class TestSvm:
         X, y = make_blobs()
         model = svm_train(X, y, SvmConfig())
         probe = np.random.default_rng(3).normal(0, 3, (25, 2))
-        blocks = (kernels.sq_distances(probe, X[:30]),
-                  kernels.sq_distances(probe, X[30:]))
-        assert (svm_predict(model, probe, distances=blocks)
+        distances = kernels.Distances([kernels.sq_distances(probe, X[:30]),
+                                       kernels.sq_distances(probe, X[30:])])
+        assert (svm_predict(model, probe, distances=distances)
                 == svm_predict(model, probe))
 
     @pytest.mark.parametrize("shapes", [
@@ -349,9 +349,9 @@ class TestSvm:
     def test_predict_distances_of_other_rows_rejected(self, shapes):
         X, y = make_blobs()
         model = svm_train(X, y, SvmConfig())
-        blocks = tuple(np.ones(shape) for shape in shapes)
         with pytest.raises(ValueError, match="distance blocks"):
-            svm_predict(model, X[:3], distances=blocks)
+            svm_predict(model, X[:3], distances=kernels.Distances(
+                [np.ones(shape) for shape in shapes]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["C", "tol", "gamma"])

@@ -740,19 +740,20 @@ class TestUnitGrid:
             assert np.array_equal(k, np.rint(k))
             assert np.abs(k).max() <= 2 ** grid_bits(resources.embeddings.dim)
         # the originals' distances are computed once; a cell adds its own
-        base = trained[0][1].base
+        (base,), = trained[0][1].blocks
         for X, distances in trained:
-            assert distances.base is base
-            assert distances.rows == len(X)
-        assert all(d.cross.shape == (len(X) - len(base), len(base))
+            assert distances.blocks[0][0] is base
+            assert distances.shape == (len(X), len(X))
+        assert all(d.blocks[1][0].shape == (len(X) - len(base), len(base))
                    for X, d in trained[1:])
         # so are the test rows' distances to the originals; a cell adds
         # those to its generated rows
-        X_test, (test_block,) = predicted[0]
+        X_test, distances = predicted[0]
+        (test_block,), = distances.blocks
         assert test_block.shape == (len(X_test), len(base))
         for (X, distances), (X_train, _) in zip(predicted[1:], trained[1:],
                                                 strict=True):
-            first, second = distances
+            (first, second), = distances.blocks
             assert X is X_test and first is test_block
             assert second.shape == (len(X_test), len(X_train) - len(base))
         assert sum(A is X_test for A in computed) == len(predicted)

@@ -236,6 +236,26 @@ def test_results_csv_is_written_only_by_grid_runner_run():
     }
 
 
+# One gather: distance blocks are indexed (with take) only in kernels.py,
+# where Distances.gather builds every kernel value from them, so no other
+# module knows how the blocks are laid out.
+def test_take_call_check_sees_a_second_site():
+    source = (
+        "def _take(D, rows, cols):\n    return D.take(rows, 0).take(cols, 1)\n"
+        "def decision_values(model, blocks, sv):\n"
+        "    return np.take(blocks[0], sv, 1)\n"
+    )
+    assert _calls(source, "svm", {"take"}) == [
+        ("svm._take", "take"),
+        ("svm._take", "take"),
+        ("svm.decision_values", "take"),
+    ]
+
+
+def test_distance_blocks_are_indexed_only_in_kernels():
+    assert _package_calls({"take"}) == {("kernels._take", "take")}
+
+
 # One opener: every file the package reads is opened by errors.open_input,
 # so an input that cannot be opened or decoded is the typed error of its
 # loader, and the one read pass is the place to hash an input.
