@@ -4,13 +4,14 @@ dual solver.
 On features rounded to one grid (``features.to_grid``) every squared
 distance is exact, so a distance computed once, in any block, serves
 every training and prediction that uses it, with the same bits under
-any BLAS thread count. Every kernel value is exp(-gamma D) gathered
-from such distances by one function, ``Distances.gather``: ``rbf_gram``
-builds a training pair's Gram matrix and ``rbf_cross_gram`` the values
-from test rows to support vectors; none is computed from features. The
-two products whose operands are not on the grid, the solver's
-stop-check gradient and ``svm.decision_values``, are summed in one
-fixed order by ``np.einsum``.
+any BLAS thread count. Every kernel value is exp(-gamma D) built from
+such distances by one function, ``Distances.kernel``, which scales each
+part of D as it writes it and exponentiates the result in place:
+``rbf_gram`` builds a training pair's Gram matrix and ``rbf_cross_gram``
+the values from test rows to support vectors; none is computed from
+features. The two products whose operands are not on the grid, the
+solver's stop-check gradient and ``svm.decision_values``, are summed in
+one fixed order by ``np.einsum``.
 
 The solver is SMO with LIBSVM's second-order working-set selection
 (WSS2: Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2011). It
@@ -82,26 +83,31 @@ class Distances:
         self._edges = [list(accumulate(s, initial=0)) for s in (heights, widths)]
         self.shape = (self._edges[0][-1], self._edges[1][-1])
 
-    def gather(self, rows: np.ndarray | None = None,
-               cols: np.ndarray | None = None) -> np.ndarray:
-        """D[rows][:, cols] for ascending indices (None: every index), as a
-        new C-ordered array; a part above the diagonal is mirrored from the
-        one below, with one transposed copy when rows is cols."""
+    def kernel(self, rows: np.ndarray | None, cols: np.ndarray | None,
+               gamma: float) -> np.ndarray:
+        """exp(-gamma D[rows][:, cols]) for ascending indices (None: every
+        index), as a new C-ordered array. Each part is scaled as it is
+        written; a part above the diagonal is mirrored from the one below,
+        with one transposed copy of the scaled part when rows is cols."""
         (m, row_parts), (n, col_parts) = map(_parts, (rows, cols), self._edges)
         if len(row_parts) == len(col_parts) == 1 and (
                 col_parts[0][0] < len(self.blocks[row_parts[0][0]])):
             (i, _, r), (j, _, c) = row_parts[0], col_parts[0]
-            K = _take(self.blocks[i][j], r, c)  # the only part: no copy into K
-            return K.copy() if K is self.blocks[i][j] else K
-        K = np.empty((m, n))
-        for j, c_out, c in col_parts:  # column by column: below the diagonal first
-            for i, r_out, r in row_parts:
-                if j < len(self.blocks[i]):
-                    K[r_out, c_out] = _take(self.blocks[i][j], r, c)
-                else:
-                    K[r_out, c_out] = (K[c_out, r_out] if rows is cols else
-                                       _take(self.blocks[j][i], c, r)).T
-        return K
+            D = self.blocks[i][j]
+            K = _take(D, r, c)  # the only part: scaled in place, unless it is D
+            K = np.multiply(K, -gamma, out=None if K is D else K)
+        else:
+            K = np.empty((m, n))
+            for j, c_out, c in col_parts:  # column by column: below the diagonal first
+                for i, r_out, r in row_parts:
+                    part = K[r_out, c_out]
+                    if j < len(self.blocks[i]):
+                        np.multiply(_take(self.blocks[i][j], r, c), -gamma, out=part)
+                    elif rows is cols:
+                        part[...] = K[c_out, r_out].T
+                    else:
+                        np.multiply(_take(self.blocks[j][i], c, r).T, -gamma, out=part)
+        return np.exp(K, out=K)
 
 
 def _parts(index: np.ndarray | None, edges: list[int]) -> tuple[int, list]:
@@ -123,18 +129,14 @@ def _take(D: np.ndarray, r: np.ndarray | None, c: np.ndarray | None) -> np.ndarr
 
 def rbf_gram(distances: Distances, idx: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma D[idx][:, idx]) for ascending ``idx``, unit diagonal pinned."""
-    K = distances.gather(idx, idx)
-    K *= -gamma
-    np.exp(K, out=K)
+    K = distances.kernel(idx, idx, gamma)
     np.fill_diagonal(K, 1.0)
     return K
 
 
 def rbf_cross_gram(distances: Distances, cols: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma D[:, cols]) for ascending ``cols`` of ``distances``."""
-    K = distances.gather(None, cols)
-    K *= -gamma
-    return np.exp(K, out=K)
+    return distances.kernel(None, cols, gamma)
 
 
 def smo_solve(
@@ -175,8 +177,8 @@ def smo_solve(
         max_iter = max(10_000_000, 100 * n)
     alpha = [0.0] * n  # a list: its reads and writes are the loop's cheapest
     k_diag = np.ascontiguousarray(np.diag(K))
-    diag = _shared_floats(k_diag)
-    labels = _shared_floats(y)
+    diag = k_diag.tolist()
+    labels = y.tolist()
     rows = list(K)  # row views, so a lookup builds no view
     # score = -y * G; with alpha = 0 the gradient is -e, so score = y.
     score = y.copy()
@@ -303,16 +305,6 @@ def smo_solve(
             low_mask[j] = -0.0 if new_j < C else np.inf
     alpha = np.array(alpha)
     return alpha, _bias(alpha, y, score, C)
-
-
-def _shared_floats(values: np.ndarray) -> list[float]:
-    """values.tolist() with one float object per distinct nonzero value
-    (equal nonzero floats have equal bits), so that the labels (+-1) and
-    an RBF diagonal (all 1) cost the solver a pointer per entry. It reads
-    one value at a time: a full tolist() would be the solve's peak at
-    small n."""
-    shared: dict[float, float] = {}
-    return [shared.setdefault(v, v) if v else v for v in map(float, values)]
 
 
 def _bias(alpha: np.ndarray, y: np.ndarray, score: np.ndarray, C: float) -> float:

@@ -10,6 +10,7 @@ environment and are never logged or echoed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -148,7 +149,9 @@ class ProviderSpec:
 
 
 class TranslationProvider:
-    """Translates text between language tags; counts outbound requests."""
+    """Translates text between language tags; counts outbound requests.
+    ``name`` keys the cache: two providers that may answer differently
+    never share a name."""
 
     name: str = "translation"
     request_count: int = 0
@@ -173,10 +176,10 @@ class DictTranslationProvider(TranslationProvider):
     Forward entries come from 'src<TAB>dst' lines; the inverse keeps the
     first source seen for each destination, so non-injective files
     collapse synonyms onto one canonical word on the way back. Unknown
-    words pass through unchanged in both directions.
+    words pass through unchanged in both directions. The name is "dict:"
+    and 16 hex digits of the sha256 of the forward entries, written as
+    'src<TAB>dst' lines in order.
     """
-
-    name = "dict"
 
     def __init__(self, mapping: dict[str, str], source_lang: str = "pt"):
         self.source_lang = source_lang
@@ -184,6 +187,8 @@ class DictTranslationProvider(TranslationProvider):
         self.inverse: dict[str, str] = {}
         for src, dst in mapping.items():
             self.inverse.setdefault(dst, src)
+        lines = "".join(f"{src}\t{dst}\n" for src, dst in self.forward.items())
+        self.name = "dict:" + hashlib.sha256(lines.encode()).hexdigest()[:16]
 
     @classmethod
     def from_file(cls, path: str, source_lang: str = "pt") -> "DictTranslationProvider":
@@ -204,11 +209,11 @@ class DictTranslationProvider(TranslationProvider):
 
 class HttpTranslationProvider(TranslationProvider):
     """Remote translation service: request {text, source, target}, response
-    {translated}; options as the config's ``http`` section gives them."""
-
-    name = "http"
+    {translated}; options as the config's ``http`` section gives them. The
+    name is "http:" and the URL; the key is never part of it."""
 
     def __init__(self, url: str, **options):
+        self.name = "http:" + url
         self._client = _JsonClient("translation", url, **options)
 
     @property

@@ -11,7 +11,7 @@ support vectors as indices into the model's training rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -61,12 +61,6 @@ class SvmModel:
     machines: tuple[BinaryMachine, ...]
     gamma: float
     X: np.ndarray  # (n, dim): the training rows, float64, C-contiguous
-    _class_index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_class_index", {c: i for i, c in enumerate(self.classes)}
-        )
 
 
 def gamma_scale(X: np.ndarray) -> float:
@@ -162,12 +156,11 @@ def svm_predict(model: SvmModel, X: np.ndarray, *,
     elif distances.shape != (len(X), len(model.X)):
         raise ValueError(f"distance blocks {distances.shape} for {len(X)} "
                          f"rows by {len(model.X)} training rows")
+    column = {c: i for i, c in enumerate(model.classes)}
     votes = np.zeros((X.shape[0], len(model.classes)), dtype=np.int64)
     for machine in model.machines:
         f = decision_values(model, machine, distances)
-        pos = model._class_index[machine.class_pos]
-        neg = model._class_index[machine.class_neg]
-        votes[f >= 0.0, pos] += 1
-        votes[f < 0.0, neg] += 1
+        votes[f >= 0.0, column[machine.class_pos]] += 1
+        votes[f < 0.0, column[machine.class_neg]] += 1
     winners = np.argmax(votes, axis=1)  # first max wins a tie
     return [model.classes[w] for w in winners]

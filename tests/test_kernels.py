@@ -303,8 +303,10 @@ def three_blocks(X, n):
                               kernels.sq_distances(X[n:], X[n:])])
 
 
-class TestGather:
-    """Distances.gather against D assembled whole with np.block."""
+class TestKernel:
+    """Distances.kernel against exp(-gamma D), D assembled whole with np.block."""
+
+    GAMMA = 0.3
 
     @staticmethod
     def selections(edges, rng):
@@ -342,9 +344,9 @@ class TestGather:
         pairs = [(r, c) for r in rows_list for c in self.selections(col_edges, rng)]
         pairs += [(r, r) for r in rows_list]  # one array, as a Gram passes it
         for rows, cols in pairs:
-            K = distances.gather(rows, cols)
+            K = distances.kernel(rows, cols, self.GAMMA)
             whole = D if rows is None else D[rows]
-            expected = whole if cols is None else whole[:, cols]
+            expected = np.exp(-self.GAMMA * (whole if cols is None else whole[:, cols]))
             assert K.flags.c_contiguous and K.shape == expected.shape
             assert K.tobytes() == expected.tobytes()
             assert not any(np.shares_memory(K, b) for row in grid for b in row)
@@ -355,7 +357,7 @@ class TestGather:
         distances = three_blocks(X, 9)
         for rows, cols in [([0, 12], [0]), ([0], [3, 12]), ([0, 9], [1, 12])]:
             with pytest.raises(IndexError):
-                distances.gather(np.array(rows), np.array(cols))
+                distances.kernel(np.array(rows), np.array(cols), self.GAMMA)
 
     @pytest.mark.parametrize("grid", [
         [],

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import os
 import random
@@ -195,6 +196,52 @@ class TestBackTranslate:
             fh.write('{"provider": "p", "sour')
         with pytest.raises(DataError, match="malformed cache record"):
             TranslationCache(str(path))
+
+    @pytest.mark.parametrize("shared", ["one cache", "one file"])
+    def test_cache_keeps_each_dictionarys_answers(self, tmp_path, shared):
+        # bom -> good -> bom through d1, and bom -> good -> otimo through d2,
+        # whose inverse keeps its first source for good
+        d1 = DictTranslationProvider({"bom": "good"})
+        d2 = DictTranslationProvider({"otimo": "good", "bom": "good"})
+        ex = LabeledExample("bom", "pos")
+        assert back_translate(ex, d2, "en", TranslationCache()).text == "otimo"
+        path = str(tmp_path / "cache.jsonl")
+        first = TranslationCache(path)
+        assert back_translate(ex, d1, "en", first).text == "bom"
+        second = first if shared == "one cache" else TranslationCache(path)
+        assert back_translate(ex, d2, "en", second).text == "otimo"
+        first.close()
+        second.close()
+
+    def test_records_of_the_kind_only_name_are_refilled(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        old = TranslationCache(str(path))
+        old.put("dict", "pt", "en", "bom", "good")
+        old.put("dict", "en", "pt", "good", "bom")
+        old.close()
+        provider = DictTranslationProvider({"otimo": "good", "bom": "good"})
+        cache = TranslationCache(str(path))
+        out = back_translate(LabeledExample("bom", "x"), provider, "en", cache)
+        cache.close()
+        assert out.text == "otimo" and provider.request_count == 2
+
+    def test_dictionary_name_is_the_digest_of_its_entries(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("bom\tgood\nsem tab\nbom\tfine\notimo\tgood\n",
+                        encoding="utf-8")
+        digest = hashlib.sha256(b"bom\tgood\notimo\tgood\n").hexdigest()[:16]
+        loaded = DictTranslationProvider.from_file(str(path))
+        built = DictTranslationProvider({"bom": "good", "otimo": "good"})
+        assert loaded.name == built.name == f"dict:{digest}"
+        assert DictTranslationProvider({"otimo": "good", "bom": "good"}).name \
+            != built.name  # the order of the entries is part of the inverse
+
+    def test_http_name_is_the_url_without_the_key(self, monkeypatch):
+        monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
+        provider = HttpTranslationProvider(url="http://127.0.0.1:9/t",
+                                           key_env="FAKE_KEY_ENV")
+        assert provider.name == "http:http://127.0.0.1:9/t"
+        assert IdentityTranslationProvider().name == "identity"
 
     def test_cache_hits_byte_identical(self):
         cache = TranslationCache()

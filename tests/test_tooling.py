@@ -237,7 +237,7 @@ def test_results_csv_is_written_only_by_grid_runner_run():
 
 
 # One gather: distance blocks are indexed (with take) only in kernels.py,
-# where Distances.gather builds every kernel value from them, so no other
+# where Distances.kernel builds every kernel value from them, so no other
 # module knows how the blocks are laid out.
 def test_take_call_check_sees_a_second_site():
     source = (
@@ -254,6 +254,26 @@ def test_take_call_check_sees_a_second_site():
 
 def test_distance_blocks_are_indexed_only_in_kernels():
     assert _package_calls({"take"}) == {("kernels._take", "take")}
+
+
+# One kernel function: exp is called only by kernels.Distances.kernel, so
+# every kernel value, for training or prediction, is built there from
+# the distances and cannot be computed a second way.
+def test_exp_call_check_sees_a_second_site():
+    source = (
+        "class Distances:\n    def kernel(self, rows, cols, gamma):\n"
+        "        return np.exp(K, out=K)\n"
+        "def rbf_cross_gram(distances, cols, gamma):\n"
+        "    return numpy.exp(-gamma * distances.blocks[0][0])\n"
+    )
+    assert _calls(source, "kernels", {"exp"}) == [
+        ("kernels.Distances.kernel", "exp"),
+        ("kernels.rbf_cross_gram", "exp"),
+    ]
+
+
+def test_kernel_values_are_built_only_by_distances_kernel():
+    assert _package_calls({"exp"}) == {("kernels.Distances.kernel", "exp")}
 
 
 # One opener: every file the package reads is opened by errors.open_input,
