@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
+from sys import intern
 
 from .errors import DataError, ResourceError, TransportError, open_input
-from .resources import EmbeddingStore, nearest_neighbors
+from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
 
 
 # A Syn stage: stage(tokens, i) -> the words that may replace tokens[i],
@@ -63,13 +64,19 @@ def _tab_pairs(path: str, what: str):
                 yield left, right
 
 
-def load_contextual_table(path: str) -> dict[str, list[str]]:
+def table_stage(table: SynonymMap) -> SynStage:
+    """The Syn stage of a word table's candidates for tokens[i]."""
+    return lambda tokens, i: table.candidates(tokens[i])
+
+
+def load_contextual_table(path: str) -> SynonymMap:
     """word<TAB>cand1,cand2,... lines for the contextual stub; a repeated
-    word keeps its first line, as the dictionary file does."""
-    table: dict[str, list[str]] = {}
+    word keeps its first line, as the dictionary file does, and a word is
+    never its own candidate."""
+    table: dict[str, tuple[str, ...]] = {}
     for word, cands in _tab_pairs(path, "contextual table"):
-        table.setdefault(word, [c for c in cands.split(",") if c])
-    return table
+        table.setdefault(word, tuple(c for c in cands.split(",") if c and c != word))
+    return SynonymMap(table)
 
 
 class RateLimiter:
@@ -246,6 +253,12 @@ _RECORD_KEY = itemgetter("provider", "source", "target", "text")
 _TRANSLATED = itemgetter("translated")
 
 
+def _shared(provider: str, source: str, target: str, text: str) -> tuple:
+    """A loaded record's key with provider, source and target interned: each
+    takes a handful of values, so the cache keeps one copy, not one per record."""
+    return intern(provider), intern(source), intern(target), text
+
+
 class TranslationCache:
     """Append-only (provider, source, target, text) -> translation store.
 
@@ -290,7 +303,7 @@ class TranslationCache:
             return False
         try:
             records = json.loads("[" + ",\n".join(lines) + "]")
-            keys = list(map(_RECORD_KEY, records))
+            keys = [_shared(*key) for key in map(_RECORD_KEY, records)]
             translations = list(map(_TRANSLATED, records))
         except (KeyError, TypeError, ValueError):
             return False
@@ -315,7 +328,7 @@ class TranslationCache:
                 raise DataError(
                     f"{self.path}: line {number}: malformed cache record: {exc!r}"
                 ) from exc
-            self._data[key] = translated
+            self._data[_shared(*key)] = translated
 
     def __len__(self) -> int:
         return len(self._data)
@@ -360,9 +373,7 @@ def make_translation_provider(spec: ProviderSpec,
 def make_contextual_provider(spec: ProviderSpec) -> SynStage:
     """The contextual Syn stage of a parsed spec; "stub" reads its file."""
     if spec.kind == "stub":
-        table = load_contextual_table(spec.path)
-        return lambda tokens, i: [c for c in table.get(tokens[i], ())
-                                  if c != tokens[i]]
+        return table_stage(load_contextual_table(spec.path))
     client = _JsonClient("contextual service", **spec.options)
     return lambda tokens, i: client.post(
         contextual_request(tokens, i),

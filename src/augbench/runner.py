@@ -42,7 +42,7 @@ from .pipeline import (
 )
 from .providers import (
     ProviderSpec, SynStage, TranslationCache, make_contextual_provider,
-    make_translation_provider, neighbor_stage,
+    make_translation_provider, neighbor_stage, table_stage,
 )
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
@@ -424,7 +424,7 @@ def load_resources(config: ExperimentConfig, *,
     syn_stages: list[SynStage] = []
     for stage in stages:  # each checked by config_from_dict
         if stage == "ppdb":
-            syn_stages.append(lambda tokens, i: synmap.candidates(tokens[i]))
+            syn_stages.append(table_stage(synmap))
         elif stage == "embedding":
             syn_stages.append(
                 neighbor_stage(embeddings, config.embedding_neighbors_k))
@@ -504,11 +504,12 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                                              list[dict], list[tuple]]:
     """Run the cells of one unit key; write nothing.
 
-    The subset, split, features (rounded to the resources' grid), the
+    The subset, split, features (rounded to the resources' grid) and the
     squared distances among the training rows and from the test rows to
-    them, and the p=0 model are computed once and shared by every
-    group's baseline row and by every p>0 cell, which featurizes only its
-    generated sentences and computes only their distances. Returns the
+    them are computed once. ``fit`` trains, predicts and scores each model
+    on them plus the rows it adds, whose features and distances alone it
+    computes. The baseline is the training with no added rows, reported
+    by every group's p=0 row and paired with every p>0 cell. Returns the
     rows in cell order, the unit's run-log records and one prediction
     payload ``(cell, y_true, y_pred)`` per cell that has predictions.
     """
@@ -531,15 +532,27 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     D_train = sq_distances(X_train, X_train)
     D_test = sq_distances(X_test, X_train)
     y_test = pair.test.labels()
-    baseline_preds, baseline_error = _train_predict(
-        config.svm, X_train, pair.train.labels(), X_test,
-        Distances([D_train]), Distances([D_test]),
-    )
-    baseline_f1: float | None = None
-    if baseline_preds is not None:
-        baseline_f1 = evaluate(y_test, baseline_preds).weighted_f1
+
+    def fit(added: Dataset) -> tuple[list[str] | None, float | None, str | None]:
+        """(test predictions, weighted F1, None) of the SVM trained on the
+        training rows, then ``added``; (None, None, message) on TrainingError."""
+        X_new = to_grid(featurize(added, emb), step)
+        try:
+            model = svm_train(
+                np.vstack([X_train, X_new]), pair.train.labels() + added.labels(),
+                config.svm, distances=Distances(
+                    [D_train], [sq_distances(X_new, X_train),
+                                sq_distances(X_new, X_new)]))
+            preds = svm_predict(model, X_test, distances=Distances(
+                [D_test, sq_distances(X_test, X_new)]))
+        except TrainingError as exc:
+            return None, None, str(exc)
+        return preds, evaluate(y_test, preds).weighted_f1, None
+
+    baseline = fit(Dataset(pair.train.name, ()))
+    base_preds, base_f1, _ = baseline
     records = [{"event": "baseline", "subset": list(key),
-                "status": STATUS_OK if baseline_preds is not None
+                "status": STATUS_OK if base_preds is not None
                 else STATUS_TRAIN_FAILED,
                 "seconds": round(time.perf_counter() - started, 4)}]
     rows: list[ExperimentResult] = []
@@ -547,7 +560,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     for cell in cells:
         started = time.perf_counter()
         row = ExperimentResult(*cell.key())
-        preds, error, facts = baseline_preds, baseline_error, {}
+        (preds, f1, error), facts = baseline, {}
         if cell.aug_pct > 0.0:
             aug = augment_cell(config, resources, cell, pair.train)
             facts = {
@@ -561,26 +574,16 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                 facts["failed_targets"] = len(aug.failures)
                 row.status, preds = STATUS_AUG_FAILED, None
             else:
-                generated = Dataset(
-                    name=pair.train.name,
-                    examples=aug.dataset.examples[len(pair.train):],
-                )
-                X_new = to_grid(featurize(generated, emb), step)
-                preds, error = _train_predict(
-                    config.svm, np.vstack([X_train, X_new]),
-                    aug.dataset.labels(), X_test,
-                    Distances([D_train], [sq_distances(X_new, X_train),
-                                          sq_distances(X_new, X_new)]),
-                    Distances([D_test, sq_distances(X_test, X_new)]),
-                )
+                preds, f1, error = fit(Dataset(
+                    pair.train.name, aug.dataset.examples[len(pair.train):]))
         if preds is not None:
-            row.f1 = evaluate(y_test, preds).weighted_f1
+            row.f1 = f1
             payloads.append((cell, y_test, preds))
-            if cell.aug_pct > 0.0 and baseline_preds is not None:
-                row.baseline_f1 = baseline_f1
-                row.gain = row.f1 - baseline_f1
+            if cell.aug_pct > 0.0 and base_preds is not None:
+                row.baseline_f1 = base_f1
+                row.gain = f1 - base_f1
                 if row.gain > 0:
-                    table = stats.contingency(y_test, baseline_preds, preds)
+                    table = stats.contingency(y_test, base_preds, preds)
                     test = stats.mcnemar(table)
                     row.b, row.c = table.b, table.c
                     row.chi2, row.p_value = test.chi2, test.p_value
@@ -595,21 +598,6 @@ def run_unit(config: ExperimentConfig, resources: Resources,
         })
         rows.append(row)
     return rows, records, payloads
-
-
-def _train_predict(svm: SvmConfig, X_train: np.ndarray, y_train: list[str],
-                   X_test: np.ndarray, distances: Distances,
-                   test_distances: Distances
-                   ) -> tuple[list[str] | None, str | None]:
-    """(test-set predictions, None), or (None, the message) on TrainingError.
-
-    ``distances`` are among the training rows, ``test_distances`` from
-    the test rows to them."""
-    try:
-        model = svm_train(X_train, y_train, svm, distances=distances)
-        return svm_predict(model, X_test, distances=test_distances), None
-    except TrainingError as exc:
-        return None, str(exc)
 
 
 class GridRunner:

@@ -11,7 +11,10 @@ number fails it, and the message lists the cells whose F1 moved.
 The bytes depend on float64 ``exp``, which NumPy may compute differently
 in the last bit on another CPU class, so ``platform.json`` records the
 NumPy version and enabled CPU dispatch the files were made with, and a
-failure prints both next to the current ones.
+failure prints both next to the current ones. A second test reruns the
+demo's run-grid in a child process with the AVX-512 and AVX2 dispatch
+disabled and compares results.csv and the prediction manifest, so the
+outputs cannot come to depend on the dispatch level unseen.
 
 A change that moves the outputs on purpose regenerates the files with
 
@@ -27,6 +30,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -66,11 +71,7 @@ def demo_outputs(workdir: Path) -> dict[str, bytes]:
     ):
         assert cli.main(argv) == 0, argv
     out = workdir / "out"
-    files = {"results.csv": (out / "results.csv").read_bytes()}
-    files["predictions.sha256"] = "".join(
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
-        for path in sorted((out / "predictions").iterdir())
-    ).encode()
+    files = grid_outputs(out)
     for folder in ("report", "augment"):
         for path in sorted((out / folder).iterdir()):
             files[f"{folder}/{path.name}"] = path.read_bytes()
@@ -82,6 +83,18 @@ def demo_outputs(workdir: Path) -> dict[str, bytes]:
         for r in records
     ).encode("utf-8")
     return files
+
+
+def grid_outputs(out: Path) -> dict[str, bytes]:
+    """results.csv and the sha256 manifest of the prediction files that
+    ``run-grid --out out`` wrote."""
+    return {
+        "results.csv": (out / "results.csv").read_bytes(),
+        "predictions.sha256": "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+            for path in sorted((out / "predictions").iterdir())
+        ).encode(),
+    }
 
 
 def f1_by_cell(data: bytes) -> dict[tuple, str]:
@@ -119,6 +132,49 @@ def test_demo_outputs_equal_golden(tmp_path, monkeypatch, capsys):
     assert len(want) == 15  # results, manifest, run log, 9 report files, 3 CSVs
     if got != want:
         pytest.fail(mismatch_message(got, want), pytrace=False)
+
+
+# NumPy's AVX-512 and AVX2 dispatch targets; with them off, np.exp runs
+# its baseline loops, which round some values differently.
+OFF = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+# Run in a child process with NPY_DISABLE_CPU_FEATURES=OFF: exit 3 unless
+# X86_V3 and X86_V4 are disabled, else the demo's run-grid in argv[2].
+CHILD = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import platform
+from augbench import cli, synthdata
+enabled = platform()["cpu_dispatch"]
+if {"X86_V3", "X86_V4"} & set(enabled):
+    print(f"X86_V3 or X86_V4 still enabled: {enabled}", file=sys.stderr)
+    sys.exit(3)
+os.chdir(sys.argv[2])
+synthdata.main(["--out", "demo", "--rows", "2000"])
+sys.exit(cli.main(["run-grid", "--config", "demo/config.json", "--out", "out"]))
+"""
+
+
+def test_grid_outputs_equal_golden_without_avx2_or_avx512(tmp_path):
+    # The golden files were made with the dispatch that platform.json
+    # records; the demo's run-grid gives the same bytes at the baseline
+    # level too (about 1.5 s). The variable is set for the child alone.
+    if "X86_V3" not in platform()["cpu_dispatch"]:
+        pytest.skip("NumPy never enabled X86_V3 here, so disabling it and "
+                    "X86_V4 leaves the dispatch the golden test runs at")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": OFF,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    want = {name: data for name, data in read_golden().items()
+            if name in ("results.csv", "predictions.sha256")}
+    got = grid_outputs(tmp_path / "out")
+    if got != want:
+        pytest.fail(mismatch_message(got, want) + "\nthe child ran with "
+                    f"NPY_DISABLE_CPU_FEATURES={OFF!r}", pytrace=False)
 
 
 def write_golden() -> None:

@@ -444,6 +444,23 @@ class TestTranslationCacheLoad:
         cache = TranslationCache(str(path))
         assert len(cache) == 1 and cache.get("p", "pt", "en", "a") == "19"
 
+    @pytest.mark.parametrize("extra", [{}, {"more": "x"}],
+                             ids=["block", "per-line"])
+    def test_key_strings_are_shared(self, tmp_path, extra):
+        # a sixth field sends the block to the line-by-line load
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(_line({
+            **_record(f"w{i}"), "provider": ("dict:ab", "http:cd")[i % 2],
+            "source": ("pt", "en")[i % 3 > 0], "target": ("en", "pt")[i % 3 > 0],
+            **(extra if i == 4 else {}),
+        }) + "\n" for i in range(12)), encoding="utf-8")
+        keys = list(TranslationCache(str(path))._data)
+        assert len(keys) == 12
+        for field in range(3):
+            values = [key[field] for key in keys]
+            assert len(set(values)) == 2
+            assert len(set(map(id, values))) == 2
+
     @pytest.mark.parametrize("field, value", [("translated", 5), ("text", 7)])
     def test_field_not_a_string_is_data_error(self, tmp_path, field, value):
         path = tmp_path / "cache.jsonl"
@@ -580,21 +597,21 @@ class TestContextualContract:
         path = tmp_path / "ctx.tsv"
         path.write_text("bom\totimo,excelente\n", encoding="utf-8")
         stub = make_contextual_provider(ProviderSpec("stub", str(path)))
-        assert stub(["bom", "produto"], 0) == ["otimo", "excelente"]
-        assert stub(["zz"], 0) == []
+        assert stub(["bom", "produto"], 0) == ("otimo", "excelente")
+        assert stub(["zz"], 0) == ()
 
     def test_stub_filters_query_word(self, tmp_path):
         path = tmp_path / "ctx.tsv"
         path.write_text("bom\tbom,otimo\n", encoding="utf-8")
         stub = make_contextual_provider(ProviderSpec("stub", str(path)))
-        assert stub(["bom"], 0) == ["otimo"]
+        assert stub(["bom"], 0) == ("otimo",)
 
     def test_stub_repeated_word_keeps_its_first_line(self, tmp_path):
         # as the dictionary file and the embedding file do
         path = tmp_path / "ctx.tsv"
         path.write_text("bom\totimo\nbom\tlegal\n", encoding="utf-8")
         stub = make_contextual_provider(ProviderSpec("stub", str(path)))
-        assert stub(["bom"], 0) == ["otimo"]
+        assert stub(["bom"], 0) == ("otimo",)
 
 
 class TestRateLimiter:

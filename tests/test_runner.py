@@ -739,24 +739,43 @@ class TestUnitGrid:
             k = X / step
             assert np.array_equal(k, np.rint(k))
             assert np.abs(k).max() <= 2 ** grid_bits(resources.embeddings.dim)
-        # the originals' distances are computed once; a cell adds its own
-        (base,), = trained[0][1].blocks
+        # the originals' distances are computed once; each training adds
+        # its own rows', none for the baseline
+        base = trained[0][1].blocks[0][0]
         for X, distances in trained:
             assert distances.blocks[0][0] is base
             assert distances.shape == (len(X), len(X))
         assert all(d.blocks[1][0].shape == (len(X) - len(base), len(base))
-                   for X, d in trained[1:])
-        # so are the test rows' distances to the originals; a cell adds
-        # those to its generated rows
+                   for X, d in trained)
+        assert len(trained[0][0]) == len(base)
+        # so are the test rows' distances to the originals; each training
+        # adds those to its own rows
         X_test, distances = predicted[0]
-        (test_block,), = distances.blocks
+        test_block = distances.blocks[0][0]
         assert test_block.shape == (len(X_test), len(base))
-        for (X, distances), (X_train, _) in zip(predicted[1:], trained[1:],
-                                                strict=True):
+        for (X, distances), (X_train, _) in zip(predicted, trained, strict=True):
             (first, second), = distances.blocks
             assert X is X_test and first is test_block
             assert second.shape == (len(X_test), len(X_train) - len(base))
-        assert sum(A is X_test for A in computed) == len(predicted)
+        assert sum(A is X_test for A in computed) == 1 + len(predicted)
+
+    def test_a_unit_scores_each_model_once(self, demo, monkeypatch):
+        # the baseline is scored once, and every group's p=0 row reports it
+        config = runner.config_from_dict(
+            {**demo, "datasets": demo["datasets"][:1], "subset_sizes": [80]})
+        resources = runner.load_resources(config)
+        trained = count_svm_train(monkeypatch)
+        scores, evaluate_counted = [], runner.evaluate
+        monkeypatch.setattr(runner, "evaluate", lambda y_true, y_pred:
+                            scores.append(evaluate_counted(y_true, y_pred))
+                            or scores[-1])
+        rows, _, _ = runner.run_unit(config, resources, runner.plan_grid(config))
+        augmented = [r for r in rows if r.aug_pct > 0]
+        assert len(config.groups) == 3 and all(r.f1 is not None for r in rows)
+        assert len(scores) == len(trained) == 1 + len(augmented)
+        baseline_f1 = scores[0].weighted_f1
+        assert [r.f1 for r in rows if r.aug_pct == 0] == [baseline_f1] * 3
+        assert all(r.baseline_f1 == baseline_f1 for r in augmented)
 
 
 class TestSharedBaseline:

@@ -211,6 +211,40 @@ def test_cells_are_augmented_only_by_augment_cell():
     }
 
 
+# One training path: run_unit's local fit trains, predicts and scores
+# every model of a unit, its baseline (the training with no added rows)
+# included, so no model is trained or scored a second way.
+TRAINING = {"svm_train", "svm_predict", "evaluate"}
+
+
+def test_training_call_check_sees_a_second_site():
+    source = (
+        "def run_unit(config, cells):\n"
+        "    def fit(added):\n"
+        "        model = svm.svm_train(X, y, config.svm)\n"
+        "        return evaluate(y_test, svm_predict(model, X_test))\n"
+        "    return fit(()), metrics.evaluate(y_test, base)\n"
+    )
+    assert _calls(source, "runner", TRAINING) == [
+        ("runner.run_unit.fit", "svm_train"),
+        ("runner.run_unit.fit", "evaluate"),
+        ("runner.run_unit.fit", "svm_predict"),
+        ("runner.run_unit", "evaluate"),
+    ]
+
+
+def test_models_are_trained_and_scored_only_by_run_unit_fit():
+    # a list, not a set, so that a second call inside fit is a second site
+    calls = [
+        call
+        for path in sorted(SRC.glob("*.py"))
+        for call in _calls(path.read_text(encoding="utf-8"), path.stem,
+                           TRAINING)
+    ]
+    assert sorted(calls) == sorted(("runner.run_unit.fit", name)
+                                   for name in TRAINING)
+
+
 # One writer: run-grid and train both write results.csv and the
 # prediction files from GridRunner.run, so the two cannot write a row or
 # a file differently, and the function that runs a unit writes nothing.
