@@ -19,7 +19,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import load_predictions
-from .results import read_results_csv, write_csv
+from .results import make_output_dir, read_results_csv, write_csv
 
 _EXIT_CODES = [
     (ConfigError, 2, "config"),
@@ -92,6 +92,8 @@ def _cell_config(args) -> runner.ExperimentConfig:
         raise ConfigError(f"group {args.group!r} not in config")
     if not 0.0 <= args.pct <= 1.0:
         raise ConfigError(f"--pct {args.pct} outside [0, 1]")
+    if getattr(args, "round", 0) < 0:
+        raise ConfigError(f"--round {args.round} is negative")
     return dataclasses.replace(config, datasets=(spec,), groups=(args.group,))
 
 
@@ -105,7 +107,7 @@ def _cmd_augment(args) -> int:
         aug = runner.augment_cell(config, resources, cell, dataset)
     finally:
         resources.cache.close()
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     out_path = os.path.join(args.out, f"{args.dataset}_{args.group}_augmented.csv")
     write_csv(out_path, [spec.text_column, spec.label_column], aug.dataset.examples)
     print(json.dumps({

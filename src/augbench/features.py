@@ -70,9 +70,18 @@ def grid_bits(dim: int) -> int:
 def grid_step(matrix: np.ndarray) -> float:
     """The grid step s = 2^(e - b) of an embedding matrix: 2^e is the
     least power of two above every |entry|, which bounds every mean
-    vector too, and b is ``grid_bits`` of its dimension."""
+    vector too, and b is ``grid_bits`` of its dimension d. ResourceError
+    unless 4 d 2^(2e), the bound on every squared distance on the grid,
+    is finite and s^2 is at least 2^-1074, so that each is exact."""
     top = max(float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)))
-    return math.ldexp(1.0, math.frexp(top)[1] - grid_bits(matrix.shape[1]))
+    e, b = math.frexp(top)[1], grid_bits(matrix.shape[1])
+    room = 1024 - math.frexp(4.0 * matrix.shape[1])[1]  # finite iff 2e <= room
+    if 2 * e > room or 2 * (e - b) < -1074:
+        raise ResourceError(
+            f"embedding entries up to {top:g} leave squared distances outside "
+            f"float64: exact distances need the largest |entry| in "
+            f"[2^{b - 538}, 2^{room // 2})")
+    return math.ldexp(1.0, e - b)
 
 
 def to_grid(X: np.ndarray, step: float) -> np.ndarray:

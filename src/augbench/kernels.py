@@ -2,16 +2,16 @@
 dual solver.
 
 On features rounded to one grid (``features.to_grid``) every squared
-distance is exact, so a distance computed once, in any block, serves
-every training and prediction that uses it, with the same bits under
-any BLAS thread count. Every kernel value is exp(-gamma D) built from
-such distances by one function, ``Distances.kernel``, which scales each
-part of D as it writes it and exponentiates the result in place:
-``rbf_gram`` builds a training pair's Gram matrix and ``rbf_cross_gram``
-the values from test rows to support vectors; none is computed from
-features. The two products whose operands are not on the grid, the
-solver's stop-check gradient and ``svm.decision_values``, are summed in
-one fixed order by ``np.einsum``.
+distance is exact, so a distance that ``runner.run_unit`` computes once,
+in any block, serves every training and prediction of its unit, with
+the same bits under any BLAS thread count; the SVM reads distances and
+computes none. Every kernel value is exp(-gamma D), built by one
+function, ``Distances.kernel``, which scales each part of D as it
+writes it and exponentiates the result in place: ``rbf_gram`` builds a
+pair's Gram matrix and ``rbf_cross_gram`` the test rows' values to
+support vectors. The two products whose operands are not on the grid,
+the solver's stop-check gradient and ``svm.decision_values``, are
+summed in one fixed order by ``np.einsum``.
 
 The solver is SMO with LIBSVM's second-order working-set selection
 (WSS2: Fan, Chen & Lin, JMLR 6, 2005; Chang & Lin, ACM TIST 2011). It

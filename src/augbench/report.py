@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError
-from .results import GROUPS, ExperimentResult, _fmt, write_csv
+from .results import GROUPS, ExperimentResult, _fmt, make_output_dir, write_csv
 from .stats import ALPHA
 
 
@@ -45,7 +45,7 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
     repeated = [k for k, n in Counter(r.key() for r in rows).items() if n > 1]
     if repeated:
         raise DataError(f"repeated cell key(s) in results: {repeated[:5]}")
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     ok_rows = [r for r in rows if r.status == "ok" and r.f1 is not None]
     if not ok_rows:
         raise DataError("no successful cells to summarize")

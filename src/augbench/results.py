@@ -1,4 +1,4 @@
-"""Result rows for one experiment grid cell, and their CSV round trip.
+"""Grid result rows, their CSV round trip, and the output directory.
 
 The CSV is the single results format; the writer is canonical (floats
 via repr, missing values as empty fields) so parse -> re-emit is
@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -62,6 +63,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def make_output_dir(path: str) -> None:
+    """Make the directory ``path`` and its parents; DataError if it cannot be one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make output directory: {path}: {exc.strerror}") from exc
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

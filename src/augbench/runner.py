@@ -47,7 +47,7 @@ from .providers import (
 from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
 from .results import (
     GROUPS, STATUS_AUG_FAILED, STATUS_OK, STATUS_TRAIN_FAILED,
-    ExperimentResult, write_results_csv,
+    ExperimentResult, make_output_dir, write_results_csv,
 )
 from .svm import SvmConfig, svm_predict, svm_train
 
@@ -543,8 +543,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                 config.svm, distances=Distances(
                     [D_train], [sq_distances(X_new, X_train),
                                 sq_distances(X_new, X_new)]))
-            preds = svm_predict(model, X_test, distances=Distances(
-                [D_test, sq_distances(X_test, X_new)]))
+            preds = svm_predict(model, Distances([D_test, sq_distances(X_test, X_new)]))
         except TrainingError as exc:
             return None, None, str(exc)
         return preds, evaluate(y_test, preds).weighted_f1, None
@@ -639,7 +638,7 @@ class GridRunner:
                            "skipped_rows": ds.skipped,
                            "label_histogram": collections.Counter(ds.labels())})
         predictions_dir = os.path.join(self.out_dir, "predictions")
-        os.makedirs(predictions_dir, exist_ok=True)
+        make_output_dir(predictions_dir)
         results: dict[tuple, ExperimentResult] = {}
         with open(os.path.join(self.out_dir, "run_log.jsonl"), "w",
                   encoding="utf-8") as log:

@@ -1,11 +1,11 @@
 """RBF-kernel SVM: one-vs-one training via SMO, and prediction.
 
-Training is deterministic: the solver draws no random numbers. Each
-pairwise machine solves on the Gram matrix of its rows, and prediction
-on the kernel values from the test rows to its support vectors, both
-gathered from the squared distances of a ``kernels.Distances``: computed
-once per call, or once per grid unit and passed in. A machine keeps its
-support vectors as indices into the model's training rows.
+Training is deterministic: the solver draws no random numbers. Both
+read the squared distances of a ``kernels.Distances`` that their caller
+computed: each pairwise machine solves on the Gram matrix of its rows,
+and prediction sums kernel values from the test rows to its support
+vectors, which it keeps as indices into the training rows, as LIBSVM's
+precomputed-kernel models do: a model holds no feature matrix.
 """
 
 from __future__ import annotations
@@ -48,19 +48,19 @@ class BinaryMachine:
 
     class_pos: str
     class_neg: str
-    support_vectors: np.ndarray  # (n_sv,): ascending indices into SvmModel.X
+    support_vectors: np.ndarray  # (n_sv,): ascending training-row indices
     dual_coef: np.ndarray  # alpha_i * y_i, |coef| <= C
     bias: float
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    """The machines of one training and its rows X, which prediction reads."""
+    """The machines of one training on ``rows`` training rows."""
 
     classes: tuple[str, ...]
     machines: tuple[BinaryMachine, ...]
     gamma: float
-    X: np.ndarray  # (n, dim): the training rows, float64, C-contiguous
+    rows: int  # the width of the distances that prediction reads
 
 
 def gamma_scale(X: np.ndarray) -> float:
@@ -75,16 +75,15 @@ def gamma_scale(X: np.ndarray) -> float:
 
 
 def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
-              distances: kernels.Distances | None = None) -> SvmModel:
+              distances: kernels.Distances) -> SvmModel:
     """Train one-vs-one RBF machines with the SMO solver.
 
-    ``distances`` holds the squared distances among the rows of X (by
-    default computed here, in one block; ValueError for another shape).
-    Raises TrainingError for single-class input, non-finite features and
-    a solve that reaches the solver's iteration ceiling; gamma="scale"
-    additionally requires non-degenerate features.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    ``distances`` holds the squared distances among the rows of X
+    (ValueError for another shape); X is read only for its checks and
+    gamma="scale". Raises TrainingError for single-class input,
+    non-finite features and a solve that reaches the solver's iteration
+    ceiling; gamma="scale" additionally requires non-degenerate features."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise TrainingError(
             f"feature matrix {X.shape} does not match {len(y)} labels"
@@ -95,9 +94,7 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
     if len(classes) < 2:
         raise TrainingError("training data has a single class")
     gamma = gamma_scale(X) if cfg.gamma == "scale" else float(cfg.gamma)
-    if distances is None:
-        distances = kernels.Distances([kernels.sq_distances(X, X)])
-    elif distances.shape != (len(y), len(y)):
+    if distances.shape != (len(y), len(y)):
         raise ValueError(f"distance blocks {distances.shape} for {len(y)} rows")
     y_arr = np.asarray(y)
     machines: list[BinaryMachine] = []
@@ -120,12 +117,13 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
                 bias=float(bias),
             )
         )
-    return SvmModel(classes=classes, machines=tuple(machines), gamma=gamma, X=X)
+    return SvmModel(classes=classes, machines=tuple(machines), gamma=gamma,
+                    rows=len(y))
 
 
 def decision_values(model: SvmModel, machine: BinaryMachine,
                     distances: kernels.Distances) -> np.ndarray:
-    """f(x) of one machine for rows at squared distances ``distances`` from model.X.
+    """f(x) of one machine for the rows of ``distances``.
 
     The kernel values are not on the feature grid, so the sum runs in
     einsum's fixed order, not in the BLAS's thread-dependent one.
@@ -134,32 +132,21 @@ def decision_values(model: SvmModel, machine: BinaryMachine,
     return np.einsum("ij,j->i", K, machine.dual_coef) + machine.bias
 
 
-def svm_predict(model: SvmModel, X: np.ndarray, *,
-                distances: kernels.Distances | None = None) -> list[str]:
-    """One-vs-one majority vote; ties break toward earlier model.classes.
-
-    ``distances`` holds the squared distances from the rows of X to
-    model.X (by default computed here in one block, once for every
-    machine). Raises ValueError for rows of the wrong width, non-finite
-    values and distances of another shape.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.size == 0:
-        return []
-    dim = model.X.shape[1]
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"expected (n, {dim}) features, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("non-finite values in feature matrix")
-    if distances is None:
-        distances = kernels.Distances([kernels.sq_distances(X, model.X)])
-    elif distances.shape != (len(X), len(model.X)):
-        raise ValueError(f"distance blocks {distances.shape} for {len(X)} "
-                         f"rows by {len(model.X)} training rows")
+def svm_predict(model: SvmModel, distances: kernels.Distances) -> list[str]:
+    """One-vs-one majority vote for each row of ``distances`` (test rows
+    to the training rows); ties break toward earlier model.classes.
+    ValueError for distances of another width and for a NaN decision
+    value, which would give its row no vote and so the first class."""
+    if distances.shape[1] != model.rows:
+        raise ValueError(f"distance blocks {distances.shape} for "
+                         f"{model.rows} training rows")
     column = {c: i for i, c in enumerate(model.classes)}
-    votes = np.zeros((X.shape[0], len(model.classes)), dtype=np.int64)
+    votes = np.zeros((distances.shape[0], len(model.classes)), dtype=np.int64)
     for machine in model.machines:
         f = decision_values(model, machine, distances)
+        if np.isnan(f).any():
+            raise ValueError(f"NaN decision values of machine "
+                             f"({machine.class_pos}, {machine.class_neg})")
         votes[f >= 0.0, column[machine.class_pos]] += 1
         votes[f < 0.0, column[machine.class_neg]] += 1
     winners = np.argmax(votes, axis=1)  # first max wins a tie

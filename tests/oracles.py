@@ -12,7 +12,7 @@ import numpy as np
 from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import DataError, ResourceError
 from augbench.features import _mean_vectors
-from augbench.kernels import sq_distances
+from augbench.kernels import Distances, sq_distances
 from augbench.metrics import ClassScores, EvalReport
 from augbench.resources import SynonymMap
 from augbench.stats import ContingencyTable
@@ -44,6 +44,12 @@ def rbf_cross_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     K = sq_distances(A, B)
     K *= -gamma
     return np.exp(K, out=K)
+
+
+def one_block(A: np.ndarray, B: np.ndarray) -> Distances:
+    """The squared distances from the rows of A to those of B as one
+    block: what ``svm_train`` (B is A) and ``svm_predict`` read."""
+    return Distances([sq_distances(A, B)])
 
 
 def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:

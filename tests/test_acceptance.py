@@ -33,7 +33,7 @@ from augbench.providers import DictTranslationProvider, TranslationCache
 from augbench.results import ExperimentResult
 from augbench.stats import ContingencyTable, mcnemar
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
-from oracles import synonym_map_from_dict
+from oracles import one_block, synonym_map_from_dict
 
 
 def _report(line: str) -> None:
@@ -104,14 +104,17 @@ def test_criterion_3_svm_sanity():
         rng.normal(0.0, 0.25, (20, 2)) - [2.5, 2.5],
     ])
     y = ["pos"] * 20 + ["neg"] * 20
-    model = svm_train(X, y, SvmConfig(C=10.0))
-    acc = np.mean([p == t for p, t in zip(svm_predict(model, X), y)])
+    distances = one_block(X, X)
+    model = svm_train(X, y, SvmConfig(C=10.0), distances=distances)
+    acc = np.mean([p == t for p, t in zip(svm_predict(model, distances), y)])
     assert acc >= 0.99
 
     xor_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     xor_y = ["a", "a", "b", "b"]
-    xor_model = svm_train(xor_X, xor_y, SvmConfig(C=10.0, gamma=1.0))
-    assert svm_predict(xor_model, xor_X) == xor_y
+    xor_distances = one_block(xor_X, xor_X)
+    xor_model = svm_train(xor_X, xor_y, SvmConfig(C=10.0, gamma=1.0),
+                          distances=xor_distances)
+    assert svm_predict(xor_model, xor_distances) == xor_y
 
     for m in (*model.machines, *xor_model.machines):
         assert np.all(np.abs(m.dual_coef) <= 10.0 + 1e-9)

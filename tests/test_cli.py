@@ -117,6 +117,53 @@ class TestRunGridCommand:
             "error[resource]: embedding dimension 524289 leaves 15 grid bits")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("entries, top", [("huge", "1e+160"),
+                                              ("tiny", "3.84278e-200")])
+    def test_embedding_magnitude_without_exact_distances_exit_4(
+            self, tmp_path, capsys, demo_config, monkeypatch, entries, top):
+        # one entry of 1e160 overflows the distances; entries of 1e-200
+        # underflow them to zero
+        _, cfg = demo_config
+        header, *rows = Path(cfg["resources"]["embeddings"]).read_text(
+            encoding="utf-8").splitlines()
+        if entries == "huge":
+            word, _, *rest = rows[0].split()
+            rows[0] = " ".join([word, "1e160", *rest])
+        else:
+            rows = [" ".join([word, *(repr(float(v) * 1e-200) for v in values)])
+                    for word, *values in map(str.split, rows)]
+        vec = tmp_path / f"{entries}.vec"
+        vec.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        cfg_path = tmp_path / f"{entries}.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "resources": {**cfg["resources"], "embeddings": str(vec)}}))
+        monkeypatch.setattr(runner, "svm_train", lambda *a, **kw: pytest.fail(
+            "trained on embeddings without exact distances"))
+        assert main(["run-grid", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"error[resource]: embedding entries up to {top} leave squared "
+            f"distances outside float64: exact distances need the largest "
+            f"|entry| in [2^-515, 2^508)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run-grid", "train"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exit_3(self, tmp_path, capsys,
+                                                   demo_config, command, under):
+        path, _ = demo_config
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
+        cell = ["--dataset", "synth3", "--group", "EDA", "--size", "80",
+                "--pct", "0.2"]
+        assert main([command, "--config", path, *(cell if command == "train"
+                                                   else []),
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"error[data]: cannot make output directory: "
+                                f"{out / 'predictions'}: Not a directory\n")
+        assert captured.out == ""
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{}")
@@ -429,6 +476,20 @@ class TestAugmentCommand(CellCommandChecks):
         err = capsys.readouterr().err
         assert err == f"error[data]: cannot open cache file: {cache}\n"
 
+    @pytest.mark.parametrize("under, reason", [
+        (False, "File exists"), (True, "Not a directory"),
+    ], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exit_3(self, tmp_path, capsys,
+                                                   demo_config, under, reason):
+        path, _ = demo_config
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
+        assert self._main(path, "synth3", "EDA", out) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error[data]: cannot make output directory: {out}: {reason}\n")
+        assert captured.out == ""
+
     def test_oversized_csv_field_exit_3(self, tmp_path, capsys, demo_config):
         _, cfg = demo_config
         data = tmp_path / "big.csv"
@@ -625,6 +686,23 @@ class TestTrainCommand(CellCommandChecks):
         )
 
 
+    def test_negative_round_exit_2(self, tmp_path, capsys, demo_config):
+        # checked before any input is read, as --pct is
+        _, cfg = demo_config
+        cfg_path = tmp_path / "missing.json"
+        cfg_path.write_text(json.dumps({**cfg, "datasets": [
+            {"name": "synth3", "path": str(tmp_path / "missing.csv")}]}))
+        args = ["train", "--config", str(cfg_path), "--dataset", "synth3",
+                "--group", "EDA", "--size", "80", "--pct", "0.2",
+                "--out", str(tmp_path / "o")]
+        assert main([*args, "--round", "0"]) == 3
+        capsys.readouterr()
+        assert main([*args, "--round", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error[config]: --round -1 is negative\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("group, code", [("BT", 0), ("EDA", 4)])
     def test_reads_only_its_groups_inputs(self, tmp_path, capsys, demo_config,
                                           group, code):
@@ -707,6 +785,22 @@ class TestReportCommand:
         assert code == 3
         assert "error[data]" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("under, reason", [
+        (False, "File exists"), (True, "Not a directory"),
+    ], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exit_3(self, tmp_path, capsys,
+                                                   under, reason):
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, [
+            ExperimentResult("synth3", "EDA", 80, 0.0, 0, f1=0.7)])
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
+        assert main(["report", "--results", path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error[data]: cannot make output directory: {out}: {reason}\n")
+        assert captured.out == ""
 
     def test_repeated_key_exit_3(self, tmp_path, capsys):
         path = str(tmp_path / "twice.csv")

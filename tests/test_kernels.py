@@ -18,7 +18,7 @@ from augbench.errors import TrainingError
 from augbench.features import featurize, grid_bits, grid_step, to_grid
 from augbench.resources import load_embeddings
 from augbench.svm import SvmConfig, gamma_scale, svm_train
-from oracles import rbf_cross_gram, rbf_gram, rbf_kernel
+from oracles import one_block, rbf_cross_gram, rbf_gram, rbf_kernel
 
 
 @pytest.fixture
@@ -395,7 +395,7 @@ class TestPairGram:
         # with no added rows the one D is computed whole, as the oracle does
         X, _ = make_problem(90, 4, dim=7)
         whole = rbf_gram(X, 0.4)
-        distances = kernels.Distances([kernels.sq_distances(X, X)])
+        distances = one_block(X, X)
         for idx in (np.arange(90), np.arange(0, 90, 3), np.arange(5, 60)):
             assert (kernels.rbf_gram(distances, idx, 0.4).tobytes()
                     == whole[np.ix_(idx, idx)].tobytes())
@@ -410,7 +410,7 @@ class TestPairGram:
     def test_svm_train_on_unit_distances_equals_its_own(self):
         X = on_grid(130, 24, 6)
         y = [("a", "b", "c")[k] for k in np.argmax(X[:, :3], axis=1)]
-        own = svm_train(X, y)
+        own = svm_train(X, y, distances=one_block(X, X))
         unit = svm_train(X, y, distances=three_blocks(X, 110))
         assert own.gamma == unit.gamma
         for a, b in zip(own.machines, unit.machines, strict=True):
@@ -494,7 +494,7 @@ for n in (145, 300):
     model = svm_train(rows, labels, distances=distances)
     for machine in model.machines:
         digest.update(decision_values(model, machine, to_test).tobytes())
-    digest.update(" ".join(svm_predict(model, test, distances=to_test)).encode())
+    digest.update(" ".join(svm_predict(model, to_test)).encode())
 print(digest.hexdigest())
 """
 
@@ -610,12 +610,13 @@ class TestSmoAgreement:
     def test_iteration_ceiling_raises_through_svm_train(self, monkeypatch):
         X, y = make_problem(40, 10)
         labels = ["pos" if v > 0 else "neg" for v in y]
-        svm_train(X, labels, SvmConfig())  # converges under the default ceiling
+        distances = one_block(X, X)
+        svm_train(X, labels, SvmConfig(), distances=distances)  # converges
         monkeypatch.setattr(
             kernels, "smo_solve", functools.partial(kernels.smo_solve, max_iter=1)
         )
         with pytest.raises(TrainingError, match="did not reach tol"):
-            svm_train(X, labels, SvmConfig())
+            svm_train(X, labels, SvmConfig(), distances=distances)
 
     def test_iteration_ceiling_message_states_the_gap(self, random_problem):
         # at alpha = 0, -y G = y: the gap is 1 - (-1)

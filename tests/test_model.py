@@ -15,7 +15,8 @@ from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.resources import EmbeddingStore
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
 from oracles import (
-    evaluate_tallies, rbf_cross_gram, rbf_kernel, sentence_vector, word_vector,
+    evaluate_tallies, one_block, rbf_cross_gram, rbf_kernel, sentence_vector,
+    word_vector,
 )
 
 
@@ -121,6 +122,10 @@ class TestFeatureGrid:
     @settings(max_examples=300, deadline=None)
     def test_rounding_is_idempotent_and_within_half_a_step(self, rows):
         X = np.array(rows)
+        if 0 < np.abs(X).max() < 2.0 ** (grid_bits(3) - 538):
+            with pytest.raises(ResourceError, match="outside float64"):
+                grid_step(X)  # s^2 < 2^-1074: see the test below
+            return
         step = grid_step(X)
         G = to_grid(X, step)
         assert to_grid(G, step).tobytes() == G.tobytes()
@@ -150,6 +155,29 @@ class TestFeatureGrid:
         # b = floor((51 - ceil(log2 dim)) / 2), so 4 dim 2^(2b) <= 2^53
         assert grid_bits(dim) == bits
         assert 4 * dim * 2 ** (2 * bits) <= 2 ** 53
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 300, 2 ** 19])
+    def test_entries_whose_distances_overflow_rejected(self, dim):
+        # the largest entries whose bound 4 dim 2^(2e) is finite, then 2^e
+        e = (1024 - math.frexp(4.0 * dim)[1]) // 2
+        top = math.ldexp(1.0, e) * (1 - 2 ** -53)
+        step = grid_step(np.array([[top] * dim]))
+        X = to_grid(np.array([[top] * dim, [-top] * dim]), step)
+        assert np.isfinite(kernels.sq_distances(X, X)).all()
+        with pytest.raises(ResourceError, match=f"outside float64: .*, 2\\^{e}\\)$"):
+            grid_step(np.array([[math.ldexp(1.0, e)] * dim]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 300, 2 ** 19])
+    def test_entries_whose_squared_step_underflows_rejected(self, dim):
+        # s^2 = 2^(2(e - b)) is exactly 2^-1074 at the least entry allowed
+        least = 2.0 ** (grid_bits(dim) - 538)
+        step = grid_step(np.array([[least] + [0.0] * (dim - 1)]))
+        assert step * step == 2.0 ** -1074
+        X = np.zeros((2, dim))
+        X[0, 0] = step
+        assert kernels.sq_distances(X, X)[0, 1] == 2.0 ** -1074
+        with pytest.raises(ResourceError, match=f"in \\[2\\^{grid_bits(dim) - 538},"):
+            grid_step(np.array([[least * (1 - 2 ** -53)] + [0.0] * (dim - 1)]))
 
     def test_dimension_leaving_fewer_than_16_bits_rejected(self):
         with pytest.raises(ResourceError, match="dim <= 524288"):
@@ -220,17 +248,19 @@ XOR_Y = ["a", "a", "b", "b"]
 class TestSvm:
     def test_separable_blobs(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
-        acc = np.mean([p == t for p, t in zip(svm_predict(model, X), y)])
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        acc = np.mean([p == t for p, t in
+                       zip(svm_predict(model, one_block(X, X)), y)])
         assert acc >= 0.99
 
     def test_xor(self):
-        model = svm_train(XOR_X, XOR_Y, SvmConfig(gamma=1.0))
-        assert svm_predict(model, XOR_X) == XOR_Y
+        distances = one_block(XOR_X, XOR_X)
+        model = svm_train(XOR_X, XOR_Y, SvmConfig(gamma=1.0), distances=distances)
+        assert svm_predict(model, distances) == XOR_Y
 
     def test_dual_coefficients_bounded(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig(C=10.0))
+        model = svm_train(X, y, SvmConfig(C=10.0), distances=one_block(X, X))
         for machine in model.machines:
             assert np.all(np.abs(machine.dual_coef) <= 10.0 + 1e-9)
 
@@ -238,10 +268,10 @@ class TestSvm:
         # complementarity cases within solver tolerance plus slack
         X, y = make_blobs()
         cfg = SvmConfig(C=10.0)
-        model = svm_train(X, y, cfg)
+        model = svm_train(X, y, cfg, distances=one_block(X, X))
         machine = model.machines[0]
         y_signed = np.array([1.0 if t == "neg" else -1.0 for t in y])
-        support = model.X[machine.support_vectors]
+        support = X[machine.support_vectors]
         K = rbf_cross_gram(X, support, model.gamma)
         f = K @ machine.dual_coef + machine.bias
         sv_index = {tuple(v): c for v, c in
@@ -259,8 +289,8 @@ class TestSvm:
 
     def test_deterministic(self):
         X, y = make_blobs(seed=7)
-        m1 = svm_train(X, y, SvmConfig())
-        m2 = svm_train(X, y, SvmConfig())
+        m1 = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        m2 = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         assert np.array_equal(m1.machines[0].dual_coef, m2.machines[0].dual_coef)
         assert m1.machines[0].bias == m2.machines[0].bias
 
@@ -273,7 +303,7 @@ class TestSvm:
         monkeypatch.setattr(kernels, "smo_solve",
                             lambda K, *a: solved.append(K) or solve(K, *a))
         X, y = make_blobs()
-        svm_train(X, y, SvmConfig())
+        svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         assert len(grams) == len(solved) == 1 and solved[0] is grams[0]
 
     def test_multiclass_votes(self):
@@ -282,75 +312,84 @@ class TestSvm:
         X = np.vstack([rng.normal(0, 0.3, (15, 2)) + c
                        for c in centers.values()])
         y = [lbl for lbl in centers for _ in range(15)]
-        model = svm_train(X, y, SvmConfig())
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         assert len(model.machines) == 3
-        acc = np.mean([p == t for p, t in zip(svm_predict(model, X), y)])
+        acc = np.mean([p == t for p, t in
+                       zip(svm_predict(model, one_block(X, X)), y)])
         assert acc >= 0.95
 
     def test_point_deep_inside_class(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
-        assert svm_predict(model, np.array([[3.0, 3.0]])) == ["pos"]
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        point = np.array([[3.0, 3.0]])
+        assert svm_predict(model, one_block(point, X)) == ["pos"]
 
     def test_empty_predict(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
-        assert svm_predict(model, np.empty((0, 2))) == []
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        assert svm_predict(model, one_block(np.empty((0, 2)), X)) == []
 
     def test_single_class_rejected(self):
+        X = np.zeros((4, 2))
         with pytest.raises(TrainingError, match="single class"):
-            svm_train(np.zeros((4, 2)), ["a"] * 4)
+            svm_train(X, ["a"] * 4, distances=one_block(X, X))
 
     def test_non_finite_rejected(self):
         X = np.array([[0.0, np.nan], [1.0, 1.0]])
         with pytest.raises(TrainingError, match="non-finite"):
-            svm_train(X, ["a", "b"])
-
-    def test_predict_dim_mismatch(self):
-        X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
-        with pytest.raises(ValueError):
-            svm_predict(model, np.zeros((2, 5)))
+            svm_train(X, ["a", "b"], distances=one_block(X, X))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_predict_non_finite_rejected(self, value):
-        # a NaN row would get no vote and go to the first class
+        # a NaN row would get no vote and go to the first class; a
+        # non-finite feature row is at NaN distance from the blobs
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
-        with pytest.raises(ValueError, match="non-finite"):
-            svm_predict(model, np.array([[0.0, 0.0], [value, value]]))
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        with np.errstate(invalid="ignore"):
+            distances = one_block(np.array([[0.0, 0.0], [value, value]]), X)
+        assert np.isnan(distances.blocks[0][0][1]).any()
+        with pytest.raises(ValueError, match="NaN decision values"):
+            svm_predict(model, distances)
+
+    def test_predict_nan_distances_rejected(self):
+        X, y = make_blobs()
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        D = one_block(X[:3], X).blocks[0][0]
+        D[1] = np.nan
+        with pytest.raises(ValueError, match="NaN decision values"):
+            svm_predict(model, kernels.Distances([D]))
 
     def test_support_vectors_are_training_row_indices(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         (machine,) = model.machines
-        assert model.X.tobytes() == X.tobytes()
+        assert model.rows == len(X)
         assert machine.support_vectors.dtype.kind == "i"
         assert np.all(np.diff(machine.support_vectors) > 0)
         assert machine.support_vectors.size == machine.dual_coef.size
 
     def test_predict_from_given_distances_equals_its_own(self):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         probe = np.random.default_rng(3).normal(0, 3, (25, 2))
         distances = kernels.Distances([kernels.sq_distances(probe, X[:30]),
                                        kernels.sq_distances(probe, X[30:])])
-        assert (svm_predict(model, probe, distances=distances)
-                == svm_predict(model, probe))
+        assert (svm_predict(model, distances)
+                == svm_predict(model, one_block(probe, X)))
 
     @pytest.mark.parametrize("shapes", [
-        [(4, 40)],  # rows of other test points
+        [(3, 41)],  # one training row too many, in one block
         [(3, 39)],  # one training row short
         [(3, 30), (3, 11)],  # one training row too many
         [(3, 10), (4, 30)],  # a second block of other rows
         [(3, 10), (3, 10), (3, 20)],  # three blocks
         [],
-    ], ids=["rows", "short", "long", "second-rows", "three", "none"])
+    ], ids=["wide", "short", "long", "second-rows", "three", "none"])
     def test_predict_distances_of_other_rows_rejected(self, shapes):
         X, y = make_blobs()
-        model = svm_train(X, y, SvmConfig())
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         with pytest.raises(ValueError, match="distance blocks"):
-            svm_predict(model, X[:3], distances=kernels.Distances(
+            svm_predict(model, kernels.Distances(
                 [np.ones(shape) for shape in shapes]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -717,17 +717,20 @@ class TestUnitGrid:
             runner, "svm_train", lambda X, y, cfg, **kw:
             trained.append((X, kw["distances"])) or train(X, y, cfg, **kw))
 
-        def predict_counted(model, X, **kw):
-            predicted.append((X, kw["distances"]))
+        def predict_counted(model, distances):
+            predicted.append(distances)
             before = len(computed)
-            preds = predict(model, X, **kw)
+            preds = predict(model, distances)
             assert len(computed) == before  # it gathers, it computes none
             return preds
 
+        def sq_distances_counted(A, B):
+            computed.append((A, B, sq_distances(A, B)))
+            return computed[-1][2]
+
         monkeypatch.setattr(runner, "svm_predict", predict_counted)
         for module in (runner, kernels):
-            monkeypatch.setattr(module, "sq_distances", lambda A, B:
-                                computed.append(A) or sq_distances(A, B))
+            monkeypatch.setattr(module, "sq_distances", sq_distances_counted)
         cells = runner.plan_grid(config)
         runner.run_unit(config, resources, cells)
         assert len(trained) == len(predicted) == 1 + sum(
@@ -735,13 +738,17 @@ class TestUnitGrid:
         # X_test, X_train and each cell's generated rows: one grid
         step = resources.grid_step
         assert step == grid_step(resources.embeddings.matrix)
-        for X in [X for X, _ in trained + predicted]:
+        for X in [X for X, _ in trained] + [M for A, B, _ in computed
+                                            for M in (A, B)]:
             k = X / step
             assert np.array_equal(k, np.rint(k))
-            assert np.abs(k).max() <= 2 ** grid_bits(resources.embeddings.dim)
+            assert np.abs(k).max(initial=0) <= 2 ** grid_bits(
+                resources.embeddings.dim)
         # the originals' distances are computed once; each training adds
         # its own rows', none for the baseline
         base = trained[0][1].blocks[0][0]
+        (X_train, B, _), = [c for c in computed if c[2] is base]
+        assert B is X_train
         for X, distances in trained:
             assert distances.blocks[0][0] is base
             assert distances.shape == (len(X), len(X))
@@ -750,14 +757,14 @@ class TestUnitGrid:
         assert len(trained[0][0]) == len(base)
         # so are the test rows' distances to the originals; each training
         # adds those to its own rows
-        X_test, distances = predicted[0]
-        test_block = distances.blocks[0][0]
-        assert test_block.shape == (len(X_test), len(base))
-        for (X, distances), (X_train, _) in zip(predicted, trained, strict=True):
+        test_block = predicted[0].blocks[0][0]
+        (X_test, B, _), = [c for c in computed if c[2] is test_block]
+        assert B is X_train and test_block.shape == (len(X_test), len(base))
+        for distances, (X, _) in zip(predicted, trained, strict=True):
             (first, second), = distances.blocks
-            assert X is X_test and first is test_block
-            assert second.shape == (len(X_test), len(X_train) - len(base))
-        assert sum(A is X_test for A in computed) == 1 + len(predicted)
+            assert first is test_block
+            assert second.shape == (len(X_test), len(X) - len(base))
+        assert sum(A is X_test for A, _, _ in computed) == 1 + len(predicted)
 
     def test_a_unit_scores_each_model_once(self, demo, monkeypatch):
         # the baseline is scored once, and every group's p=0 row reports it

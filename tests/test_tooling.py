@@ -245,6 +245,37 @@ def test_models_are_trained_and_scored_only_by_run_unit_fit():
                                    for name in TRAINING)
 
 
+# One way to get a model's distances: run_unit computes those among its
+# original training rows and from its test rows to them, and its fit
+# those of the rows it adds; svm_train and svm_predict only read them.
+DISTANCES = {"sq_distances", "Distances"}
+
+
+def test_distance_call_check_sees_a_second_site():
+    source = (
+        "def svm_train(X, y, cfg, distances=None):\n"
+        "    if distances is None:\n"
+        "        distances = kernels.Distances([kernels.sq_distances(X, X)])\n"
+        "def run_unit(config, cells):\n"
+        "    def fit(added):\n"
+        "        return Distances([D, sq_distances(X_new, X)])\n"
+    )
+    assert _calls(source, "svm", DISTANCES) == [
+        ("svm.svm_train", "Distances"),
+        ("svm.svm_train", "sq_distances"),
+        ("svm.run_unit.fit", "Distances"),
+        ("svm.run_unit.fit", "sq_distances"),
+    ]
+
+
+def test_distances_are_computed_only_by_run_unit():
+    assert _package_calls(DISTANCES) == {
+        ("runner.run_unit", "sq_distances"),
+        ("runner.run_unit.fit", "sq_distances"),
+        ("runner.run_unit.fit", "Distances"),
+    }
+
+
 # One writer: run-grid and train both write results.csv and the
 # prediction files from GridRunner.run, so the two cannot write a row or
 # a file differently, and the function that runs a unit writes nothing.
