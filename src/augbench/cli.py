@@ -104,10 +104,10 @@ def _cmd_augment(args) -> int:
     dataset = resources.datasets[args.dataset]
     cell = runner.GridCell(args.dataset, args.group, len(dataset), args.pct, 0)
     try:
+        make_output_dir(args.out)
         aug = runner.augment_cell(config, resources, cell, dataset)
     finally:
         resources.cache.close()
-    make_output_dir(args.out)
     out_path = os.path.join(args.out, f"{args.dataset}_{args.group}_augmented.csv")
     write_csv(out_path, [spec.text_column, spec.label_column], aug.dataset.examples)
     print(json.dumps({
@@ -165,10 +165,10 @@ def _cmd_mcnemar(args) -> int:
 
 def _cmd_report(args) -> int:
     rows = read_results_csv(args.results)
-    summary = report.summarize(rows, args.out)
+    gains, significant = report.summarize(rows, args.out)
     print(json.dumps({
-        "gain_records": len(summary.gains),
-        "significant": len(summary.significant),
+        "gain_records": len(gains),
+        "significant": len(significant),
         "out": args.out,
     }))
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -38,12 +38,6 @@ class Dataset:
     name: str
     examples: tuple[LabeledExample, ...]
     skipped: int = 0
-    label_set: frozenset[str] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "label_set", frozenset(map(_LABEL, self.examples))
-        )
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -167,7 +161,7 @@ def resample_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
     to a bounded number of retries.
     """
     _check_draw(dataset, n)
-    if len(dataset.label_set) < 2:
+    if len(set(map(_LABEL, dataset.examples))) < 2:
         raise DataError(f"{dataset.name}: fewer than two labels; cannot subset")
     current = seed
     for _ in range(_MAX_RESAMPLE_RETRIES + 1):

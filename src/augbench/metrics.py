@@ -16,22 +16,12 @@ from .errors import DataError, open_input
 
 
 @dataclass(frozen=True)
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    per_class: dict[str, ClassScores]
     weighted_f1: float
-    predictions: tuple[str, ...]
 
 
 def evaluate(y_true: Sequence[str], y_pred: Sequence[str]) -> EvalReport:
-    """Per-class precision/recall/F1 and the support-weighted F1."""
+    """The support-weighted F1 of the predictions."""
     if len(y_true) != len(y_pred):
         raise ValueError(f"length mismatch: {len(y_true)} vs {len(y_pred)}")
     if not y_true:
@@ -40,19 +30,13 @@ def evaluate(y_true: Sequence[str], y_pred: Sequence[str]) -> EvalReport:
     predicted = Counter(y_pred)
     tp = Counter(t for t, p in zip(y_true, y_pred) if t == p)
     total = len(y_true)
-    per_class: dict[str, ClassScores] = {}
     weighted = 0.0
     for c in sorted(support.keys() | predicted.keys()):
         prec = tp[c] / predicted[c] if predicted[c] else 0.0
         rec = tp[c] / support[c] if support[c] else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        per_class[c] = ClassScores(prec, rec, f1, support[c])
         weighted += (support[c] / total) * f1
-    return EvalReport(
-        per_class=per_class,
-        weighted_f1=weighted,
-        predictions=tuple(y_pred),
-    )
+    return EvalReport(weighted_f1=weighted)
 
 
 def save_predictions(
@@ -73,19 +57,32 @@ def save_predictions(
         fh.write("".join(lines))
 
 
+_FIELDS = ("index", "true_label", "predicted_label")
+
+
 def load_predictions(path: str) -> tuple[list[str], list[str]]:
-    """Read a predictions file back into (y_true, y_pred), index order;
-    DataError for an unreadable file, a line that is not a record and
-    indices other than 0..n-1, each once."""
-    try:
-        with open_input(path, "predictions file", DataError) as fh:
-            records = [
-                (int(rec["index"]), str(rec["true_label"]),
-                 str(rec["predicted_label"]))
-                for rec in map(json.loads, filter(str.strip, fh))
-            ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed prediction record: {exc!r}") from exc
+    """Read a predictions file back into (y_true, y_pred), index order.
+
+    Each non-blank line must be a record as ``save_predictions`` writes
+    it: exactly the keys of ``_FIELDS``, an int index (not a bool) and
+    string labels. DataError for an unreadable file, any other line
+    (naming it) and indices other than 0..n-1, each once.
+    """
+    records = []
+    with open_input(path, "predictions file", DataError) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not (isinstance(rec, dict) and rec.keys() == set(_FIELDS)
+                    and [type(rec[k]) for k in _FIELDS] == [int, str, str]):
+                raise DataError(
+                    f"{path}: line {number}: not a prediction record of an "
+                    f"int index and two string labels: {line.strip()[:80]}")
+            records.append(tuple(rec[k] for k in _FIELDS))
     records.sort(key=lambda r: r[0])
     if [r[0] for r in records] != list(range(len(records))):
         raise DataError(f"{path}: prediction indices are not 0..{len(records) - 1}")

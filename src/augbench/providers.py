@@ -11,6 +11,7 @@ environment and are never logged or echoed.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import time
@@ -99,10 +100,11 @@ class RateLimiter:
 class _JsonClient:
     """POSTs JSON to one URL, retrying with exponential backoff.
 
-    A URL, OS or decode error, or a payload the caller's parser rejects
-    with TransportError, costs one attempt. The key named by ``key_env``
-    is read at call time and sent as a bearer token; errors name only
-    the last failure's type, so they never contain it.
+    A URL, OS or decode error, a malformed HTTP response, or a payload
+    the caller's parser rejects with TransportError, costs one attempt.
+    The key named by ``key_env`` is read at call time and sent as a
+    bearer token; errors name only the last failure's type, so they
+    never contain it.
     """
 
     def __init__(self, service: str, url: str, key_env: str | None = None,
@@ -134,7 +136,7 @@ class _JsonClient:
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     return parse(json.loads(resp.read().decode("utf-8")))
             except (TransportError, urllib.error.URLError, OSError,
-                    ValueError) as exc:
+                    http.client.HTTPException, ValueError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an error response still holds its socket
                 last_error = exc
@@ -267,8 +269,9 @@ class TranslationCache:
     file that cannot be opened for either is DataError. Each record is
     flushed before ``put`` returns, so a fresh cache or a resumed run
     sees it; nothing is fsynced. ``close`` releases the handle; a later
-    ``put`` reopens it. A file line that is not one record of five
-    string fields, the only record ``put`` writes, is DataError.
+    ``put`` reopens it. A file line that is not one JSON object holding
+    the five fields, each a string, is DataError. ``put`` writes exactly
+    those five; a record with more loads, and the others are ignored.
     """
 
     def __init__(self, path: str | None = None):

@@ -14,21 +14,10 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DataError
 from .results import GROUPS, ExperimentResult, _fmt, make_output_dir, write_csv
 from .stats import ALPHA
-
-
-@dataclass
-class Summary:
-    mean_gain_by_group: dict[tuple[str, str], tuple[float, int]]
-    mean_gain_by_group_size: dict[tuple[str, str, int], tuple[float, int]]
-    gains: list[ExperimentResult]  # ok p>0 rows with a gain, in row order
-    best_models: dict[tuple[str, str, int, float], ExperimentResult]
-    unpaired: list[tuple]
-    significant: list[ExperimentResult]
 
 
 def _group_sort_key(group: str):
@@ -38,8 +27,12 @@ def _group_sort_key(group: str):
         return (1, group)
 
 
-def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
-    """Build and write the report bundle for a results set."""
+def summarize(
+    rows: list[ExperimentResult], out_dir: str
+) -> tuple[list[ExperimentResult], list[ExperimentResult]]:
+    """Write the report bundle for a results set; return its gain records
+    (the ok p>0 rows with a gain, in row order) and, of those, the
+    significant ones."""
     if not rows:
         raise DataError("cannot summarize an empty results set")
     repeated = [k for k, n in Counter(r.key() for r in rows).items() if n > 1]
@@ -66,8 +59,7 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
     significant = [r for r in gains if r.gain > 0 and r.p_value < ALPHA]
 
     mean_by_group = _mean_gains(out_dir, "mean_gain_by_group", gains)
-    mean_by_group_size = _mean_gains(
-        out_dir, "mean_gain_by_group_size", gains, "subset_size")
+    _mean_gains(out_dir, "mean_gain_by_group_size", gains, "subset_size")
 
     # best augmented model across rounds per combination; ties go to the
     # earliest round so the report is deterministic
@@ -83,14 +75,7 @@ def summarize(rows: list[ExperimentResult], out_dir: str) -> Summary:
     _write_text_summary(
         out_dir, rows, ok_rows, gains, significant, unpaired, mean_by_group
     )
-    return Summary(
-        mean_gain_by_group=mean_by_group,
-        mean_gain_by_group_size=mean_by_group_size,
-        gains=gains,
-        best_models=best_models,
-        unpaired=unpaired,
-        significant=significant,
-    )
+    return gains, significant
 
 
 def _mean_gains(out_dir: str, name: str, gains: list[ExperimentResult],

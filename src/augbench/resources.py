@@ -2,10 +2,14 @@
 
 Both structures are immutable once loaded. Parsing is strict about
 shape (single-token pairs, fixed vector arity) and counts what it skips.
+A loaded embedding store also fixes the grid its features are rounded
+to; a file whose entries leave that grid's squared distances outside
+float64 is a ResourceError as it loads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -18,6 +22,9 @@ from .errors import ResourceError, open_input
 _PPDB_SEP = "|||"
 # Components squared at once when the row norms are computed.
 _NORM_SLICE = 1 << 17
+# With fewer bits, rounding would move a feature by more than 2^-17 of
+# the power of two above the largest embedding entry.
+_MIN_GRID_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,52 @@ def parse_ppdb(path: str) -> SynonymMap:
     )
 
 
+def grid_bits(dim: int) -> int:
+    """Bits b of the feature grid for ``dim`` components.
+
+    A grid feature is k * s with an integer |k| <= 2^b. Every intermediate
+    of sq_i + sq_j - 2 x_i.x_j is then an integer multiple of s^2, exact
+    in float64 while it stays at most 2^53. The largest, the final
+    subtraction, reaches 4 * dim * 2^(2b) * s^2 when x_j = -x_i, so
+    b = floor((51 - ceil(log2 dim)) / 2). Raises ResourceError when that
+    leaves fewer than 16 bits (dim above 2^19).
+    """
+    bits = (51 - (dim - 1).bit_length()) // 2
+    if bits < _MIN_GRID_BITS:
+        raise ResourceError(
+            f"embedding dimension {dim} leaves {bits} grid bits, fewer than "
+            f"{_MIN_GRID_BITS}: exact distances need dim <= "
+            f"{2 ** (51 - 2 * _MIN_GRID_BITS)}")
+    return bits
+
+
+def grid_step(matrix: np.ndarray) -> float:
+    """The grid step s = 2^(e - b) of an embedding matrix: 2^e is the
+    least power of two above every |entry|, which bounds every mean
+    vector too, and b is ``grid_bits`` of its dimension d. ResourceError
+    unless 4 d 2^(2e), the bound on every squared distance on the grid,
+    is finite and s^2 is at least 2^-1074, so that each is exact."""
+    top = max(float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)))
+    e, b = math.frexp(top)[1], grid_bits(matrix.shape[1])
+    room = 1024 - math.frexp(4.0 * matrix.shape[1])[1]  # finite iff 2e <= room
+    if 2 * e > room or 2 * (e - b) < -1074:
+        raise ResourceError(
+            f"embedding entries up to {top:g} leave squared distances outside "
+            f"float64: exact distances need the largest |entry| in "
+            f"[2^{b - 538}, 2^{room // 2})")
+    return math.ldexp(1.0, e - b)
+
+
 @dataclass(frozen=True)
 class EmbeddingStore:
-    """Dense word vectors with O(1) lookup and a precomputed norm cache."""
+    """Dense word vectors with O(1) lookup and a precomputed norm cache.
+    ``load_embeddings`` sets ``grid_step`` to ``grid_step(matrix)``."""
 
     dim: int
     words: tuple[str, ...]
     matrix: np.ndarray  # (n_words, dim) float64
     skipped: int = 0
+    grid_step: float | None = None
     _index: dict[str, int] = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
     # (word, k) -> nearest_neighbors result; the store is read-only, so an
@@ -120,7 +165,8 @@ def load_embeddings(path: str) -> EmbeddingStore:
     ignored. Rows with the wrong arity or non-finite components are
     skipped and counted; on duplicate words the first occurrence wins.
     Components are read as Python's float() reads them. The header count
-    is only a size hint for the matrix.
+    is only a size hint for the matrix. ``grid_step`` checks the kept
+    rows before the store computes anything from them.
     """
     with open_input(path, "embedding file", ResourceError) as fh:
         header = fh.readline().split()
@@ -147,9 +193,10 @@ def load_embeddings(path: str) -> EmbeddingStore:
                         rows.skipped += 1
     if not rows.words:
         raise ResourceError(f"{path}: zero valid embedding rows")
+    matrix = rows.matrix()
     return EmbeddingStore(
-        dim=dim, words=tuple(rows.words), matrix=rows.matrix(),
-        skipped=rows.skipped,
+        dim=dim, words=tuple(rows.words), matrix=matrix,
+        skipped=rows.skipped, grid_step=grid_step(matrix),
     )
 
 

@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .eda import EdaConfig, eda_augment
 from .errors import ConfigError, InvariantError, TrainingError, open_input
-from .features import featurize, grid_step, to_grid
+from .features import featurize, to_grid
 from .kernels import Distances, sq_distances
 from .metrics import evaluate, save_predictions
 from .pipeline import (
@@ -390,7 +390,6 @@ class Resources:
     syn_stages: list[SynStage]
     translation: object | None
     cache: TranslationCache
-    grid_step: float | None  # features.grid_step of the embeddings, if featurized
 
 
 def load_resources(config: ExperimentConfig, *,
@@ -401,8 +400,9 @@ def load_resources(config: ExperimentConfig, *,
     paraphrase map; Syn the inputs of its ``syn_stages``; BT the
     translation provider and the cache file. A run that featurizes (a
     grid, ``featurize=True``) reads the embeddings too; the augment
-    command passes ``featurize=False``. An embedding dimension too large
-    for exact distances is a ResourceError here, before any training.
+    command passes ``featurize=False``. Embeddings too wide or of
+    entries too large or too small for exact distances are a
+    ResourceError as they load, before any training.
     """
     stages = config.syn_stages if "Syn" in config.groups else ()
     datasets = {
@@ -439,7 +439,6 @@ def load_resources(config: ExperimentConfig, *,
         translation=make_translation_provider(
             config.translation, config.source_lang) if back_translates else None,
         cache=TranslationCache(config.cache_path if back_translates else None),
-        grid_step=grid_step(embeddings.matrix) if featurize else None,
     )
 
 
@@ -526,9 +525,9 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     )
     if set(pair.train_indices) & set(pair.test_indices):
         raise InvariantError(f"train and test sets overlap in subset {key}")
-    emb, step = resources.embeddings, resources.grid_step
-    X_test = to_grid(featurize(pair.test, emb), step)
-    X_train = to_grid(featurize(pair.train, emb), step)
+    emb = resources.embeddings
+    X_test = to_grid(featurize(pair.test, emb), emb.grid_step)
+    X_train = to_grid(featurize(pair.train, emb), emb.grid_step)
     D_train = sq_distances(X_train, X_train)
     D_test = sq_distances(X_test, X_train)
     y_test = pair.test.labels()
@@ -536,7 +535,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     def fit(added: Dataset) -> tuple[list[str] | None, float | None, str | None]:
         """(test predictions, weighted F1, None) of the SVM trained on the
         training rows, then ``added``; (None, None, message) on TrainingError."""
-        X_new = to_grid(featurize(added, emb), step)
+        X_new = to_grid(featurize(added, emb), emb.grid_step)
         try:
             model = svm_train(
                 np.vstack([X_train, X_new]), pair.train.labels() + added.labels(),

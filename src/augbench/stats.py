@@ -27,10 +27,6 @@ class ContingencyTable:
         if min(self.a, self.b, self.c, self.d) < 0:
             raise ValueError("contingency counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.a + self.b + self.c + self.d
-
 
 @dataclass(frozen=True)
 class TestResult:

@@ -1,7 +1,8 @@
 """Reference implementations the vectorised and bulk code is checked
 against: scalar formulas, the RBF kernels computed from features, and
 the straightforward loaders and translator that the faster ones
-replaced. Also the in-memory builders that only tests use."""
+replaced. Also the in-memory builders that only tests use, and a
+reader of the report bundle's mean-gain tables."""
 
 import csv
 import json
@@ -13,7 +14,6 @@ from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import DataError, ResourceError
 from augbench.features import _mean_vectors
 from augbench.kernels import Distances, sq_distances
-from augbench.metrics import ClassScores, EvalReport
 from augbench.resources import SynonymMap
 from augbench.stats import ContingencyTable
 
@@ -255,9 +255,9 @@ def allocate_stratified_cursor(counts: list[int], target_train: int) -> list[int
     return alloc
 
 
-def evaluate_tallies(y_true, y_pred) -> EvalReport:
-    """Per-class scores and weighted F1 from tp/fp/fn/support tallies
-    kept in one pass: the reference for ``metrics.evaluate``."""
+def evaluate_tallies(y_true, y_pred) -> float:
+    """Weighted F1 from tp/fp/fn/support tallies kept in one pass: the
+    reference for ``metrics.evaluate``."""
     labels = sorted(set(y_true) | set(y_pred))
     tp = {c: 0 for c in labels}
     fp = {c: 0 for c in labels}
@@ -271,16 +271,13 @@ def evaluate_tallies(y_true, y_pred) -> EvalReport:
             fp[p] += 1
             fn[t] += 1
     total = len(y_true)
-    per_class = {}
     weighted = 0.0
     for c in labels:
         prec = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
         rec = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        per_class[c] = ClassScores(prec, rec, f1, support[c])
         weighted += (support[c] / total) * f1
-    return EvalReport(per_class=per_class, weighted_f1=weighted,
-                      predictions=tuple(y_pred))
+    return weighted
 
 
 def contingency_branches(y_true, pred_baseline, pred_augmented) -> ContingencyTable:
@@ -299,3 +296,12 @@ def contingency_branches(y_true, pred_baseline, pred_augmented) -> ContingencyTa
         else:
             d += 1
     return ContingencyTable(a=a, b=b, c=c, d=d)
+
+
+def read_mean_gains(path) -> dict:
+    """{(dataset, group[, subset_size]): (mean_gain, n_models)} of a
+    ``mean_gain_by_group*.csv`` of the report bundle."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    return {(ds, group, *map(int, extra)): (float(mean), int(n))
+            for ds, group, *extra, mean, n in rows}

@@ -33,7 +33,7 @@ from augbench.providers import DictTranslationProvider, TranslationCache
 from augbench.results import ExperimentResult
 from augbench.stats import ContingencyTable, mcnemar
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
-from oracles import one_block, synonym_map_from_dict
+from oracles import one_block, read_mean_gains, synonym_map_from_dict
 
 
 def _report(line: str) -> None:
@@ -169,10 +169,11 @@ def test_criterion_5_grid_accounting(tmp_path):
                         dataset=d, group=g, subset_size=n, aug_pct=p,
                         round=0, f1=0.7, **pairing,
                     ))
-    summary = report.summarize(one_round, str(tmp_path / "report"))
+    gains, _ = report.summarize(one_round, str(tmp_path / "report"))
     baselines = [r for r in one_round if r.aug_pct == 0]
-    assert (len(summary.gains), len(baselines)) == (135, 45)
-    assert summary.unpaired == []
+    assert (len(gains), len(baselines)) == (135, 45)
+    assert "unpaired augmented cells (no ok baseline): 0\n" in (
+        tmp_path / "report" / "summary.txt").read_text(encoding="utf-8")
     # a retry per combination is a repeated cell key, not a silent pick
     retried = one_round + [
         dataclasses.replace(r, f1=0.5) for r in one_round
@@ -323,20 +324,21 @@ def _hand_fixture():
 
 def test_criterion_9_report_fidelity(tmp_path):
     rows, aug_f1, base_f1, p_map = _hand_fixture()
-    summary = report.summarize(rows, str(tmp_path))
+    _, significant = report.summarize(rows, str(tmp_path))
+    by_size = read_mean_gains(tmp_path / "mean_gain_by_group_size.csv")
 
     for (group, size), values in aug_f1.items():
         base = base_f1[size]
         gains = [f1 - base for f1 in values]
         expected_mean = sum(gains) / len(gains)
-        mean, n = summary.mean_gain_by_group_size[("ds", group, size)]
+        mean, n = by_size["ds", group, size]
         assert n == 4
         assert mean == expected_mean  # exact float reproduction
 
     expected_significant = {
         ("ds", g, s, p, r) for (g, s, p, r), pv in p_map.items() if pv < 0.05
     }
-    got_significant = {r.key() for r in summary.significant}
+    got_significant = {r.key() for r in significant}
     assert got_significant == expected_significant
     _report(
         f"9 report-fidelity: PASS (6 hand means exact, "

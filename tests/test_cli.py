@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,34 @@ def demo_config(tmp_path_factory):
     path = root / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path), cfg
+
+
+MAGNITUDES = pytest.mark.parametrize(
+    "entries, top", [("huge", "1e+160"), ("tiny", "3.84278e-200")])
+
+
+def out_of_bounds_embeddings(tmp_path, cfg, entries, top):
+    """(config path, expected stderr) of the demo config with its
+    embedding file changed: one entry of 1e160 ("huge") overflows the
+    squared distances, and every entry times 1e-200 ("tiny") underflows
+    them to zero."""
+    header, *rows = Path(cfg["resources"]["embeddings"]).read_text(
+        encoding="utf-8").splitlines()
+    if entries == "huge":
+        word, _, *rest = rows[0].split()
+        rows[0] = " ".join([word, "1e160", *rest])
+    else:
+        rows = [" ".join([word, *(repr(float(v) * 1e-200) for v in values)])
+                for word, *values in map(str.split, rows)]
+    vec = tmp_path / f"{entries}.vec"
+    vec.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    cfg_path = tmp_path / f"{entries}.json"
+    cfg_path.write_text(json.dumps(
+        {**cfg, "resources": {**cfg["resources"], "embeddings": str(vec)}}))
+    return cfg_path, (
+        f"error[resource]: embedding entries up to {top} leave squared "
+        f"distances outside float64: exact distances need the largest "
+        f"|entry| in [2^-515, 2^508)\n")
 
 
 class TestMcnemarCommand:
@@ -63,6 +92,36 @@ class TestMcnemarCommand:
             fh.write('{"index": 0, "true_label": "a"}\nnot json\n')
         assert main(["mcnemar", p1, p2]) == 3
         assert "error[data]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"index": 1.7, "true_label": "5", "predicted_label": "True"},
+        {"index": 1.0, "true_label": "5", "predicted_label": "True"},
+        {"index": True, "true_label": "5", "predicted_label": "True"},
+        {"index": "1", "true_label": "5", "predicted_label": "True"},
+        {"index": 1, "true_label": 5, "predicted_label": "True"},
+        {"index": 1, "true_label": "5", "predicted_label": True},
+        {"index": 1, "true_label": "5", "predicted_label": None},
+        {"index": 1, "true_label": "5", "predicted_label": "True", "extra": 1},
+        {"index": 1, "true_label": "5"},
+        [1, "5", "True"],
+    ], ids=["float-index", "integral-float-index", "bool-index",
+            "string-index", "int-label", "bool-label", "null-label",
+            "extra-key", "missing-key", "array"])
+    def test_record_save_predictions_would_not_write_is_data_error(
+            self, tmp_path, capsys, record):
+        # each would otherwise read as index 1 with labels "5" and "True"
+        # (or "None"), and pair silently with p1
+        p1, p2 = str(tmp_path / "p1.jsonl"), str(tmp_path / "p2.jsonl")
+        save_predictions(p1, ["a", "5"], ["a", "True"])
+        with open(p2, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"index": 0, "true_label": "a",
+                                 "predicted_label": "a"}) + "\n")
+            fh.write(json.dumps(record) + "\n")
+        assert main(["mcnemar", p1, p2]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error[data]: {p2}: line 2: not a prediction record")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("indices", [[0, 0], [0, 2], [1, 2], [-1, 0]],
                              ids=["repeated", "gap", "from-one", "negative"])
@@ -117,34 +176,16 @@ class TestRunGridCommand:
             "error[resource]: embedding dimension 524289 leaves 15 grid bits")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("entries, top", [("huge", "1e+160"),
-                                              ("tiny", "3.84278e-200")])
+    @MAGNITUDES
     def test_embedding_magnitude_without_exact_distances_exit_4(
             self, tmp_path, capsys, demo_config, monkeypatch, entries, top):
-        # one entry of 1e160 overflows the distances; entries of 1e-200
-        # underflow them to zero
-        _, cfg = demo_config
-        header, *rows = Path(cfg["resources"]["embeddings"]).read_text(
-            encoding="utf-8").splitlines()
-        if entries == "huge":
-            word, _, *rest = rows[0].split()
-            rows[0] = " ".join([word, "1e160", *rest])
-        else:
-            rows = [" ".join([word, *(repr(float(v) * 1e-200) for v in values)])
-                    for word, *values in map(str.split, rows)]
-        vec = tmp_path / f"{entries}.vec"
-        vec.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-        cfg_path = tmp_path / f"{entries}.json"
-        cfg_path.write_text(json.dumps(
-            {**cfg, "resources": {**cfg["resources"], "embeddings": str(vec)}}))
+        cfg_path, err = out_of_bounds_embeddings(
+            tmp_path, demo_config[1], entries, top)
         monkeypatch.setattr(runner, "svm_train", lambda *a, **kw: pytest.fail(
             "trained on embeddings without exact distances"))
         assert main(["run-grid", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == (
-            f"error[resource]: embedding entries up to {top} leave squared "
-            f"distances outside float64: exact distances need the largest "
-            f"|entry| in [2^-515, 2^508)\n")
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run-grid", "train"])
@@ -426,6 +467,20 @@ class TestAugmentCommand(CellCommandChecks):
     command = "augment"
     printed = {"input_rows": 600}
 
+    @MAGNITUDES
+    def test_embedding_magnitude_without_exact_distances_exit_4(
+            self, tmp_path, capsys, demo_config, entries, top):
+        # the embedding Syn stage gets the grid's verdict on the same
+        # file, before the store computes a norm or a similarity
+        cfg_path, err = out_of_bounds_embeddings(
+            tmp_path, demo_config[1], entries, top)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self._main(cfg_path, "synth3", "Syn", tmp_path / "out") == 4
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
     def test_count_law(self, tmp_path, capsys, demo_config):
         path, cfg = demo_config
         out_dir = str(tmp_path / "aug")
@@ -480,15 +535,24 @@ class TestAugmentCommand(CellCommandChecks):
         (False, "File exists"), (True, "Not a directory"),
     ], ids=["file", "under-file"])
     def test_out_that_cannot_be_a_directory_exit_3(self, tmp_path, capsys,
-                                                   demo_config, under, reason):
-        path, _ = demo_config
+                                                   demo_config, monkeypatch,
+                                                   under, reason):
+        # the directory is made after the inputs load and before any work
+        _, cfg = demo_config
+        cache = tmp_path / "translations.jsonl"
+        cfg_path = tmp_path / "cached.json"
+        cfg_path.write_text(json.dumps({**cfg, "cache_path": str(cache)}))
+        monkeypatch.setattr(runner, "augment_training_set", lambda *a, **kw:
+                            pytest.fail("augmented before making --out"))
         (tmp_path / "taken").write_text("")
         out = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
-        assert self._main(path, "synth3", "EDA", out) == 3
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"error[data]: cannot make output directory: {out}: {reason}\n")
-        assert captured.out == ""
+        for group in ("EDA", "BT"):
+            assert self._main(cfg_path, "synth3", group, out) == 3
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error[data]: cannot make output directory: {out}: {reason}\n")
+            assert captured.out == ""
+        assert not cache.exists()
 
     def test_oversized_csv_field_exit_3(self, tmp_path, capsys, demo_config):
         _, cfg = demo_config

@@ -48,7 +48,7 @@ class TestLoadDataset:
         path = write_csv(tmp_path / "d.csv", ["oi,a", "tchau,b", "bom,a"])
         ds = load_dataset(path)
         assert len(ds) == 3
-        assert ds.label_set == {"a", "b"}
+        assert set(ds.labels()) == {"a", "b"}
         assert [ex.text for ex in ds] == ["oi", "tchau", "bom"]
 
     def test_blank_text_skipped_and_counted(self, tmp_path):
@@ -218,15 +218,15 @@ class TestSplit:
         # N=4, ratio 0.75 -> |test| = 1, so only train can hold both labels
         ds = make_dataset(["a", "a", "b", "b"])
         pair = split(ds, seed=0)
-        assert pair.train.label_set == {"a", "b"}
+        assert set(pair.train.labels()) == {"a", "b"}
         assert len(pair.test) == 1
 
     def test_both_sides_covered_when_capacity_allows(self):
         ds = make_dataset(["a", "b"] * 4)
         for seed in range(8):
             pair = split(ds, seed=seed)
-            assert pair.train.label_set == {"a", "b"}
-            assert pair.test.label_set == {"a", "b"}
+            assert set(pair.train.labels()) == {"a", "b"}
+            assert set(pair.test.labels()) == {"a", "b"}
 
     def test_deterministic(self):
         ds = make_dataset(["a", "b", "c"] * 10)
@@ -255,7 +255,7 @@ class TestSplit:
         assert len(pair.train) + len(pair.test) == n
         assert set(pair.train_indices) | set(pair.test_indices) == set(range(n))
         # every label with >=2 members keeps a foothold in train
-        assert pair.train.label_set == ds.label_set
+        assert set(pair.train.labels()) == set(ds.labels())
 
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=60),

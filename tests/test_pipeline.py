@@ -637,8 +637,10 @@ class TestRateLimiter:
 class _JsonHandler(BaseHTTPRequestHandler):
     """Translation and contextual services, plus test paths: /auth echoes
     the Authorization header back in both wire formats, /flaky answers
-    503 to its first request, /malformed sends a bad candidates field and
-    /non-string a candidates list of a null and a number."""
+    503 to its first request, /malformed sends a bad candidates field,
+    /non-string a candidates list of a null and a number, /garbage a
+    status line that is not HTTP and /short a body cut short of its
+    Content-Length."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -646,6 +648,15 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self.server.hits[self.path] += 1
         if self.path == "/flaky" and self.server.hits[self.path] == 1:
             self.send_error(503)
+            return
+        if self.path == "/garbage":
+            self.wfile.write(b"GARBAGE\r\n\r\n")
+            return
+        if self.path == "/short":
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"translated":')
             return
         if self.path == "/auth":
             auth = self.headers.get("Authorization", "")
@@ -709,6 +720,17 @@ class TestHttpProviders:
         )
         with pytest.raises(TransportError, match="after 2 attempts"):
             provider.translate("oi", "pt", "en")
+
+    @pytest.mark.parametrize("path, error", [("/garbage", "BadStatusLine"),
+                                             ("/short", "IncompleteRead")])
+    def test_malformed_response_is_transport_error(self, http_server, path,
+                                                   error):
+        provider = HttpTranslationProvider(
+            url=f"{http_server}{path}", max_retries=1, backoff_base=0.0,
+        )
+        with pytest.raises(TransportError, match=f"after 2 attempts: {error}$"):
+            provider.translate("oi", "pt", "en")
+        assert provider.request_count == 2
 
     def test_contextual_client(self, http_server):
         stage = contextual_stage(f"{http_server}/contextual")

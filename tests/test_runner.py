@@ -14,7 +14,7 @@ import pytest
 from augbench import cli, kernels, report, runner, stats, synthdata
 from augbench.corpus import Dataset, SplitPair, load_dataset
 from augbench.eda import EdaConfig
-from augbench.features import grid_bits, grid_step
+from augbench.resources import grid_bits, grid_step
 from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, InvariantError, TransportError,
 )
@@ -25,6 +25,7 @@ from augbench.results import (
     ExperimentResult, read_results_csv, write_results_csv,
 )
 from augbench.svm import SvmConfig
+from oracles import read_mean_gains
 
 
 @pytest.fixture(scope="module")
@@ -736,7 +737,7 @@ class TestUnitGrid:
         assert len(trained) == len(predicted) == 1 + sum(
             c.aug_pct > 0 for c in cells)
         # X_test, X_train and each cell's generated rows: one grid
-        step = resources.grid_step
+        step = resources.embeddings.grid_step
         assert step == grid_step(resources.embeddings.matrix)
         for X in [X for X, _ in trained] + [M for A, B, _ in computed
                                             for M in (A, B)]:
@@ -1101,29 +1102,29 @@ def fixture_rows():
 
 class TestSummarize:
     def test_mean_gains_match_hand_computation(self, tmp_path):
-        summary = report.summarize(fixture_rows(), str(tmp_path))
+        report.summarize(fixture_rows(), str(tmp_path))
+        by_size = read_mean_gains(tmp_path / "mean_gain_by_group_size.csv")
         # EDA gains per (group, size): mean of 0.01, 0.02, 0.03 twice
         for size in (500, 1000):
-            mean, n = summary.mean_gain_by_group_size[("ds", "EDA", size)]
+            mean, n = by_size["ds", "EDA", size]
             assert n == 6
             assert mean == pytest.approx(0.02, abs=1e-12)
-            mean, _ = summary.mean_gain_by_group_size[("ds", "Syn", size)]
+            mean, _ = by_size["ds", "Syn", size]
             assert mean == pytest.approx(-0.02, abs=1e-12)
-            mean, _ = summary.mean_gain_by_group_size[("ds", "BT", size)]
+            mean, _ = by_size["ds", "BT", size]
             assert mean == pytest.approx(0.0, abs=1e-12)
 
     def test_significance_flags(self, tmp_path):
-        summary = report.summarize(fixture_rows(), str(tmp_path))
+        _, significant = report.summarize(fixture_rows(), str(tmp_path))
         # only EDA rows gain > 0; round 0 rows carry p = 0.0433 < 0.05
-        assert len(summary.significant) == 6
-        assert all(r.group == "EDA" and r.round == 0
-                   for r in summary.significant)
+        assert len(significant) == 6
+        assert all(r.group == "EDA" and r.round == 0 for r in significant)
 
     def test_null_tests_for_non_positive_gains(self, tmp_path):
-        summary = report.summarize(fixture_rows(), str(tmp_path))
+        gains, _ = report.summarize(fixture_rows(), str(tmp_path))
         lines = (tmp_path / "pvalues.csv").read_text().splitlines()[1:]
-        assert len(lines) == len(summary.gains) == 36
-        for r, line in zip(summary.gains, lines):
+        assert len(lines) == len(gains) == 36
+        for r, line in zip(gains, lines):
             if r.gain <= 0:
                 assert line.endswith(",,,")
 
@@ -1150,8 +1151,9 @@ class TestSummarize:
             ExperimentResult("d", "EDA", 500, 0.05, 0, f1=0.9,
                              baseline_f1=0.9, gain=0.0),
         ]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.mean_gain_by_group[("d", "EDA")] == (0.0, 1)
+        report.summarize(rows, str(tmp_path))
+        assert read_mean_gains(tmp_path / "mean_gain_by_group.csv") == {
+            ("d", "EDA"): (0.0, 1), ("ALL", "EDA"): (0.0, 1)}
 
     def test_unpaired_rows_reported(self, tmp_path):
         rows = [
@@ -1161,8 +1163,10 @@ class TestSummarize:
                              baseline_f1=0.8, gain=0.05, b=4, c=1,
                              chi2=0.8, p_value=0.3711),
         ]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.unpaired == [("d", "EDA", 500, 0.05, 0)]
+        gains, _ = report.summarize(rows, str(tmp_path))
+        assert [r.key() for r in gains] == [("d", "EDA", 1000, 0.05, 0)]
+        assert "unpaired augmented cells (no ok baseline): 1\n" in (
+            tmp_path / "summary.txt").read_text(encoding="utf-8")
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(DataError):

@@ -11,7 +11,7 @@ from augbench.results import ExperimentResult
 from augbench.stats import (
     ContingencyTable, TestResult, chi2_sf_1dof, contingency, mcnemar,
 )
-from oracles import contingency_branches
+from oracles import contingency_branches, read_mean_gains
 
 
 def row(dataset="d", group="EDA", size=500, pct=0.05, rnd=0, f1=0.8,
@@ -43,7 +43,8 @@ class TestContingency:
             y = [rng.choice("ab") for _ in range(n)]
             p1 = [rng.choice("ab") for _ in range(n)]
             p2 = [rng.choice("ab") for _ in range(n)]
-            assert contingency(y, p1, p2).total == n
+            t = contingency(y, p1, p2)
+            assert t.a + t.b + t.c + t.d == n
 
     @given(
         rows=st.lists(st.tuples(*[st.sampled_from("abc")] * 3),
@@ -154,6 +155,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def unpaired_count(out_dir) -> int:
+    """The unpaired augmented cells that summary.txt counts."""
+    line = (out_dir / "summary.txt").read_text(encoding="utf-8").splitlines()[2]
+    prefix = "unpaired augmented cells (no ok baseline): "
+    assert line.startswith(prefix)
+    return int(line[len(prefix):])
+
+
 class TestComputeGains:
     """Gain records, as report.summarize reads them from the rows."""
 
@@ -163,11 +172,12 @@ class TestComputeGains:
             paired(0.83, 0.85, pct=0.05, b=4, c=1, chi2=0.8, p_value=0.37),
             paired(0.83, 0.83, pct=0.1),
         ]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.gains == rows[1:]
-        assert summary.gains[0].gain == pytest.approx(0.02)
-        assert summary.gains[1].gain == 0.0
-        mean, n = summary.mean_gain_by_group[("d", "EDA")]
+        gains, _ = report.summarize(rows, str(tmp_path))
+        assert gains == rows[1:]
+        assert gains[0].gain == pytest.approx(0.02)
+        assert gains[1].gain == 0.0
+        mean, n = read_mean_gains(tmp_path / "mean_gain_by_group.csv")[
+            "d", "EDA"]
         assert n == 2
         assert mean == (rows[1].gain + rows[2].gain) / 2
 
@@ -178,9 +188,9 @@ class TestComputeGains:
             paired(0.83, 0.84, dataset="tweets", size=500, pct=0.05,
                    b=3, c=5, chi2=0.125, p_value=0.72),
         ]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.gains[0].baseline_f1 == 0.83
-        assert summary.gains[0].gain == pytest.approx(0.01)
+        gains, _ = report.summarize(rows, str(tmp_path))
+        assert gains[0].baseline_f1 == 0.83
+        assert gains[0].gain == pytest.approx(0.01)
         table = read_csv(tmp_path / "baseline_table_tweets.csv")
         assert table == [["subset_size", "EDA_0.05"], ["500", "0.83"]]
 
@@ -188,17 +198,16 @@ class TestComputeGains:
         # what the runner writes when the unit's baseline failed
         rows = [row(pct=0.0, f1=None, status="train_failed"),
                 row(pct=0.05, f1=0.9)]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.gains == []
-        assert summary.unpaired == [("d", "EDA", 500, 0.05, 0)]
+        assert report.summarize(rows, str(tmp_path)) == ([], [])
+        assert unpaired_count(tmp_path) == 1
 
     def test_failed_cells_ignored(self, tmp_path):
         rows = [
             row(pct=0.0, f1=0.8),
             row(pct=0.05, f1=None, status="train_failed"),
         ]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.gains == [] and summary.unpaired == []
+        assert report.summarize(rows, str(tmp_path)) == ([], [])
+        assert unpaired_count(tmp_path) == 0
 
     def test_bijection_over_pairable_cells(self, tmp_path):
         rows = [row(pct=0.0, f1=0.8)]
@@ -206,42 +215,42 @@ class TestComputeGains:
                  for p in (0.05, 0.1)]
         rows += [row(rnd=1, pct=0.0, f1=0.7),
                  paired(0.7, 0.75, rnd=1, pct=0.05, chi2=1.0, p_value=0.3)]
-        summary = report.summarize(rows, str(tmp_path))
-        keys = {g.key() for g in summary.gains}
+        gains, _ = report.summarize(rows, str(tmp_path))
+        keys = {g.key() for g in gains}
         expected = {r.key() for r in rows if r.aug_pct > 0}
         assert keys == expected
 
 
 class TestSignificanceScreen:
-    """Only a positive gain is tested; pvalues.csv and summary.significant."""
+    """Only a positive gain is tested; pvalues.csv and the significant rows."""
 
     def screen(self, tmp_path, rows):
-        summary = report.summarize(rows, str(tmp_path))
-        return summary, read_csv(tmp_path / "pvalues.csv")[1:]
+        _, significant = report.summarize(rows, str(tmp_path))
+        return significant, read_csv(tmp_path / "pvalues.csv")[1:]
 
     def test_negative_gain_null_test(self, tmp_path):
         # a test on the row is not reported for a gain <= 0
         rows = [row(pct=0.0, f1=0.85),
                 paired(0.85, 0.84, chi2=4.0, p_value=0.01)]
-        summary, screen = self.screen(tmp_path, rows)
+        significant, screen = self.screen(tmp_path, rows)
         assert screen[0][6:] == ["", "", ""]
-        assert summary.significant == []
+        assert significant == []
 
     def test_zero_gain_null_test(self, tmp_path):
         rows = [row(pct=0.0, f1=0.85), paired(0.85, 0.85)]
-        summary, screen = self.screen(tmp_path, rows)
+        significant, screen = self.screen(tmp_path, rows)
         assert screen[0][5:] == ["0.0", "", "", ""]
-        assert summary.significant == []
+        assert significant == []
 
     def test_positive_gain_attached(self, tmp_path):
         test = mcnemar(ContingencyTable(a=0, b=10, c=2, d=0))
         rows = [row(pct=0.0, f1=0.83),
                 paired(0.83, 0.85, b=10, c=2, chi2=test.chi2,
                        p_value=test.p_value)]
-        summary, screen = self.screen(tmp_path, rows)
+        significant, screen = self.screen(tmp_path, rows)
         assert float(screen[0][7]) == pytest.approx(0.0433081428, abs=1e-9)
         assert screen[0][8] == "true"
-        assert summary.significant == [rows[1]]
+        assert significant == [rows[1]]
 
     def test_positive_gain_missing_test_raises(self, tmp_path):
         rows = [row(pct=0.0, f1=0.83), paired(0.83, 0.85)]
@@ -257,7 +266,7 @@ class TestTestResult:
             paired(0.8, 0.9, pct=pct, chi2=4.0, p_value=p)
             for pct, p in ((0.05, 0.0499), (0.1, 0.05))
         ]
-        summary = report.summarize(rows, str(tmp_path))
-        assert summary.significant == [rows[1]]
+        _, significant = report.summarize(rows, str(tmp_path))
+        assert significant == [rows[1]]
         flags = [r[8] for r in read_csv(tmp_path / "pvalues.csv")[1:]]
         assert flags == ["true", "false"]
