@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True):
-        p.add_argument("--config", required=config_required,
+    def common(p: argparse.ArgumentParser):
+        p.add_argument("--config", required=True,
                        help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")

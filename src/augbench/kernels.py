@@ -1,11 +1,11 @@
 """Hot numeric kernels: squared distances, RBF kernel values and the SMO
 dual solver.
 
-On features rounded to one grid (``features.to_grid``) every squared
-distance is exact, so a distance that ``runner.run_unit`` computes once,
-in any block, serves every training and prediction of its unit, with
-the same bits under any BLAS thread count; the SVM reads distances and
-computes none. Every kernel value is exp(-gamma D), built by one
+On features rounded to one grid (as ``resources.featurize`` returns
+them) every squared distance is exact, so a distance that
+``runner.run_unit`` computes once, in any block, serves every training
+and prediction of its unit, with the same bits under any BLAS thread
+count; the SVM reads distances and computes none. Every kernel value is exp(-gamma D), built by one
 function, ``Distances.kernel``, which scales each part of D as it
 writes it and exponentiates the result in place: ``rbf_gram`` builds a
 pair's Gram matrix and ``rbf_cross_gram`` the test rows' values to
@@ -45,8 +45,8 @@ def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     The same operations in the same order as the plain expression, but
     only the result and A @ B.T are alive at the peak, not three arrays.
-    On rows of one ``features.to_grid`` grid every product and sum is
-    exact, so the result does not depend on how the BLAS orders, blocks
+    On rows of one feature grid (``resources.to_grid``) every product
+    and sum is exact, so the result does not depend on how the BLAS orders, blocks
     or threads the product, nor on which rows are computed together.
     """
     sq_a = np.einsum("ij,ij->i", A, A)

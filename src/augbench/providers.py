@@ -25,7 +25,7 @@ from operator import itemgetter
 from sys import intern
 
 from .errors import DataError, ResourceError, TransportError, open_input
-from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
+from .resources import _LOAD_BLOCK, EmbeddingStore, SynonymMap, nearest_neighbors
 
 
 # A Syn stage: stage(tokens, i) -> the words that may replace tokens[i],
@@ -248,9 +248,6 @@ def _parse_translation(payload) -> str:
 # ensure_ascii=False).
 _q = encode_basestring
 
-# Characters of the cache file read and parsed at once: a bound on the
-# memory a load needs besides the loaded cache itself.
-_LOAD_BLOCK = 1 << 20
 _RECORD_KEY = itemgetter("provider", "source", "target", "text")
 _TRANSLATED = itemgetter("translated")
 

@@ -1,10 +1,13 @@
-"""Lexical resources: paraphrase map and word-embedding store.
+"""Lexical resources: paraphrase map, word-embedding store and the
+sentence features computed from it.
 
-Both structures are immutable once loaded. Parsing is strict about
+Both structures are read-only once loaded. Parsing is strict about
 shape (single-token pairs, fixed vector arity) and counts what it skips.
-A loaded embedding store also fixes the grid its features are rounded
-to; a file whose entries leave that grid's squared distances outside
-float64 is a ResourceError as it loads.
+Every embedding store fixes, as it is built, the grid its features are
+rounded to; a matrix whose entries leave that grid's squared distances
+outside float64 is a ResourceError then. ``featurize`` returns sentence
+means already on that grid, so every squared distance among features is
+exact.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from .corpus import Dataset, tokenize
 from .errors import ResourceError, open_input
 
 _PPDB_SEP = "|||"
@@ -113,37 +117,34 @@ def grid_step(matrix: np.ndarray) -> float:
     return math.ldexp(1.0, e - b)
 
 
-@dataclass(frozen=True)
 class EmbeddingStore:
-    """Dense word vectors with O(1) lookup and a precomputed norm cache.
-    ``load_embeddings`` sets ``grid_step`` to ``grid_step(matrix)``."""
+    """Dense word vectors with O(1) lookup, a precomputed norm cache and
+    the grid their features are rounded to: ``grid_step`` of the matrix,
+    computed first, so a matrix outside the grid's bounds is a
+    ResourceError before anything else is computed from it."""
 
-    dim: int
-    words: tuple[str, ...]
-    matrix: np.ndarray  # (n_words, dim) float64
-    skipped: int = 0
-    grid_step: float | None = None
-    _index: dict[str, int] = field(init=False, repr=False)
-    _norms: np.ndarray = field(init=False, repr=False)
-    # (word, k) -> nearest_neighbors result; the store is read-only, so an
-    # entry never goes stale.
-    _neighbors: dict[tuple[str, int], tuple[tuple[str, float], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {w: i for i, w in enumerate(self.words)}
-        )
+    def __init__(self, words: tuple[str, ...], matrix: np.ndarray,
+                 skipped: int = 0):
+        self.grid_step = grid_step(matrix)
+        self.words = words
+        self.matrix = matrix  # (n_words, dim) float64
+        self.dim = matrix.shape[1]
+        self.skipped = skipped
+        self._index = {w: i for i, w in enumerate(words)}
         # Row norms a slice at a time: np.linalg.norm squares its whole
-        # input first, and each row's norm is that of the row alone.
-        norms = np.empty(len(self.matrix))
+        # input first, and each row's norm is that of the row alone. Each
+        # row is scaled by a power of two first, so a row of tiny entries
+        # does not square to zero; in the normal range no bit changes.
+        self._norms = np.empty(len(matrix))
         step = max(1, _NORM_SLICE // max(1, self.dim))
-        for start in range(0, len(norms), step):
-            norms[start:start + step] = np.linalg.norm(
-                self.matrix[start:start + step], axis=1)
-        object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_neighbors", {})
+        for start in range(0, len(matrix), step):
+            rows = matrix[start:start + step]
+            e = _exponents(rows)
+            self._norms[start:start + step] = np.ldexp(
+                np.linalg.norm(np.ldexp(rows, -e[:, None]), axis=1), e)
+        # (word, k) -> nearest_neighbors result; the store is read-only, so
+        # an entry never goes stale.
+        self._neighbors: dict[tuple[str, int], tuple[tuple[str, float], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -153,8 +154,58 @@ class EmbeddingStore:
         return [i for i in map(self._index.get, tokens) if i is not None]
 
 
-# Characters of the embedding file read and parsed at once: with the
-# matrix itself, a bound on the memory a load needs.
+def _exponents(rows: np.ndarray) -> np.ndarray:
+    """e of each row, with 2^e the least power of two above its largest
+    |entry| (0 for a zero row): rows scaled by 2^-e have entries below 1."""
+    return np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+
+
+def featurize(dataset: Dataset, store: EmbeddingStore) -> np.ndarray:
+    """(n, dim) features of a dataset: each sentence's mean vector,
+    rounded to the store's grid, on which every squared distance among
+    features is exact."""
+    ids = [store.token_ids(tokenize(ex.text)) for ex in dataset]
+    return to_grid(_mean_vectors(ids, store.matrix), store.grid_step)
+
+
+def _mean_vectors(ids: list[list[int]], matrix: np.ndarray) -> np.ndarray:
+    """(n, dim) means of the matrix rows each ids list names, from one
+    gather per token position; a row with no ids is zero.
+
+    Step t adds the t-th row of every list that has one, so each mean is
+    summed from zero in order and then divided by its count: the same
+    operations, in the same order, as np.mean over the stacked rows,
+    which makes the means bitwise equal to it.
+    """
+    dim = matrix.shape[1]
+    counts = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    X = np.zeros((len(ids), dim), dtype=np.float64)
+    known = np.nonzero(counts)[0]
+    if known.size:
+        flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp,
+                           count=int(counts.sum()))
+        starts = (np.cumsum(counts) - counts)[known]
+        lengths = counts[known]
+        sums = np.zeros((known.size, dim), dtype=np.float64)
+        for t in range(int(lengths.max())):
+            live = lengths > t
+            sums[live] += matrix[flat[starts[live] + t]]
+        X[known] = sums / lengths[:, None]
+    return X
+
+
+def to_grid(X: np.ndarray, step: float) -> np.ndarray:
+    """X rounded to the nearest multiple of ``step`` (ties to even), as a
+    new array. ``step`` is a power of two, so nothing else is rounded."""
+    G = X / step
+    np.rint(G, out=G)
+    G *= step
+    return G
+
+
+# Characters of an input file (the embeddings, the translation cache)
+# read and parsed at once: with what is loaded, a bound on the memory a
+# load needs.
 _LOAD_BLOCK = 1 << 20
 
 
@@ -165,8 +216,8 @@ def load_embeddings(path: str) -> EmbeddingStore:
     ignored. Rows with the wrong arity or non-finite components are
     skipped and counted; on duplicate words the first occurrence wins.
     Components are read as Python's float() reads them. The header count
-    is only a size hint for the matrix. ``grid_step`` checks the kept
-    rows before the store computes anything from them.
+    is only a size hint for the matrix. The store checks the kept rows
+    against its grid's bounds before it computes anything from them.
     """
     with open_input(path, "embedding file", ResourceError) as fh:
         header = fh.readline().split()
@@ -193,11 +244,7 @@ def load_embeddings(path: str) -> EmbeddingStore:
                         rows.skipped += 1
     if not rows.words:
         raise ResourceError(f"{path}: zero valid embedding rows")
-    matrix = rows.matrix()
-    return EmbeddingStore(
-        dim=dim, words=tuple(rows.words), matrix=matrix,
-        skipped=rows.skipped, grid_step=grid_step(matrix),
-    )
+    return EmbeddingStore(tuple(rows.words), rows.matrix(), rows.skipped)
 
 
 def _parse_rows(
@@ -287,10 +334,12 @@ def _nearest(
     qi = store._index.get(word)
     if qi is None:
         return ()
-    q = store.matrix[qi]
-    qnorm = store._norms[qi]
-    if qnorm == 0.0:
+    if store._norms[qi] == 0.0:
         return ()
+    # The query scaled as its norm was, so q.q does not underflow.
+    e = int(_exponents(store.matrix[qi:qi + 1])[0])
+    q = np.ldexp(store.matrix[qi], -e)
+    qnorm = math.ldexp(store._norms[qi], -e)
     sims = store.matrix @ q
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = sims / (store._norms * qnorm)

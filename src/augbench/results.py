@@ -54,7 +54,7 @@ def _optional(kind):
 # field of an optional column is None.
 _KINDS = {"str": str, "int": int, "float": float,
           "int | None": _optional(int), "float | None": _optional(float)}
-_PARSERS = [(f.name, _KINDS[f.type]) for f in fields(ExperimentResult)]
+_PARSERS = [_KINDS[f.type] for f in fields(ExperimentResult)]
 
 
 def _fmt(value) -> str:
@@ -87,17 +87,22 @@ def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
 
 def read_results_csv(path: str) -> list[ExperimentResult]:
     """Parse a results CSV; DataError for an unreadable file, a wrong
-    header or a field that does not parse."""
+    header, a row of another field count than the header's or a field
+    that does not parse. A blank line is no row."""
     try:
         with open_input(path, "results file", DataError, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_COLUMNS:
-                raise DataError(
-                    f"{path}: unexpected results header {reader.fieldnames}"
-                )
-            return [
-                ExperimentResult(*(parse(rec[name]) for name, parse in _PARSERS))
-                for rec in reader
-            ]
-    except (csv.Error, TypeError, ValueError) as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise DataError(f"{path}: unexpected results header {header}")
+            rows = []
+            for rec in filter(None, reader):  # a blank line is no row
+                if len(rec) != len(CSV_COLUMNS):
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: {len(rec)} fields, "
+                        f"the header has {len(CSV_COLUMNS)}")
+                rows.append(ExperimentResult(
+                    *(parse(text) for parse, text in zip(_PARSERS, rec))))
+            return rows
+    except (csv.Error, ValueError) as exc:
         raise DataError(f"{path}: unparseable results row: {exc!r}") from exc

@@ -34,7 +34,6 @@ from .corpus import (
 )
 from .eda import EdaConfig, eda_augment
 from .errors import ConfigError, InvariantError, TrainingError, open_input
-from .features import featurize, to_grid
 from .kernels import Distances, sq_distances
 from .metrics import evaluate, save_predictions
 from .pipeline import (
@@ -44,7 +43,9 @@ from .providers import (
     ProviderSpec, SynStage, TranslationCache, make_contextual_provider,
     make_translation_provider, neighbor_stage, table_stage,
 )
-from .resources import EmbeddingStore, SynonymMap, load_embeddings, parse_ppdb
+from .resources import (
+    EmbeddingStore, SynonymMap, featurize, load_embeddings, parse_ppdb,
+)
 from .results import (
     GROUPS, STATUS_AUG_FAILED, STATUS_OK, STATUS_TRAIN_FAILED,
     ExperimentResult, make_output_dir, write_results_csv,
@@ -526,8 +527,8 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     if set(pair.train_indices) & set(pair.test_indices):
         raise InvariantError(f"train and test sets overlap in subset {key}")
     emb = resources.embeddings
-    X_test = to_grid(featurize(pair.test, emb), emb.grid_step)
-    X_train = to_grid(featurize(pair.train, emb), emb.grid_step)
+    X_test = featurize(pair.test, emb)
+    X_train = featurize(pair.train, emb)
     D_train = sq_distances(X_train, X_train)
     D_test = sq_distances(X_test, X_train)
     y_test = pair.test.labels()
@@ -535,7 +536,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     def fit(added: Dataset) -> tuple[list[str] | None, float | None, str | None]:
         """(test predictions, weighted F1, None) of the SVM trained on the
         training rows, then ``added``; (None, None, message) on TrainingError."""
-        X_new = to_grid(featurize(added, emb), emb.grid_step)
+        X_new = featurize(added, emb)
         try:
             model = svm_train(
                 np.vstack([X_train, X_new]), pair.train.labels() + added.labels(),

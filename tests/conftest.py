@@ -19,7 +19,7 @@ def synmap():
 def tiny_store():
     words = ("a", "b", "c")
     matrix = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return EmbeddingStore(dim=2, words=words, matrix=matrix)
+    return EmbeddingStore(words=words, matrix=matrix)
 
 
 def write_csv(path, rows, header="text,label"):

@@ -12,9 +12,8 @@ import numpy as np
 
 from augbench.corpus import Dataset, LabeledExample
 from augbench.errors import DataError, ResourceError
-from augbench.features import _mean_vectors
 from augbench.kernels import Distances, sq_distances
-from augbench.resources import SynonymMap
+from augbench.resources import SynonymMap, _mean_vectors
 from augbench.stats import ContingencyTable
 
 
@@ -212,7 +211,7 @@ def sentence_vector(tokens, store) -> np.ndarray:
     Out-of-vocabulary tokens are skipped; a sentence with no known token
     maps to the zero vector.
     """
-    return _mean_vectors([tokens], store)[0]
+    return _mean_vectors([store.token_ids(tokens)], store.matrix)[0]
 
 
 def word_vector(store, word: str) -> np.ndarray | None:

@@ -827,6 +827,29 @@ class TestReportCommand:
         assert main(["report", "--results", str(path)]) == 3
         assert "error[data]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, fields", [
+        (lambda line: line + ",EXTRA,MORE", 15),
+        (lambda line: line.rsplit(",", 2)[0], 11),
+    ], ids=["extra-fields", "short-row"])
+    def test_row_of_another_field_count_exit_3(self, tmp_path, capsys,
+                                               edit, fields):
+        path = tmp_path / "results.csv"
+        write_results_csv(str(path), [
+            ExperimentResult("synth3", "EDA", 80, 0.0, 0, f1=0.7),
+            ExperimentResult("synth3", "EDA", 80, 0.2, 0, f1=0.7,
+                             baseline_f1=0.7, gain=0.0, b=1, c=1, chi2=0.0,
+                             p_value=1.0),
+        ])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["report", "--results", str(path), "--out",
+                     str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err
+        assert f"line 3: {fields} fields, the header has 13" in err
+
 
     def test_oversized_csv_field_exit_3(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

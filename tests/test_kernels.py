@@ -15,8 +15,9 @@ from scipy import optimize
 from augbench import kernels, runner, synthdata
 from augbench.corpus import load_dataset, resample_subset
 from augbench.errors import TrainingError
-from augbench.features import featurize, to_grid
-from augbench.resources import grid_bits, grid_step, load_embeddings
+from augbench.resources import (
+    featurize, grid_bits, grid_step, load_embeddings, to_grid,
+)
 from augbench.svm import SvmConfig, gamma_scale, svm_train
 from oracles import one_block, rbf_cross_gram, rbf_gram, rbf_kernel
 
@@ -474,8 +475,7 @@ THREADS_SCRIPT = """
 import hashlib
 import numpy as np
 from augbench import kernels
-from augbench.features import to_grid
-from augbench.resources import grid_step
+from augbench.resources import grid_step, to_grid
 from augbench.svm import decision_values, svm_predict, svm_train
 digest = hashlib.sha256()
 for n in (145, 300):

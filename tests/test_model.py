@@ -9,21 +9,21 @@ from hypothesis import strategies as st
 
 from augbench import kernels
 from augbench.errors import DegenerateFeaturesError, ResourceError, TrainingError
-from augbench.features import featurize, to_grid
 from augbench.corpus import Dataset, LabeledExample
 from augbench.metrics import evaluate, load_predictions, save_predictions
-from augbench.resources import EmbeddingStore, grid_bits, grid_step
+from augbench.resources import (
+    EmbeddingStore, _mean_vectors, featurize, grid_bits, grid_step, to_grid,
+)
 from augbench.svm import SvmConfig, gamma_scale, svm_predict, svm_train
 from oracles import (
     evaluate_tallies, one_block, rbf_cross_gram, rbf_kernel, sentence_vector,
-    word_vector,
 )
 
 
 def make_store(vectors: dict[str, list[float]]) -> EmbeddingStore:
     words = tuple(vectors)
     matrix = np.array([vectors[w] for w in words], dtype=np.float64)
-    return EmbeddingStore(dim=matrix.shape[1], words=words, matrix=matrix)
+    return EmbeddingStore(words=words, matrix=matrix)
 
 
 class TestSentenceVector:
@@ -66,38 +66,55 @@ OOV = ("zz", "qq")
 finite = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
 
 
-def reference_vector(tokens, store):
-    """The per-sentence mean featurize computed before it was vectorised."""
-    rows = [word_vector(store, tok) for tok in tokens]
-    rows = [r for r in rows if r is not None]
-    if not rows:
-        return np.zeros(store.dim, dtype=np.float64)
-    return np.mean(np.stack(rows), axis=0)
+def reference_vector(ids, matrix):
+    """The per-sentence mean ``_mean_vectors`` computed before it was
+    vectorised."""
+    if not ids:
+        return np.zeros(matrix.shape[1], dtype=np.float64)
+    return np.mean(np.stack([matrix[i] for i in ids]), axis=0)
+
+
+vocab_vectors = st.lists(st.lists(finite, min_size=3, max_size=3),
+                         min_size=len(VOCAB), max_size=len(VOCAB))
+# covers empty, OOV-only and repeated-token sentences and, with no
+# sentences, an empty dataset
+vocab_sentences = st.lists(
+    st.lists(st.sampled_from(VOCAB + OOV), max_size=12), max_size=8)
 
 
 class TestFeaturizeMatchesPerSentenceMean:
-    @given(
-        vectors=st.lists(st.lists(finite, min_size=3, max_size=3),
-                         min_size=len(VOCAB), max_size=len(VOCAB)),
-        sentences=st.lists(
-            st.lists(st.sampled_from(VOCAB + OOV), max_size=12), max_size=8
-        ),
-    )
+    @given(vectors=vocab_vectors, sentences=vocab_sentences)
     @settings(max_examples=300, deadline=None)
-    def test_bitwise_equal(self, vectors, sentences):
-        # covers empty, OOV-only and repeated-token sentences and, with
-        # no sentences, an empty dataset
+    def test_mean_vectors_bitwise_equal(self, vectors, sentences):
+        matrix = np.array(vectors, dtype=np.float64)
+        ids = [[VOCAB.index(t) for t in toks if t in VOCAB] for toks in sentences]
+        X = _mean_vectors(ids, matrix)
+        assert X.shape == (len(sentences), 3)
+        for row, row_ids in zip(X, ids):
+            expected = reference_vector(row_ids, matrix)
+            assert np.array_equal(row, expected)
+            assert row.tobytes() == expected.tobytes()  # signed zeros too
+            one = _mean_vectors([row_ids], matrix)[0]
+            assert one.tobytes() == expected.tobytes()
+
+    @given(vectors=vocab_vectors, sentences=vocab_sentences)
+    @settings(max_examples=300, deadline=None)
+    def test_featurize_is_the_mean_on_the_grid(self, vectors, sentences):
+        matrix = np.array(vectors, dtype=np.float64)
+        if 0 < np.abs(matrix).max() < 2.0 ** (grid_bits(3) - 538):
+            with pytest.raises(ResourceError, match="outside float64"):
+                make_store(dict(zip(VOCAB, vectors)))  # see TestFeatureGrid
+            return
         store = make_store(dict(zip(VOCAB, vectors)))
+        assert store.grid_step == grid_step(matrix)
         ds = Dataset(name="d", examples=tuple(
             LabeledExample(" ".join(toks), "x") for toks in sentences
         ))
+        ids = [store.token_ids(toks) for toks in sentences]
+        expected = to_grid(_mean_vectors(ids, matrix), grid_step(matrix))
         X = featurize(ds, store)
-        assert X.shape == (len(sentences), 3)
-        for row, toks in zip(X, sentences):
-            expected = reference_vector(toks, store)
-            assert np.array_equal(row, expected)
-            assert row.tobytes() == expected.tobytes()  # signed zeros too
-            assert sentence_vector(toks, store).tobytes() == expected.tobytes()
+        assert X.shape == expected.shape
+        assert X.tobytes() == expected.tobytes()
 
     def test_oov_only_and_empty_rows_are_zero(self):
         store = make_store({"a": [1.0, -2.0]})

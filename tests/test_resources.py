@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from augbench import resources
 from augbench.errors import ResourceError
 from augbench.resources import (
-    EmbeddingStore, load_embeddings, nearest_neighbors, parse_ppdb,
+    EmbeddingStore, grid_step, load_embeddings, nearest_neighbors, parse_ppdb,
 )
 from oracles import (
     cosine_similarity, load_embeddings_per_element, nearest_full_sort,
@@ -332,6 +332,40 @@ class TestCosine:
         assert math.isclose(cosine_similarity(x, x), 1.0, rel_tol=1e-9)
 
 
+class TestEmbeddingStore:
+    def test_dimension_and_grid_from_the_matrix(self):
+        matrix = np.array([[0.5, -3.0, 1.0], [2.0, 0.0, 0.25]])
+        store = EmbeddingStore(words=("a", "b"), matrix=matrix)
+        assert store.dim == 3
+        assert store.grid_step == grid_step(matrix) == 2.0 ** (2 - 24)
+
+    @pytest.mark.parametrize("top", [1e160, 1e-170])
+    def test_matrix_outside_the_grid_bounds_rejected(self, top):
+        with pytest.raises(ResourceError, match="outside float64"):
+            EmbeddingStore(words=("a", "b"), matrix=np.array([[top, 0.0], [0.0, top]]))
+
+    def test_scaled_norms_and_similarities_change_no_bit_in_the_normal_range(self):
+        rng = np.random.default_rng(8)
+        matrix = rng.normal(size=(2_000, 24)) * 2.0 ** rng.integers(-200, 200, (2_000, 1))
+        words = tuple(f"w{i}" for i in range(2_000))
+        store = EmbeddingStore(words=words, matrix=matrix)
+        norms = np.linalg.norm(matrix, axis=1)
+        assert store._norms.tobytes() == norms.tobytes()
+        for qi in (0, 1, 1_999):
+            sims = (matrix @ matrix[qi]) / (norms * norms[qi])
+            for word, sim in nearest_neighbors(words[qi], 50, store):
+                assert sim == sims[words.index(word)]
+
+    def test_row_of_tiny_entries_has_neighbours(self, tmp_path):
+        path = write_lines(tmp_path / "e.vec", [
+            "4 2", "a 1.0 0.5", "b 0.5 1.0", "c 1e-170 2e-170", "d -1.0 0.2"])
+        store = load_embeddings(path)
+        assert [w for w, _ in nearest_neighbors("c", 3, store)] == ["b", "a", "d"]
+        near_a = dict(nearest_neighbors("a", 3, store))
+        assert near_a["c"] == pytest.approx(0.8, rel=1e-12)
+        assert near_a["c"] == nearest_neighbors("c", 3, store)[1][1]
+
+
 class TestNearestNeighbors:
     def test_forced_top1(self, tiny_store):
         # brute-force oracle over the 2 candidates: b at cos=1, c at cos=0
@@ -352,27 +386,27 @@ class TestNearestNeighbors:
     def test_ties_lexicographic(self):
         words = ("q", "zz", "aa", "mm")
         matrix = np.array([[1.0, 0.0]] * 4)
-        store = EmbeddingStore(dim=2, words=words, matrix=matrix)
+        store = EmbeddingStore(words=words, matrix=matrix)
         out = nearest_neighbors("q", 3, store)
         assert [w for w, _ in out] == ["aa", "mm", "zz"]
 
     def test_zero_vector_words_excluded(self):
         words = ("q", "z", "ok")
         matrix = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        store = EmbeddingStore(dim=2, words=words, matrix=matrix)
+        store = EmbeddingStore(words=words, matrix=matrix)
         assert all(w != "z" for w, _ in nearest_neighbors("q", 5, store))
 
     def test_zero_vector_query(self):
         words = ("q", "a")
         matrix = np.array([[0.0, 0.0], [1.0, 0.0]])
-        store = EmbeddingStore(dim=2, words=words, matrix=matrix)
+        store = EmbeddingStore(words=words, matrix=matrix)
         assert nearest_neighbors("q", 2, store) == []
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         words = tuple(f"w{i}" for i in range(40))
         matrix = rng.normal(size=(40, 6))
-        store = EmbeddingStore(dim=6, words=words, matrix=matrix)
+        store = EmbeddingStore(words=words, matrix=matrix)
         for k in (5, 5, 39, 5):  # repeats are served from the store's memo
             got = nearest_neighbors("w0", k, store)
             expected = sorted(
@@ -402,7 +436,7 @@ class TestNearestNeighbors:
         matrix = np.random.default_rng(3).normal(size=(len(words), 8))
         tracemalloc.start()
         try:
-            store = EmbeddingStore(dim=8, words=words, matrix=matrix)
+            store = EmbeddingStore(words=words, matrix=matrix)
             out = nearest_neighbors("w0", 5, store)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -420,7 +454,7 @@ def grid_stores(draw):
     dim = draw(st.integers(1, 3))
     matrix = draw(hnp.arrays(np.float64, (len(words), dim),
                              elements=st.integers(-2, 2).map(float)))
-    return EmbeddingStore(dim=dim, words=tuple(words), matrix=matrix)
+    return EmbeddingStore(words=tuple(words), matrix=matrix)
 
 
 class TestNearestNeighborsOracle:

@@ -341,6 +341,52 @@ def test_kernel_values_are_built_only_by_distances_kernel():
     assert _package_calls({"exp"}) == {("kernels.Distances.kernel", "exp")}
 
 
+# One feature grid: resources.featurize is the only caller of to_grid, so
+# every feature matrix, from which distances are computed, already lies
+# on its store's grid; no module imports the features module it replaced.
+def _imports_of_features(source: str) -> list[int]:
+    """Lines that import a module named ``features`` (absolute or relative)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "features" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_grid_check_sees_a_second_site():
+    source = (
+        "from .features import featurize\n"
+        "from . import features\n"
+        "import augbench.features as f\n"
+        "from augbench.resources import featurize as g\n"
+        "def featurize(dataset, store):\n"
+        "    return to_grid(_mean_vectors(dataset), store.grid_step)\n"
+        "def run_unit(config, cells):\n"
+        "    return resources.to_grid(featurize(pair.test, emb), emb.grid_step)\n"
+    )
+    assert _imports_of_features(source) == [1, 2, 3]
+    assert _calls(source, "resources", {"to_grid"}) == [
+        ("resources.featurize", "to_grid"),
+        ("resources.run_unit", "to_grid"),
+    ]
+
+
+def test_features_are_rounded_only_by_featurize():
+    assert _package_calls({"to_grid"}) == {("resources.featurize", "to_grid")}
+    assert not (SRC / "features.py").exists()
+    assert {
+        path.name: _imports_of_features(path.read_text(encoding="utf-8"))
+        for path in SRC.glob("*.py")
+    } == {path.name: [] for path in SRC.glob("*.py")}
+
+
 # One opener: every file the package reads is opened by errors.open_input,
 # so an input that cannot be opened or decoded is the typed error of its
 # loader, and the one read pass is the place to hash an input.
