@@ -76,7 +76,8 @@ def load_dataset(
     label_column: str = "label",
     name: str | None = None,
 ) -> Dataset:
-    """Load a UTF-8 CSV with a header into a Dataset.
+    """Load a UTF-8 CSV with a header into a Dataset; a leading byte
+    order mark (U+FEFF) is dropped.
 
     Fields are read as csv.DictReader would: a repeated column name means
     its last column, a short row reads "" for what it lacks and a blank
@@ -88,6 +89,8 @@ def load_dataset(
     examples: list[LabeledExample] = []
     skipped = 0
     with open_input(path, "dataset file", DataError, newline="") as fh:
+        if fh.read(1) != "\ufeff":  # a byte order mark is no part of the header
+            fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -247,4 +250,6 @@ def select_augmentation_targets(
     k = int(p * len(train))
     if k == 0:
         return []
+    if k == len(train):  # the draw of every index, sorted, is all of them
+        return list(range(k))
     return sorted(random.Random(seed).sample(range(len(train)), k))

@@ -142,6 +142,14 @@ def _string(value, key: str, what: str = "a string") -> str:
 _path = functools.partial(_string, what="a string path")
 
 
+def _dataset_name(value, key: str) -> str:
+    """A string without a path separator: output file names start with it."""
+    if any(sep in _string(value, key) for sep in "/\\"):
+        raise ConfigError(f"{key} {value!r} holds a path separator; "
+                          "output file names are made from it")
+    return value
+
+
 def _as_is(value, key: str):
     return value
 
@@ -223,7 +231,7 @@ CONFIG = {
 }
 # The keys of each element of datasets.
 DATASET = {
-    "name": Key(_string, REQUIRED),
+    "name": Key(_dataset_name, REQUIRED),
     "path": Key(_path, REQUIRED),
     "text_column": Key(_string, "text"),
     "label_column": Key(_string, "label"),

@@ -13,11 +13,12 @@ Run directly to materialize a ready-to-use demo directory:
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import random
 
 import numpy as np
+
+from .results import write_csv
 
 POSITIVE = [
     "otimo", "bom", "excelente", "maravilhoso", "perfeito", "adorei",
@@ -54,21 +55,20 @@ def make_corpus(
     models genuinely disagree.
     """
     rng = random.Random(seed)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([text_column, label_column])
-        for _ in range(rows):
-            label = rng.choice(labels)
-            marked = CLASS_WORDS.get(label, NEUTRAL)
-            length = rng.randint(4, 11)
-            tokens = []
-            for _ in range(length):
-                pool = marked if rng.random() < marked_word_rate else NEUTRAL
-                tokens.append(rng.choice(pool))
-            written = label
-            if rng.random() < label_noise:
-                written = rng.choice(labels)
-            writer.writerow([" ".join(tokens), written])
+    sentences = []
+    for _ in range(rows):
+        label = rng.choice(labels)
+        marked = CLASS_WORDS.get(label, NEUTRAL)
+        length = rng.randint(4, 11)
+        tokens = []
+        for _ in range(length):
+            pool = marked if rng.random() < marked_word_rate else NEUTRAL
+            tokens.append(rng.choice(pool))
+        written = label
+        if rng.random() < label_noise:
+            written = rng.choice(labels)
+        sentences.append([" ".join(tokens), written])
+    write_csv(path, [text_column, label_column], sentences)
 
 
 def make_embeddings(path: str, dim: int = 24, seed: int = 11) -> None:

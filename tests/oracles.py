@@ -7,6 +7,7 @@ reader of the report bundle's mean-gain tables."""
 import csv
 import json
 import math
+import random
 
 import numpy as np
 
@@ -252,6 +253,13 @@ def allocate_stratified_cursor(counts: list[int], target_train: int) -> list[int
             alloc[i] -= 1
         k += 1
     return alloc
+
+
+def select_targets_by_draw(train: Dataset, p: float, seed: int) -> list[int]:
+    """``corpus.select_augmentation_targets`` as a sorted seeded draw of
+    floor(p * |train|) indices for every p, all of them included."""
+    k = int(p * len(train))
+    return sorted(random.Random(seed).sample(range(len(train)), k)) if k else []
 
 
 def evaluate_tallies(y_true, y_pred) -> float:

@@ -242,6 +242,27 @@ class TestRunGridCommand:
             "error[config]: resources.embeddings must be a string path, "
             "not 2\n")
 
+    @pytest.mark.parametrize("command", ["augment", "run-grid"])
+    @pytest.mark.parametrize("name", ["a/b", "a\\b"])
+    def test_dataset_name_with_path_separator_exit_2(self, tmp_path, capsys,
+                                                     demo_config, command,
+                                                     name):
+        # output file names start with the name; with no dataset to read,
+        # exit 3 would mean the inputs were opened
+        _, cfg = demo_config
+        cfg_path = tmp_path / "sep.json"
+        cfg_path.write_text(json.dumps({**cfg, "datasets": [
+            cfg["datasets"][0],
+            {"name": name, "path": str(tmp_path / "absent.csv")}]}))
+        args = ["--dataset", name, "--group", "EDA", "--pct", "1.0"]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "augment" else []),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: datasets[1].name {name!r} holds a path "
+            "separator; output file names are made from it\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["augment", "train", "run-grid"])
     def test_bad_translation_spec_exit_2_before_inputs(self, tmp_path, capsys,
                                                        demo_config, command):
@@ -568,6 +589,22 @@ class TestAugmentCommand(CellCommandChecks):
         ]) == 3
         err = capsys.readouterr().err
         assert "error[data]" in err and f"{data}: malformed CSV at line 3" in err
+
+    def test_byte_order_mark_is_not_written(self, tmp_path, capsys,
+                                            demo_config):
+        _, cfg = demo_config
+        text = "text,label\nbom dia,a\nmuito ruim,b\notimo produto,a\n"
+        data = tmp_path / "bom.csv"
+        data.write_text("\ufeff" + text, encoding="utf-8")
+        cfg_path = tmp_path / "bom.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "datasets": [{"name": "synth3", "path": str(data)}]}))
+        assert main([
+            "augment", "--config", str(cfg_path), "--dataset", "synth3",
+            "--group", "EDA", "--pct", "0", "--out", str(tmp_path / "o"),
+        ]) == 0
+        path = json.loads(capsys.readouterr().out)["path"]
+        assert Path(path).read_bytes() == text.encode("utf-8")
 
     @pytest.mark.parametrize("loader, code, label", [
         ("dataset", 3, "data"),

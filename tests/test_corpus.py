@@ -14,7 +14,9 @@ from augbench.corpus import (
 from augbench.errors import DataError
 
 from conftest import write_csv
-from oracles import allocate_stratified_cursor, load_dataset_dictreader
+from oracles import (
+    allocate_stratified_cursor, load_dataset_dictreader, select_targets_by_draw,
+)
 
 
 def make_dataset(labels):
@@ -91,6 +93,13 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert ds.examples == (LabeledExample("b", "x"),)
         assert ds.skipped == 1  # the short row lacks the last text column
+
+    @pytest.mark.parametrize("header", ["text,label", '"text",label'])
+    def test_byte_order_mark_dropped(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_text(f"\ufeff{header}\n\ufeffoi,a\n", encoding="utf-8")
+        assert load_dataset(str(path)).examples == (
+            LabeledExample("\ufeffoi", "a"),)
 
     def test_blank_lines_are_no_rows(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["", "oi,a", "", "", "tchau,b"])
@@ -283,6 +292,13 @@ class TestSelectTargets:
         ds = make_dataset(["a", "b"] * 10)
         targets = select_augmentation_targets(ds, 1.0, seed=4)
         assert targets == list(range(20))
+
+    @pytest.mark.parametrize("seed", [0, 3, 20240101, 2**63 + 5])
+    def test_every_row_is_the_sorted_draw(self, seed):
+        for n in range(1, 201):
+            train = make_dataset(["a", "b"] * (n // 2) + ["a"] * (n % 2))
+            assert (select_augmentation_targets(train, 1.0, seed)
+                    == select_targets_by_draw(train, 1.0, seed))
 
     def test_deterministic_and_in_range(self):
         ds = make_dataset(["a", "b"] * 25)

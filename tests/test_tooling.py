@@ -301,6 +301,25 @@ def test_results_csv_is_written_only_by_grid_runner_run():
     }
 
 
+# One CSV writer: every CSV the package writes goes through
+# results.write_csv, so every one has its quoting and line ends.
+def test_csv_writer_check_sees_a_second_site():
+    source = (
+        "def write_csv(path, header, rows):\n"
+        "    writer = csv.writer(fh, lineterminator='\\n')\n"
+        "    writer.writerows(rows)\n"
+        "def make_corpus(path):\n    w = csv.writer(fh)\n"
+    )
+    assert _calls(source, "results", {"writer"}) == [
+        ("results.write_csv", "writer"),
+        ("results.make_corpus", "writer"),
+    ]
+
+
+def test_csv_writer_is_built_only_by_write_csv():
+    assert _package_calls({"writer"}) == {("results.write_csv", "writer")}
+
+
 # One gather: distance blocks are indexed (with take) only in kernels.py,
 # where Distances.kernel builds every kernel value from them, so no other
 # module knows how the blocks are laid out.
