@@ -88,9 +88,10 @@ def load_dataset(
     """
     examples: list[LabeledExample] = []
     skipped = 0
-    with open_input(path, "dataset file", DataError, newline="") as fh:
-        if fh.read(1) != "\ufeff":  # a byte order mark is no part of the header
-            fh.seek(0)
+    # utf-8-sig drops a byte order mark at the start of the file only, and
+    # reads forward, so a pipe is a dataset file too.
+    with open_input(path, "dataset file", DataError, newline="",
+                    encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

@@ -45,12 +45,13 @@ class InvariantError(AugbenchError):
 
 @contextmanager
 def open_input(path: str, what: str, error: type[AugbenchError],
-               newline: str | None = None):
-    """Open the input file ``path`` as UTF-8 text: the one place where an
-    input that cannot be opened or decoded becomes ``error``, named as
-    ``what``. A decode error counts wherever the body's reads raise it."""
+               newline: str | None = None, encoding: str = "utf-8"):
+    """Open the input file ``path`` as UTF-8 text (``encoding="utf-8-sig"``
+    also drops a leading byte order mark): the one place where an input
+    that cannot be opened or decoded becomes ``error``, named as ``what``.
+    A decode error counts wherever the body's reads raise it."""
     try:
-        fh = open(path, encoding="utf-8", newline=newline)
+        fh = open(path, encoding=encoding, newline=newline)
     except OSError as exc:
         raise error(f"cannot open {what}: {path}") from exc
     with fh:

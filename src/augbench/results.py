@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 
 from .errors import DataError, open_input
@@ -74,56 +74,26 @@ def make_output_dir(path: str) -> None:
         raise DataError(f"cannot make output directory: {path}: {exc.strerror}") from exc
 
 
-# Rows per block of write_csv, and the first rows of a block that decide
-# whether the block goes to csv.writer whole.
-_BLOCK = 4096
-_PROBE = 32
+_BLOCK = 4096  # rows per block of write_csv
 
 
-def _plain(row, line: str) -> bool:
-    """Whether ``line``, the fields of ``row`` joined by commas, is the
-    row's CSV line: two fields or more, none holding a comma, a quote, a
-    carriage return or a line feed."""
-    return (len(row) >= 2 and line.count(",") + 1 == len(row)
-            and '"' not in line and "\r" not in line and "\n" not in line)
-
-
-def _quoted(field: str) -> str:
-    """csv.writer's minimal quoting of one field of a row of two or more
-    that holds no carriage return."""
-    if "," in field or '"' in field or "\n" in field:
-        return '"' + field.replace('"', '""') + '"'
-    return field
+def _plain(rows: list) -> bool:
+    """Whether each row, joined by commas, is its CSV line: no field holds
+    a comma, a quote, a carriage return or a line feed, and no row has
+    fewer than two fields (csv.writer quotes a lone empty field)."""
+    fields = "".join(chain.from_iterable(rows))
+    return not ("," in fields or '"' in fields or "\r" in fields
+                or "\n" in fields or min(map(len, rows)) < 2)
 
 
 def _write_block(fh, writer, block: list) -> None:
     """Write ``block`` as ``writer`` would; see write_csv."""
-    probe = block[:_PROBE]
-    if 2 * sum(not _plain(row, ",".join(row)) for row in probe) > len(probe):
+    # The first rows are tested alone first only so that a block of quoted
+    # rows fails the test without running all of its fields together.
+    if _plain(block[:64]) and _plain(block):
+        fh.write("\n".join(map(",".join, block)) + "\n")
+    else:
         writer.writerows(block)
-        return
-    lines = list(map(",".join, block))
-    text = "\n".join(lines) + "\n"
-    # Joining adds len(row) - 1 commas per row and one line feed; any more,
-    # or a quote or a carriage return, is in a field.
-    if (min(map(len, block)) >= 2 and '"' not in text and "\r" not in text
-            and text.count("\n") == len(block)
-            and text.count(",") == sum(map(len, block)) - len(block)):
-        fh.write(text)
-        return
-    out = []
-    for row, line in zip(block, lines):
-        if not _plain(row, line):
-            if len(row) < 2 or "\r" in line:
-                # csv.writer quotes a lone empty field, and Python versions
-                # differ on quoting a carriage return
-                fh.write("".join(out))
-                out.clear()
-                writer.writerow(row)
-                continue
-            line = ",".join(map(_quoted, row))
-        out.append(line + "\n")
-    fh.write("".join(out))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -133,11 +103,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
     The bytes are those of ``csv.writer(fh, lineterminator="\n")``, which
     scans each character of each field. Here rows go out in blocks: a
     block whose rows need no quoting is joined and written at once, the
-    test being C-level counts on the joined text; in any other block a
-    row that needs quoting is quoted here, and a row of fewer than two
-    fields or one holding a carriage return goes to csv.writer. A block
-    whose first rows mostly need quoting goes to csv.writer whole, so
-    quoted content is written no slower than by csv.writer alone.
+    test being ``in`` on the block's fields run together; any other block
+    goes to csv.writer whole.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

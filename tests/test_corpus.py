@@ -2,6 +2,7 @@ import csv
 import os
 import random
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,24 @@ class TestLoadDataset:
         path.write_text(f"\ufeff{header}\n\ufeffoi,a\n", encoding="utf-8")
         assert load_dataset(str(path)).examples == (
             LabeledExample("\ufeffoi", "a"),)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    def test_pipe_is_read_forward(self, tmp_path, bom):
+        # A pipe cannot seek: the byte order mark is dropped as it is read.
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{bom}text,label\noi,a\ntchau,b\n")
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        ds = load_dataset(str(path))
+        feeder.join(timeout=10)
+        assert ds.examples == (LabeledExample("oi", "a"),
+                               LabeledExample("tchau", "b"))
 
     def test_blank_lines_are_no_rows(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["", "oi,a", "", "", "tchau,b"])

@@ -25,13 +25,18 @@ _plain_row = st.lists(_plain_field, min_size=2, max_size=3)
 _short_row = st.lists(_plain_field, max_size=1)  # csv.writer quotes [""]
 _any_row = st.lists(_field, max_size=3)
 _comma_row = st.tuples(_field, _field).map(lambda r: [r[0] + ",", r[1]])
-_KINDS = [_plain_row, st.one_of(_plain_row, _short_row), _any_row, _comma_row]
+# A plain row but for one character that needs quoting in one field.
+_marked_row = st.tuples(
+    _plain_row, st.sampled_from([",", '"', "\r", "\n", "\r\n"]),
+).map(lambda t: [*t[0][:-1], t[0][-1] + t[1]])
+_KINDS = [_plain_row, st.one_of(_plain_row, _short_row),
+          st.one_of(_plain_row, _marked_row), _any_row, _comma_row]
 
 
 @st.composite
 def _csv_rows(draw):
-    """Runs of four rows that are all plain, plain but for short rows,
-    mixed, or all quoted, so that each kind of block occurs when
+    """Runs of four rows that are all plain, plain but for short or marked
+    rows, mixed, or all quoted, so that each kind of block occurs when
     write_csv's block holds four rows."""
     rows = []
     for kind in draw(st.lists(st.sampled_from(_KINDS), max_size=6)):
@@ -54,12 +59,17 @@ def _csv_writer(path, header, rows):
         writer.writerows(rows)
 
 
-@pytest.mark.parametrize("block, probe", [(results._BLOCK, results._PROBE),
-                                          (4, 3)])
+@pytest.mark.parametrize("block", [results._BLOCK, 4])
 @given(header=_any_row, rows=_csv_rows())
 @settings(max_examples=150, deadline=None)
-def test_write_csv_writes_the_bytes_of_csv_writer(block, probe, header, rows):
-    with mock.patch.multiple(results, _BLOCK=block, _PROBE=probe):
+def test_write_csv_writes_the_bytes_of_csv_writer(block, header, rows):
+    with mock.patch.object(results, "_BLOCK", block):
         assert (_written(results.write_csv, header, rows)
                 == _written(_csv_writer, header, rows))
 
+
+
+def test_a_row_to_quote_after_the_first_rows_of_a_block():
+    rows = [["oi", "a"]] * 100 + [["bom, dia", "b"]] + [["tchau", "c"]] * 10
+    assert (_written(results.write_csv, ["text", "label"], rows)
+            == _written(_csv_writer, ["text", "label"], rows))
