@@ -1,9 +1,11 @@
 """Sequential word-replacement and back-translation augmenters.
 
 Both generate exactly one new example per source sentence with the
-label copied unchanged. augment_training_set appends generated examples
-after the untouched originals. A sentence that cannot be augmented
-(EmptySentenceError) is skipped and counted; any other error, a
+label copied unchanged. An augmenter takes a cell's target examples, in
+target order, and returns the rows it generated for them, in that order,
+and the positions of the examples it could not augment
+(EmptySentenceError). augment_training_set appends the rows after the
+untouched originals and reports those targets. Any other error, a
 provider's TransportError included, propagates.
 """
 
@@ -11,12 +13,35 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
+from itertools import compress
+from operator import attrgetter
 
 from .corpus import Dataset, LabeledExample, tokenize
 from .errors import EmptySentenceError
 from .providers import SynStage, TranslationCache, TranslationProvider
 
-Augmenter = Callable[[LabeledExample], list[LabeledExample]]
+_TEXT, _LABEL = attrgetter("text"), attrgetter("label")
+
+Augmenter = Callable[[Sequence[LabeledExample]],
+                     tuple[list[LabeledExample], list[int]]]
+
+
+def per_sentence(
+    augment: Callable[[LabeledExample], list[LabeledExample]],
+) -> Augmenter:
+    """The augmenter that calls ``augment`` on each example in order; an
+    example for which it raised EmptySentenceError is skipped."""
+    def run(examples: Sequence[LabeledExample]) -> tuple[list[LabeledExample],
+                                                         list[int]]:
+        rows: list[LabeledExample] = []
+        skipped: list[int] = []
+        for position, ex in enumerate(examples):
+            try:
+                rows += augment(ex)
+            except EmptySentenceError:
+                skipped.append(position)
+        return rows, skipped
+    return run
 
 
 def sequential_augment(
@@ -73,35 +98,27 @@ def count_unchanged(
 
 
 def back_translate(
-    sentence: LabeledExample,
+    examples: Sequence[LabeledExample],
     provider: TranslationProvider,
     pivot: str,
     cache: TranslationCache,
     source_lang: str = "pt",
-) -> LabeledExample:
-    """Translate to the pivot language and back, via the write-through cache.
+) -> tuple[list[LabeledExample], list[int]]:
+    """Translate each example to the pivot language and back, in two hops
+    through the write-through cache: every text to the pivot, then every
+    result back. Returns the round trips and the positions of the blank
+    texts, which are skipped as EmptySentenceError would skip them.
 
-    A result identical to the input is still returned (count_unchanged
+    A result identical to its input is still returned (count_unchanged
     counts such rows). Transport failures propagate after the provider's
     own retry budget.
     """
-    if not sentence.text.strip():
-        raise EmptySentenceError("cannot back-translate empty text")
-    hop = _cached_translate(sentence.text, source_lang, pivot, provider, cache)
-    text = _cached_translate(hop, pivot, source_lang, provider, cache)
-    return LabeledExample(text=text, label=sentence.label)
-
-
-def _cached_translate(
-    text: str, source: str, target: str,
-    provider: TranslationProvider, cache: TranslationCache,
-) -> str:
-    hit = cache.get(provider.name, source, target, text)
-    if hit is not None:
-        return hit
-    out = provider.translate(text, source, target)
-    cache.put(provider.name, source, target, text, out)
-    return out
+    texts = list(map(_TEXT, examples))
+    keep = list(map(str.strip, texts))  # "" (false) for a blank text
+    hop = cache.translate(provider, source_lang, pivot, list(compress(texts, keep)))
+    back = cache.translate(provider, pivot, source_lang, hop)
+    rows = list(map(LabeledExample, back, map(_LABEL, compress(examples, keep))))
+    return rows, [position for position, kept in enumerate(keep) if not kept]
 
 
 def augment_training_set(
@@ -111,20 +128,15 @@ def augment_training_set(
 ) -> tuple[Dataset, list[int]]:
     """Append generated examples for each target index, in target order.
 
-    Originals stay verbatim and first. Returns the grown dataset and the
-    target indices whose sentence raised EmptySentenceError (skipped and
-    counted); any other exception propagates.
+    Originals stay verbatim and first. ``augmenter`` gets the target
+    examples in target order. Returns the grown dataset and the target
+    indices it skipped (EmptySentenceError), in target order; any
+    exception propagates.
     """
     n = len(train)
     bad = [i for i in targets if not 0 <= i < n]
     if bad:
         raise IndexError(f"augmentation targets out of range: {bad[:5]}")
-    generated: list[LabeledExample] = []
-    failures: list[int] = []
-    for i in targets:
-        try:
-            generated.extend(augmenter(train[i]))
-        except EmptySentenceError:
-            failures.append(i)
+    generated, skipped = augmenter([train[i] for i in targets])
     out = Dataset(name=train.name, examples=train.examples + tuple(generated))
-    return out, failures
+    return out, [targets[position] for position in skipped]

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from sys import intern
 
 from .errors import DataError, ResourceError, TransportError, open_input
-from .resources import _LOAD_BLOCK, EmbeddingStore, SynonymMap, nearest_neighbors
+from .resources import EmbeddingStore, SynonymMap, nearest_neighbors
 
 
 # A Syn stage: stage(tokens, i) -> the words that may replace tokens[i],
@@ -248,37 +247,41 @@ def _parse_translation(payload) -> str:
 # ensure_ascii=False).
 _q = encode_basestring
 
-_RECORD_KEY = itemgetter("provider", "source", "target", "text")
+# Characters of the cache file parsed at once. A block's JSON objects are
+# dropped before they fill the garbage collector's first generation (700
+# objects), so that loading runs no collection, where a block holds fewer
+# than 700 records: records of 94 characters or more. A dict: provider's
+# record with empty texts already has 100.
+_CACHE_BLOCK = 1 << 16
+
+_DIRECTION = itemgetter("provider", "source", "target")
+_TEXT = itemgetter("text")
 _TRANSLATED = itemgetter("translated")
-
-
-def _shared(provider: str, source: str, target: str, text: str) -> tuple:
-    """A loaded record's key with provider, source and target interned: each
-    takes a handful of values, so the cache keeps one copy, not one per record."""
-    return intern(provider), intern(source), intern(target), text
 
 
 class TranslationCache:
     """Append-only (provider, source, target, text) -> translation store.
 
-    Backed by a JSON-lines file, loaded fully at startup if it exists
-    and appended to through one handle, opened on the first ``put``. A
-    file that cannot be opened for either is DataError. Each record is
-    flushed before ``put`` returns, so a fresh cache or a resumed run
-    sees it; nothing is fsynced. ``close`` releases the handle; a later
-    ``put`` reopens it. A file line that is not one JSON object holding
-    the five fields, each a string, is DataError. ``put`` writes exactly
-    those five; a record with more loads, and the others are ignored.
+    Holds one table per direction: (provider, source, target) -> {text:
+    translation}. Backed by a JSON-lines file, loaded fully at startup
+    if it exists and appended to through one unbuffered handle, opened
+    on the first ``put``. A file that cannot be opened for either is
+    DataError. Each record reaches the file before ``put`` returns, so a
+    fresh cache or a resumed run sees it; nothing is fsynced. ``close``
+    releases the handle; a later ``put`` reopens it. A file line that is
+    not one JSON object holding the five fields, each a string, is
+    DataError. ``put`` writes exactly those five; a record with more
+    loads, and the others are ignored.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._data: dict[tuple[str, str, str, str], str] = {}
+        self._tables: dict[tuple[str, str, str], dict[str, str]] = {}
         self._fh = None
         if path and os.path.exists(path):
             with open_input(path, "cache file", DataError) as fh:
                 first = 1
-                while block := fh.readlines(_LOAD_BLOCK):
+                while block := fh.readlines(_CACHE_BLOCK):
                     if not self._load_block(block):
                         self._load_lines(block, first)
                     first += len(block)
@@ -287,9 +290,10 @@ class TranslationCache:
         """Load a block's records with one JSON parse; False where the
         line-by-line load must decide.
 
-        The stripped lines are parsed as one array, joined by ",\n". The
-        checks make sure each line held exactly one record, as each line
-        parsed alone would:
+        The lines, as read, are parsed as one array joined by commas; a
+        blank line, or one that does not start with "{", leaves the block
+        to the line-by-line load. The checks make sure each line held
+        exactly one record, as each line parsed alone would:
         - A JSON string cannot hold a raw newline, so no record spans the
           join inside a string.
         - Inside an object a "{" cannot follow a comma, and no record
@@ -298,19 +302,29 @@ class TranslationCache:
         - With one record per line start, as many records as lines
           leaves no line with two.
         """
-        lines = [line for line in map(str.strip, block) if line]
-        if not all(map(str.startswith, lines, repeat("{"))):
+        if not all(map(str.startswith, block, repeat("{"))):
             return False
         try:
-            records = json.loads("[" + ",\n".join(lines) + "]")
-            keys = [_shared(*key) for key in map(_RECORD_KEY, records)]
+            records = json.loads("".join(["[", ",".join(block), "]"]))
+            texts = list(map(_TEXT, records))
             translations = list(map(_TRANSLATED, records))
+            # Only the few distinct directions need their fields' types
+            # checked: a str equals nothing of another type. (No list of
+            # directions is kept: the collector would track each tuple.)
+            distinct = dict.fromkeys(map(_DIRECTION, records))
         except (KeyError, TypeError, ValueError):
             return False
-        if (len(records) != len(lines) or set(map(len, records)) - {5}
-                or set(map(type, chain(translations, *keys))) - {str}):
+        if (len(records) != len(block) or set(map(len, records)) - {5}
+                or set(map(type, chain(texts, translations,
+                                       *distinct))) - {str}):
             return False
-        self._data.update(zip(keys, translations))
+        # Consecutive records of one direction go to its table together.
+        tables, table, last = self._tables, None, None
+        for direction, text, translated in zip(map(_DIRECTION, records),
+                                               texts, translations):
+            if direction != last:
+                table, last = tables.setdefault(direction, {}), direction
+            table[text] = translated
         return True
 
     def _load_lines(self, block: list[str], first: int) -> None:
@@ -321,37 +335,61 @@ class TranslationCache:
                 continue
             try:
                 rec = json.loads(line)
-                key, translated = _RECORD_KEY(rec), _TRANSLATED(rec)
-                if set(map(type, (*key, translated))) - {str}:
+                direction, text = _DIRECTION(rec), _TEXT(rec)
+                translated = _TRANSLATED(rec)
+                if set(map(type, (*direction, text, translated))) - {str}:
                     raise TypeError("a field is not a string")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(
                     f"{self.path}: line {number}: malformed cache record: {exc!r}"
                 ) from exc
-            self._data[_shared(*key)] = translated
+            self._tables.setdefault(direction, {})[text] = translated
 
     def __len__(self) -> int:
-        return len(self._data)
+        return sum(map(len, self._tables.values()))
 
     def get(self, provider: str, source: str, target: str, text: str) -> str | None:
-        return self._data.get((provider, source, target, text))
+        return self._tables.get((provider, source, target), {}).get(text)
 
     def put(self, provider: str, source: str, target: str, text: str,
             translated: str) -> None:
-        self._data[(provider, source, target, text)] = translated
+        self._tables.setdefault((provider, source, target), {})[text] = translated
         if self.path:
             if self._fh is None:
                 try:
-                    self._fh = open(self.path, "a", encoding="utf-8")
+                    self._fh = open(self.path, "ab", buffering=0)
                 except OSError as exc:
                     raise DataError(
                         f"cannot open cache file: {self.path}") from exc
-            self._fh.write(
+            record = (
                 f'{{"provider": {_q(provider)}, "source": {_q(source)}, '
                 f'"target": {_q(target)}, "text": {_q(text)}, '
                 f'"translated": {_q(translated)}}}\n'
-            )
-            self._fh.flush()
+            ).encode()
+            # An unbuffered handle: each write goes to the file at once,
+            # and one that wrote part of the record is followed by another.
+            while record := record[self._fh.write(record):]:
+                pass
+
+    def translate(self, provider: TranslationProvider, source: str,
+                  target: str, texts: list[str]) -> list[str]:
+        """Each text translated from ``source`` to ``target``, in order.
+
+        The texts are looked up in the direction's table at once; each
+        distinct miss goes to ``provider`` once, in first-seen order, and
+        its record is written by ``put`` as that call returns, so a
+        TransportError leaves every earlier record on file.
+        """
+        table = self._tables.setdefault((provider.name, source, target), {})
+        found = list(map(table.get, texts))
+        if None not in found:
+            return found
+        missed = dict.fromkeys(
+            text for text, hit in zip(texts, found) if hit is None)
+        for text in missed:
+            self.put(provider.name, source, target, text,
+                     provider.translate(text, source, target))
+        return list(map(table.__getitem__, texts))
 
     def close(self) -> None:
         """Close the append handle, if one is open."""

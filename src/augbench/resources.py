@@ -26,6 +26,10 @@ from .errors import ResourceError, open_input
 _PPDB_SEP = "|||"
 # Components squared at once when the row norms are computed.
 _NORM_SLICE = 1 << 17
+# A row whose largest |entry| is at least 2^(_TINY_EXP - 1) has a product
+# with a scaled query's largest entry (at least 1/2) that stays 53 bits
+# above the subnormal range.
+_TINY_EXP = -1022 + 53 + 2
 # With fewer bits, rounding would move a feature by more than 2^-17 of
 # the power of two above the largest embedding entry.
 _MIN_GRID_BITS = 16
@@ -133,15 +137,23 @@ class EmbeddingStore:
         self._index = {w: i for i, w in enumerate(words)}
         # Row norms a slice at a time: np.linalg.norm squares its whole
         # input first, and each row's norm is that of the row alone. Each
-        # row is scaled by a power of two first, so a row of tiny entries
-        # does not square to zero; in the normal range no bit changes.
-        self._norms = np.empty(len(matrix))
+        # row is scaled by 2^-e first, e its exponent, so a row of tiny
+        # entries does not square to zero; its norm is kept as the scaled
+        # norm and e, and as their product, which in the normal range is
+        # exact and equals the unscaled norm bit for bit.
+        self._exps = np.empty(len(matrix), dtype=np.intp)
+        self._scaled_norms = np.empty(len(matrix))
         step = max(1, _NORM_SLICE // max(1, self.dim))
         for start in range(0, len(matrix), step):
             rows = matrix[start:start + step]
-            e = _exponents(rows)
-            self._norms[start:start + step] = np.ldexp(
-                np.linalg.norm(np.ldexp(rows, -e[:, None]), axis=1), e)
+            e = self._exps[start:start + step] = _exponents(rows)
+            self._scaled_norms[start:start + step] = np.linalg.norm(
+                np.ldexp(rows, -e[:, None]), axis=1)
+        self._norms = np.ldexp(self._scaled_norms, self._exps)
+        # Rows too small for their products with a scaled query to keep
+        # every bit: their dot products are taken scaled, over the scaled
+        # norm (see _nearest).
+        self._tiny = np.flatnonzero(self._exps < _TINY_EXP)
         # (word, k) -> nearest_neighbors result; the store is read-only, so
         # an entry never goes stale.
         self._neighbors: dict[tuple[str, int], tuple[tuple[str, float], ...]] = {}
@@ -203,9 +215,8 @@ def to_grid(X: np.ndarray, step: float) -> np.ndarray:
     return G
 
 
-# Characters of an input file (the embeddings, the translation cache)
-# read and parsed at once: with what is loaded, a bound on the memory a
-# load needs.
+# Characters of the embedding file read and parsed at once: with what is
+# loaded, a bound on the memory a load needs.
 _LOAD_BLOCK = 1 << 20
 
 
@@ -334,16 +345,19 @@ def _nearest(
     qi = store._index.get(word)
     if qi is None:
         return ()
-    if store._norms[qi] == 0.0:
+    qnorm = store._scaled_norms[qi]
+    if qnorm == 0.0:
         return ()
     # The query scaled as its norm was, so q.q does not underflow.
-    e = int(_exponents(store.matrix[qi:qi + 1])[0])
-    q = np.ldexp(store.matrix[qi], -e)
-    qnorm = math.ldexp(store._norms[qi], -e)
+    q = np.ldexp(store.matrix[qi], -store._exps[qi])
     sims = store.matrix @ q
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = sims / (store._norms * qnorm)
-    mask = store._norms > 0.0
+    tiny = store._tiny
+    if tiny.size:
+        rows = np.ldexp(store.matrix[tiny], -store._exps[tiny, None])
+        sims[tiny] = (rows @ q) / (store._scaled_norms[tiny] * qnorm)
+    mask = store._scaled_norms > 0.0
     mask[qi] = False
     candidates = np.flatnonzero(mask)
     if candidates.size > k:

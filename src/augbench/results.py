@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from operator import attrgetter
+from types import SimpleNamespace
 
 from .errors import DataError, open_input
 
@@ -66,6 +67,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def file_name_part(name: str, what: str, error: type[Exception]) -> str:
+    """``name``; ``error`` naming it as ``what`` if it holds a path
+    separator, since output file names are made from it."""
+    if "/" in name or "\\" in name:
+        raise error(f"{what} {name!r} holds a path separator; "
+                    "output file names are made from it")
+    return name
+
+
 def make_output_dir(path: str) -> None:
     """Make the directory ``path`` and its parents; DataError if it cannot be one."""
     try:
@@ -87,7 +97,7 @@ def _plain(rows: list) -> bool:
 
 
 def _write_block(fh, writer, block: list) -> None:
-    """Write ``block`` as ``writer`` would; see write_csv."""
+    """Write ``block`` as write_csv does; see there."""
     # The first rows are tested alone first only so that a block of quoted
     # rows fails the test without running all of its fields together.
     if _plain(block[:64]) and _plain(block):
@@ -101,15 +111,20 @@ def write_csv(path: str, header: list[str], rows) -> None:
     ``rows`` are sequences of str.
 
     The bytes are those of ``csv.writer(fh, lineterminator="\n")``, which
-    scans each character of each field. Here rows go out in blocks: a
-    block whose rows need no quoting is joined and written at once, the
-    test being ``in`` on the block's fields run together; any other block
-    goes to csv.writer whole.
+    scans each character of each field, except that a field holding "\r"
+    is quoted: on Python 3.11 that writer quotes only the characters of
+    its terminator, and such a field would read back as two rows. Rows
+    go out in blocks: a block whose rows need no quoting is joined and
+    written at once, the test being ``in`` on the block's fields run
+    together; any other block goes whole to a csv.writer whose
+    terminator is "\r\n", so that it quotes a field holding either
+    character, and each of its lines has the "\r\n" cut to "\n" as it is
+    written. For a row without a "\r" those are csv.writer's bytes.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        rows = iter(rows)
+        lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lf, lineterminator="\r\n")
+        rows = chain([header], rows)
         while block := list(islice(rows, _BLOCK)):
             _write_block(fh, writer, block)
 
@@ -120,8 +135,9 @@ def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
 
 def read_results_csv(path: str) -> list[ExperimentResult]:
     """Parse a results CSV; DataError for an unreadable file, a wrong
-    header, a row of another field count than the header's or a field
-    that does not parse. A blank line is no row."""
+    header, a row of another field count than the header's, a dataset
+    name holding a path separator or a field that does not parse. A
+    blank line is no row."""
     try:
         with open_input(path, "results file", DataError, newline="") as fh:
             reader = csv.reader(fh)
@@ -134,6 +150,8 @@ def read_results_csv(path: str) -> list[ExperimentResult]:
                     raise DataError(
                         f"{path}: line {reader.line_num}: {len(rec)} fields, "
                         f"the header has {len(CSV_COLUMNS)}")
+                file_name_part(rec[0], f"{path}: line {reader.line_num}: "
+                               "dataset", DataError)
                 rows.append(ExperimentResult(
                     *(parse(text) for parse, text in zip(_PARSERS, rec))))
             return rows

@@ -37,7 +37,8 @@ from .errors import ConfigError, InvariantError, TrainingError, open_input
 from .kernels import Distances, sq_distances
 from .metrics import evaluate, save_predictions
 from .pipeline import (
-    augment_training_set, back_translate, count_unchanged, sequential_augment,
+    augment_training_set, back_translate, count_unchanged, per_sentence,
+    sequential_augment,
 )
 from .providers import (
     ProviderSpec, SynStage, TranslationCache, make_contextual_provider,
@@ -48,7 +49,7 @@ from .resources import (
 )
 from .results import (
     GROUPS, STATUS_AUG_FAILED, STATUS_OK, STATUS_TRAIN_FAILED,
-    ExperimentResult, make_output_dir, write_results_csv,
+    ExperimentResult, file_name_part, make_output_dir, write_results_csv,
 )
 from .svm import SvmConfig, svm_predict, svm_train
 
@@ -144,10 +145,7 @@ _path = functools.partial(_string, what="a string path")
 
 def _dataset_name(value, key: str) -> str:
     """A string without a path separator: output file names start with it."""
-    if any(sep in _string(value, key) for sep in "/\\"):
-        raise ConfigError(f"{key} {value!r} holds a path separator; "
-                          "output file names are made from it")
-    return value
+    return file_name_part(_string(value, key), key, ConfigError)
 
 
 def _as_is(value, key: str):
@@ -453,25 +451,23 @@ def load_resources(config: ExperimentConfig, *,
 
 def make_augmenter(config: ExperimentConfig, resources: Resources,
                     cell: GridCell):
-    """Per-cell augmenter closure with a cell-seeded RNG."""
+    """Per-cell augmenter over the cell's target examples; EDA and Syn
+    draw from one cell-seeded RNG, in target order."""
     rng = random.Random(
         derive_seed(config.master_seed, "augment", *cell.key())
     )
     if cell.group == "EDA":
-        return lambda ex: eda_augment(ex, config.eda, resources.synmap, rng)
+        return per_sentence(
+            lambda ex: eda_augment(ex, config.eda, resources.synmap, rng))
     if cell.group == "Syn":
-        return lambda ex: [
-            sequential_augment(
-                ex, resources.syn_stages, config.syn_rate, rng
-            )
-        ]
+        return per_sentence(lambda ex: [
+            sequential_augment(ex, resources.syn_stages, config.syn_rate, rng)
+        ])
     if cell.group == "BT":
-        return lambda ex: [
-            back_translate(
-                ex, resources.translation, config.pivot, resources.cache,
-                source_lang=config.source_lang,
-            )
-        ]
+        return lambda examples: back_translate(
+            examples, resources.translation, config.pivot, resources.cache,
+            source_lang=config.source_lang,
+        )
     raise ConfigError(f"unknown group {cell.group!r}")
 
 

@@ -8,6 +8,9 @@ import csv
 import json
 import math
 import random
+from itertools import chain
+from operator import itemgetter
+from sys import intern
 
 import numpy as np
 
@@ -190,6 +193,49 @@ def load_translation_cache_per_line(path: str) -> dict:
                 ) from exc
             data[key] = translated
     return data
+
+
+def load_translation_cache_keyed(path: str) -> dict:
+    """The cache load that one table per direction replaced, for a file of
+    valid records: each block of about a million characters parsed as one
+    JSON array into one dict keyed by (provider, source, target, text),
+    with the first three interned."""
+    data = {}
+    record_key = itemgetter("provider", "source", "target", "text")
+    with open(path, encoding="utf-8") as fh:
+        while block := fh.readlines(1 << 20):
+            lines = [line for line in map(str.strip, block) if line]
+            records = json.loads("[" + ",\n".join(lines) + "]")
+            keys = [(intern(p), intern(s), intern(t), text)
+                    for p, s, t, text in map(record_key, records)]
+            translations = [rec["translated"] for rec in records]
+            if (len(records) != len(lines) or set(map(len, records)) - {5}
+                    or set(map(type, chain(translations, *keys))) - {str}):
+                raise DataError(f"{path}: malformed cache record")
+            data.update(zip(keys, translations))
+    return data
+
+
+def back_translate_per_sentence(examples, provider, pivot: str, cache,
+                                source_lang: str = "pt") -> list:
+    """``pipeline.back_translate`` one sentence at a time: both hops of a
+    sentence go through ``cache.get``, then on a miss the provider and
+    ``cache.put``, before the next sentence; a blank text is skipped."""
+    def hop(text, source, target):
+        hit = cache.get(provider.name, source, target, text)
+        if hit is None:
+            hit = provider.translate(text, source, target)
+            cache.put(provider.name, source, target, text, hit)
+        return hit
+
+    rows, skipped = [], []
+    for position, ex in enumerate(examples):
+        if ex.text.strip():
+            rows.append(LabeledExample(
+                hop(hop(ex.text, source_lang, pivot), pivot, source_lang), ex.label))
+        else:
+            skipped.append(position)
+    return rows, skipped
 
 
 def synonym_map_from_dict(mapping: dict[str, list[str]]) -> SynonymMap:

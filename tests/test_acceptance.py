@@ -28,7 +28,7 @@ from augbench.eda import (
 )
 from augbench.errors import DataError
 from augbench.metrics import evaluate
-from augbench.pipeline import augment_training_set, back_translate
+from augbench.pipeline import augment_training_set, back_translate, per_sentence
 from augbench.providers import DictTranslationProvider, TranslationCache
 from augbench.results import ExperimentResult
 from augbench.stats import ContingencyTable, mcnemar
@@ -195,14 +195,16 @@ def test_criterion_6_count_laws():
     targets = select_augmentation_targets(train, 0.2, seed=6)
     assert len(targets) == 75
     grown, failures = augment_training_set(
-        train, targets, lambda ex: [LabeledExample(ex.text + " novo", ex.label)]
+        train, targets,
+        per_sentence(lambda ex: [LabeledExample(ex.text + " novo", ex.label)]),
     )
     assert not failures
     assert len(grown) == 450
 
     untouched = select_augmentation_targets(train, 0.0, seed=6)
     assert untouched == []
-    same, _ = augment_training_set(train, untouched, lambda ex: [ex])
+    same, _ = augment_training_set(
+        train, untouched, per_sentence(lambda ex: [ex]))
     assert same.examples == train.examples
     _report("6 count-laws: PASS (375 -> 75 targets -> 450 rows)")
 
@@ -256,15 +258,12 @@ def test_criterion_8_back_translation_round_trip(tmp_path):
     from augbench.corpus import load_dataset
 
     dataset = load_dataset(corpus_path, name="bt")
-    for ex in dataset:
-        out = back_translate(ex, provider, "en", cache)
-        assert out.text == ex.text
-        assert out.label == ex.label
+    made = back_translate(dataset.examples, provider, "en", cache)
+    assert made == (list(dataset.examples), [])
 
     after_first = provider.request_count
     assert after_first > 0
-    for ex in dataset:
-        back_translate(ex, provider, "en", cache)
+    back_translate(dataset.examples, provider, "en", cache)
     assert provider.request_count == after_first
     _report(
         f"8 back-translation: PASS ({len(dataset)} sentences round-trip, "

@@ -473,7 +473,12 @@ class CellCommandChecks:
 
         def two_per_target(config, resources, cell):
             augment = make(config, resources, cell)
-            return lambda ex: augment(ex) * 2
+
+            def twice(examples):
+                rows, skipped = augment(examples)
+                return rows * 2, skipped
+
+            return twice
 
         monkeypatch.setattr(runner, "make_augmenter", two_per_target)
         assert self._main(path, "synth3", "EDA", tmp_path / "o") == 1
@@ -897,6 +902,23 @@ class TestReportCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "error[data]" in err and "field larger than field limit" in err
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\b"], ids=["slash", "backslash"])
+    def test_dataset_name_with_a_path_separator_exit_3(self, tmp_path, capsys,
+                                                       name):
+        # the report's file names are made from it
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, [
+            ExperimentResult("synth3", "EDA", 80, 0.0, 0, f1=0.7),
+            ExperimentResult(name, "EDA", 80, 0.0, 0, f1=0.7),
+        ])
+        code = main(["report", "--results", path, "--out", str(tmp_path / "r")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error[data]: {path}: line 3: dataset {name!r} holds a path "
+            "separator; output file names are made from it\n")
+        assert not (tmp_path / "r").exists()
 
     def test_positive_gain_without_test_exit_3(self, tmp_path, capsys):
         path = str(tmp_path / "merged.csv")

@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
 
@@ -20,7 +21,7 @@ from augbench.errors import (
 )
 from augbench.pipeline import (
     augment_training_set, back_translate, count_unchanged, is_degenerate,
-    sequential_augment,
+    per_sentence, sequential_augment,
 )
 from augbench.providers import (
     DictTranslationProvider, HttpTranslationProvider,
@@ -31,8 +32,16 @@ from augbench.providers import (
 from augbench.runner import provider_spec
 
 from oracles import (
+    back_translate_per_sentence, load_translation_cache_keyed,
     load_translation_cache_per_line, synonym_map_from_dict, translate_per_token,
 )
+
+
+def back_translate_one(ex, provider, pivot, cache):
+    """The one row back_translate generates for ``ex`` alone."""
+    [row], skipped = back_translate([ex], provider, pivot, cache)
+    assert skipped == []
+    return row
 
 
 def list_stage(table):
@@ -113,14 +122,14 @@ class TestBackTranslate:
         provider = IdentityTranslationProvider()
         cache = TranslationCache()
         ex = LabeledExample("bom produto", "pos")
-        out = back_translate(ex, provider, "en", cache)
+        out = back_translate_one(ex, provider, "en", cache)
         assert out.text == ex.text
         assert is_degenerate(ex.text, out.text)
 
     def test_reversible_dictionary_round_trip(self):
         mapping = {"bom": "good", "produto": "product"}
         provider = DictTranslationProvider(mapping, source_lang="pt")
-        out = back_translate(
+        out = back_translate_one(
             LabeledExample("bom produto", "pos"), provider, "en",
             TranslationCache(),
         )
@@ -130,7 +139,7 @@ class TestBackTranslate:
         # both words hit "good"; the inverse keeps the first source seen
         mapping = {"bom": "good", "otimo": "good"}
         provider = DictTranslationProvider(mapping, source_lang="pt")
-        out = back_translate(
+        out = back_translate_one(
             LabeledExample("otimo produto", "pos"), provider, "en",
             TranslationCache(),
         )
@@ -150,27 +159,27 @@ class TestBackTranslate:
             provider, text, source)
 
     def test_label_unchanged(self):
-        out = back_translate(
+        out = back_translate_one(
             LabeledExample("oi", "neg"), IdentityTranslationProvider(), "en",
             TranslationCache(),
         )
         assert out.label == "neg"
 
-    def test_empty_text_rejected(self):
-        with pytest.raises(EmptySentenceError):
-            back_translate(
-                LabeledExample("  ", "x"), IdentityTranslationProvider(),
-                "en", TranslationCache(),
-            )
+    def test_blank_text_is_skipped_without_a_request(self):
+        provider = IdentityTranslationProvider()
+        assert back_translate(
+            [LabeledExample("  ", "x")], provider, "en", TranslationCache(),
+        ) == ([], [0])
+        assert provider.request_count == 0
 
     def test_cache_round_trip_zero_requests(self):
         provider = IdentityTranslationProvider()
         cache = TranslationCache()
         ex = LabeledExample("bom produto barato", "pos")
-        back_translate(ex, provider, "en", cache)
+        back_translate_one(ex, provider, "en", cache)
         first = provider.request_count
         assert first == 2  # two hops
-        back_translate(ex, provider, "en", cache)
+        back_translate_one(ex, provider, "en", cache)
         assert provider.request_count == first
 
     def test_cache_persists_to_file(self, tmp_path):
@@ -178,12 +187,12 @@ class TestBackTranslate:
         provider = IdentityTranslationProvider()
         ex = LabeledExample("bom", "x")
         cache = TranslationCache(path)
-        back_translate(ex, provider, "en", cache)
+        back_translate_one(ex, provider, "en", cache)
         cache.close()
         # a fresh cache instance reloads the file and serves hits
         provider2 = IdentityTranslationProvider()
         cache2 = TranslationCache(path)
-        back_translate(ex, provider2, "en", cache2)
+        back_translate_one(ex, provider2, "en", cache2)
         cache2.close()
         assert provider2.request_count == 0
 
@@ -204,12 +213,12 @@ class TestBackTranslate:
         d1 = DictTranslationProvider({"bom": "good"})
         d2 = DictTranslationProvider({"otimo": "good", "bom": "good"})
         ex = LabeledExample("bom", "pos")
-        assert back_translate(ex, d2, "en", TranslationCache()).text == "otimo"
+        assert back_translate_one(ex, d2, "en", TranslationCache()).text == "otimo"
         path = str(tmp_path / "cache.jsonl")
         first = TranslationCache(path)
-        assert back_translate(ex, d1, "en", first).text == "bom"
+        assert back_translate_one(ex, d1, "en", first).text == "bom"
         second = first if shared == "one cache" else TranslationCache(path)
-        assert back_translate(ex, d2, "en", second).text == "otimo"
+        assert back_translate_one(ex, d2, "en", second).text == "otimo"
         first.close()
         second.close()
 
@@ -221,7 +230,7 @@ class TestBackTranslate:
         old.close()
         provider = DictTranslationProvider({"otimo": "good", "bom": "good"})
         cache = TranslationCache(str(path))
-        out = back_translate(LabeledExample("bom", "x"), provider, "en", cache)
+        out = back_translate_one(LabeledExample("bom", "x"), provider, "en", cache)
         cache.close()
         assert out.text == "otimo" and provider.request_count == 2
 
@@ -247,6 +256,106 @@ class TestBackTranslate:
         cache = TranslationCache()
         cache.put("p", "pt", "en", "bom", "good")
         assert cache.get("p", "pt", "en", "bom") == "good"
+
+
+class CountingProvider(DictTranslationProvider):
+    """A dictionary provider that counts its calls by (source, target, text)."""
+
+    def __init__(self, mapping, fail_at=None):
+        super().__init__(mapping)
+        self.calls = collections.Counter()
+        self.fail_at = fail_at  # the 1-based call that raises TransportError
+
+    def translate(self, text, source, target):
+        if self.request_count + 1 == self.fail_at:
+            raise TransportError("translator down")
+        self.calls[source, target, text] += 1
+        return super().translate(text, source, target)
+
+
+# Sentences of a few words with repeats, blanks and a non-ASCII word; the
+# two dictionaries share "good", so their round trips differ.
+_bt_texts = st.lists(st.sampled_from(["bom", "otimo", "produto", "novo", "é",
+                                      "good", " "]), max_size=3).map(" ".join)
+_D1 = {"bom": "good", "produto": "product"}
+_D2 = {"otimo": "good", "bom": "good", "novo": "new"}
+
+
+class TestBackTranslateInHops:
+    """back_translate's two hops per cell against the per-sentence loop."""
+
+    @given(texts=st.lists(_bt_texts, min_size=1, max_size=16),
+           warm=st.integers(0, 16), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_sentence_loop(self, texts, warm, data):
+        train = Dataset("t", tuple(
+            LabeledExample(text, f"l{i % 3}") for i, text in enumerate(texts)))
+        targets = data.draw(st.permutations(range(len(texts))))[:data.draw(
+            st.integers(0, len(texts)))]
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, translate in [("hops", back_translate),
+                                    ("per-sentence", back_translate_per_sentence)]:
+                path = os.path.join(tmp, name + ".jsonl")
+                open(path, "w").close()  # a cell with no miss writes nothing
+                cache = TranslationCache(path)
+                made = []
+                # a first cell warms the cache, then two dictionaries share it
+                for mapping, cell in [(_D1, targets[:warm]), (_D1, targets),
+                                      (_D2, targets)]:
+                    provider = DictTranslationProvider(mapping)
+                    made.append(augment_training_set(train, cell, lambda exs: (
+                        translate(exs, provider, "en", cache))))
+                cache.close()
+                with open(path, encoding="utf-8") as fh:
+                    outcomes.append((made, sorted(fh)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_each_distinct_text_goes_out_once_per_direction(self):
+        provider = CountingProvider({"bom": "good", "otimo": "good"})
+        texts = ["bom dia", "otimo dia", "bom dia", "  ", "dia", "otimo dia"]
+        rows, skipped = back_translate([LabeledExample(t, "x") for t in texts],
+                                       provider, "en", TranslationCache())
+        assert [row.text for row in rows] == [
+            "bom dia", "bom dia", "bom dia", "dia", "bom dia"]
+        assert skipped == [3]
+        # once each, the first seen first
+        assert list(provider.calls.items()) == [
+            (("pt", "en", "bom dia"), 1), (("pt", "en", "otimo dia"), 1),
+            (("pt", "en", "dia"), 1), (("en", "pt", "good dia"), 1),
+            (("en", "pt", "dia"), 1)]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_outage_at_call_k_leaves_the_records_before_it(self, tmp_path, k):
+        path = str(tmp_path / "cache.jsonl")
+        provider = CountingProvider({"bom": "good"}, fail_at=k)
+        cache = TranslationCache(path)
+        texts = ["bom dia", "otimo", "dia bom", "bom dia"]  # six distinct calls
+        with pytest.raises(TransportError):
+            back_translate([LabeledExample(t, "x") for t in texts],
+                           provider, "en", cache)
+        fresh = TranslationCache(path)  # before close
+        cache.close()
+        assert len(fresh) == k - 1 == sum(provider.calls.values())
+        for source, target, text in provider.calls:
+            assert fresh.get(provider.name, source, target, text) is not None
+
+
+def test_alternating_file_loads_the_keyed_tables(tmp_path):
+    # 40,000 sentences, each a record to the pivot and one back, as every
+    # cache file written one sentence at a time holds them
+    path = str(tmp_path / "cache.jsonl")
+    rng = random.Random(5)
+    words = [f"palavra{i}" for i in range(2_000)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(40_000):
+            text = " ".join(rng.choices(words, k=12)) + f" {i}"
+            for source, target, a, b in [("pt", "en", text, text.upper()),
+                                         ("en", "pt", text.upper(), text)]:
+                fh.write(_line({"provider": "dict:0123456789abcdef",
+                                "source": source, "target": target,
+                                "text": a, "translated": b}) + "\n")
+    assert _load_cache(path) == load_translation_cache_keyed(path)
 
 
 def reference_put(path, provider, source, target, text, translated):
@@ -318,7 +427,10 @@ def _cache_outcome(load, path):
 
 
 def _load_cache(path):
-    return TranslationCache(path)._data
+    """A loaded cache's tables as one (provider, source, target, text) dict."""
+    return {(*direction, text): translated for direction, table
+            in TranslationCache(path)._tables.items()
+            for text, translated in table.items()}
 
 
 _texts = st.sampled_from(AWKWARD_TEXTS + ["bom", "x\u2028y", "fim\r"])
@@ -373,7 +485,7 @@ class TestTranslationCacheLoad:
             path = os.path.join(tmp, "cache.jsonl")
             with open(path, "wb") as fh:
                 fh.write(data)
-            with mock.patch.object(providers, "_LOAD_BLOCK", block):
+            with mock.patch.object(providers, "_CACHE_BLOCK", block):
                 got = _cache_outcome(_load_cache, path)
             assert got == _cache_outcome(load_translation_cache_per_line, path)
 
@@ -405,7 +517,7 @@ class TestTranslationCacheLoad:
         return str(path)
 
     def test_error_names_line_in_middle_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(providers, "_LOAD_BLOCK", 500)  # about 6 lines
+        monkeypatch.setattr(providers, "_CACHE_BLOCK", 500)  # about 6 lines
         path = self._records_file(tmp_path, 37, '{"provider": "p", "sour')
         with pytest.raises(DataError) as caught:
             TranslationCache(path)
@@ -413,7 +525,7 @@ class TestTranslationCacheLoad:
             f"{path}: line 37: malformed cache record: JSONDecodeError(")
 
     def test_error_names_truncated_last_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(providers, "_LOAD_BLOCK", 500)
+        monkeypatch.setattr(providers, "_CACHE_BLOCK", 500)
         path = tmp_path / "cache.jsonl"
         lines = [_line(_record(f"w{i}")) for i in range(1, 61)]
         path.write_text("\n".join(lines) + "\n" + lines[0][:25],
@@ -436,7 +548,7 @@ class TestTranslationCacheLoad:
             TranslationCache(str(path))
 
     def test_last_record_wins_across_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(providers, "_LOAD_BLOCK", 100)
+        monkeypatch.setattr(providers, "_CACHE_BLOCK", 100)
         path = tmp_path / "cache.jsonl"
         path.write_text("".join(
             _line(_record("a", translated=str(i))) + "\n" for i in range(20)
@@ -446,7 +558,7 @@ class TestTranslationCacheLoad:
 
     @pytest.mark.parametrize("extra", [{}, {"more": "x"}],
                              ids=["block", "per-line"])
-    def test_key_strings_are_shared(self, tmp_path, extra):
+    def test_one_table_per_direction(self, tmp_path, extra):
         # a sixth field sends the block to the line-by-line load
         path = tmp_path / "cache.jsonl"
         path.write_text("".join(_line({
@@ -454,14 +566,14 @@ class TestTranslationCacheLoad:
             "source": ("pt", "en")[i % 3 > 0], "target": ("en", "pt")[i % 3 > 0],
             **(extra if i == 4 else {}),
         }) + "\n" for i in range(12)), encoding="utf-8")
-        keys = list(TranslationCache(str(path))._data)
-        assert len(keys) == 12
-        for field in range(3):
-            values = [key[field] for key in keys]
-            assert len(set(values)) == 2
-            assert len(set(map(id, values))) == 2
+        tables = TranslationCache(str(path))._tables
+        assert sorted(tables) == [
+            ("dict:ab", "en", "pt"), ("dict:ab", "pt", "en"),
+            ("http:cd", "en", "pt"), ("http:cd", "pt", "en")]
+        assert sorted(map(len, tables.values())) == [2, 2, 4, 4]
 
-    @pytest.mark.parametrize("field, value", [("translated", 5), ("text", 7)])
+    @pytest.mark.parametrize("field, value", [
+        ("translated", 5), ("text", 7), ("provider", 5), ("target", None)])
     def test_field_not_a_string_is_data_error(self, tmp_path, field, value):
         path = tmp_path / "cache.jsonl"
         path.write_text(
@@ -488,7 +600,8 @@ class TestAugmentTrainingSet:
 
     def test_empty_targets(self):
         train = self.make_train()
-        out, failures = augment_training_set(train, [], lambda ex: [ex])
+        out, failures = augment_training_set(
+            train, [], per_sentence(lambda ex: [ex]))
         assert out.examples == train.examples
         assert failures == []
 
@@ -496,14 +609,14 @@ class TestAugmentTrainingSet:
         train = self.make_train(8)
         out, _ = augment_training_set(
             train, [0, 2, 4],
-            lambda ex: [LabeledExample(ex.text + " novo", ex.label)],
+            per_sentence(lambda ex: [LabeledExample(ex.text + " novo", ex.label)]),
         )
         assert len(out) == 11
 
     def test_originals_first_and_verbatim(self):
         train = self.make_train()
         out, _ = augment_training_set(
-            train, [1], lambda ex: [LabeledExample("gerado", ex.label)]
+            train, [1], per_sentence(lambda ex: [LabeledExample("gerado", ex.label)])
         )
         assert out.examples[: len(train)] == train.examples
         assert out.examples[-1].text == "gerado"
@@ -512,7 +625,7 @@ class TestAugmentTrainingSet:
         train = self.make_train()
         out, _ = augment_training_set(
             train, [3, 0],
-            lambda ex: [LabeledExample("de " + ex.text, ex.label)],
+            per_sentence(lambda ex: [LabeledExample("de " + ex.text, ex.label)]),
         )
         assert [e.text for e in out.examples[-2:]] == [
             "de frase numero 3", "de frase numero 0",
@@ -526,7 +639,8 @@ class TestAugmentTrainingSet:
                 raise EmptySentenceError("nothing to augment")
             return [LabeledExample("ok", ex.label)]
 
-        out, failures = augment_training_set(train, [0, 2, 4], flaky)
+        out, failures = augment_training_set(
+            train, [0, 2, 4], per_sentence(flaky))
         assert failures == [2]
         assert len(out) == len(train) + 2
 
@@ -539,11 +653,12 @@ class TestAugmentTrainingSet:
             raise error
 
         with pytest.raises(type(error)):
-            augment_training_set(train, [0, 2], failing)
+            augment_training_set(train, [0, 2], per_sentence(failing))
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            augment_training_set(self.make_train(), [99], lambda ex: [ex])
+            augment_training_set(
+                self.make_train(), [99], per_sentence(lambda ex: [ex]))
 
     def test_count_unchanged_matches_direct_count(self, synmap):
         # two rows per target, and one target that fails: the count must
@@ -557,7 +672,8 @@ class TestAugmentTrainingSet:
         targets = [0, 1, 2, 3, 4, 6]
         rng = random.Random(3)
         augmented, failures = augment_training_set(
-            train, targets, lambda ex: eda_augment(ex, cfg, synmap, rng)
+            train, targets,
+            per_sentence(lambda ex: eda_augment(ex, cfg, synmap, rng)),
         )
         assert failures == [2]
         replay = random.Random(3)
@@ -575,7 +691,7 @@ class TestAugmentTrainingSet:
         train = self.make_train()
         out, _ = augment_training_set(
             train, list(range(len(train))),
-            lambda ex: [LabeledExample("x", ex.label)],
+            per_sentence(lambda ex: [LabeledExample("x", ex.label)]),
         )
         for src, gen in zip(train.examples, out.examples[len(train):]):
             assert gen.label == src.label
@@ -805,7 +921,7 @@ class TestHttpProviders:
 
     def test_back_translate_through_http(self, http_server):
         provider = HttpTranslationProvider(url=f"{http_server}/translate")
-        out = back_translate(
+        out = back_translate_one(
             LabeledExample("bom produto", "pos"), provider, "en",
             TranslationCache(),
         )

@@ -365,6 +365,22 @@ class TestEmbeddingStore:
         assert near_a["c"] == pytest.approx(0.8, rel=1e-12)
         assert near_a["c"] == nearest_neighbors("c", 3, store)[1][1]
 
+    def test_row_of_subnormal_entries_keeps_every_cosine_within_one(self):
+        # c is b scaled into the subnormal range, exactly: c = 2^-1074 x
+        # (6072, 12144) and b = (0.5, 1.0), so each cosine of c is b's
+        store = EmbeddingStore(words=("a", "b", "c", "d"), matrix=np.array(
+            [[1.0, 0.5], [0.5, 1.0], [3e-320, 6e-320], [-1.0, 0.2]]))
+        for word in "abcd":
+            for _, sim in nearest_neighbors(word, 3, store):
+                assert abs(sim) <= 1.0 + 4e-16
+        near_c = dict(nearest_neighbors("c", 3, store))
+        near_b = dict(nearest_neighbors("b", 3, store))
+        assert near_c["b"] == pytest.approx(1.0, abs=4e-16)
+        assert near_c["a"] == pytest.approx(near_b["a"], abs=4e-16)
+        assert near_c["d"] == pytest.approx(near_b["d"], abs=4e-16)
+        assert dict(nearest_neighbors("d", 3, store))["c"] == pytest.approx(
+            near_b["d"], abs=4e-16)
+
 
 class TestNearestNeighbors:
     def test_forced_top1(self, tiny_store):

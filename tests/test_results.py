@@ -1,6 +1,8 @@
-"""results.write_csv against csv.writer, the writer whose bytes it keeps."""
+"""results.write_csv against csv.writer, the writer whose bytes it keeps
+but for a field holding a carriage return, which it quotes."""
 
 import csv
+import io
 import os
 import tempfile
 from unittest import mock
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augbench import results
+from augbench.corpus import LabeledExample, load_dataset
 
 # Field text from pieces that each matter to quoting, or any text.
 _field = st.one_of(
@@ -52,11 +55,24 @@ def _written(write, header, rows) -> bytes:
             return fh.read()
 
 
+def _oracle_field(text):
+    """A field of a row of two or more as csv.writer writes it, but quoted
+    whenever it holds "\r", which csv.writer (Python 3.11) leaves bare."""
+    if "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    if not text:
+        return ""  # csv.writer quotes an empty field only when it is alone
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text])
+    return line.getvalue()[:-1]
+
+
 def _csv_writer(path, header, rows):
+    """csv.writer's bytes, except that a field holding "\r" is quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in [header, *rows]:
+            fh.write(('""' if list(row) == [""] else ",".join(map(_oracle_field, row)))
+                     + "\n")
 
 
 @pytest.mark.parametrize("block", [results._BLOCK, 4])
@@ -73,3 +89,28 @@ def test_a_row_to_quote_after_the_first_rows_of_a_block():
     rows = [["oi", "a"]] * 100 + [["bom, dia", "b"]] + [["tchau", "c"]] * 10
     assert (_written(results.write_csv, ["text", "label"], rows)
             == _written(_csv_writer, ["text", "label"], rows))
+
+
+def test_a_field_holding_a_carriage_return_is_quoted():
+    rows = [["oi", "a"], ["bom\rdia", "b"], ['diz "\r"', "c"], ["x,y", "d"]]
+    assert _written(results.write_csv, ["text", "label"], rows) == (
+        b'text,label\noi,a\n"bom\rdia",b\n"diz ""\r""",c\n"x,y",d\n')
+
+
+# Text and labels that load_dataset keeps as they are: non-empty, with no
+# whitespace at either end, of any other character.
+_kept = st.text(st.one_of(st.sampled_from(',"\r\n'),
+                          st.characters(blacklist_categories=("Cs",))),
+                min_size=1, max_size=8).filter(lambda t: t == t.strip() and t)
+
+
+@given(st.lists(st.tuples(_kept, _kept), min_size=1, max_size=12),
+       st.sampled_from([results._BLOCK, 3]))
+@settings(max_examples=200, deadline=None)
+def test_load_dataset_reads_back_what_write_csv_wrote(rows, block):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(results, "_BLOCK", block):
+        path = os.path.join(tmp, "out.csv")
+        results.write_csv(path, ["text", "label"], rows)
+        assert load_dataset(path).examples == tuple(
+            LabeledExample(text, label) for text, label in rows)

@@ -904,7 +904,12 @@ class TestInvariants:
 
         def two_per_target(config, resources, cell):
             augment = make(config, resources, cell)
-            return lambda ex: augment(ex) * 2
+
+            def twice(examples):
+                rows, skipped = augment(examples)
+                return rows * 2, skipped
+
+            return twice
 
         monkeypatch.setattr(runner, "make_augmenter", two_per_target)
         config = runner.config_from_dict({
