@@ -109,11 +109,12 @@ def _cmd_augment(args) -> int:
     finally:
         resources.cache.close()
     out_path = os.path.join(args.out, f"{args.dataset}_{args.group}_augmented.csv")
-    write_csv(out_path, [spec.text_column, spec.label_column], aug.dataset.examples)
+    write_csv(out_path, [spec.text_column, spec.label_column],
+              dataset.examples + aug.added.examples)
     print(json.dumps({
         "input_rows": len(dataset), "targets": len(aug.targets),
-        "failed_targets": len(aug.failures), "output_rows": len(aug.dataset),
-        "path": out_path,
+        "failed_targets": len(aug.failures),
+        "output_rows": len(dataset) + len(aug.added), "path": out_path,
     }))
     return 0
 

@@ -81,22 +81,6 @@ def is_degenerate(original: str, generated: str) -> bool:
     return " ".join(original.split()) == " ".join(generated.split())
 
 
-def count_unchanged(
-    train: Dataset,
-    targets: Sequence[int],
-    failures: Sequence[int],
-    augmented: Dataset,
-    per_target: int,
-) -> int:
-    """Generated rows of augment_training_set that equal their source by
-    is_degenerate; each target outside ``failures`` made ``per_target``."""
-    failed = set(failures)
-    sources = [train[i].text for i in targets if i not in failed
-               for _ in range(per_target)]
-    generated = [ex.text for ex in augmented.examples[len(train):]]
-    return sum(map(is_degenerate, sources, generated))
-
-
 def back_translate(
     examples: Sequence[LabeledExample],
     provider: TranslationProvider,
@@ -109,9 +93,9 @@ def back_translate(
     result back. Returns the round trips and the positions of the blank
     texts, which are skipped as EmptySentenceError would skip them.
 
-    A result identical to its input is still returned (count_unchanged
-    counts such rows). Transport failures propagate after the provider's
-    own retry budget.
+    A result identical to its input is still returned (the runner counts
+    such rows as unchanged). Transport failures propagate after the
+    provider's own retry budget.
     """
     texts = list(map(_TEXT, examples))
     keep = list(map(str.strip, texts))  # "" (false) for a blank text

@@ -103,12 +103,12 @@ class _JsonClient:
     the caller's parser rejects with TransportError, costs one attempt.
     The key named by ``key_env`` is read at call time and sent as a
     bearer token; errors name only the last failure's type, so they
-    never contain it.
+    never contain it. ``runner.HTTP`` states the options' defaults.
     """
 
-    def __init__(self, service: str, url: str, key_env: str | None = None,
-                 timeout: float = 10.0, max_retries: int = 3,
-                 backoff_base: float = 0.2, rate_per_second: float = 0.0):
+    def __init__(self, service: str, url: str, *, key_env: str | None,
+                 timeout: float, max_retries: int, backoff_base: float,
+                 rate_per_second: float):
         self.service = service
         self.url = url
         self.key_env = key_env

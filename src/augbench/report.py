@@ -16,7 +16,8 @@ import os
 from collections import Counter
 
 from .errors import DataError
-from .results import GROUPS, ExperimentResult, _fmt, make_output_dir, write_csv
+from .results import (ALL_DATASETS, GROUPS, ExperimentResult, _fmt,
+                      make_output_dir, write_csv)
 from .stats import ALPHA
 
 
@@ -80,13 +81,13 @@ def summarize(
 
 def _mean_gains(out_dir: str, name: str, gains: list[ExperimentResult],
                 *extra: str) -> dict:
-    """(mean gain, models) per (dataset or "ALL", group, *extra fields),
-    in report order: by dataset, then group, then the extra fields.
+    """(mean gain, models) per (dataset or ALL_DATASETS, group, *extra
+    fields), in report order: by dataset, then group, then the extra fields.
     Writes them to ``<name>.csv``."""
     by_key: dict[tuple, list[float]] = {}
     for r in gains:
         tail = tuple(getattr(r, field) for field in extra)
-        for ds in (r.dataset, "ALL"):
+        for ds in (r.dataset, ALL_DATASETS):
             by_key.setdefault((ds, r.group, *tail), []).append(r.gain)
     means = {
         k: (sum(v) / len(v), len(v)) for k, v in sorted(

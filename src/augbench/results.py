@@ -17,6 +17,7 @@ from types import SimpleNamespace
 from .errors import DataError, open_input
 
 GROUPS = ("EDA", "Syn", "BT")  # augmentation groups, in report order
+ALL_DATASETS = "ALL"  # the dataset of the report's rows over every dataset
 
 STATUS_OK = "ok"
 STATUS_AUG_FAILED = "aug_failed"
@@ -69,10 +70,13 @@ def _fmt(value) -> str:
 
 def file_name_part(name: str, what: str, error: type[Exception]) -> str:
     """``name``; ``error`` naming it as ``what`` if it holds a path
-    separator, since output file names are made from it."""
+    separator, since output file names are made from it, or is
+    ALL_DATASETS, since the report's rows are keyed by it."""
     if "/" in name or "\\" in name:
         raise error(f"{what} {name!r} holds a path separator; "
                     "output file names are made from it")
+    if name == ALL_DATASETS:
+        raise error(f"{what} {name!r} names the report's rows over all datasets")
     return name
 
 
@@ -136,7 +140,7 @@ def write_results_csv(path: str, rows: list[ExperimentResult]) -> None:
 def read_results_csv(path: str) -> list[ExperimentResult]:
     """Parse a results CSV; DataError for an unreadable file, a wrong
     header, a row of another field count than the header's, a dataset
-    name holding a path separator or a field that does not parse. A
+    name that file_name_part rejects or a field that does not parse. A
     blank line is no row."""
     try:
         with open_input(path, "results file", DataError, newline="") as fh:

@@ -37,7 +37,7 @@ from .errors import ConfigError, InvariantError, TrainingError, open_input
 from .kernels import Distances, sq_distances
 from .metrics import evaluate, save_predictions
 from .pipeline import (
-    augment_training_set, back_translate, count_unchanged, per_sentence,
+    augment_training_set, back_translate, is_degenerate, per_sentence,
     sequential_augment,
 )
 from .providers import (
@@ -144,7 +144,7 @@ _path = functools.partial(_string, what="a string path")
 
 
 def _dataset_name(value, key: str) -> str:
-    """A string without a path separator: output file names start with it."""
+    """A string file_name_part accepts: output file names start with it."""
     return file_name_part(_string(value, key), key, ConfigError)
 
 
@@ -332,6 +332,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must not be empty")
     if len({d.name for d in v["datasets"]}) != len(v["datasets"]):
         raise ConfigError("dataset names must be unique")
+    for i, d in enumerate(v["datasets"]):  # else each row is its own class
+        if d.text_column == d.label_column:
+            raise ConfigError(f"datasets[{i}].label_column equals its text_column")
     unknown = [g for g in groups if g not in GROUPS]
     if unknown:
         raise ConfigError(f"unknown augmentation group(s) {unknown}; use {GROUPS}")
@@ -342,6 +345,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("resources.ppdb is required for the EDA group")
     if providers["translation"] is None and "BT" in groups:
         raise ConfigError("providers.translation is required for the BT group")
+    if providers["pivot"] == providers["source_lang"]:  # no round trip
+        raise ConfigError("providers.pivot equals providers.source_lang")
     stages = providers["syn_stages"]
     if stages is None:
         stages = providers["syn_stages"] = ("ppdb", "embedding") + (
@@ -474,9 +479,9 @@ def make_augmenter(config: ExperimentConfig, resources: Resources,
 @dataclass(frozen=True)
 class CellAugmentation:
     targets: list[int]
-    dataset: Dataset  # the originals, verbatim and first, then the new rows
     failures: list[int]  # targets skipped by EmptySentenceError
-    per_target: int  # rows generated by each target outside ``failures``
+    added: Dataset  # the generated rows, in target order
+    sources: list[int]  # the training index of the target that made added[k]
 
 
 def augment_cell(config: ExperimentConfig, resources: Resources,
@@ -484,9 +489,9 @@ def augment_cell(config: ExperimentConfig, resources: Resources,
     """Draw the cell's targets from ``train`` and augment them.
 
     The one place a cell is augmented, for the grid and the augment
-    command alike. Raises InvariantError unless the originals come
-    first and verbatim and each target that did not fail added
-    ``per_target`` rows.
+    command alike. A target outside the failures makes EDA's ``n_aug``
+    rows, or one for Syn and BT. Raises InvariantError unless the
+    originals come first and verbatim and each source made one row.
     """
     targets = select_augmentation_targets(
         train, cell.aug_pct,
@@ -496,11 +501,16 @@ def augment_cell(config: ExperimentConfig, resources: Resources,
         train, targets, make_augmenter(config, resources, cell)
     )
     per_target = config.eda.n_aug if cell.group == "EDA" else 1
-    expected = len(train) + (len(targets) - len(failures)) * per_target
+    failed = set(failures)
+    kept = [t for t in targets if t not in failed] if failed else targets
+    sources = [0] * (len(kept) * per_target)
+    for k in range(per_target):  # kept[j] made rows j * per_target + k
+        sources[k::per_target] = kept
     if (augmented.examples[: len(train)] != train.examples
-            or len(augmented) != expected):
+            or len(augmented) != len(train) + len(sources)):
         raise InvariantError(f"augmentation purity violated for {cell.key()}")
-    return CellAugmentation(targets, augmented, failures, per_target)
+    added = Dataset(train.name, augmented.examples[len(train):])
+    return CellAugmentation(targets, failures, added, sources)
 
 
 def run_unit(config: ExperimentConfig, resources: Resources,
@@ -567,18 +577,16 @@ def run_unit(config: ExperimentConfig, resources: Resources,
         if cell.aug_pct > 0.0:
             aug = augment_cell(config, resources, cell, pair.train)
             facts = {
-                "generated_rows": len(aug.dataset) - len(pair.train),
-                "unchanged_rows": count_unchanged(
-                    pair.train, aug.targets, aug.failures, aug.dataset,
-                    aug.per_target,
-                ),
+                "generated_rows": len(aug.added),
+                "unchanged_rows": sum(
+                    is_degenerate(pair.train[s].text, ex.text)
+                    for s, ex in zip(aug.sources, aug.added)),
             }
             if aug.failures:
                 facts["failed_targets"] = len(aug.failures)
                 row.status, preds = STATUS_AUG_FAILED, None
             else:
-                preds, f1, error = fit(Dataset(
-                    pair.train.name, aug.dataset.examples[len(pair.train):]))
+                preds, f1, error = fit(aug.added)
         if preds is not None:
             row.f1 = f1
             payloads.append((cell, y_test, preds))

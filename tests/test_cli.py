@@ -263,6 +263,53 @@ class TestRunGridCommand:
             "separator; output file names are made from it\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["augment", "run-grid"])
+    def test_dataset_named_all_exit_2(self, tmp_path, capsys, demo_config,
+                                      command):
+        # the report's mean-gain rows over every dataset are keyed "ALL"
+        _, cfg = demo_config
+        cfg_path = tmp_path / "all.json"
+        cfg_path.write_text(json.dumps({**cfg, "datasets": [
+            cfg["datasets"][0], {**cfg["datasets"][0], "name": "ALL"}]}))
+        args = ["--dataset", "ALL", "--group", "EDA", "--pct", "1.0"]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "augment" else []),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: datasets[1].name 'ALL' names the report's rows "
+            "over all datasets\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_pivot_equal_to_source_lang_exit_2(self, tmp_path, capsys,
+                                               demo_config):
+        # both hops would take the dictionary's forward side
+        _, cfg = demo_config
+        cfg_path = tmp_path / "pivot.json"
+        cfg_path.write_text(json.dumps(
+            {**cfg, "providers": {**cfg["providers"], "pivot": "pt"}}))
+        assert main(["augment", "--config", str(cfg_path), "--dataset",
+                     "synth3", "--group", "BT", "--pct", "0.2",
+                     "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error[config]: providers.pivot equals providers.source_lang\n")
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_label_column_equal_to_text_column_exit_2(self, tmp_path, capsys,
+                                                      demo_config):
+        # each row would be its own class
+        _, cfg = demo_config
+        cfg_path = tmp_path / "label.json"
+        cfg_path.write_text(json.dumps({**cfg, "datasets": [
+            {**cfg["datasets"][0], "label_column": "text"}]}))
+        assert main(["train", "--config", str(cfg_path), "--dataset",
+                     "synth3", "--group", "EDA", "--size", "40", "--pct",
+                     "0.2", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: datasets[0].label_column equals its text_column\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["augment", "train", "run-grid"])
     def test_bad_translation_spec_exit_2_before_inputs(self, tmp_path, capsys,
                                                        demo_config, command):
@@ -918,6 +965,20 @@ class TestReportCommand:
         assert captured.err == (
             f"error[data]: {path}: line 3: dataset {name!r} holds a path "
             "separator; output file names are made from it\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_dataset_named_all_exit_3(self, tmp_path, capsys):
+        # its rows would be merged into the mean-gain rows over every dataset
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, [
+            ExperimentResult("x", "EDA", 80, 0.0, 0, f1=0.7),
+            ExperimentResult("ALL", "EDA", 80, 0.0, 0, f1=0.7),
+        ])
+        code = main(["report", "--results", path, "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {path}: line 3: dataset 'ALL' names the report's "
+            "rows over all datasets\n")
         assert not (tmp_path / "r").exists()
 
     def test_positive_gain_without_test_exit_3(self, tmp_path, capsys):

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augbench import providers
+from augbench import providers, runner
 from augbench.corpus import Dataset, LabeledExample
 from augbench.eda import EdaConfig, eda_augment
 from augbench.errors import (
     ConfigError, DataError, EmptySentenceError, TransportError,
 )
 from augbench.pipeline import (
-    augment_training_set, back_translate, count_unchanged, is_degenerate,
+    augment_training_set, back_translate, is_degenerate,
     per_sentence, sequential_augment,
 )
 from augbench.providers import (
@@ -247,8 +247,9 @@ class TestBackTranslate:
 
     def test_http_name_is_the_url_without_the_key(self, monkeypatch):
         monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
-        provider = HttpTranslationProvider(url="http://127.0.0.1:9/t",
-                                           key_env="FAKE_KEY_ENV")
+        provider = http_translator("http://127.0.0.1:9/t",
+                                   key_env="FAKE_KEY_ENV")
+        assert isinstance(provider, HttpTranslationProvider)
         assert provider.name == "http:http://127.0.0.1:9/t"
         assert IdentityTranslationProvider().name == "identity"
 
@@ -660,32 +661,43 @@ class TestAugmentTrainingSet:
             augment_training_set(
                 self.make_train(), [99], per_sentence(lambda ex: [ex]))
 
-    def test_count_unchanged_matches_direct_count(self, synmap):
-        # two rows per target, and one target that fails: the count must
+    def test_augment_cell_pairs_each_row_with_its_source(self, synmap):
+        # two rows per target, and one target that fails: sources must
         # pair each generated row with its own source
-        cfg = EdaConfig(alpha=0.1, n_aug=2)
+        config = runner.config_from_dict({
+            "datasets": [{"name": "t", "path": "unread.csv"}],
+            "groups": ["EDA"], "subset_sizes": [7],
+            "aug_percentages": [0, 1.0], "rounds": 1, "master_seed": 3,
+            "resources": {"embeddings": "unread.vec", "ppdb": "unread.txt"},
+            "eda": {"n_aug": 2},
+        })
+        resources = runner.Resources(
+            datasets={}, embeddings=None, synmap=synmap, syn_stages=[],
+            translation=None, cache=TranslationCache())
         train = Dataset(name="t", examples=tuple(
-            LabeledExample(text, "a") for text in [
+            LabeledExample(text, f"c{i}") for i, text in enumerate([
                 "bom produto", "xyz", "!!! ???", "carro novo", "otimo",
                 "produto bom carro", "abc",
-            ]))
-        targets = [0, 1, 2, 3, 4, 6]
-        rng = random.Random(3)
-        augmented, failures = augment_training_set(
-            train, targets,
-            per_sentence(lambda ex: eda_augment(ex, cfg, synmap, rng)),
-        )
-        assert failures == [2]
-        replay = random.Random(3)
-        direct = 0
-        for i in targets:
+            ])))
+        cell = runner.GridCell("t", "EDA", 7, 1.0, 0)
+        aug = runner.augment_cell(config, resources, cell, train)
+        assert aug.targets == list(range(7)) and aug.failures == [2]
+        replay = random.Random(
+            runner.derive_seed(config.master_seed, "augment", *cell.key()))
+        pairs = []
+        for i in aug.targets:
             try:
-                rows = eda_augment(train[i], cfg, synmap, replay)
+                pairs += [(i, row) for row in
+                          eda_augment(train[i], config.eda, synmap, replay)]
             except EmptySentenceError:
                 continue
-            direct += sum(is_degenerate(train[i].text, r.text) for r in rows)
-        assert 0 < direct < len(augmented) - len(train) == 10
-        assert count_unchanged(train, targets, failures, augmented, 2) == direct
+        assert list(zip(aug.sources, aug.added)) == pairs
+        assert len(aug.added) == len(aug.sources) == 12
+        assert [train[s].label for s in aug.sources] == aug.added.labels()
+        direct = sum(is_degenerate(train[i].text, row.text) for i, row in pairs)
+        assert 0 < direct < 12
+        assert sum(is_degenerate(train[s].text, ex.text)
+                   for s, ex in zip(aug.sources, aug.added)) == direct
 
     def test_labels_copied(self):
         train = self.make_train()
@@ -803,10 +815,21 @@ class _JsonHandler(BaseHTTPRequestHandler):
         pass
 
 
+def http_spec(family, url, **options):
+    """The parsed spec of an http section of ``url`` and ``options``; the
+    other options take the config table's defaults."""
+    return provider_spec({"http": {"url": url, **options}},
+                         f"providers.{family}")
+
+
+def http_translator(url, **options):
+    """The HTTP translation provider of a url and JSON-client options."""
+    return make_translation_provider(http_spec("translation", url, **options))
+
+
 def contextual_stage(url, **options):
     """The HTTP contextual Syn stage of a url and JSON-client options."""
-    return make_contextual_provider(
-        ProviderSpec("http", options={"url": url, **options}))
+    return make_contextual_provider(http_spec("contextual", url, **options))
 
 
 @pytest.fixture
@@ -823,15 +846,15 @@ def http_server():
 
 class TestHttpProviders:
     def test_translation_round_trip(self, http_server):
-        provider = HttpTranslationProvider(
-            url=f"{http_server}/translate", max_retries=0
+        provider = http_translator(
+            f"{http_server}/translate", max_retries=0
         )
         assert provider.translate("bom produto", "pt", "en") == "good produto"
         assert provider.request_count == 1
 
     def test_translation_bad_endpoint_raises_transport(self):
-        provider = HttpTranslationProvider(
-            url="http://127.0.0.1:1/translate", max_retries=1,
+        provider = http_translator(
+            "http://127.0.0.1:1/translate", max_retries=1,
             backoff_base=0.0,
         )
         with pytest.raises(TransportError, match="after 2 attempts"):
@@ -841,8 +864,8 @@ class TestHttpProviders:
                                              ("/short", "IncompleteRead")])
     def test_malformed_response_is_transport_error(self, http_server, path,
                                                    error):
-        provider = HttpTranslationProvider(
-            url=f"{http_server}{path}", max_retries=1, backoff_base=0.0,
+        provider = http_translator(
+            f"{http_server}{path}", max_retries=1, backoff_base=0.0,
         )
         with pytest.raises(TransportError, match=f"after 2 attempts: {error}$"):
             provider.translate("oi", "pt", "en")
@@ -855,12 +878,12 @@ class TestHttpProviders:
 
     def test_credentials_from_env_not_in_errors(self, http_server, monkeypatch):
         monkeypatch.setenv("FAKE_KEY_ENV", "super-secret")
-        provider = HttpTranslationProvider(
-            url=f"{http_server}/auth", key_env="FAKE_KEY_ENV", max_retries=0,
+        provider = http_translator(
+            f"{http_server}/auth", key_env="FAKE_KEY_ENV", max_retries=0,
         )
         assert provider.translate("oi", "pt", "en") == "Bearer super-secret"
-        provider = HttpTranslationProvider(
-            url="http://127.0.0.1:1/t", key_env="FAKE_KEY_ENV",
+        provider = http_translator(
+            "http://127.0.0.1:1/t", key_env="FAKE_KEY_ENV",
             max_retries=0, backoff_base=0.0,
         )
         with pytest.raises(TransportError) as err:
@@ -920,7 +943,7 @@ class TestHttpProviders:
             provider_spec({"http": http}, "translation")
 
     def test_back_translate_through_http(self, http_server):
-        provider = HttpTranslationProvider(url=f"{http_server}/translate")
+        provider = http_translator(f"{http_server}/translate")
         out = back_translate_one(
             LabeledExample("bom produto", "pos"), provider, "en",
             TranslationCache(),

@@ -184,13 +184,23 @@ class TestConfig:
         ({"datasets": [{"name": "d", "path": "a.csv"},
                        {"name": "d", "path": "b.csv"}]},
          "dataset names must be unique"),
+        ({"datasets": [{"name": "d", "path": "a.csv"},
+                       {"name": "e", "path": "b.csv", "label_column": "text"}]},
+         "datasets[1].label_column equals its text_column"),
+        ({"datasets": [{"name": "ALL", "path": "a.csv"}]},
+         "datasets[0].name 'ALL' names the report's rows over all datasets"),
+        ({"providers": {"translation": "identity", "pivot": "pt"}},
+         "providers.pivot equals providers.source_lang"),
+        ({"providers": {"translation": "identity", "source_lang": "en"}},
+         "providers.pivot equals providers.source_lang"),
     ], ids=["split_ratio-0", "split_ratio-1", "split_ratio-nan",
             "dataset_path-3", "dataset_path-null", "embeddings-2", "ppdb-0",
             "cache_path-1", "no-dataset-name", "no-dataset-path",
             "no-embeddings", "split_ration", "svm.c", "svm.Gamma", "eda.naug",
             "text_col", "PPDB", "syn_stage", "http-keyenv", "provider-level",
             "no-near-key", "no-datasets", "no-groups", "no-subset_sizes",
-            "no-syn_stages", "repeated-dataset-name"])
+            "no-syn_stages", "repeated-dataset-name", "label-is-text-column",
+            "dataset-named-ALL", "pivot-is-source_lang", "source_lang-is-pivot"])
     def test_bad_values_rejected_whatever_the_groups(self, demo, change,
                                                      message):
         # BT alone reads neither the paraphrase file nor a syn stage

@@ -122,10 +122,10 @@ def test_inputs_are_loaded_only_by_load_resources():
     assert {name for _, name in calls} == LOADERS
 
 
-def _calls(source: str, module: str, callees: set[str],
-           keep=lambda call: True) -> list[tuple[str, str]]:
-    """(module.function, callee) for each call to one of ``callees`` that
-    ``keep`` accepts; a method is named with its class."""
+def _sites(source: str, module: str, name_of) -> list[tuple[str, str]]:
+    """(module.function, name) for each node to which ``name_of`` gives a
+    name other than None; a method is named with its class, and a
+    top-level statement with the module alone."""
     found = []
 
     def visit(node, path):
@@ -134,15 +134,28 @@ def _calls(source: str, module: str, callees: set[str],
                                   ast.ClassDef)):
                 visit(child, path + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in callees and keep(child):
-                    found.append((".".join([module, *path]), name))
+            name = name_of(child)
+            if name is not None:
+                found.append((".".join([module, *path]), name))
             visit(child, path)
 
     visit(ast.parse(source), [])
     return found
+
+
+def _calls(source: str, module: str, callees: set[str],
+           keep=lambda call: True) -> list[tuple[str, str]]:
+    """(module.function, callee) for each call to one of ``callees`` that
+    ``keep`` accepts."""
+    def callee(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in callees and keep(node):
+                return name
+        return None
+
+    return _sites(source, module, callee)
 
 
 def _package_calls(callees: set[str],
@@ -209,6 +222,40 @@ def test_cells_are_augmented_only_by_augment_cell():
     assert _package_calls(AUGMENTING) == {
         ("runner.augment_cell", name) for name in AUGMENTING
     }
+
+
+# One rows-per-target rule: EDA makes n_aug rows of each target, Syn and
+# BT one, and only runner.augment_cell turns that into the source of each
+# generated row, so every reader of a cell's rows pairs them the same way.
+# Outside eda.py, the config table reads the key's default from EdaConfig.
+def _n_aug_reads(source: str, module: str) -> list[str]:
+    """module.function of each read of an attribute named n_aug."""
+    return [site for site, _ in _sites(source, module, lambda node: (
+        "n_aug" if isinstance(node, ast.Attribute) and node.attr == "n_aug"
+        and isinstance(node.ctx, ast.Load) else None))]
+
+
+def test_rows_per_target_check_sees_a_second_site():
+    source = (
+        "CONFIG = {'n_aug': Key(config_int, EdaConfig.n_aug)}\n"
+        "def augment_cell(config, cell):\n"
+        "    return config.eda.n_aug if cell.group == 'EDA' else 1\n"
+        "def run_unit(config, aug):\n"
+        "    config.eda.n_aug = 2\n"
+        "    return len(aug.added) // config.eda.n_aug\n"
+    )
+    assert _n_aug_reads(source, "runner") == [
+        "runner", "runner.augment_cell", "runner.run_unit"]
+
+
+def test_rows_per_target_are_read_only_by_eda_and_augment_cell():
+    sites = {
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _n_aug_reads(path.read_text(encoding="utf-8"), path.stem)
+    }
+    assert {site for site in sites if not site.startswith("eda.")} == {
+        "runner", "runner.augment_cell"}
 
 
 # One training path: run_unit's local fit trains, predicts and scores
