@@ -24,9 +24,13 @@ grid's sizes an iteration costs what its NumPy calls cost to enter, so
 the loop makes few: a row of 1/sqrt(curvature) per working-set index,
 cached as LIBSVM caches kernel rows, picks the partner in one multiply,
 and the gap is tested only when the chosen pair's own gap is within
-``tol`` (``smo_solve`` states both rules). On every solve the tests and
-the demo grid make, its alphas and bias are bit-identical to the plain
-loop that ``tests/test_kernels.py`` keeps as its oracle.
+``tol`` (``smo_solve`` states both rules). A solve starts from any
+feasible alpha it is given, zeros by default: a training that holds
+another's rows and more can start from that one's solution (alpha
+seeding: DeCoste & Wagstaff, KDD 2000). On every solve the tests and
+the demo grid make, its alphas and bias are bit-identical to those of
+the plain loop that ``tests/test_kernels.py`` keeps as its oracle, from
+the same start.
 """
 
 from __future__ import annotations
@@ -146,12 +150,19 @@ def smo_solve(
     tol: float,
     *,
     max_iter: int | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve the soft-margin SVM dual on a precomputed Gram matrix.
 
     Minimises alpha'Q alpha / 2 - sum(alpha) with Q = yy' * K, subject to
     0 <= alpha <= C and y'alpha = 0, for labels y in {-1, +1}. Returns
     (alpha, bias); the decision function is K(x, X) @ (alpha * y) + bias.
+
+    The solve starts from ``start``, a feasible alpha (None: zeros, the
+    start that is feasible for every problem), with -y G computed from it
+    in the stop check's fixed order. A start of another length than y,
+    or with an entry outside [0, C], is a ValueError; y'start = 0 is the
+    caller's to keep.
 
     The stopping test is m(alpha) - M(alpha) <= tol with
     m = max(-y G) over I_up and M = min(-y G) over I_low, where
@@ -175,19 +186,27 @@ def smo_solve(
     n = y.shape[0]
     if max_iter is None:
         max_iter = max(10_000_000, 100 * n)
-    alpha = [0.0] * n  # a list: its reads and writes are the loop's cheapest
+    if start is None:
+        start = np.zeros(n)
+        score = y.copy()  # score = -y * G; at alpha = 0, G = -e
+    else:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (n,) or not ((start >= 0.0) & (start <= C)).all():
+            raise ValueError(f"start of shape {start.shape} is not {n} alphas "
+                             f"in [0, {C:g}]")
+        score = y - np.einsum("ij,j->i", K, start * y)
+    alpha = start.tolist()  # a list: its reads and writes are the loop's cheapest
     k_diag = np.ascontiguousarray(np.diag(K))
     diag = k_diag.tolist()
     labels = y.tolist()
     rows = list(K)  # row views, so a lookup builds no view
-    # score = -y * G; with alpha = 0 the gradient is -e, so score = y.
-    score = y.copy()
     # Additive masks, 0 inside the set and -inf / +inf outside it, so that
     # a masked max or min is one add and one reduction. I_up holds the
     # points with alpha < C, y = +1 or alpha > 0, y = -1; I_low those with
     # alpha < C, y = -1 or alpha > 0, y = +1.
-    up_mask = np.where(y > 0, 0.0, -np.inf)
-    low_mask = np.where(y > 0, np.inf, 0.0)
+    below_c, above_0 = start < C, start > 0.0
+    up_mask = np.where(np.where(y > 0, below_c, above_0), 0.0, -np.inf)
+    low_mask = np.where(np.where(y > 0, above_0, below_c), 0.0, np.inf)
     up = np.empty(n)
     low = np.empty(n)
     gain = np.empty(n)

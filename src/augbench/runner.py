@@ -51,7 +51,7 @@ from .results import (
     GROUPS, STATUS_AUG_FAILED, STATUS_OK, STATUS_TRAIN_FAILED,
     ExperimentResult, file_name_part, make_output_dir, write_results_csv,
 )
-from .svm import SvmConfig, svm_predict, svm_train
+from .svm import SvmConfig, SvmModel, svm_predict, svm_train
 
 
 @dataclass(frozen=True)
@@ -523,9 +523,10 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     them are computed once. ``fit`` trains, predicts and scores each model
     on them plus the rows it adds, whose features and distances alone it
     computes. The baseline is the training with no added rows, reported
-    by every group's p=0 row and paired with every p>0 cell. Returns the
-    rows in cell order, the unit's run-log records and one prediction
-    payload ``(cell, y_true, y_pred)`` per cell that has predictions.
+    by every group's p=0 row and paired with every p>0 cell, whose solves
+    start from its solution. Returns the rows in cell order, the unit's
+    run-log records and one prediction payload ``(cell, y_true, y_pred)``
+    per cell that has predictions.
     """
     first = cells[0]
     key = first.unit_key()
@@ -547,22 +548,24 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     D_test = sq_distances(X_test, X_train)
     y_test = pair.test.labels()
 
-    def fit(added: Dataset) -> tuple[list[str] | None, float | None, str | None]:
-        """(test predictions, weighted F1, None) of the SVM trained on the
-        training rows, then ``added``; (None, None, message) on TrainingError."""
+    def fit(added: Dataset, start: SvmModel | None = None) -> tuple[
+            SvmModel | None, list[str] | None, float | None, str | None]:
+        """(model, test predictions, weighted F1, None) of the SVM trained
+        on the training rows, then ``added``, its solves started from
+        ``start``; (None, None, None, message) on TrainingError."""
         X_new = featurize(added, emb)
         try:
             model = svm_train(
                 np.vstack([X_train, X_new]), pair.train.labels() + added.labels(),
                 config.svm, distances=Distances(
                     [D_train], [sq_distances(X_new, X_train),
-                                sq_distances(X_new, X_new)]))
+                                sq_distances(X_new, X_new)]), start=start)
             preds = svm_predict(model, Distances([D_test, sq_distances(X_test, X_new)]))
         except TrainingError as exc:
-            return None, None, str(exc)
-        return preds, evaluate(y_test, preds).weighted_f1, None
+            return None, None, None, str(exc)
+        return model, preds, evaluate(y_test, preds).weighted_f1, None
 
-    baseline = fit(Dataset(pair.train.name, ()))
+    base_model, *baseline = fit(Dataset(pair.train.name, ()))
     base_preds, base_f1, _ = baseline
     records = [{"event": "baseline", "subset": list(key),
                 "status": STATUS_OK if base_preds is not None
@@ -586,7 +589,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
                 facts["failed_targets"] = len(aug.failures)
                 row.status, preds = STATUS_AUG_FAILED, None
             else:
-                preds, f1, error = fit(aug.added)
+                _, preds, f1, error = fit(aug.added, base_model)
         if preds is not None:
             row.f1 = f1
             payloads.append((cell, y_test, preds))

@@ -51,38 +51,59 @@ class BinaryMachine:
     support_vectors: np.ndarray  # (n_sv,): ascending training-row indices
     dual_coef: np.ndarray  # alpha_i * y_i, |coef| <= C
     bias: float
+    # alpha over the pair's training rows as the solve returned it, so that
+    # it sums to zero against the labels and can start another solve
+    alpha: np.ndarray
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    """The machines of one training on ``rows`` training rows."""
+    """The machines of one training on rows of ``labels``."""
 
     classes: tuple[str, ...]
     machines: tuple[BinaryMachine, ...]
     gamma: float
-    rows: int  # the width of the distances that prediction reads
+    labels: tuple[str, ...]  # of each training row
+
+    @property
+    def rows(self) -> int:
+        """The width of the distances that prediction reads."""
+        return len(self.labels)
 
 
 def gamma_scale(X: np.ndarray) -> float:
-    """gamma = 1 / (dim * population variance of all entries of X)."""
+    """gamma = 1 / (dim * population variance of all entries of X).
+
+    DegenerateFeaturesError for an empty X, a zero variance, and a
+    variance so small that gamma is not finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise DegenerateFeaturesError("empty feature matrix")
     var = float(X.var())
     if var == 0.0:
         raise DegenerateFeaturesError("zero feature variance; gamma undefined")
-    return 1.0 / (X.shape[1] * var)
+    gamma = 1.0 / (X.shape[1] * var)
+    if not math.isfinite(gamma):  # exp(-inf * 0) would put NaN in the Gram
+        raise DegenerateFeaturesError(
+            f"gamma = 1 / ({X.shape[1]} * variance {var:.3g}) is not finite")
+    return gamma
 
 
 def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
-              distances: kernels.Distances) -> SvmModel:
+              distances: kernels.Distances,
+              start: SvmModel | None = None) -> SvmModel:
     """Train one-vs-one RBF machines with the SMO solver.
 
     ``distances`` holds the squared distances among the rows of X
     (ValueError for another shape); X is read only for its checks and
     gamma="scale". Raises TrainingError for single-class input,
     non-finite features and a solve that reaches the solver's iteration
-    ceiling; gamma="scale" additionally requires non-degenerate features."""
+    ceiling; gamma="scale" additionally requires non-degenerate features.
+
+    ``start`` is a model trained on the first rows of this training,
+    whose labels it must have (ValueError otherwise): each pair's solve
+    starts from that model's alphas of the pair, then zeros for the
+    appended rows, which is feasible whatever the rows' features."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise TrainingError(
@@ -96,13 +117,22 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
     gamma = gamma_scale(X) if cfg.gamma == "scale" else float(cfg.gamma)
     if distances.shape != (len(y), len(y)):
         raise ValueError(f"distance blocks {distances.shape} for {len(y)} rows")
+    starts = {}
+    if start is not None:
+        if tuple(y[:start.rows]) != start.labels:
+            raise ValueError(f"start trained on {start.rows} rows whose labels "
+                             f"are not the first of these {len(y)}")
+        starts = {(m.class_pos, m.class_neg): m.alpha for m in start.machines}
     y_arr = np.asarray(y)
     machines: list[BinaryMachine] = []
     for a, bcls in combinations(classes, 2):
         idx = np.nonzero((y_arr == a) | (y_arr == bcls))[0]
         y_signed = np.where(y_arr[idx] == a, 1.0, -1.0)
+        seed = starts.get((a, bcls))  # the pair's rows of the start come first
         alpha, bias = kernels.smo_solve(
-            kernels.rbf_gram(distances, idx, gamma), y_signed, cfg.C, cfg.tol)
+            kernels.rbf_gram(distances, idx, gamma), y_signed, cfg.C, cfg.tol,
+            start=None if seed is None else np.concatenate(
+                [seed, np.zeros(len(idx) - len(seed))]))
         sv = np.nonzero(alpha > _SUPPORT_EPS)[0]
         if sv.size == 0:
             raise TrainingError(
@@ -115,10 +145,11 @@ def svm_train(X: np.ndarray, y: list[str], cfg: SvmConfig = SvmConfig(), *,
                 support_vectors=idx[sv],
                 dual_coef=alpha[sv] * y_signed[sv],
                 bias=float(bias),
+                alpha=alpha,
             )
         )
     return SvmModel(classes=classes, machines=tuple(machines), gamma=gamma,
-                    rows=len(y))
+                    labels=tuple(y))
 
 
 def decision_values(model: SvmModel, machine: BinaryMachine,

@@ -80,18 +80,24 @@ def qp_oracle(K, y, C):
     return alpha, float(0.5 * (score[up].max() + score[~up].min()))
 
 
-def reference_smo(K, y, C, tol):
+def reference_smo(K, y, C, tol, start=None):
     """The solver loop before curvature rows were cached: a_it rebuilt on
-    every iteration. The cached solver must give the same bytes."""
+    every iteration. The cached solver must give the same bytes, from the
+    same start (None: zeros)."""
     n = y.shape[0]
-    alpha = np.zeros(n)
+    alpha = np.zeros(n) if start is None else np.array(start, dtype=np.float64)
     k_diag = np.ascontiguousarray(np.diag(K))
     labels = y.tolist()
-    score = y.copy()
+    score = y - np.einsum("ij,j->i", K, alpha * y)
     masks = np.empty((2, n))
     up_mask, low_mask = masks
-    up_mask[:] = np.where(y > 0, 0.0, -np.inf)
-    low_mask[:] = np.where(y > 0, np.inf, 0.0)
+    for t, a_t in enumerate(alpha.tolist()):
+        below_c = 0.0 if a_t < C else -np.inf
+        above_0 = 0.0 if a_t > 0.0 else -np.inf
+        if labels[t] > 0:
+            up_mask[t], low_mask[t] = below_c, -above_0 + 0.0  # +0.0 inside
+        else:
+            up_mask[t], low_mask[t] = above_0, -below_c + 0.0
     masked = np.empty((2, n))
     up, low = masked
     gain = np.empty(n)
@@ -161,6 +167,21 @@ def with_duplicates(n, seed, copies):
     X, y = make_problem(n, seed)
     return np.vstack([X, X[:copies]]), np.concatenate([y, y[:copies]])
 
+
+BYTE_PROBLEMS = [
+    (*make_problem(12, 20), 10.0, 1e-3),
+    (*make_problem(60, 21), 1.0, 1e-3),
+    (*make_problem(150, 22), 10.0, 1e-3),
+    (*make_problem(300, 23), 100.0, 1e-2),
+    (*make_problem(300, 24), 10.0, 1e-5),
+    (*make_problem(80, 25, noise=3.0), 1e-2, 1e-3),  # steps end on C
+    (*make_problem(200, 26, noise=3.0), 0.05, 1e-4),
+    (*with_duplicates(50, 27, 10), 10.0, 1e-3),
+    (*with_duplicates(120, 28, 40), 1.0, 1e-4),
+    (*with_duplicates(250, 29, 50), 100.0, 1e-3),
+]
+BYTE_IDS = ["n12", "n60", "n150", "n300-C100", "n300-tol1e-5", "n80-smallC",
+            "n200-smallC", "dup60", "dup160", "dup300"]
 
 TINY = [(n, seed, C) for n, seed in ((8, 0), (15, 1), (22, 2), (30, 3))
         for C in (0.5, 10.0)]
@@ -549,25 +570,18 @@ class TestSmoAgreement:
         assert np.all((alpha >= 0.0) & (alpha <= C))
         assert float(alpha @ y) == pytest.approx(0.0, abs=1e-9 * max(1.0, C))
 
-    @pytest.mark.parametrize("X,y,C,tol", [
-        (*make_problem(12, 20), 10.0, 1e-3),
-        (*make_problem(60, 21), 1.0, 1e-3),
-        (*make_problem(150, 22), 10.0, 1e-3),
-        (*make_problem(300, 23), 100.0, 1e-2),
-        (*make_problem(300, 24), 10.0, 1e-5),
-        (*make_problem(80, 25, noise=3.0), 1e-2, 1e-3),  # steps end on C
-        (*make_problem(200, 26, noise=3.0), 0.05, 1e-4),
-        (*with_duplicates(50, 27, 10), 10.0, 1e-3),
-        (*with_duplicates(120, 28, 40), 1.0, 1e-4),
-        (*with_duplicates(250, 29, 50), 100.0, 1e-3),
-    ], ids=["n12", "n60", "n150", "n300-C100", "n300-tol1e-5", "n80-smallC",
-            "n200-smallC", "dup60", "dup160", "dup300"])
+    @pytest.mark.parametrize("X,y,C,tol", BYTE_PROBLEMS, ids=BYTE_IDS)
     def test_byte_equal_to_uncached_loop(self, X, y, C, tol):
+        # cold, and from a solve on the first two thirds of the rows
+        # padded with zeros
         K = rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
-        alpha, bias = kernels.smo_solve(K, y, C, tol)
-        ref_alpha, ref_bias = reference_smo(K, y, C, tol)
-        assert alpha.tobytes() == ref_alpha.tobytes()
-        assert bias == ref_bias
+        m = 2 * len(y) // 3
+        small, _ = kernels.smo_solve(K[:m, :m], y[:m], C, tol)
+        for start in (None, np.concatenate([small, np.zeros(len(y) - m)])):
+            alpha, bias = kernels.smo_solve(K, y, C, tol, start=start)
+            ref_alpha, ref_bias = reference_smo(K, y, C, tol, start)
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert bias == ref_bias
 
     def test_matches_qp_oracle_on_tiny_problems(self):
         for n, seed, C in TINY:
@@ -627,9 +641,64 @@ class TestSmoAgreement:
             kernels.smo_solve(K, y, 10.0, 1e-3, max_iter=0)
 
 
+def random_start(y, C, seed):
+    """A feasible alpha with entries at 0, at C and in between: the side
+    of y whose alphas sum to more is scaled down until y'alpha = 0."""
+    rng = np.random.default_rng(seed)
+    kind = rng.choice(3, size=len(y), p=[0.4, 0.2, 0.4])  # at 0, at C, inside
+    alpha = np.where(kind == 0, 0.0, np.where(kind == 1, C, rng.uniform(0.0, C, len(y))))
+    pos, neg = alpha[y > 0].sum(), alpha[y < 0].sum()
+    heavy = y > 0 if pos > neg else y < 0
+    alpha[heavy] *= min(pos, neg) / max(pos, neg)
+    return alpha
+
+
+class TestSmoStart:
+    @pytest.mark.parametrize("n,seed,C,tol", [
+        (12, 40, 10.0, 1e-3), (60, 41, 1.0, 1e-3), (150, 42, 10.0, 1e-3),
+        (300, 43, 100.0, 1e-2), (300, 44, 10.0, 1e-5), (80, 45, 0.05, 1e-4),
+    ])
+    def test_kkt_gap_at_exit_from_random_starts(self, n, seed, C, tol):
+        X, y = make_problem(n, seed)
+        K = rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
+        for draw in range(3):
+            start = random_start(y, C, seed * 10 + draw)
+            assert float(start @ y) == pytest.approx(0.0, abs=1e-9 * max(1.0, C))
+            alpha, _ = kernels.smo_solve(K, y, C, tol, start=start)
+            assert kkt_gap(K, y, C, alpha) <= tol
+            assert np.all((alpha >= 0.0) & (alpha <= C))
+            assert float(alpha @ y) == pytest.approx(0.0, abs=1e-9 * max(1.0, C))
+
+    def test_zero_start_gives_the_bytes_of_no_start(self):
+        for X, y, C, tol in BYTE_PROBLEMS:
+            K = rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
+            alpha, bias = kernels.smo_solve(K, y, C, tol)
+            zero, zero_bias = kernels.smo_solve(K, y, C, tol, start=np.zeros(len(y)))
+            assert zero.tobytes() == alpha.tobytes() and zero_bias == bias
+
+    def test_optimal_start_is_returned_without_an_iteration(self):
+        for X, y, C, tol in BYTE_PROBLEMS:
+            K = rbf_gram(X, 1.0 / (X.shape[1] * X.var()))
+            alpha, bias = kernels.smo_solve(K, y, C, tol)
+            again, again_bias = kernels.smo_solve(K, y, C, tol, max_iter=0,
+                                                  start=alpha)
+            assert again.tobytes() == alpha.tobytes() and again_bias == bias
+
+    @pytest.mark.parametrize("start", [
+        np.zeros(39), np.zeros(41), np.zeros((40, 1)),
+        np.r_[-1e-300, np.zeros(39)], np.r_[np.nextafter(10.0, 11.0), np.zeros(39)],
+        np.r_[np.nan, np.zeros(39)],
+    ], ids=["short", "long", "column", "negative", "above-C", "nan"])
+    def test_bad_start_rejected(self, random_problem, start):
+        X, y = random_problem
+        with pytest.raises(ValueError, match="start"):
+            kernels.smo_solve(rbf_gram(X, 0.5), y, 10.0, 1e-3, start=start)
+
+
 @pytest.fixture(scope="module")
-def demo_problems(tmp_path_factory):
-    """The one-vs-one solves of make_demo(rows=2000) features, grid-sized.
+def demo_trainings(tmp_path_factory):
+    """The one-vs-one solves of make_demo(rows=2000) features, grid-sized,
+    by (dataset, subset size, share, pair).
 
     Each subset of 300 or 600 rows is cut to a training set of 0.75 of it
     (a baseline cell) and of 0.9 (a cell with 20% augmentation), as in
@@ -638,7 +707,7 @@ def demo_problems(tmp_path_factory):
     cfg = synthdata.make_demo(str(tmp_path_factory.mktemp("demo")), rows=2000)
     store = load_embeddings(cfg["resources"]["embeddings"])
     svm = SvmConfig()
-    problems = []
+    problems = {}
     for spec, size in itertools.product(cfg["datasets"], (300, 600)):
         subset = resample_subset(load_dataset(spec["path"]), size, seed=size)
         X_all, labels_all = featurize(subset, store), np.array(subset.labels())
@@ -648,8 +717,14 @@ def demo_problems(tmp_path_factory):
             for a, b in itertools.combinations(sorted(set(labels)), 2):
                 idx = np.nonzero((labels == a) | (labels == b))[0]
                 y = np.where(labels[idx] == a, 1.0, -1.0)
-                problems.append((K[np.ix_(idx, idx)], y, svm.C, svm.tol))
+                problems[spec["name"], size, share, (a, b)] = (
+                    K[np.ix_(idx, idx)], y, svm.C, svm.tol)
     return problems
+
+
+@pytest.fixture(scope="module")
+def demo_problems(demo_trainings):
+    return list(demo_trainings.values())
 
 
 class TestSmoOnDemoProblems:
@@ -679,6 +754,22 @@ class TestSmoOnDemoProblems:
             warnings.simplefilter("error")
             kernels.smo_solve(K, y, C, tol)
 
+    def test_prefix_start_byte_equal_to_uncached_loop(self, demo_trainings):
+        # the 0.75 training's rows are the first of the 0.9 training's, so
+        # the smaller solve, padded with zeros, starts the larger one
+        different = []
+        for (name, size, share, pair), (K, y, C, tol) in demo_trainings.items():
+            if share == 0.75:
+                continue
+            small, _ = kernels.smo_solve(*demo_trainings[name, size, 0.75, pair])
+            start = np.concatenate([small, np.zeros(len(y) - len(small))])
+            alpha, bias = kernels.smo_solve(K, y, C, tol, start=start)
+            ref_alpha, ref_bias = reference_smo(K, y, C, tol, start)
+            assert kkt_gap(K, y, C, alpha) <= tol
+            if alpha.tobytes() != ref_alpha.tobytes() or bias != ref_bias:
+                different.append((name, size, pair))
+        assert different == []
+
 
 def test_grid_unit_solves_byte_equal_to_uncached_loop(tmp_path, monkeypatch):
     """Every Gram one seed-7 demo unit solves, solved again by the plain
@@ -692,7 +783,7 @@ def test_grid_unit_solves_byte_equal_to_uncached_loop(tmp_path, monkeypatch):
 
     def checked(K, y, C, tol, **kwargs):
         alpha, bias = solve(K, y, C, tol, **kwargs)
-        ref_alpha, ref_bias = reference_smo(K, y, C, tol)
+        ref_alpha, ref_bias = reference_smo(K, y, C, tol, kwargs.get("start"))
         solved.append((len(y), len(np.unique(K, axis=0)),
                        alpha.tobytes() == ref_alpha.tobytes() and bias == ref_bias))
         return alpha, bias

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,24 @@ class TestGammaScale:
         with pytest.raises(DegenerateFeaturesError):
             gamma_scale(np.full((3, 2), 7.0))
 
+    def test_variance_too_small_for_a_finite_gamma(self):
+        # entries near 2^-515 at d = 24 are within the feature grid's
+        # bounds, yet 1 / (24 var) overflows
+        X = tiny_features(2.0 ** -515)
+        with pytest.raises(DegenerateFeaturesError, match="not finite"):
+            gamma_scale(X)
+        assert math.isfinite(gamma_scale(tiny_features(2.0 ** -514)))
+
+    def test_infinite_gamma_fails_training_at_once(self):
+        # exp(-inf * 0) on the repeated rows would put NaN in the Gram
+        # matrix and send SMO to its iteration ceiling
+        X = tiny_features(2.0 ** -515)
+        y = ["a" if v > 0 else "b" for v in X[:, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="not finite"):
+                svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+
     def test_scaling_law(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(20, 4))
@@ -255,6 +274,22 @@ def make_blobs(n_per=20, seed=0):
         rng.normal(0, 0.3, (n_per, 2)) - [3.0, 3.0],
     ])
     y = ["pos"] * n_per + ["neg"] * n_per
+    return X, y
+
+
+def tiny_features(scale):
+    """50 rows of N(0, 1) * scale at d = 24, the first 5 repeated at the
+    end, as EDA swaps and BT copies repeat rows."""
+    X = np.random.default_rng(11).normal(size=(45, 24)) * scale
+    return np.vstack([X, X[:5]])
+
+
+def three_blobs(n=60, seed=1):
+    """Three separated classes with interleaved labels."""
+    rng = np.random.default_rng(seed)
+    centers = {"a": [3, 0], "b": [-3, 0], "c": [0, 3]}
+    y = [str(c) for c in rng.choice(list(centers), size=n)]
+    X = np.array([centers[c] for c in y]) + rng.normal(0, 1.0, (n, 2))
     return X, y
 
 
@@ -318,7 +353,7 @@ class TestSvm:
         monkeypatch.setattr(kernels, "rbf_gram",
                             lambda *a: grams.append(gram(*a)) or grams[-1])
         monkeypatch.setattr(kernels, "smo_solve",
-                            lambda K, *a: solved.append(K) or solve(K, *a))
+                            lambda K, *a, **kw: solved.append(K) or solve(K, *a, **kw))
         X, y = make_blobs()
         svm_train(X, y, SvmConfig(), distances=one_block(X, X))
         assert len(grams) == len(solved) == 1 and solved[0] is grams[0]
@@ -375,6 +410,57 @@ class TestSvm:
         D[1] = np.nan
         with pytest.raises(ValueError, match="NaN decision values"):
             svm_predict(model, kernels.Distances([D]))
+
+    def test_machines_keep_the_solved_alphas(self, monkeypatch):
+        solved, solve = [], kernels.smo_solve
+        monkeypatch.setattr(kernels, "smo_solve", lambda *a, **kw:
+                            solved.append(solve(*a, **kw)) or solved[-1])
+        X, y = three_blobs()
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        assert model.labels == tuple(y) and model.rows == len(y)
+        assert len(solved) == len(model.machines) == 3
+        for (alpha, _), machine in zip(solved, model.machines, strict=True):
+            assert machine.alpha is alpha
+            assert np.array_equal(np.abs(machine.dual_coef),
+                                  alpha[alpha > 1e-8])
+
+    def test_start_seeds_each_pair_with_its_alphas_then_zeros(self, monkeypatch):
+        X, y = three_blobs()
+        m = 40
+        prefix = svm_train(X[:m], y[:m], SvmConfig(), distances=one_block(X[:m], X[:m]))
+        starts, solve = [], kernels.smo_solve
+        monkeypatch.setattr(kernels, "smo_solve", lambda K, yy, C, tol, **kw:
+                            starts.append((yy, kw["start"])) or solve(K, yy, C, tol, **kw))
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X), start=prefix)
+        assert len(starts) == 3
+        for (y_signed, start), seed in zip(starts, prefix.machines, strict=True):
+            k = len(seed.alpha)
+            assert len(start) == len(y_signed) > k
+            assert start[:k].tobytes() == seed.alpha.tobytes()
+            assert not start[k:].any()
+        assert svm_predict(model, one_block(X, X)) == svm_predict(
+            svm_train(X, y, SvmConfig(), distances=one_block(X, X)), one_block(X, X))
+
+    def test_start_trained_on_more_rows_rejected(self):
+        X, y = three_blobs()
+        model = svm_train(X, y, SvmConfig(), distances=one_block(X, X))
+        with pytest.raises(ValueError, match="start trained on 60 rows"):
+            svm_train(X[:50], y[:50], SvmConfig(), distances=one_block(X[:50], X[:50]),
+                      start=model)
+
+    @pytest.mark.parametrize("relabel", ["one-row", "swap"])
+    def test_start_on_other_labels_rejected(self, relabel):
+        # a swap of two rows' labels keeps every pair's row count
+        X, y = three_blobs()
+        other = list(y[:40])
+        i, j = other.index("a"), other.index("b")
+        other[i] = "b"
+        if relabel == "swap":
+            other[j] = "a"
+        model = svm_train(X[:40], other, SvmConfig(),
+                          distances=one_block(X[:40], X[:40]))
+        with pytest.raises(ValueError, match="labels"):
+            svm_train(X, y, SvmConfig(), distances=one_block(X, X), start=model)
 
     def test_support_vectors_are_training_row_indices(self):
         X, y = make_blobs()

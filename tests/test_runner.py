@@ -16,7 +16,8 @@ from augbench.corpus import Dataset, SplitPair, load_dataset
 from augbench.eda import EdaConfig
 from augbench.resources import grid_bits, grid_step
 from augbench.errors import (
-    ConfigError, DataError, EmptySentenceError, InvariantError, TransportError,
+    ConfigError, DataError, EmptySentenceError, InvariantError, TrainingError,
+    TransportError,
 )
 from augbench.metrics import evaluate, load_predictions, save_predictions
 from augbench.providers import ProviderSpec
@@ -776,6 +777,58 @@ class TestUnitGrid:
             assert first is test_block
             assert second.shape == (len(X_test), len(X) - len(base))
         assert sum(A is X_test for A, _, _ in computed) == 1 + len(predicted)
+
+    def test_augmented_solves_start_from_their_baseline_pair(self, demo,
+                                                            monkeypatch):
+        config = runner.config_from_dict({**demo, "subset_sizes": [140]})
+        resources = runner.load_resources(config)
+        solve, solved = kernels.smo_solve, []
+
+        def spied(K, y, C, tol, **kw):
+            result = solve(K, y, C, tol, **kw)
+            solved.append((kw["start"], result[0]))
+            return result
+
+        monkeypatch.setattr(kernels, "smo_solve", spied)
+        units = {}
+        for cell in runner.plan_grid(config):
+            units.setdefault(cell.unit_key(), []).append(cell)
+        for cells in units.values():
+            solved.clear()
+            rows, _, _ = runner.run_unit(config, resources, cells)
+            assert all(r.status == "ok" for r in rows)
+            pairs = [start is None for start, _ in solved].index(False)
+            base = [alpha for _, alpha in solved[:pairs]]
+            augmented = solved[pairs:]
+            assert len(augmented) == pairs * sum(c.aug_pct > 0 for c in cells)
+            for number, (start, _) in enumerate(augmented):
+                seed = base[number % pairs]
+                assert start[:len(seed)].tobytes() == seed.tobytes()
+                assert len(start) > len(seed) and not start[len(seed):].any()
+
+    def test_cells_of_a_failed_baseline_train_cold(self, demo, monkeypatch):
+        config = runner.config_from_dict(
+            {**demo, "datasets": demo["datasets"][:1], "subset_sizes": [80]})
+        resources = runner.load_resources(config)
+        train, starts = runner.svm_train, []
+
+        def baseline_fails(X, y, cfg, **kw):
+            if not starts:
+                starts.append("baseline")
+                raise TrainingError("the baseline fails")
+            starts.append(kw["start"])
+            return train(X, y, cfg, **kw)
+
+        solve, solve_starts = kernels.smo_solve, []
+        monkeypatch.setattr(runner, "svm_train", baseline_fails)
+        monkeypatch.setattr(kernels, "smo_solve", lambda *a, **kw:
+                            solve_starts.append(kw["start"]) or solve(*a, **kw))
+        rows, _, _ = runner.run_unit(config, resources, runner.plan_grid(config))
+        assert [r.status for r in rows if r.aug_pct == 0] == ["train_failed"] * 3
+        augmented = [r for r in rows if r.aug_pct > 0]
+        assert [(r.status, r.gain) for r in augmented] == [("ok", None)] * 3
+        assert starts[1:] == [None] * 3 and len(solve_starts) > 3
+        assert all(start is None for start in solve_starts)
 
     def test_a_unit_scores_each_model_once(self, demo, monkeypatch):
         # the baseline is scored once, and every group's p=0 row reports it
