@@ -19,7 +19,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import load_predictions
-from .results import make_output_dir, read_results_csv, write_csv
+from .results import STATUS_OK, make_output_dir, read_results_csv, write_csv
 
 _EXIT_CODES = [
     (ConfigError, 2, "config"),
@@ -139,7 +139,7 @@ def _cmd_train(args) -> int:
 def _cmd_run_grid(args) -> int:
     config = _load_config(args)
     rows = runner.run_grid(config, args.out)
-    ok = sum(1 for r in rows if r.status == "ok")
+    ok = sum(1 for r in rows if r.status == STATUS_OK)
     print(json.dumps({
         "cells": len(rows), "ok": ok, "failed": len(rows) - ok,
         "results": os.path.join(args.out, "results.csv"),

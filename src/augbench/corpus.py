@@ -11,6 +11,7 @@ import csv
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -123,15 +124,16 @@ def load_dataset(
     return Dataset(name=name or path, examples=tuple(examples), skipped=skipped)
 
 
-def _derive_seed(seed: int, salt: int) -> int:
-    # splitmix-style integer mix; stable across processes, unlike hash().
-    return (seed * 6364136223846793005 + 1442695040888963407 + salt) % (1 << 64)
-
-
 def _check_draw(dataset: Dataset, n: int) -> None:
     if not 1 <= n <= len(dataset):
         raise DataError(
             f"{dataset.name}: subset size {n} out of range 1..{len(dataset)}")
+
+
+def _share(p: float, n: int) -> Fraction:
+    """p * n for the decimal that ``p`` is written as, exactly: the float
+    product 0.7 * 90 is 62.99999999999999."""
+    return Fraction(repr(float(p))) * n
 
 
 def _train_size(n: int, ratio: float) -> int:
@@ -141,7 +143,7 @@ def _train_size(n: int, ratio: float) -> int:
         raise DataError(f"subset of {n} is too small to split")
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio {ratio} outside (0, 1)")
-    target_train = int(ratio * n + 0.5)
+    target_train = int(_share(ratio, n) + Fraction(1, 2))
     if not 1 <= target_train <= n - 1:
         side = "test" if target_train else "train"
         raise DataError(f"split ratio {ratio} of a subset of {n} "
@@ -161,19 +163,18 @@ def resample_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
     """Uniform sample of n examples without replacement.
 
     Deterministic in (dataset order, n, seed). A subset with fewer than
-    two distinct labels is rejected and redrawn with a derived seed, up
-    to a bounded number of retries.
+    two distinct labels is rejected and redrawn from the same generator,
+    up to a bounded number of retries.
     """
     _check_draw(dataset, n)
     if len(set(map(_LABEL, dataset.examples))) < 2:
         raise DataError(f"{dataset.name}: fewer than two labels; cannot subset")
-    current = seed
+    rng = random.Random(seed)
     for _ in range(_MAX_RESAMPLE_RETRIES + 1):
-        idx = random.Random(current).sample(range(len(dataset)), n)
+        idx = rng.sample(range(len(dataset)), n)
         chosen = tuple(dataset.examples[i] for i in idx)
         if len({ex.label for ex in chosen}) >= 2:
             return Dataset(name=dataset.name, examples=chosen)
-        current = _derive_seed(current, 1)
     raise DataError(
         f"{dataset.name}: could not draw a subset of {n} with >=2 labels "
         f"after {_MAX_RESAMPLE_RETRIES} retries"
@@ -248,9 +249,7 @@ def select_augmentation_targets(
     """Uniform sample of floor(p * |train|) source indices, ascending."""
     if not 0.0 <= p <= 1.0:
         raise DataError(f"augmentation percentage {p} outside [0, 1]")
-    k = int(p * len(train))
-    if k == 0:
-        return []
+    k = int(_share(p, len(train)))
     if k == len(train):  # the draw of every index, sorted, is all of them
         return list(range(k))
     return sorted(random.Random(seed).sample(range(len(train)), k))

@@ -16,8 +16,8 @@ import os
 from collections import Counter
 
 from .errors import DataError
-from .results import (ALL_DATASETS, GROUPS, ExperimentResult, _fmt,
-                      make_output_dir, write_csv)
+from .results import (ALL_DATASETS, GROUPS, STATUS_OK, ExperimentResult,
+                      _fmt, make_output_dir, write_csv)
 from .stats import ALPHA
 
 
@@ -40,7 +40,7 @@ def summarize(
     if repeated:
         raise DataError(f"repeated cell key(s) in results: {repeated[:5]}")
     make_output_dir(out_dir)
-    ok_rows = [r for r in rows if r.status == "ok" and r.f1 is not None]
+    ok_rows = [r for r in rows if r.status == STATUS_OK and r.f1 is not None]
     if not ok_rows:
         raise DataError("no successful cells to summarize")
 

@@ -70,10 +70,13 @@ def _fmt(value) -> str:
 
 def file_name_part(name: str, what: str, error: type[Exception]) -> str:
     """``name``; ``error`` naming it as ``what`` if it holds a path
-    separator, since output file names are made from it, or is
+    separator or a NUL, since output file names are made from it, or is
     ALL_DATASETS, since the report's rows are keyed by it."""
     if "/" in name or "\\" in name:
         raise error(f"{what} {name!r} holds a path separator; "
+                    "output file names are made from it")
+    if "\0" in name:
+        raise error(f"{what} {name!r} holds a NUL character; "
                     "output file names are made from it")
     if name == ALL_DATASETS:
         raise error(f"{what} {name!r} names the report's rows over all datasets")

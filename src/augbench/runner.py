@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import collections
 import difflib
-import functools
 import hashlib
 import itertools
 import json
@@ -24,6 +23,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,16 +86,12 @@ class ExperimentConfig:
     cache_path: str | None
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):  # a cell is its own key
     dataset: str
     group: str
     subset_size: int
     aug_pct: float
     round: int
-
-    def key(self) -> tuple[str, str, int, float, int]:
-        return (self.dataset, self.group, self.subset_size, self.aug_pct, self.round)
 
     def unit_key(self) -> tuple[str, int, int]:
         """Coordinates that salt the cell's subset and split: the cells
@@ -139,8 +135,13 @@ def _string(value, key: str, what: str = "a string") -> str:
     return value
 
 
-# open() would take an int for a file descriptor
-_path = functools.partial(_string, what="a string path")
+def _path(value, key: str) -> str:
+    """A string without NUL, which open() raises ValueError on; it
+    would take an int for a file descriptor."""
+    path = _string(value, key, "a string path")
+    if "\0" in path:
+        raise ConfigError(f"{key} {path!r} holds a NUL character")
+    return path
 
 
 def _dataset_name(value, key: str) -> str:
@@ -181,7 +182,7 @@ def provider_spec(value, key: str) -> ProviderSpec:
     if isinstance(value, str):
         kind, colon, path = value.partition(":")
         if kind + colon in _MOCKS[family]:
-            return ProviderSpec(kind, path)
+            return ProviderSpec(kind, _path(path, key))
     raise ConfigError(f"unusable {family} provider config: {value!r}")
 
 
@@ -458,9 +459,7 @@ def make_augmenter(config: ExperimentConfig, resources: Resources,
                     cell: GridCell):
     """Per-cell augmenter over the cell's target examples; EDA and Syn
     draw from one cell-seeded RNG, in target order."""
-    rng = random.Random(
-        derive_seed(config.master_seed, "augment", *cell.key())
-    )
+    rng = random.Random(derive_seed(config.master_seed, "augment", *cell))
     if cell.group == "EDA":
         return per_sentence(
             lambda ex: eda_augment(ex, config.eda, resources.synmap, rng))
@@ -495,7 +494,7 @@ def augment_cell(config: ExperimentConfig, resources: Resources,
     """
     targets = select_augmentation_targets(
         train, cell.aug_pct,
-        derive_seed(config.master_seed, "targets", *cell.key()),
+        derive_seed(config.master_seed, "targets", *cell),
     )
     augmented, failures = augment_training_set(
         train, targets, make_augmenter(config, resources, cell)
@@ -508,7 +507,7 @@ def augment_cell(config: ExperimentConfig, resources: Resources,
         sources[k::per_target] = kept
     if (augmented.examples[: len(train)] != train.examples
             or len(augmented) != len(train) + len(sources)):
-        raise InvariantError(f"augmentation purity violated for {cell.key()}")
+        raise InvariantError(f"augmentation purity violated for {tuple(cell)}")
     added = Dataset(train.name, augmented.examples[len(train):])
     return CellAugmentation(targets, failures, added, sources)
 
@@ -575,7 +574,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
     payloads: list[tuple[GridCell, list[str], list[str]]] = []
     for cell in cells:
         started = time.perf_counter()
-        row = ExperimentResult(*cell.key())
+        row = ExperimentResult(*cell)
         (preds, f1, error), facts = baseline, {}
         if cell.aug_pct > 0.0:
             aug = augment_cell(config, resources, cell, pair.train)
@@ -605,9 +604,7 @@ def run_unit(config: ExperimentConfig, resources: Resources,
             row.status = STATUS_TRAIN_FAILED
             facts["error"] = error
         records.append({
-            "event": "cell", "dataset": cell.dataset, "group": cell.group,
-            "subset_size": cell.subset_size, "aug_pct": cell.aug_pct,
-            "round": cell.round, "status": row.status,
+            "event": "cell", **cell._asdict(), "status": row.status,
             "seconds": round(time.perf_counter() - started, 4), **facts,
         })
         rows.append(row)
@@ -667,12 +664,12 @@ class GridRunner:
                 rows, records, payloads = run_unit(
                     self.config, self.resources, unit)
                 for cell, y_true, y_pred in payloads:
-                    name = "_".join(map(str, cell.key())) + ".jsonl"
+                    name = "_".join(map(str, cell)) + ".jsonl"
                     save_predictions(os.path.join(predictions_dir, name),
                                      y_true, y_pred)
                 append(records)
                 results.update((row.key(), row) for row in rows)
-        ordered = [results[c.key()] for c in cells]
+        ordered = [results[c] for c in cells]
         write_results_csv(os.path.join(self.out_dir, "results.csv"), ordered)
         return ordered
 

@@ -37,6 +37,11 @@ NEUTRAL = [
 CLASS_WORDS = {"positivo": POSITIVE, "negativo": NEGATIVE, "neutro": NEUTRAL}
 VOCABULARY = POSITIVE + NEGATIVE + NEUTRAL
 
+# The chance that a word is one of its class's, not a filler; the share of
+# labels redrawn, so classifiers stay below ceiling and pairs disagree.
+MARKED_WORD_RATE = 0.4
+LABEL_NOISE = 0.12
+
 
 def make_corpus(
     path: str,
@@ -45,15 +50,9 @@ def make_corpus(
     seed: int = 7,
     text_column: str = "text",
     label_column: str = "label",
-    marked_word_rate: float = 0.4,
-    label_noise: float = 0.12,
 ) -> None:
-    """Write a labeled CSV; each sentence mixes class words and fillers.
-
-    marked_word_rate controls how strongly class words dominate; a slice
-    of labels is flipped so classifiers stay below ceiling and paired
-    models genuinely disagree.
-    """
+    """Write a labeled CSV; each sentence mixes class words and fillers
+    at MARKED_WORD_RATE, and LABEL_NOISE of the labels are redrawn."""
     rng = random.Random(seed)
     sentences = []
     for _ in range(rows):
@@ -62,10 +61,10 @@ def make_corpus(
         length = rng.randint(4, 11)
         tokens = []
         for _ in range(length):
-            pool = marked if rng.random() < marked_word_rate else NEUTRAL
+            pool = marked if rng.random() < MARKED_WORD_RATE else NEUTRAL
             tokens.append(rng.choice(pool))
         written = label
-        if rng.random() < label_noise:
+        if rng.random() < LABEL_NOISE:
             written = rng.choice(labels)
         sentences.append([" ".join(tokens), written])
     write_csv(path, [text_column, label_column], sentences)

@@ -280,6 +280,47 @@ class TestRunGridCommand:
             "over all datasets\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("resources.embeddings", "{}"), ("resources.ppdb", "{}"),
+        ("cache_path", "{}"), ("datasets[0].path", "{}"),
+        ("providers.translation", "dict:{}"),
+        ("providers.contextual", "stub:{}"),
+    ])
+    def test_nul_in_a_path_exit_2(self, tmp_path, capsys, demo_config, key,
+                                  value):
+        # open() raises ValueError on a NUL
+        cfg = json.loads(json.dumps(demo_config[1]))  # a copy to change
+        path = str(tmp_path / "a\0b")
+        section, _, name = key.rpartition(".")
+        target = (cfg if not section else cfg["datasets"][0]
+                  if section == "datasets[0]" else cfg[section])
+        target[name] = value.format(path)
+        cfg_path = tmp_path / "nul.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run-grid", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: {key} {path!r} holds a NUL character\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "run-grid"])
+    def test_dataset_name_with_a_nul_exit_2(self, tmp_path, capsys,
+                                            demo_config, command):
+        # saving a prediction file, whose name starts with the dataset's,
+        # would raise ValueError after the first unit trained
+        _, cfg = demo_config
+        cfg_path = tmp_path / "nul.json"
+        cfg_path.write_text(json.dumps({**cfg, "datasets": [
+            cfg["datasets"][0], {**cfg["datasets"][0], "name": "a\0b"}]}))
+        args = ["--dataset", "a\0b", "--group", "EDA", "--pct", "1.0"]
+        assert main([command, "--config", str(cfg_path),
+                     *(args if command == "augment" else []),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: datasets[1].name 'a\\x00b' holds a NUL character; "
+            "output file names are made from it\n")
+        assert not (tmp_path / "o").exists()
+
     def test_pivot_equal_to_source_lang_exit_2(self, tmp_path, capsys,
                                                demo_config):
         # both hops would take the dictionary's forward side
@@ -979,6 +1020,20 @@ class TestReportCommand:
         assert capsys.readouterr().err == (
             f"error[data]: {path}: line 3: dataset 'ALL' names the report's "
             "rows over all datasets\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_dataset_name_with_a_nul_exit_3(self, tmp_path, capsys):
+        # the report's file names are made from it
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, [
+            ExperimentResult("synth3", "EDA", 80, 0.0, 0, f1=0.7),
+            ExperimentResult("a\0b", "EDA", 80, 0.0, 0, f1=0.7),
+        ])
+        code = main(["report", "--results", path, "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {path}: line 3: dataset 'a\\x00b' holds a NUL "
+            "character; output file names are made from it\n")
         assert not (tmp_path / "r").exists()
 
     def test_positive_gain_without_test_exit_3(self, tmp_path, capsys):

@@ -227,6 +227,19 @@ class TestResampleSubset:
         sub = resample_subset(ds, 30, seed=3)
         assert len({ex.text for ex in sub}) == 30
 
+    def test_redraw_continues_the_generator(self):
+        # the first draw at seed 0 has one label; a redraw is the seed's
+        # generator's next sample, not a draw at a seed derived from it
+        ds = make_dataset(["a", "b"] * 20)
+        rng = random.Random(0)
+        draws = iter(lambda: rng.sample(range(len(ds)), 2), None)
+        labels = lambda idx: {ds[i].label for i in idx}
+        assert len(labels(next(draws))) == 1
+        idx = next(d for d in draws if len(labels(d)) == 2)
+        sub = resample_subset(ds, 2, seed=0)
+        assert sub.examples == tuple(ds[i] for i in idx)
+        assert resample_subset(ds, 2, seed=0) == sub
+
 
 class TestSplit:
     def test_sizes_500(self):
@@ -265,6 +278,11 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(DataError):
             split(make_dataset(["a", "b", "a"]))
+
+    def test_train_size_of_the_written_ratio(self):
+        # as floats, 0.35 * 90 + 0.5 is 31.999999999999996
+        pair = split(make_dataset(["a", "b", "c"] * 30), ratio=0.35, seed=1)
+        assert (len(pair.train), len(pair.test)) == (32, 58)
 
     @given(
         n_per_label=st.integers(min_value=2, max_value=40),
@@ -306,6 +324,13 @@ class TestSelectTargets:
         targets = select_augmentation_targets(train, 0.2, seed=3)
         assert len(targets) == 75
         assert select_augmentation_targets(ds, 0.0, seed=3) == []
+
+    @pytest.mark.parametrize("n, p, k", [(90, 0.7, 63), (100, 0.29, 29)])
+    def test_count_of_the_written_pct(self, n, p, k):
+        # as floats, 0.7 * 90 is 62.99999999999999 and 0.29 * 100 is
+        # 28.999999999999996
+        train = make_dataset(["a", "b"] * (n // 2))
+        assert len(select_augmentation_targets(train, p, seed=1)) == k
 
     def test_full_coverage(self):
         ds = make_dataset(["a", "b"] * 10)

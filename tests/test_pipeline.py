@@ -683,7 +683,7 @@ class TestAugmentTrainingSet:
         aug = runner.augment_cell(config, resources, cell, train)
         assert aug.targets == list(range(7)) and aug.failures == [2]
         replay = random.Random(
-            runner.derive_seed(config.master_seed, "augment", *cell.key()))
+            runner.derive_seed(config.master_seed, "augment", *cell))
         pairs = []
         for i in aug.targets:
             try:

@@ -444,15 +444,23 @@ class TestPlanGrid:
         cells1 = runner.plan_grid(cfg)
         cells2 = runner.plan_grid(cfg)
         assert cells1 == cells2
-        seeds1 = [runner.derive_seed(cfg.master_seed, *c.key()) for c in cells1]
-        seeds2 = [runner.derive_seed(cfg.master_seed, *c.key()) for c in cells2]
+        seeds1 = [runner.derive_seed(cfg.master_seed, *c) for c in cells1]
+        seeds2 = [runner.derive_seed(cfg.master_seed, *c) for c in cells2]
         assert seeds1 == seeds2
 
     def test_seed_distinct_per_cell(self, demo):
         cfg = runner.config_from_dict(demo)
         cells = runner.plan_grid(cfg)
-        seeds = {runner.derive_seed(cfg.master_seed, *c.key()) for c in cells}
+        seeds = {runner.derive_seed(cfg.master_seed, *c) for c in cells}
         assert len(seeds) == len(cells)
+
+    def test_a_cell_is_its_coordinates(self, demo):
+        # so a cell keys its row, its seeds and its prediction file as is
+        for cell in runner.plan_grid(runner.config_from_dict(demo)):
+            coordinates = (cell.dataset, cell.group, cell.subset_size,
+                           cell.aug_pct, cell.round)
+            assert cell == coordinates and hash(cell) == hash(coordinates)
+            assert ExperimentResult(*cell).key() == cell
 
 
 @pytest.fixture(scope="module")
@@ -472,7 +480,7 @@ class TestRunGrid:
     def test_rows_align_with_plan_order(self, run):
         config, _, rows = run
         for cell, row in zip(runner.plan_grid(config), rows):
-            assert cell.key() == row.key()
+            assert cell == row.key()
 
     def test_baseline_rows_have_null_gain_fields(self, run):
         _, _, rows = run
@@ -927,7 +935,7 @@ class TestRunUnit:
         assert len(payloads) == len(cells) == len(
             list((out / "predictions").iterdir()))
         for cell, y_true, y_pred in payloads:
-            name = "_".join(map(str, cell.key())) + ".jsonl"
+            name = "_".join(map(str, cell)) + ".jsonl"
             save_predictions(str(tmp_path / name), y_true, y_pred)
             assert ((tmp_path / name).read_bytes()
                     == (out / "predictions" / name).read_bytes())

@@ -348,6 +348,43 @@ def test_results_csv_is_written_only_by_grid_runner_run():
     }
 
 
+# One seed function: every draw of a grid is seeded by runner.derive_seed
+# from the master seed and the coordinates of its unit or cell, and only
+# the draw functions build a generator, so no draw is seeded a second way.
+SEEDING = {"derive_seed"}
+GENERATORS = {"Random"}
+
+
+def test_seed_call_check_sees_a_second_site():
+    source = (
+        "def augment_cell(config, cell, train):\n"
+        "    return select(train, derive_seed(config.master_seed, *cell))\n"
+        "def resample_subset(dataset, n, seed):\n"
+        "    rng = random.Random(seed)\n"
+        "    return random.Random(runner.derive_seed(seed, 1))\n"
+    )
+    assert _calls(source, "corpus", SEEDING | GENERATORS) == [
+        ("corpus.augment_cell", "derive_seed"),
+        ("corpus.resample_subset", "Random"),
+        ("corpus.resample_subset", "Random"),
+        ("corpus.resample_subset", "derive_seed"),
+    ]
+
+
+def test_seeds_are_derived_only_by_derive_seed():
+    assert _package_calls(SEEDING) == {
+        (site, "derive_seed")
+        for site in ("runner.run_unit", "runner.augment_cell",
+                     "runner.make_augmenter")
+    }
+    assert _package_calls(GENERATORS) == {
+        (site, "Random")
+        for site in ("corpus.resample_subset", "corpus.split",
+                     "corpus.select_augmentation_targets",
+                     "runner.make_augmenter", "synthdata.make_corpus")
+    }
+
+
 # One CSV writer: every CSV the package writes goes through
 # results.write_csv, so every one has its quoting and line ends.
 def test_csv_writer_check_sees_a_second_site():
